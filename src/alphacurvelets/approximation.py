@@ -2,9 +2,18 @@
 
 The thresholding error is accounted on the coefficient side: for a
 Parseval frame the energy of the dropped coefficients upper-bounds the
-reconstruction error and decays at the same rate, and it is computable
-from one sort.  ``error_curve`` therefore reports dropped-tail sums by
-default and can verify selected points against full synthesis.
+reconstruction error and decays at the same rate.  ``error_curve``
+therefore reports dropped-tail sums by default and can verify selected
+points against full synthesis.
+
+Selecting N terms takes one partial selection (``np.partition``) for the
+boundary magnitude, not a full sort; ties at the boundary go to the
+lowest flat indices, which is exactly the set a stable descending sort
+keeps.  Dropped tails are accumulated from the small end: the squared
+magnitudes below the largest requested N are summed once, and only the
+N largest are sorted and added smallest first, so a tail far below the
+signal energy is summed exactly instead of cancelling in
+``energy - cumsum``.
 """
 
 from __future__ import annotations
@@ -113,11 +122,33 @@ def threshold(coeffs: CoefficientSet, n_keep: int) -> CoefficientSet:
     total = coeffs.total_count
     if not 1 <= n_keep <= total:
         raise ValueError(f"n_keep must be in [1, {total}], got {n_keep}")
-    mags = coeffs.flat_magnitudes()
-    order = np.argsort(-mags, kind="stable")
-    keep = np.zeros(total, dtype=bool)
-    keep[order[:n_keep]] = True
-    return coeffs.copy_with_flat_mask(keep)
+    return coeffs.copy_with_flat_mask(_largest_mask(coeffs.flat_magnitudes(), n_keep))
+
+
+def _largest_mask(mags: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the ``n`` largest ``mags`` (``1 <= n <= mags.size``).
+
+    The same set as ``np.argsort(-mags, kind="stable")[:n]``: everything
+    above the boundary magnitude, then the lowest flat indices equal to it.
+    """
+    v = np.partition(mags, mags.size - n)[mags.size - n]
+    keep = mags > v
+    keep[np.flatnonzero(mags == v)[: n - np.count_nonzero(keep)]] = True
+    if np.count_nonzero(keep) != n:
+        raise ValueError("magnitudes must not be NaN")
+    return keep
+
+
+def _smallest_first_tails(values: np.ndarray, n_max: int) -> np.ndarray:
+    """``out[N]`` is the sum of all but the ``N`` largest ``values``, ``0 <= N <= n_max``.
+
+    One partial selection splits off the ``n_max`` largest values; the rest
+    is summed pairwise and the split-off values are added to it smallest
+    first, so no tail is a difference of large sums.  ``out[0]`` is the total.
+    """
+    k = values.size - n_max
+    part = np.partition(values, k) if 0 < k < values.size else values
+    return np.cumsum(np.concatenate(([part[:k].sum()], np.sort(part[k:]))))[::-1]
 
 
 def geometric_schedule(start: int, stop: int, ratio: float = math.sqrt(2.0)) -> list[int]:
@@ -145,20 +176,24 @@ def error_curve(
 ) -> ErrorCurve:
     """Thresholding error curve from dropped-coefficient tail sums.
 
-    ``verify_at`` lists N values at which the true synthesis error
-    ``||f - synth(threshold(analyze(f), N))||^2`` is also computed and
-    stored in ``err2_synthesis`` (it never exceeds the tail sum).
+    ``verify_at`` lists N values, in ``n_list`` or not, at which the true
+    synthesis error ``||f - synth(threshold(analyze(f), N))||^2`` is also
+    computed, checked against the dropped tail at that N (it never exceeds
+    it) and stored in ``err2_synthesis``.  Every N must be at least 1.
     """
     n_list = sorted(set(int(n) for n in n_list))
+    verify_at = [int(n) for n in verify_at]
+    checked = sorted(set(n_list) | set(verify_at))
+    if checked and checked[0] < 1:
+        raise ValueError(f"N must be at least 1, got N={checked[0]}")
     if coeffs is None:
         coeffs = analyze(image, frame)
     total = coeffs.total_count
-    if n_list and n_list[-1] > total:
-        raise ValueError(f"schedule exceeds coefficient count {total}")
-    mags2 = np.sort(coeffs.flat_magnitudes() ** 2)[::-1]
-    cum = np.cumsum(mags2)
-    energy = float(cum[-1])
-    err2 = [max(energy - float(cum[n - 1]), 0.0) for n in n_list]
+    if checked and checked[-1] > total:
+        raise ValueError(f"N={checked[-1]} exceeds coefficient count {total}")
+    tails = _smallest_first_tails(coeffs.flat_magnitudes() ** 2, checked[-1] if checked else 0)
+    energy = float(tails[0])
+    err2 = [float(tails[n]) for n in n_list]
     curve = ErrorCurve(
         n_terms=n_list,
         err2=err2,
@@ -171,16 +206,16 @@ def error_curve(
         },
     )
     for n in verify_at:
-        rec = synthesize(threshold(coeffs, int(n)), frame)
+        rec = synthesize(threshold(coeffs, n), frame)
         _, err = grid_norms(np.asarray(image, float) - rec, frame.params.grid_n)
-        tail = err2[n_list.index(int(n))] if int(n) in n_list else None
-        if tail is not None and err > tail * (1.0 + 1e-9) + 1e-18 * energy:
+        tail = float(tails[n])
+        if err > tail * (1.0 + 1e-9) + 1e-18 * energy:
             # synthesis of masked coefficients is a contraction; exceeding
             # the dropped tail would mean the frame lost tightness
             raise AssertionError(
                 f"synthesis error {err:.6e} exceeds dropped tail {tail:.6e} at N={n}"
             )
-        curve.err2_synthesis[int(n)] = err
+        curve.err2_synthesis[n] = err
     return curve
 
 
@@ -330,16 +365,14 @@ def bound1_tail_estimator(
         e = bessel.wedge_energy_quadrature(spec, region="core", resolution=resolution)
         energies.append(e)
         counts.append(params.tile_count(j))
-    order = np.argsort(-np.asarray(energies), kind="stable")
-    per_tile = np.concatenate(
-        [np.full(counts[i], energies[i]) for i in order]
-    )
-    total = float(per_tile.sum())
-    cum = np.cumsum(per_tile)
-    n_tiles = len(per_tile)
+    per_tile = np.repeat(energies, counts)
+    n_tiles = per_tile.size
     if n_list is None:
         n_list = list(range(1, n_tiles + 1))
     n_list = sorted(set(int(n) for n in n_list))
+    if n_list and n_list[0] < 1:
+        raise ValueError(f"N must be at least 1, got N={n_list[0]}")
+    tails = _smallest_first_tails(per_tile, max([n for n in n_list if n < n_tiles], default=0))
     err2 = []
     degenerate = []
     for n in n_list:
@@ -347,7 +380,7 @@ def bound1_tail_estimator(
             err2.append(0.0)
             degenerate.append(n)
         else:
-            err2.append(max(total - float(cum[n - 1]), 0.0))
+            err2.append(float(tails[n]))
     return ErrorCurve(
         n_terms=n_list,
         err2=err2,

@@ -301,8 +301,11 @@ def dump_coefficients(
     """Portable dump: ``<stem>.json`` header plus ``<stem>.csv`` body.
 
     CSV columns are ``j, ell, m1, m2, re, im``; with ``top_k`` only the K
-    largest-magnitude coefficients are written (stable order on ties).
+    largest-magnitude coefficients are written, by descending magnitude
+    (stable order on ties), or all of them when K exceeds the count.
     """
+    if top_k is not None and top_k < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k}")
     p = frame.params
     header = {
         "params": {
@@ -329,8 +332,11 @@ def dump_coefficients(
                     v = b[m1, m2]
                     rows.append((j, ell, m1, m2, v.real, v.imag))
     else:
+        from .approximation import _largest_mask  # approximation imports this module
+
         mags = coeffs.flat_magnitudes()
-        order = np.argsort(-mags, kind="stable")[: int(top_k)]
+        top = np.flatnonzero(_largest_mask(mags, min(int(top_k), mags.size)))
+        order = top[np.lexsort((top, -mags[top]))]
         offs = coeffs.block_offsets()
         for flat in order:
             i = int(np.searchsorted(offs, flat, side="right") - 1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,48 @@ def test_threshold_idempotent_and_nested():
     assert np.all(sup16[sup8])
 
 
+def stable_argsort_mask(mags, n):
+    keep = np.zeros(mags.size, dtype=bool)
+    keep[np.argsort(-mags, kind="stable")[:n]] = True
+    return keep
+
+
+def test_threshold_matches_stable_argsort_oracle():
+    rng = np.random.default_rng(3)
+    for case in range(600):
+        size = int(rng.integers(1, 200))
+        kind = case % 4
+        if kind == 0:
+            values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        elif kind == 1:  # tie-heavy: few distinct integer magnitudes, both signs
+            values = rng.integers(-3, 4, size).astype(float)
+        elif kind == 2:
+            values = np.full(size, 2.5)
+        else:
+            values = np.zeros(size)
+        split = int(rng.integers(0, size + 1))  # two blocks: ties across blocks
+        blocks = [values[:split].astype(complex).reshape(1, -1), values[split:].astype(complex).reshape(1, -1)]
+        coeffs = CoefficientSet([(0, 0, 1, split), (1, 0, 1, size - split)], blocks, 16)
+        mags = np.abs(values)
+        for n in {1, size, int(rng.integers(1, size + 1))}:
+            kept = appr.threshold(coeffs, n)
+            mask = np.concatenate([b.ravel() for b in kept.blocks]) != 0
+            want = stable_argsort_mask(mags, n)
+            assert np.array_equal(appr._largest_mask(mags, n), want), (case, n)
+            assert np.array_equal(mask, want & (mags != 0)), (case, n)
+
+
+def test_smallest_first_tails_match_exact_sums():
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(300) ** 2 * np.exp(20 * rng.standard_normal(300))
+    desc = np.sort(values)[::-1]
+    for n_max in (0, 1, 17, 299, 300):
+        tails = appr._smallest_first_tails(values, n_max)
+        assert len(tails) == n_max + 1
+        for n in range(n_max + 1):
+            assert tails[n] == pytest.approx(math.fsum(desc[n:]), rel=1e-14, abs=0.0)
+
+
 @pytest.fixture(scope="module")
 def frame64():
     return DigitalCurveletFrame.build(FrameParams(s=1.0, alpha=0.5, grid_n=64))
@@ -79,6 +123,41 @@ def test_error_curve_synthesis_never_exceeds_tail(frame64):
         true = curve.err2_synthesis[n]
         assert true <= tail * (1.0 + 1e-9)
         assert true >= 0.2 * tail  # same order, documented diagnostic
+
+
+def test_error_curve_rejects_n_below_one(frame64):
+    f = np.random.default_rng(4).standard_normal((64, 64))
+    with pytest.raises(ValueError, match="N=0"):
+        appr.error_curve(f, frame64, [0])
+    with pytest.raises(ValueError, match="N=-3"):
+        appr.error_curve(f, frame64, [10, -3])
+
+
+def test_error_curve_verifies_n_outside_the_schedule(frame64, monkeypatch):
+    disc = render(CartoonSpec(kind="disc", antialias=2), 64)
+    coeffs = analyze(disc, frame64)
+    curve = appr.error_curve(disc, frame64, [10], coeffs=coeffs, verify_at=(20,))
+    tail20 = math.fsum(np.sort(coeffs.flat_magnitudes() ** 2)[: coeffs.total_count - 20])
+    assert curve.n_terms == [10]
+    assert 0 < curve.err2_synthesis[20] <= tail20 * (1.0 + 1e-9)
+    # a synthesis that loses the whole image must trip the check at N=20
+    monkeypatch.setattr(appr, "synthesize", lambda c, frame: np.zeros((64, 64)))
+    with pytest.raises(AssertionError, match="N=20"):
+        appr.error_curve(disc, frame64, [10], coeffs=coeffs, verify_at=(20,))
+
+
+def test_error_curve_tail_far_below_signal_energy():
+    # the tail here is ~1e-13 of the signal energy: energy - cumsum cancels
+    # to rounding noise there, the smallest-first sum does not
+    grid, n = 256, 17959
+    frame = DigitalCurveletFrame.build(FrameParams.nyquist_snapped(1.0, 0.5, grid))
+    img = render(CartoonSpec(kind="smooth_bump", beta=3, nu=10.0), grid)
+    coeffs = analyze(img, frame)
+    curve = appr.error_curve(img, frame, [n], coeffs=coeffs, verify_at=(n,))
+    tail = math.fsum(np.sort(coeffs.flat_magnitudes() ** 2)[: coeffs.total_count - n])
+    assert tail < 1e-11 * curve.metadata["signal_energy"]
+    assert curve.err2[0] == pytest.approx(tail, rel=1e-12)
+    assert curve.err2_synthesis[n] <= tail * (1.0 + 1e-9)
 
 
 def test_fit_rate_exact_power_law():
@@ -192,6 +271,9 @@ def test_bound1_estimator_slope_and_degeneracy():
     assert -2.3 <= fit.slope <= -1.7
     assert curve.metadata["degenerate_n"] == [curve.metadata["tile_count"]]
     assert curve.err2[-1] == 0.0
+    per_tile = np.sort(np.repeat(curve.metadata["scale_energies"], counts))
+    for n, e in zip(curve.n_terms[:-1], curve.err2[:-1]):
+        assert e == pytest.approx(math.fsum(per_tile[: per_tile.size - n]), rel=1e-12)
 
 
 def test_bound1_estimator_never_exceeds_digital_error():

@@ -247,6 +247,24 @@ def test_dump_coefficients(tmp_path, frame64):
     assert header["total_coefficients"] == coeffs.total_count
 
 
+def test_dump_coefficients_top_k_order_with_ties(tmp_path, frame64):
+    rng = np.random.default_rng(14)
+    coeffs = analyze(rng.standard_normal((64, 64)), frame64)
+    step = coeffs.flat_magnitudes().max() / 8
+    coeffs.blocks = [np.round(b.real / step) * step for b in coeffs.blocks]  # many tied magnitudes
+    mags = coeffs.flat_magnitudes()
+    for k in (1, 37, 500):
+        _, cpath = dump_coefficients(coeffs, frame64, os.fspath(tmp_path / f"top{k}"), top_k=k)
+        rows = [tuple(int(v) for v in r.split(",")[:4]) for r in open(cpath).read().strip().split("\n")[1:]]
+        want = []
+        for flat in np.argsort(-mags, kind="stable")[:k]:
+            j, ell, (m1, m2) = coeffs.index_of_flat(int(flat))
+            want.append((j, ell, m1, m2))
+        assert rows == want
+    with pytest.raises(ValueError):
+        dump_coefficients(coeffs, frame64, os.fspath(tmp_path / "none"), top_k=0)
+
+
 def test_flat_index_round_trip(frame64):
     rng = np.random.default_rng(13)
     coeffs = analyze(rng.standard_normal((64, 64)), frame64)
