@@ -378,11 +378,18 @@ def wedge_geometry(params: FrameParams, j: int, ell: int) -> WedgeSpec:
 
 @dataclass
 class TilingLayout:
-    """All tiles of one frame: ball, wedges scale-major, closure last."""
+    """All tiles of one frame: ball, wedges scale-major, closure last.
+
+    ``supports[i]`` is the lattice support of ``wedges[i]`` (signed indices,
+    flat grid index and window samples) from the layout's one scan of the
+    lattice.  Frames and :func:`verify_partition` share these arrays rather
+    than scanning again, so treat them as read-only.
+    """
 
     params: FrameParams
     profile: WindowProfile
     wedges: list[WedgeSpec] = field(default_factory=list)
+    supports: list[_SupportArrays] = field(default_factory=list, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.wedges)
@@ -516,11 +523,12 @@ def _find_wrap_periods(k1: np.ndarray, k2: np.ndarray, grid_n: int) -> tuple[int
 
 
 def build_layout(params: FrameParams) -> TilingLayout:
-    """Construct the full tiling with wrap periods and support counts.
+    """Construct the full tiling with wrap periods, support counts and supports.
 
     The wedge list is ordered scale-major (ball first, angular index
     ascending within each scale, closure last); this ordering is the
-    stable flat order used for coefficient tie-breaking downstream.
+    stable flat order used for coefficient tie-breaking downstream.  The
+    supports of the one lattice scan stay on the layout, in the same order.
     """
     profile = WindowProfile(params)
     supports = _scan_supports(params, profile)
@@ -548,7 +556,7 @@ def build_layout(params: FrameParams) -> TilingLayout:
     expected = params.total_wedge_count()
     if len(wedges) != expected:
         raise RuntimeError(f"layout has {len(wedges)} tiles, expected {expected}")
-    return TilingLayout(params=params, profile=profile, wedges=wedges)
+    return TilingLayout(params=params, profile=profile, wedges=wedges, supports=supports)
 
 
 def wedge_value(xi, spec: WedgeSpec, profile: WindowProfile) -> np.ndarray:
@@ -563,27 +571,15 @@ def wedge_value(xi, spec: WedgeSpec, profile: WindowProfile) -> np.ndarray:
     return float(vals[0]) if scalar else vals.reshape(xi.shape[:-1])
 
 
-def verify_partition(
-    layout: TilingLayout,
-    profile: WindowProfile | None = None,
-    grid_n: int | None = None,
-    include_closure: bool = True,
-) -> float:
-    """Max deviation of the squared-window sum from 1 over the lattice."""
+def verify_partition(layout: TilingLayout, include_closure: bool = True) -> float:
+    """Max deviation of the squared-window sum from 1 over the lattice.
+
+    Accumulates over the supports the layout already holds, so no lattice
+    scan runs here.
+    """
     params = layout.params
-    if grid_n is not None and grid_n != params.grid_n:
-        params = FrameParams(
-            s=params.s,
-            alpha=params.alpha,
-            grid_n=grid_n,
-            corona_constant=params.corona_constant,
-            tau1=params.tau1,
-            tau2=params.tau2,
-            j_max=params.j_max,
-        )
-    profile = profile or WindowProfile(params)
     acc = np.zeros(params.grid_n * params.grid_n)
-    for sup in _scan_supports(params, profile):
+    for sup in layout.supports:
         if not include_closure and sup.j == params.scale_of_closure():
             continue
         acc[sup.grid_flat] += sup.window**2

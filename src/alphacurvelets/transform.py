@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tiling import FrameParams, TilingLayout, _scan_supports, build_layout
+from .tiling import FrameParams, TilingLayout, _collision_free, build_layout, verify_partition
 
 __all__ = [
     "DigitalCurveletFrame",
@@ -36,7 +36,8 @@ PARTITION_TOL = 1e-12
 
 class _WedgeCache:
     """Precomputed support of one tile: grid gather/scatter indices,
-    window samples, and the fold indices on the wrap box."""
+    window samples (both shared with the layout's supports), and the fold
+    indices on the wrap box."""
 
     __slots__ = ("j", "ell", "grid_flat", "window", "box_flat", "P1", "P2", "k1", "k2")
 
@@ -50,7 +51,7 @@ class _WedgeCache:
         self.P1 = P1
         self.P2 = P2
         self.box_flat = (k1 % P1) * P2 + (k2 % P2)
-        if len(np.unique(self.box_flat)) != len(self.box_flat):
+        if not _collision_free(k1, k2, P1, P2):
             raise RuntimeError(f"wrap collision in tile ({j}, {ell})")
 
 
@@ -58,11 +59,17 @@ class DigitalCurveletFrame:
     """A built frame: layout plus cached per-tile supports.
 
     Use :meth:`build` to construct; instances are immutable in practice
-    and safe to share across threads.
+    and safe to share across threads.  ``partition_deviation`` is the max
+    deviation of the squared-window sum from 1 over the lattice, as
+    :func:`~alphacurvelets.tiling.verify_partition` gives it; :meth:`build`
+    refuses frames where it exceeds ``PARTITION_TOL``.
     """
 
-    def __init__(self, layout: TilingLayout, caches: list[_WedgeCache]):
+    def __init__(
+        self, layout: TilingLayout, caches: list[_WedgeCache], partition_deviation: float
+    ):
         self.layout = layout
+        self.partition_deviation = partition_deviation
         self.params = layout.params
         self.profile = layout.profile
         self._caches = caches
@@ -73,20 +80,14 @@ class DigitalCurveletFrame:
     @classmethod
     def build(cls, params: FrameParams) -> "DigitalCurveletFrame":
         layout = build_layout(params)
-        supports = _scan_supports(params, layout.profile)
-        caches = []
-        acc = np.zeros(params.grid_n * params.grid_n)
-        for spec, sup in zip(layout.wedges, supports):
-            assert (spec.index.j, spec.index.ell) == (sup.j, sup.ell)
-            P1, P2 = spec.wrap_periods
-            caches.append(
-                _WedgeCache(sup.j, sup.ell, sup.k1, sup.k2, sup.grid_flat, sup.window, P1, P2)
-            )
-            acc[sup.grid_flat] += sup.window**2
-        dev = float(np.abs(acc - 1.0).max())
+        caches = [
+            _WedgeCache(sup.j, sup.ell, sup.k1, sup.k2, sup.grid_flat, sup.window, *w.wrap_periods)
+            for w, sup in zip(layout.wedges, layout.supports)
+        ]
+        dev = verify_partition(layout)
         if dev > PARTITION_TOL:
             raise RuntimeError(f"window partition deviates by {dev:.3e}")
-        return cls(layout, caches)
+        return cls(layout, caches, dev)
 
     def wedge_index(self, j: int, ell: int) -> int:
         for i, c in enumerate(self._caches):

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from alphacurvelets import tiling
 from alphacurvelets.approximation import atom_l1_decay
-from alphacurvelets.tiling import FrameParams
+from alphacurvelets.tiling import FrameParams, verify_partition
 from alphacurvelets.transform import (
     CoefficientSet,
     DigitalCurveletFrame,
@@ -50,6 +51,48 @@ def test_parseval_and_reconstruction(s, alpha):
         assert abs(coeffs.total_energy - e2) <= 1e-10 * e2
         rec = synthesize(coeffs, frame)
         assert np.linalg.norm(rec - f) <= 1e-10 * np.linalg.norm(f)
+
+
+def test_supports_are_scanned_once_and_shared(monkeypatch):
+    scan = tiling._scan_supports
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(tiling, "_scan_supports", counted)
+    p = FrameParams(s=1.0, alpha=0.5, grid_n=64)
+    frame = DigitalCurveletFrame.build(p)
+    dev = verify_partition(frame.layout)
+    assert len(calls) == 1
+    supports = frame.layout.supports
+    assert len(supports) == len(frame._caches)
+    for c, sup in zip(frame._caches, supports):
+        assert c.grid_flat is sup.grid_flat and c.window is sup.window
+    acc = np.zeros(64 * 64)
+    for sup in scan(p, frame.layout.profile):
+        acc[sup.grid_flat] += sup.window**2
+    assert frame.partition_deviation == dev == float(np.abs(acc - 1.0).max())
+
+
+def test_build_rejects_a_colliding_wrap_box(monkeypatch):
+    monkeypatch.setattr(tiling, "_find_wrap_periods", lambda k1, k2, grid_n: (2, 2))
+    with pytest.raises(RuntimeError, match="wrap collision"):
+        DigitalCurveletFrame.build(FrameParams(s=1.0, alpha=0.5, grid_n=64))
+
+
+def test_build_rejects_a_broken_partition(monkeypatch):
+    scan = tiling._scan_supports
+
+    def corrupted(*args):
+        supports = scan(*args)
+        supports[0].window = 1.01 * supports[0].window
+        return supports
+
+    monkeypatch.setattr(tiling, "_scan_supports", corrupted)
+    with pytest.raises(RuntimeError, match="window partition deviates"):
+        DigitalCurveletFrame.build(FrameParams(s=1.0, alpha=0.5, grid_n=64))
 
 
 def test_linearity(frame64):
