@@ -145,10 +145,12 @@ def _smallest_first_tails(values: np.ndarray, n_max: int) -> np.ndarray:
     One partial selection splits off the ``n_max`` largest values; the rest
     is summed pairwise and the split-off values are added to it smallest
     first, so no tail is a difference of large sums.  ``out[0]`` is the total.
+    The selection reorders ``values`` in place: pass a scratch array.
     """
     k = values.size - n_max
-    part = np.partition(values, k) if 0 < k < values.size else values
-    return np.cumsum(np.concatenate(([part[:k].sum()], np.sort(part[k:]))))[::-1]
+    if 0 < k < values.size:
+        values.partition(k)
+    return np.cumsum(np.concatenate(([values[:k].sum()], np.sort(values[k:]))))[::-1]
 
 
 def geometric_schedule(start: int, stop: int, ratio: float = math.sqrt(2.0)) -> list[int]:
@@ -191,7 +193,10 @@ def error_curve(
     total = coeffs.total_count
     if checked and checked[-1] > total:
         raise ValueError(f"N={checked[-1]} exceeds coefficient count {total}")
-    tails = _smallest_first_tails(coeffs.flat_magnitudes() ** 2, checked[-1] if checked else 0)
+    mags2 = coeffs.flat_magnitudes()
+    np.square(mags2, out=mags2)
+    tails = _smallest_first_tails(mags2, checked[-1] if checked else 0)
+    del mags2  # not held through the verify_at syntheses
     energy = float(tails[0])
     err2 = [float(tails[n]) for n in n_list]
     curve = ErrorCurve(

@@ -123,7 +123,14 @@ class CoefficientSet:
         return float(sum(np.sum(np.abs(b) ** 2) for b in self.blocks))
 
     def flat_magnitudes(self) -> np.ndarray:
-        return np.concatenate([np.abs(b).ravel() for b in self.blocks])
+        """``|c|`` of every coefficient in flat order, written block by block
+        into one array (no per-block temporaries)."""
+        out = np.empty(self.total_count)
+        lo = 0
+        for b in self.blocks:
+            np.abs(b.ravel(), out=out[lo : lo + b.size])
+            lo += b.size
+        return out
 
     def block_offsets(self) -> np.ndarray:
         sizes = [b.size for b in self.blocks]
@@ -185,16 +192,26 @@ def _check_image(image: np.ndarray, frame: DigitalCurveletFrame) -> np.ndarray:
 
 
 def analyze(image: np.ndarray, frame: DigitalCurveletFrame) -> CoefficientSet:
-    """Forward transform; Parseval in the grid quadrature norm."""
+    """Forward transform; Parseval in the grid quadrature norm.
+
+    The windowed support and the wrap box of each tile are staged in two
+    scratch arrays sized for the largest tile, so the only arrays a call
+    allocates per tile are the coefficient blocks it returns.
+    """
     image = _check_image(image, frame)
     F = np.fft.fft2(image).ravel()
+    box = np.empty(max(frame.block_sizes), dtype=complex)
+    vals = np.empty(max(c.grid_flat.size for c in frame._caches), dtype=complex)
     blocks = []
     for c in frame._caches:
-        H = np.zeros(c.P1 * c.P2, dtype=complex)
-        H[c.box_flat] = F[c.grid_flat] * c.window
-        block = (frame.sigma * math.sqrt(c.P1 * c.P2)) * np.fft.ifft2(
-            H.reshape(c.P1, c.P2)
-        )
+        H = box[: c.P1 * c.P2]
+        H.fill(0)
+        v = vals[: c.grid_flat.size]
+        np.take(F, c.grid_flat, out=v)
+        v *= c.window
+        H[c.box_flat] = v
+        block = np.fft.ifft2(H.reshape(c.P1, c.P2))
+        block *= frame.sigma * math.sqrt(c.P1 * c.P2)
         blocks.append(block)
     return CoefficientSet(
         frame.wedge_table(), blocks, frame.params.grid_n, frame.params.s, frame.params.alpha

@@ -96,6 +96,20 @@ def test_smallest_first_tails_match_exact_sums():
             assert tails[n] == pytest.approx(math.fsum(desc[n:]), rel=1e-14, abs=0.0)
 
 
+def test_smallest_first_tails_reorder_only_their_input():
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal(300) ** 2 * np.exp(20 * rng.standard_normal(300))
+    for n_max in (0, 1, 17, 299, 300):
+        scratch = values.copy()
+        tails = appr._smallest_first_tails(scratch, n_max)
+        assert np.array_equal(np.sort(scratch), np.sort(values))
+        # the selection in place gives what a selection on a copy gives
+        k = values.size - n_max
+        part = np.partition(values, k) if 0 < k < values.size else values
+        want = np.cumsum(np.concatenate(([part[:k].sum()], np.sort(part[k:]))))[::-1]
+        assert np.array_equal(tails, want)
+
+
 @pytest.fixture(scope="module")
 def frame64():
     return DigitalCurveletFrame.build(FrameParams(s=1.0, alpha=0.5, grid_n=64))

@@ -164,3 +164,38 @@ def test_env_flag_selects_numpy_path():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def _omega_reference(sa, ta, xa, sb, tb, xb, alpha):
+    """The distance block as one expression per term (a new array for each)."""
+    ratio = np.maximum(sa[:, None] / sb[None, :], sb[None, :] / sa[:, None])
+    s0 = np.minimum(sa[:, None], sb[None, :])
+    dt = np.abs(ta[:, None] - tb[None, :]) % math.pi
+    dt = np.minimum(dt, math.pi - dt)
+    dx1 = xa[:, None, 0] - xb[None, :, 0]
+    dx2 = xa[:, None, 1] - xb[None, :, 1]
+    t1 = s0 ** (2.0 * (1.0 - alpha)) * dt**2
+    t2 = s0 ** (2.0 * alpha) * (dx1**2 + dx2**2)
+    e1 = np.cos(ta)[:, None]
+    e2 = -np.sin(ta)[:, None]
+    t3 = s0**2 * (e1 * dx1 + e2 * dx2) ** 2 / (1.0 + t1)
+    return ratio * (1.0 + t1 + t2 + t3)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0 / 3.0, 1.0])
+def test_in_place_distance_kernel_is_the_formula_bit_for_bit(alpha):
+    from alphacurvelets._accel import _omega_block, _pairwise_sups_numpy
+
+    rng = np.random.default_rng(21)
+    m, n = 37, 53
+    a = (rng.random(m) * 8 + 0.1, rng.random(m) * 7 - 3, rng.standard_normal((m, 2)) * 3)
+    b = (rng.random(n) * 8 + 0.1, rng.random(n) * 7 - 3, rng.standard_normal((n, 2)) * 3)
+    ref = _omega_reference(*a, *b, alpha)
+    assert np.array_equal(_omega_block(*a, *b, alpha), ref)
+    # blocks of 8 rows: the column sums gather over several blocks
+    row, col = np.zeros(m), np.zeros(n)
+    for lo in range(0, m, 8):
+        w = _omega_reference(a[0][lo : lo + 8], a[1][lo : lo + 8], a[2][lo : lo + 8], *b, alpha)
+        row[lo : lo + 8] = (w ** (-2.5)).sum(axis=1)
+        col += (w ** (-2.5)).sum(axis=0)
+    assert _pairwise_sups_numpy(*a, *b, alpha, 2.5, block=8) == (row.max(), col.max())

@@ -273,6 +273,30 @@ def test_total_energy_matches_quadrature_norm(frame64):
     assert coeffs.total_energy == pytest.approx(e2, rel=1e-10)
 
 
+@pytest.mark.parametrize("fixture", ["frame64", "frame128"])
+def test_analyze_is_the_per_tile_formula_bit_for_bit(fixture, request):
+    frame = request.getfixturevalue(fixture)
+    n = frame.params.grid_n
+    f = np.random.default_rng(14).standard_normal((n, n))
+    F = np.fft.fft2(f).ravel()
+    blocks = analyze(f, frame).blocks
+    for c, block in zip(frame._caches, blocks):
+        H = np.zeros(c.P1 * c.P2, dtype=complex)
+        H[c.box_flat] = F[c.grid_flat] * c.window
+        want = (frame.sigma * math.sqrt(c.P1 * c.P2)) * np.fft.ifft2(H.reshape(c.P1, c.P2))
+        assert np.array_equal(block, want)
+    # the scratch arrays are reused per tile: no block may alias them
+    for a, b in zip(blocks, blocks[1:]):
+        assert not np.shares_memory(a, b)
+
+
+def test_flat_magnitudes_are_the_concatenated_block_magnitudes(frame64):
+    rng = np.random.default_rng(13)
+    coeffs = analyze(rng.standard_normal((64, 64)), frame64)
+    want = np.concatenate([np.abs(b).ravel() for b in coeffs.blocks])
+    assert np.array_equal(coeffs.flat_magnitudes(), want)
+
+
 def test_dump_coefficients(tmp_path, frame64):
     rng = np.random.default_rng(12)
     coeffs = analyze(rng.standard_normal((64, 64)), frame64)
