@@ -325,9 +325,8 @@ def run_straight_edge_rate(cfg: dict) -> tuple[bool, dict, list[dict]]:
     grid = int(cfg["grid"])
     rows = []
 
-    def one(alpha: float, spec: CartoonSpec, window: tuple[int, int] | None = None):
+    def one(alpha: float, spec: CartoonSpec, img: np.ndarray, window: tuple[int, int] | None = None):
         frame = DigitalCurveletFrame.build(_rate_params(cfg, alpha, grid))
-        img = render(spec, grid)
         coeffs = analyze(img, frame)
         curve = appr.error_curve(img, frame, _full_schedule(cfg, coeffs.total_count), coeffs=coeffs)
         if window is None:
@@ -348,9 +347,11 @@ def run_straight_edge_rate(cfg: dict) -> tuple[bool, dict, list[dict]]:
     bump = CartoonSpec(
         kind="smooth_bump", beta=int(cfg["beta"]), nu=float(cfg["nu"]), antialias=int(cfg["antialias"])
     )
-    fit_half = one(0.5, edge)
-    fit_quarter = one(0.25, edge)
-    fit_bump = one(0.5, bump, window=tuple(cfg["bump_window"]))
+    img = render(edge, grid)
+    fit_half = one(0.5, edge, img)
+    fit_quarter = one(0.25, edge, img)
+    img = render(bump, grid)
+    fit_bump = one(0.5, bump, img, window=tuple(cfg["bump_window"]))
     band = cfg["band_alpha_half"]
     ok = (
         band[0] <= fit_half.slope <= band[1]

@@ -8,6 +8,7 @@ import pytest
 from alphacurvelets.bessel import DiscSpectrum
 from alphacurvelets.cartoons import (
     CartoonSpec,
+    _evaluate,
     cartoon_from_json,
     cartoon_to_json,
     analytic_spectrum,
@@ -123,6 +124,63 @@ def test_star_validation_and_render():
     img = render(spec, 128)
     assert img.min() >= 0.0 and img.max() <= 1.0
     assert 0.1 < img.mean() < 0.5
+
+
+def per_sample_render(spec, n):
+    """Oracle: ``_evaluate`` at every sample, accumulated over the offsets."""
+    a = spec.antialias
+    h = 2.0 / n
+    base = -1.0 + h * np.arange(n)
+    offsets = h * (np.arange(a) + 0.5) / a
+    acc = np.zeros((n, n))
+    for o1 in offsets:
+        for o2 in offsets:
+            X1, X2 = np.broadcast_arrays((base + o1)[:, None], (base + o2)[None, :])
+            acc += _evaluate(spec, X1, X2)
+    return acc / (a * a)
+
+
+ORACLE_SPECS = [
+    dict(kind="disc"),
+    dict(kind="half_space", phi=0.7, c=0.1),
+    dict(kind="half_space", phi=2.3, c=-0.2, beta=2, nu=7.0),
+    dict(kind="smooth_bump", beta=3, nu=40.0),
+    dict(kind="star", rho0=0.45, cos_coeffs=(0.05,), sin_coeffs=(0.0, 0.03)),
+]
+
+
+@pytest.mark.parametrize("kw", ORACLE_SPECS, ids=lambda kw: kw["kind"] + str(kw.get("beta", "")))
+@pytest.mark.parametrize("n, antialias", [(37, 1), (37, 2), (37, 3), (64, 8), (300, 8)])
+def test_render_matches_per_sample_oracle(kw, n, antialias):
+    # n=300 at antialias 8 spans two row blocks of 218 rows
+    spec = CartoonSpec(antialias=antialias, **kw)
+    assert render(spec, n).tobytes() == per_sample_render(spec, n).tobytes()
+
+
+def test_render_rejects_non_integral_grid():
+    spec = CartoonSpec(kind="disc", antialias=1)
+    for bad in (100.5, 64.0, "64", None, 1):
+        with pytest.raises(ValueError, match="grid_n"):
+            render(spec, bad)
+    assert np.array_equal(render(spec, np.int64(64)), render(spec, 64))
+
+
+def test_spec_rejects_bad_beta_and_nu():
+    for beta in (0.5, -2, 2.5, "2", float("nan")):
+        with pytest.raises(ValueError, match="beta"):
+            CartoonSpec(kind="half_space", beta=beta)
+        with pytest.raises(ValueError, match="beta"):
+            cartoon_from_json(json.dumps({"kind": "half_space", "beta": beta}))
+    for kw in (dict(kind="half_space", beta=1), dict(kind="smooth_bump")):
+        for nu in (0.0, -1.0):
+            with pytest.raises(ValueError, match="nu"):
+                CartoonSpec(nu=nu, **kw)
+    # nu is unused without a smooth factor
+    CartoonSpec(kind="half_space", beta=0, nu=0.0)
+    CartoonSpec(kind="disc", nu=-1.0)
+    # a smooth bump of beta 0 is rendered as beta 1
+    bump = render(CartoonSpec(kind="smooth_bump", beta=0, nu=3.0, antialias=2), 32)
+    assert np.array_equal(bump, render(CartoonSpec(kind="smooth_bump", beta=1, nu=3.0, antialias=2), 32))
 
 
 def test_bad_kind_and_antialias():
