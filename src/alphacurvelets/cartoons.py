@@ -128,8 +128,13 @@ class CartoonSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown cartoon kind {self.kind!r}")
-        if self.antialias < 1:
+        try:
+            antialias = operator.index(self.antialias)
+        except TypeError:
+            raise ValueError(f"antialias must be an integer, got {self.antialias!r}") from None
+        if antialias < 1:
             raise ValueError("antialias factor must be >= 1")
+        object.__setattr__(self, "antialias", antialias)
         integral = isinstance(self.beta, numbers.Real) and float(self.beta).is_integer()
         if not integral or self.beta < 0:
             raise ValueError(f"beta must be a non-negative integer, got {self.beta!r}")

@@ -477,9 +477,13 @@ def _scan_supports(params: FrameParams, profile: WindowProfile) -> list[_Support
     return out
 
 
-def _collision_free(k1: np.ndarray, k2: np.ndarray, P1: int, P2: int) -> bool:
-    keys = (k1 % P1) * P2 + (k2 % P2)
-    return np.bincount(keys, minlength=P1 * P2).max() <= 1
+def _fold(k1: np.ndarray, k2: np.ndarray, P1: int, P2: int) -> np.ndarray:
+    """Flat index of each lattice point on the ``P1 x P2`` wrap box."""
+    return (k1 % P1) * P2 + (k2 % P2)
+
+
+def _collision_free(keys: np.ndarray, size: int) -> bool:
+    return np.bincount(keys, minlength=size).max() <= 1
 
 
 def _even_up(x: float) -> int:
@@ -506,17 +510,25 @@ def _find_wrap_periods(k1: np.ndarray, k2: np.ndarray, grid_n: int) -> tuple[int
         Pa = min(_even_up(span_a), grid_n)
         Pb = max(2, _even_up(np.bincount(ka - ka.min()).max()))
         Pb = max(Pb, _even_up(m / Pa))
+
+        def free(P: int) -> bool:
+            return _collision_free(_fold(ka, kb, Pa, P), Pa * P)
+
         tries = 0
-        while Pb < min(span_b, grid_n) and not _collision_free(ka, kb, Pa, Pb):
+        ok = False
+        while Pb < min(span_b, grid_n) and not (ok := free(Pb)):
             tries += 1
             Pb = Pb + 2 if tries <= 8 else _even_up(Pb * 1.25)
-        Pb = min(Pb, grid_n)
-        if not _collision_free(ka, kb, Pa, Pb):
+        if not ok:
+            Pb = min(Pb, grid_n)
+            ok = free(Pb)
+        if not ok:
             Pb = min(_even_up(span_b), grid_n)
+            ok = free(Pb)
+        # in the swapped family the check above is that of cand with its axes exchanged
         cand = (Pb, Pa) if swap else (Pa, Pb)
-        if _collision_free(k1, k2, cand[0], cand[1]):
-            if best is None or cand[0] * cand[1] < best[0] * best[1]:
-                best = cand
+        if ok and (best is None or cand[0] * cand[1] < best[0] * best[1]):
+            best = cand
     if best is None:  # full grid always works: modulo map is then injective
         best = (grid_n, grid_n)
     return best

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tiling import FrameParams, TilingLayout, _collision_free, build_layout, verify_partition
+from .tiling import (
+    FrameParams,
+    TilingLayout,
+    _collision_free,
+    _fold,
+    build_layout,
+    verify_partition,
+)
 
 __all__ = [
     "DigitalCurveletFrame",
@@ -50,8 +57,8 @@ class _WedgeCache:
         self.window = window
         self.P1 = P1
         self.P2 = P2
-        self.box_flat = (k1 % P1) * P2 + (k2 % P2)
-        if not _collision_free(k1, k2, P1, P2):
+        self.box_flat = _fold(k1, k2, P1, P2)
+        if not _collision_free(self.box_flat, P1 * P2):
             raise RuntimeError(f"wrap collision in tile ({j}, {ell})")
 
 

@@ -190,6 +190,20 @@ def test_bad_kind_and_antialias():
         CartoonSpec(kind="disc", antialias=0)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, "3", None, -2, np.int64(0)])
+def test_spec_rejects_a_non_integral_or_small_antialias(bad):
+    with pytest.raises(ValueError, match="antialias"):
+        CartoonSpec(kind="disc", antialias=bad)
+
+
+def test_spec_takes_numpy_integer_antialias():
+    spec = CartoonSpec(kind="disc", antialias=np.int64(3))
+    assert type(spec.antialias) is int
+    assert spec == CartoonSpec(kind="disc", antialias=3)
+    assert np.array_equal(render(spec, 32), render(CartoonSpec(kind="disc", antialias=3), 32))
+    assert cartoon_from_json(cartoon_to_json(spec)) == spec
+
+
 def test_json_round_trip():
     spec = CartoonSpec(kind="half_space", phi=1.25, c=-0.1, beta=2, nu=7.0, antialias=8)
     back = cartoon_from_json(cartoon_to_json(spec))

@@ -126,8 +126,9 @@ def test_consistency_self_is_near_symmetric():
 
 
 def test_consistency_rejects_bad_exponent():
-    with pytest.raises(ValueError):
-        consistency_sum(PARAMS, PARAMS_HALF, 0.5, 0.0, scale_cap=2.0, spatial_cap=1.0)
+    for k_exp in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="k_exp"):
+            consistency_sum(PARAMS, PARAMS_HALF, 0.5, k_exp, scale_cap=2.0, spatial_cap=1.0)
 
 
 def test_consistency_cross_scale_stabilizes():
@@ -141,29 +142,63 @@ def test_consistency_cross_scale_stabilizes():
     assert growth_b < 0.05
 
 
-def test_numpy_and_accelerated_paths_agree():
-    a = consistency_sum(PARAMS, PARAMS_HALF, 0.5, 3.0, scale_cap=4.0, spatial_cap=1.5)
-    b = consistency_sum(
-        PARAMS, PARAMS_HALF, 0.5, 3.0, scale_cap=4.0, spatial_cap=1.5, force_numpy=True
+@pytest.mark.parametrize(
+    "field, caps",
+    [
+        ("scale_cap", (math.inf, 1.0)),
+        ("scale_cap", (math.nan, 1.0)),
+        ("scale_cap", (0.5, 1.0)),
+        ("spatial_cap", (2.0, math.nan)),
+        ("spatial_cap", (2.0, math.inf)),
+        ("spatial_cap", (2.0, -1.0)),
+    ],
+)
+def test_enumeration_and_sums_reject_bad_caps(field, caps):
+    with pytest.raises(ValueError, match=field):
+        enumerate_phase_points(PARAMS, *caps)
+    with pytest.raises(ValueError, match=field):
+        consistency_sum(PARAMS, PARAMS_HALF, 0.5, 3.0, *caps)
+
+
+def test_zero_spatial_cap_keeps_the_origin():
+    s, t, x = enumerate_phase_points(PARAMS, 2.0, 0.0)
+    assert np.all(x == 0.0)
+    assert len(s) == sum(len(PARAMS.ell_range(j)) for j in (0, 1))
+
+
+def _brute_force_sups(a, b, alpha, k):
+    """Row and column sups of ``index_distance**-k`` sums, one pair at a time."""
+    pa = [PhasePoint(s=s, theta=t, x=tuple(x)) for s, t, x in zip(*a)]
+    pb = [PhasePoint(s=s, theta=t, x=tuple(x)) for s, t, x in zip(*b)]
+    w = np.array([[index_distance(p, q, alpha) ** -k for q in pb] for p in pa])
+    return w.sum(axis=1).max(), w.sum(axis=0).max()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0 / 3.0, 1.0])
+def test_group_kernel_matches_brute_force_index_distance(alpha):
+    from alphacurvelets.molecules import _pairwise_sups, _runs
+
+    grouped = (
+        enumerate_phase_points(PARAMS, 4.0, 0.5),
+        enumerate_phase_points(PARAMS_HALF, 4.0, 0.5),
     )
-    assert a.sup_over_a == pytest.approx(b.sup_over_a, rel=1e-11)
-    assert a.sup_over_b == pytest.approx(b.sup_over_b, rel=1e-11)
-
-
-def test_env_flag_selects_numpy_path():
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, ALPHACURVELETS_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import alphacurvelets._accel as a; print(a.USING_NUMBA)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
+    rng = np.random.default_rng(21)
+    m, n = 37, 53
+    # unsorted, orientations outside [0, pi): every run is a single point
+    unsorted = (
+        (rng.random(m) * 8 + 0.1, rng.random(m) * 7 - 3, rng.standard_normal((m, 2)) * 3),
+        (rng.random(n) * 8 + 0.1, rng.random(n) * 7 - 3, rng.standard_normal((n, 2)) * 3),
     )
-    assert out.stdout.strip() == "False"
+    assert len(_runs(*grouped[0][:2])) - 1 < len(grouped[0][0]) / 4
+    assert len(_runs(*unsorted[0][:2])) - 1 == m
+    for (a, b), k in ((grouped, 3.0), (unsorted, 2.5)):
+        want = pytest.approx(_brute_force_sups(a, b, alpha, k), rel=1e-12, abs=0)
+        assert _pairwise_sups(*a, *b, alpha, k) == want
+        # two rows a block: runs of five rows end in a partial block
+        assert _pairwise_sups(*a, *b, alpha, k, block=2 * len(b[0])) == want
+        # sorted by orientation, runs of one orientation at two scales meet
+        by_angle = np.argsort(a[1], kind="stable")
+        assert _pairwise_sups(*(v[by_angle] for v in a), *b, alpha, k) == want
 
 
 def _omega_reference(sa, ta, xa, sb, tb, xb, alpha):
@@ -184,7 +219,7 @@ def _omega_reference(sa, ta, xa, sb, tb, xb, alpha):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0 / 3.0, 1.0])
 def test_in_place_distance_kernel_is_the_formula_bit_for_bit(alpha):
-    from alphacurvelets._accel import _omega_block, _pairwise_sups_numpy
+    from alphacurvelets.molecules import _omega_block
 
     rng = np.random.default_rng(21)
     m, n = 37, 53
@@ -192,10 +227,3 @@ def test_in_place_distance_kernel_is_the_formula_bit_for_bit(alpha):
     b = (rng.random(n) * 8 + 0.1, rng.random(n) * 7 - 3, rng.standard_normal((n, 2)) * 3)
     ref = _omega_reference(*a, *b, alpha)
     assert np.array_equal(_omega_block(*a, *b, alpha), ref)
-    # blocks of 8 rows: the column sums gather over several blocks
-    row, col = np.zeros(m), np.zeros(n)
-    for lo in range(0, m, 8):
-        w = _omega_reference(a[0][lo : lo + 8], a[1][lo : lo + 8], a[2][lo : lo + 8], *b, alpha)
-        row[lo : lo + 8] = (w ** (-2.5)).sum(axis=1)
-        col += (w ** (-2.5)).sum(axis=0)
-    assert _pairwise_sups_numpy(*a, *b, alpha, 2.5, block=8) == (row.max(), col.max())

@@ -227,14 +227,14 @@ def test_negative_alpha_and_fractional_s_build():
     )
 )
 def test_wrap_period_search_on_arbitrary_point_sets(points):
-    from alphacurvelets.tiling import _collision_free, _find_wrap_periods
+    from alphacurvelets.tiling import _collision_free, _find_wrap_periods, _fold
 
     k1 = np.array([p[0] for p in points], dtype=np.int64)
     k2 = np.array([p[1] for p in points], dtype=np.int64)
     P1, P2 = _find_wrap_periods(k1, k2, 128)
     assert P1 % 2 == 0 and P2 % 2 == 0
     assert 2 <= P1 <= 128 and 2 <= P2 <= 128
-    assert _collision_free(k1, k2, P1, P2)
+    assert _collision_free(_fold(k1, k2, P1, P2), P1 * P2)
 
 
 def test_layout_matches_golden_file():
