@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bessel
-from .tiling import wedge_geometry
+from .tiling import FrameParams, wedge_geometry
 from .transform import CoefficientSet, DigitalCurveletFrame, analyze, curvelet_atom, grid_norms, synthesize
 
 __all__ = [
@@ -113,16 +113,22 @@ class RateReport:
         return path
 
 
-def threshold(coeffs: CoefficientSet, n_keep: int) -> CoefficientSet:
+def threshold(
+    coeffs: CoefficientSet, n_keep: int, magnitudes: np.ndarray | None = None
+) -> CoefficientSet:
     """Keep exactly the ``n_keep`` largest-magnitude coefficients.
 
     Ties are broken by the stable flat order (scale-major, then angle,
     then lattice position), so runs are bit-for-bit reproducible.
+    ``magnitudes`` is ``coeffs.flat_magnitudes()`` when the caller already
+    holds it; it is only read.
     """
     total = coeffs.total_count
     if not 1 <= n_keep <= total:
         raise ValueError(f"n_keep must be in [1, {total}], got {n_keep}")
-    return coeffs.copy_with_flat_mask(_largest_mask(coeffs.flat_magnitudes(), n_keep))
+    if magnitudes is None:
+        magnitudes = coeffs.flat_magnitudes()
+    return coeffs.copy_with_flat_mask(_largest_mask(magnitudes, n_keep))
 
 
 def _largest_mask(mags: np.ndarray, n: int) -> np.ndarray:
@@ -193,10 +199,10 @@ def error_curve(
     total = coeffs.total_count
     if checked and checked[-1] > total:
         raise ValueError(f"N={checked[-1]} exceeds coefficient count {total}")
-    mags2 = coeffs.flat_magnitudes()
-    np.square(mags2, out=mags2)
-    tails = _smallest_first_tails(mags2, checked[-1] if checked else 0)
-    del mags2  # not held through the verify_at syntheses
+    mags = coeffs.flat_magnitudes()
+    # the tails reorder their squares in place; the selections below use the
+    # magnitudes, because squaring can merge distinct magnitudes into ties
+    tails = _smallest_first_tails(np.square(mags), checked[-1] if checked else 0)
     energy = float(tails[0])
     err2 = [float(tails[n]) for n in n_list]
     curve = ErrorCurve(
@@ -211,7 +217,7 @@ def error_curve(
         },
     )
     for n in verify_at:
-        rec = synthesize(threshold(coeffs, n), frame)
+        rec = synthesize(threshold(coeffs, n, mags), frame)
         _, err = grid_norms(np.asarray(image, float) - rec, frame.params.grid_n)
         tail = float(tails[n])
         if err > tail * (1.0 + 1e-9) + 1e-18 * energy:
@@ -349,7 +355,7 @@ def apriori_decay_check(
 
 
 def bound1_tail_estimator(
-    frame: DigitalCurveletFrame,
+    params: FrameParams,
     n_list: list[int] | None = None,
     resolution: float = 1.0,
 ) -> ErrorCurve:
@@ -360,9 +366,9 @@ def bound1_tail_estimator(
     core energies of every unselected tile lower-bound the squared error
     of ANY N-term approximant built from the frame.  Tiles beyond the
     layout's top scale are not counted, so for N at or above the tile
-    count the bound degenerates to zero and the point is flagged.
+    count the bound degenerates to zero and the point is flagged.  Only
+    the frame's parameters enter, so no frame is built.
     """
-    params = frame.params
     energies = []
     counts = []
     for j in range(params.j_max + 1):
@@ -490,7 +496,7 @@ def atom_l1_decay(frame: DigitalCurveletFrame) -> dict:
     for j in range(p.j_max + 1):
         i = frame.wedge_index(j, 0)
         c = frame._caches[i]
-        if len(c.k1) == 0:
+        if c.n_spectrum == 0:
             continue
         atom = curvelet_atom(frame, (j, 0, (c.P1 // 2, c.P2 // 2)))
         l1, l2sq = grid_norms(atom, p.grid_n)

@@ -263,8 +263,11 @@ def render(spec: CartoonSpec, grid_n: int) -> np.ndarray:
     h = 2.0 / n
     base = -1.0 + h * np.arange(n)
     out = np.zeros((n, n))
-    # row blocks keep the supersampled workspace bounded
-    block = max(1, (1 << 22) // (n * a * a))
+    # row blocks keep the supersampled workspace bounded.  A star's samples
+    # make a dozen temporaries per sub-offset; at 8192 samples (64 KiB)
+    # they stay below malloc's mmap threshold and are reused, not mapped
+    # and page-faulted afresh, whatever large arrays the process freed before
+    block = max(1, (1 << 13) // n if spec.kind == "star" else (1 << 22) // (n * a * a))
     offsets = h * (np.arange(a) + 0.5) / a
     if spec.kind != "star":
         g = _smooth(spec)

@@ -303,9 +303,7 @@ def run_disc_lower_bound(cfg: dict) -> tuple[bool, dict, list[dict]]:
     rows = []
     summaries = []
     for alpha in cfg["alphas"]:
-        params = _params(cfg, float(alpha), int(cfg["grid"]))
-        frame = DigitalCurveletFrame.build(params)
-        curve = appr.bound1_tail_estimator(frame)
+        curve = appr.bound1_tail_estimator(_params(cfg, float(alpha), int(cfg["grid"])))
         counts = curve.metadata["scale_tile_counts"]
         lo = sum(counts[:3])
         hi = sum(counts[:-1])
@@ -325,8 +323,8 @@ def run_straight_edge_rate(cfg: dict) -> tuple[bool, dict, list[dict]]:
     grid = int(cfg["grid"])
     rows = []
 
-    def one(alpha: float, spec: CartoonSpec, img: np.ndarray, window: tuple[int, int] | None = None):
-        frame = DigitalCurveletFrame.build(_rate_params(cfg, alpha, grid))
+    def one(frame, spec: CartoonSpec, img: np.ndarray, window: tuple[int, int] | None = None):
+        alpha = frame.params.alpha
         coeffs = analyze(img, frame)
         curve = appr.error_curve(img, frame, _full_schedule(cfg, coeffs.total_count), coeffs=coeffs)
         if window is None:
@@ -347,11 +345,12 @@ def run_straight_edge_rate(cfg: dict) -> tuple[bool, dict, list[dict]]:
     bump = CartoonSpec(
         kind="smooth_bump", beta=int(cfg["beta"]), nu=float(cfg["nu"]), antialias=int(cfg["antialias"])
     )
+    half = DigitalCurveletFrame.build(_rate_params(cfg, 0.5, grid))  # for the edge and the bump
     img = render(edge, grid)
-    fit_half = one(0.5, edge, img)
-    fit_quarter = one(0.25, edge, img)
+    fit_half = one(half, edge, img)
+    fit_quarter = one(DigitalCurveletFrame.build(_rate_params(cfg, 0.25, grid)), edge, img)
     img = render(bump, grid)
-    fit_bump = one(0.5, bump, img, window=tuple(cfg["bump_window"]))
+    fit_bump = one(half, bump, img, window=tuple(cfg["bump_window"]))
     band = cfg["band_alpha_half"]
     ok = (
         band[0] <= fit_half.slope <= band[1]

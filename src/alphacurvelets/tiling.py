@@ -380,25 +380,19 @@ def wedge_geometry(params: FrameParams, j: int, ell: int) -> WedgeSpec:
 class TilingLayout:
     """All tiles of one frame: ball, wedges scale-major, closure last.
 
-    ``supports[i]`` is the lattice support of ``wedges[i]`` (signed indices,
-    flat grid index and window samples) from the layout's one scan of the
-    lattice.  Frames and :func:`verify_partition` share these arrays rather
-    than scanning again, so treat them as read-only.
+    ``supports[i]`` is the folded lattice support of ``wedges[i]`` (see
+    :class:`TileSupport`) from the layout's one scan of the lattice.  Frames
+    and :func:`verify_partition` use these records rather than scanning
+    again, so treat them as read-only.
     """
 
     params: FrameParams
     profile: WindowProfile
     wedges: list[WedgeSpec] = field(default_factory=list)
-    supports: list[_SupportArrays] = field(default_factory=list, repr=False, compare=False)
+    supports: list[TileSupport] = field(default_factory=list, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.wedges)
-
-    def wedge_at(self, j: int, ell: int) -> WedgeSpec:
-        for w in self.wedges:
-            if w.index.j == j and w.index.ell == ell:
-                return w
-        raise KeyError(f"no wedge ({j}, {ell}) in layout")
 
     def scales(self) -> list[int]:
         return list(range(self.params.j_max + 2))
@@ -407,36 +401,153 @@ class TilingLayout:
         return layout_to_json(self)
 
 
-class _SupportArrays:
-    """Per-tile lattice support: signed indices, flat grid index, samples."""
+class TileSupport:
+    """Lattice support of one tile on the rfft half spectrum, and its fold.
 
-    __slots__ = ("j", "ell", "k1", "k2", "grid_flat", "window")
+    Every tile is a pair of opposite lobes, so its support and window are
+    symmetric under ``k -> -k``; for a real image only the half spectrum
+    ``k2 mod n`` in ``[0, n/2]`` is kept.  ``grid_flat`` indexes that half
+    spectrum, ``(k1 mod n) * (n/2 + 1) + (k2 mod n)``, and ``window`` holds
+    the window there.  Its first ``n_spectrum`` entries are the support's
+    points on the half spectrum, each once.
 
-    def __init__(self, j, ell, k1, k2, grid_flat, window):
+    :meth:`fold` finds the wrap box ``P1 x P2`` and sets ``box_flat``, each
+    entry's flat index on the half box ``P1 x (P2/2 + 1)``.  Entries from
+    ``n_direct`` on are mirrored: the box position is that of ``-k``, which
+    takes the conjugate value.  Entries past ``n_spectrum`` serve analysis
+    only; they fill box columns 0 and ``P2/2``, where both a point's fold
+    and its mirror's lie in the half box, for points whose mirror the half
+    spectrum omits.  :func:`build_layout` folds every tile.
+    """
+
+    __slots__ = (
+        "j", "ell", "grid_n", "grid_flat", "window", "n_spectrum", "n_direct", "P1", "P2", "box_flat",
+        "cardinality", "_k1", "_k2",
+    )
+
+    def __init__(self, j, ell, grid_n, grid_flat, window, k1, k2):
         self.j = j
         self.ell = ell
-        self.k1 = k1
-        self.k2 = k2
+        self.grid_n = grid_n
         self.grid_flat = grid_flat
         self.window = window
+        self.n_spectrum = grid_flat.size
+        # signed indices of the entries, kept only until the fold
+        self._k1, self._k2 = k1, k2
+        self.n_direct = self.P1 = self.P2 = self.box_flat = self.cardinality = None
+
+    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Full lattice support: signed ``k1``, ``k2`` in ``[-n/2, n/2)`` and
+        window samples; the half-spectrum points first, then the mirrors it
+        omits."""
+        n = self.grid_n
+        half = n // 2
+        row, col = np.divmod(self.grid_flat[: self.n_spectrum], half + 1)
+        k1 = np.where(row >= half, row - n, row)
+        k2 = np.where(col == half, -half, col)
+        omitted = (col != 0) & (col != half)
+        w = self.window[: self.n_spectrum]
+        return (*_with_mirrors(k1, k2, omitted, half), np.concatenate([w, w[omitted]]))
+
+    def fold(self, wrap: bool) -> None:
+        """Fold the support onto its wrap box (see the class doc).
+
+        The box is the one :func:`_find_wrap_periods` picks, checked for
+        collisions, or the whole grid when ``wrap`` is false.  Only a tile
+        reaching the Nyquist edge (the points ``(0, -n/2)`` and
+        ``(-n/2, 0)``, which a snapped top corona can touch) may have a
+        period widened to ``n``.  Sets ``cardinality``, the size of the
+        full support.  Raises ``RuntimeError`` if two support points share
+        a wrapped box position.
+        """
+        n, half = self.grid_n, self.grid_n // 2
+        k1, k2 = self._k1, self._k2
+        self._k1 = self._k2 = None
+        omitted = (k2 != 0) & (k2 != -half)
+        full1, full2 = _with_mirrors(k1, k2, omitted, half)
+        if wrap:
+            P1, P2 = _find_wrap_periods(full1, full2, n)
+            # on the Nyquist edge the mirror of k is -k + n, not -k: folding
+            # it to the mirrored box position needs a period that divides n
+            # there.  Widening that period to n keeps the box collision-free.
+            if n % P1 and k1.min() == -half:
+                P1 = n
+            if n % P2 and k2.min() == -half:
+                P2 = n
+            if not _collision_free(_fold(full1, full2, P1, P2), P1 * P2):
+                raise RuntimeError(f"wrap collision in tile ({self.j}, {self.ell})")
+        else:
+            P1 = P2 = n  # reducing modulo n is one-to-one on the lattice
+        self.cardinality = full1.size
+        del full1, full2
+        cols = P2 // 2 + 1
+        m1, m2 = k1 % P1, k2 % P2
+        conj = m2 >= cols
+        extra = omitted & ((m2 == 0) | (m2 == cols - 1))
+        mirrored = np.concatenate([conj.nonzero()[0], extra.nonzero()[0]])
+        direct = (~conj).nonzero()[0]
+        # -m of a mirrored entry: (P1 - m1) % P1 and, in the half box, P2 - m2
+        # for the columns past P2/2 and m2 itself for columns 0 and P2/2
+        mm1, mm2 = m1[mirrored], m2[mirrored]
+        mm1 = (P1 - mm1) % P1
+        mm2 = np.where(mm2 >= cols, P2 - mm2, mm2)
+        order = np.concatenate([direct, mirrored])
+        self.grid_flat = self.grid_flat[order]
+        self.window = self.window[order]
+        self.box_flat = np.concatenate([m1[direct] * cols + m2[direct], mm1 * cols + mm2])
+        self.n_direct = direct.size
+        self.P1, self.P2 = P1, P2
 
 
-def _scan_supports(params: FrameParams, profile: WindowProfile) -> list[_SupportArrays]:
-    """Evaluate every window on its lattice support.
+def _with_mirrors(k1, k2, omitted, half):
+    """Points plus the mirrors of the ``omitted`` ones, signed in ``[-n/2, n/2)``."""
+    m1 = -k1[omitted]
+    m1[m1 == half] = -half  # the row k1 = -n/2 is its own mirror modulo n
+    return np.concatenate([k1, m1]), np.concatenate([k2, -k2[omitted]])
 
-    Points are binned per scale by radius and per wedge by angle, so each
-    lattice point is touched only by the (at most four) windows that are
-    nonzero there.
+
+def _scan_supports(params: FrameParams, profile: WindowProfile) -> list[TileSupport]:
+    """Evaluate every window once per mirror pair ``{k, -k}`` of lattice points.
+
+    The scanned points are the columns ``0 < k2 < n/2`` of the rfft half
+    spectrum, plus the rows ``k1`` in ``[0, n/2)`` and ``k1 = -n/2`` of its
+    columns 0 and ``n/2``.  Each mirror that those two columns hold is then
+    added with its partner's window value, so the windows are exactly
+    symmetric by construction; the other mirrors stay implicit (see
+    :class:`TileSupport`).  Points are binned per scale by radius and per
+    wedge by angle, so each scanned point is touched only by the (at most
+    four) windows that are nonzero there.
     """
     n = params.grid_n
     half = n // 2
-    k = np.arange(-half, half, dtype=np.int64)
-    K1 = np.repeat(k, n)
-    K2 = np.tile(k, n)
+    cols = half + 1
+    row = np.repeat(np.arange(n), cols)
+    col = np.tile(np.arange(cols), n)
+    flat = np.flatnonzero(((col != 0) & (col != half)) | (row <= half))
+    row, col = row[flat], col[flat]
+    K1 = np.where(row >= half, row - n, row)
+    K2 = np.where(col == half, -half, col)
+    del row, col
     r = 0.5 * np.hypot(K1.astype(float), K2.astype(float))
-    flatmap = (K1 % n) * n + (K2 % n)
     C, s = params.corona_constant, params.s
-    out: list[_SupportArrays] = []
+
+    def with_column_mirrors(idx, W, *tags):
+        """Entries of the scanned points ``idx``, then the mirrors in columns 0 and n/2."""
+        k1, k2 = K1[idx], K2[idx]
+        pair = ((k2 == 0) | (k2 == -half)) & (k1 > 0)
+        f, pk1 = flat[idx], k1[pair]
+        return [
+            np.concatenate([a, b])
+            for a, b in (
+                (f, f[pair] + (n - 2 * pk1) * cols),
+                (W, W[pair]),
+                (k1, -pk1),
+                (k2, k2[pair]),
+                *((t, t[pair]) for t in tags),
+            )
+        ]
+
+    out: list[TileSupport] = []
     for j in range(params.j_max + 2):
         if j == 0:
             sel = np.nonzero(r < C * params.tau2)[0]
@@ -448,7 +559,7 @@ def _scan_supports(params: FrameParams, profile: WindowProfile) -> list[_Support
             sel = np.nonzero((r > lo) & (r < hi))[0]
         U = profile.radial(j, r[sel])
         if j == 0 or j == params.j_max + 1:
-            out.append(_SupportArrays(j, 0, K1[sel], K2[sel], flatmap[sel], U))
+            out.append(TileSupport(j, 0, n, *with_column_mirrors(sel, U)))
             continue
         L = params.tile_count(j)
         Lm = L // 2
@@ -464,15 +575,14 @@ def _scan_supports(params: FrameParams, profile: WindowProfile) -> list[_Support
         V = profile.angular_from_bins(j, mm, centers)
         keep = V > 0
         pt_idx, centers, W = pt_idx[keep], centers[keep], (uu * V)[keep]
-        cbin = centers.astype(np.int64) % L
+        f, W, k1, k2, cbin = with_column_mirrors(pt_idx, W, centers.astype(np.int64) % L)
         order = np.argsort(cbin, kind="stable")
-        pt_idx, cbin, W = pt_idx[order], cbin[order], W[order]
+        f, W, k1, k2, cbin = f[order], W[order], k1[order], k2[order], cbin[order]
         bounds = np.searchsorted(cbin, np.arange(L + 1))
         for c in range(L):
             ell = c if c < L - Lm else c - L
             sl = slice(bounds[c], bounds[c + 1])
-            ii = pt_idx[sl]
-            out.append(_SupportArrays(j, ell, K1[ii], K2[ii], flatmap[ii], W[sl]))
+            out.append(TileSupport(j, ell, n, f[sl], W[sl], k1[sl], k2[sl]))
     out.sort(key=lambda w: (w.j, w.ell))
     return out
 
@@ -504,15 +614,19 @@ def _find_wrap_periods(k1: np.ndarray, k2: np.ndarray, grid_n: int) -> tuple[int
     if m == 0:
         return 2, 2
     best: tuple[int, int] | None = None
-    for ka, kb, swap in ((k1, k2, False), (k2, k1, True)):
-        span_a = int(ka.max() - ka.min()) + 1
-        span_b = int(kb.max() - kb.min()) + 1
+    lo1, lo2 = k1.min(), k2.min()
+    span1, span2 = int(k1.max() - lo1) + 1, int(k2.max() - lo2) + 1
+    for ka, kb, lo_a, span_a, span_b, swap in (
+        (k1, k2, lo1, span1, span2, False),
+        (k2, k1, lo2, span2, span1, True),
+    ):
         Pa = min(_even_up(span_a), grid_n)
-        Pb = max(2, _even_up(np.bincount(ka - ka.min()).max()))
+        Pb = max(2, _even_up(np.bincount(ka - lo_a).max()))
         Pb = max(Pb, _even_up(m / Pa))
+        rows = ka % Pa  # fixed within the family
 
         def free(P: int) -> bool:
-            return _collision_free(_fold(ka, kb, Pa, P), Pa * P)
+            return _collision_free(rows * P + kb % P, Pa * P)
 
         tries = 0
         ok = False
@@ -547,10 +661,7 @@ def build_layout(params: FrameParams) -> TilingLayout:
     wedges = []
     for sup in supports:
         spec = wedge_geometry(params, sup.j, sup.ell)
-        if sup.j == params.scale_of_closure():
-            periods = (params.grid_n, params.grid_n)
-        else:
-            periods = _find_wrap_periods(sup.k1, sup.k2, params.grid_n)
+        sup.fold(wrap=sup.j != params.scale_of_closure())
         wedges.append(
             WedgeSpec(
                 index=spec.index,
@@ -561,8 +672,8 @@ def build_layout(params: FrameParams) -> TilingLayout:
                 angular_halfwidth_inner=spec.angular_halfwidth_inner,
                 bounding_rect=spec.bounding_rect,
                 is_closure=spec.is_closure,
-                wrap_periods=periods,
-                support_cardinality=len(sup.k1),
+                wrap_periods=(sup.P1, sup.P2),
+                support_cardinality=sup.cardinality,
             )
         )
     expected = params.total_wedge_count()
@@ -587,14 +698,16 @@ def verify_partition(layout: TilingLayout, include_closure: bool = True) -> floa
     """Max deviation of the squared-window sum from 1 over the lattice.
 
     Accumulates over the supports the layout already holds, so no lattice
-    scan runs here.
+    scan runs here.  The windows are exactly symmetric, so the rfft half
+    spectrum they hold gives the maximum over the whole lattice.
     """
     params = layout.params
-    acc = np.zeros(params.grid_n * params.grid_n)
+    acc = np.zeros(params.grid_n * (params.grid_n // 2 + 1))
     for sup in layout.supports:
         if not include_closure and sup.j == params.scale_of_closure():
             continue
-        acc[sup.grid_flat] += sup.window**2
+        ns = sup.n_spectrum
+        acc[sup.grid_flat[:ns]] += sup.window[:ns] ** 2
     return float(np.abs(acc - 1.0).max())
 
 

@@ -7,6 +7,14 @@ re-indexing), and applies a unitary inverse DFT on that rectangle.  With
 the squared windows summing to one, the map is a Parseval isometry in the
 grid quadrature norm ``sum(f**2) * (2/grid_n)**2``, and synthesis is its
 exact adjoint.
+
+Every window is exactly symmetric under ``k -> -k``, so the folded tile
+of a real image is Hermitian and its coefficients are real.  Analysis
+therefore takes one ``rfft2`` of the image, fills each tile's half box
+``P1 x (P2/2 + 1)`` and applies ``irfft2``; synthesis takes the ``rfft2``
+of each block, scatters it into the half spectrum and applies one
+``irfft2``.  :func:`analyze_direct` sums the complex formula over the full
+support, as an oracle for both.
 """
 
 from __future__ import annotations
@@ -18,14 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tiling import (
-    FrameParams,
-    TilingLayout,
-    _collision_free,
-    _fold,
-    build_layout,
-    verify_partition,
-)
+from .tiling import FrameParams, TileSupport, TilingLayout, build_layout, verify_partition
 
 __all__ = [
     "DigitalCurveletFrame",
@@ -41,39 +42,19 @@ DIRECT_GRID_LIMIT = 128
 PARTITION_TOL = 1e-12
 
 
-class _WedgeCache:
-    """Precomputed support of one tile: grid gather/scatter indices,
-    window samples (both shared with the layout's supports), and the fold
-    indices on the wrap box."""
-
-    __slots__ = ("j", "ell", "grid_flat", "window", "box_flat", "P1", "P2", "k1", "k2")
-
-    def __init__(self, j, ell, k1, k2, grid_flat, window, P1, P2):
-        self.j = j
-        self.ell = ell
-        self.k1 = k1
-        self.k2 = k2
-        self.grid_flat = grid_flat
-        self.window = window
-        self.P1 = P1
-        self.P2 = P2
-        self.box_flat = _fold(k1, k2, P1, P2)
-        if not _collision_free(self.box_flat, P1 * P2):
-            raise RuntimeError(f"wrap collision in tile ({j}, {ell})")
-
-
 class DigitalCurveletFrame:
-    """A built frame: layout plus cached per-tile supports.
+    """A built frame: layout plus its folded per-tile supports.
 
     Use :meth:`build` to construct; instances are immutable in practice
-    and safe to share across threads.  ``partition_deviation`` is the max
-    deviation of the squared-window sum from 1 over the lattice, as
-    :func:`~alphacurvelets.tiling.verify_partition` gives it; :meth:`build`
-    refuses frames where it exceeds ``PARTITION_TOL``.
+    and safe to share across threads.  ``_caches`` is the layout's list of
+    :class:`~alphacurvelets.tiling.TileSupport` records.
+    ``partition_deviation`` is the max deviation of the squared-window sum
+    from 1 over the lattice, as :func:`~alphacurvelets.tiling.verify_partition`
+    gives it; :meth:`build` refuses frames where it exceeds ``PARTITION_TOL``.
     """
 
     def __init__(
-        self, layout: TilingLayout, caches: list[_WedgeCache], partition_deviation: float
+        self, layout: TilingLayout, caches: list[TileSupport], partition_deviation: float
     ):
         self.layout = layout
         self.partition_deviation = partition_deviation
@@ -87,14 +68,10 @@ class DigitalCurveletFrame:
     @classmethod
     def build(cls, params: FrameParams) -> "DigitalCurveletFrame":
         layout = build_layout(params)
-        caches = [
-            _WedgeCache(sup.j, sup.ell, sup.k1, sup.k2, sup.grid_flat, sup.window, *w.wrap_periods)
-            for w, sup in zip(layout.wedges, layout.supports)
-        ]
         dev = verify_partition(layout)
         if dev > PARTITION_TOL:
             raise RuntimeError(f"window partition deviates by {dev:.3e}")
-        return cls(layout, caches, dev)
+        return cls(layout, layout.supports, dev)
 
     def wedge_index(self, j: int, ell: int) -> int:
         for i, c in enumerate(self._caches):
@@ -110,7 +87,7 @@ class DigitalCurveletFrame:
 class CoefficientSet:
     """Coefficient blocks of one analysis, in stable scale-major order.
 
-    ``blocks[i]`` is the complex ``P1 x P2`` array of tile ``i``; the flat
+    ``blocks[i]`` is the real ``P1 x P2`` array of tile ``i``; the flat
     ordering used for thresholding ties is blocks concatenated in layout
     order, each in C order.
     """
@@ -143,12 +120,6 @@ class CoefficientSet:
         sizes = [b.size for b in self.blocks]
         return np.concatenate([[0], np.cumsum(sizes)])
 
-    def scale_of_flat(self) -> np.ndarray:
-        """Scale index of every flat coefficient position."""
-        return np.concatenate(
-            [np.full(b.size, t[0], dtype=np.int64) for t, b in zip(self.wedge_table, self.blocks)]
-        )
-
     def flat_index(self, j: int, ell: int, m: tuple[int, int]) -> int:
         """Flat position of coefficient ``(j, ell, m)`` in the stable order."""
         offs = self.block_offsets()
@@ -178,15 +149,6 @@ class CoefficientSet:
             blocks.append(np.where(m, b, 0.0))
         return CoefficientSet(self.wedge_table, blocks, self.grid_n, self.s, self.alpha)
 
-    def zero_like(self) -> "CoefficientSet":
-        return CoefficientSet(
-            self.wedge_table,
-            [np.zeros_like(b) for b in self.blocks],
-            self.grid_n,
-            self.s,
-            self.alpha,
-        )
-
 
 def _check_image(image: np.ndarray, frame: DigitalCurveletFrame) -> np.ndarray:
     image = np.asarray(image, dtype=float)
@@ -201,23 +163,24 @@ def _check_image(image: np.ndarray, frame: DigitalCurveletFrame) -> np.ndarray:
 def analyze(image: np.ndarray, frame: DigitalCurveletFrame) -> CoefficientSet:
     """Forward transform; Parseval in the grid quadrature norm.
 
-    The windowed support and the wrap box of each tile are staged in two
+    The windowed support and the half box of each tile are staged in two
     scratch arrays sized for the largest tile, so the only arrays a call
     allocates per tile are the coefficient blocks it returns.
     """
     image = _check_image(image, frame)
-    F = np.fft.fft2(image).ravel()
-    box = np.empty(max(frame.block_sizes), dtype=complex)
+    F = np.fft.rfft2(image).ravel()
+    box = np.empty(max(c.P1 * (c.P2 // 2 + 1) for c in frame._caches), dtype=complex)
     vals = np.empty(max(c.grid_flat.size for c in frame._caches), dtype=complex)
     blocks = []
     for c in frame._caches:
-        H = box[: c.P1 * c.P2]
+        H = box[: c.P1 * (c.P2 // 2 + 1)]
         H.fill(0)
         v = vals[: c.grid_flat.size]
         np.take(F, c.grid_flat, out=v)
         v *= c.window
+        np.conjugate(v[c.n_direct :], out=v[c.n_direct :])
         H[c.box_flat] = v
-        block = np.fft.ifft2(H.reshape(c.P1, c.P2))
+        block = np.fft.irfft2(H.reshape(c.P1, c.P2 // 2 + 1), s=(c.P1, c.P2))
         block *= frame.sigma * math.sqrt(c.P1 * c.P2)
         blocks.append(block)
     return CoefficientSet(
@@ -225,37 +188,33 @@ def analyze(image: np.ndarray, frame: DigitalCurveletFrame) -> CoefficientSet:
     )
 
 
-def _synthesize_spectrum(coeffs: CoefficientSet, frame: DigitalCurveletFrame) -> np.ndarray:
+def synthesize(coeffs: CoefficientSet, frame: DigitalCurveletFrame) -> np.ndarray:
+    """Adjoint of :func:`analyze`; inverts it exactly on its range.
+
+    Blocks must be real: a complex block raises a ``ValueError`` naming
+    its tile rather than losing its imaginary part.
+    """
+    if len(coeffs.blocks) != len(frame._caches):
+        raise ValueError("coefficient set does not match frame tile count")
     n = frame.params.grid_n
-    Facc = np.zeros(n * n, dtype=complex)
+    Facc = np.zeros(n * (n // 2 + 1), dtype=complex)
     for c, block in zip(frame._caches, coeffs.blocks):
         if block.shape != (c.P1, c.P2):
             raise ValueError(
                 f"block shape {block.shape} does not match tile box {(c.P1, c.P2)}"
             )
+        if np.iscomplexobj(block):
+            raise ValueError(f"block of tile ({c.j}, {c.ell}) is complex; coefficients are real")
         if not np.any(block):
             continue
-        B = np.fft.fft2(block).ravel()
-        # support indices within one tile are unique, so += is collision-free
-        Facc[c.grid_flat] += c.window * (B[c.box_flat] / math.sqrt(c.P1 * c.P2))
-    return Facc
-
-
-def synthesize(
-    coeffs: CoefficientSet, frame: DigitalCurveletFrame, return_complex: bool = False
-) -> np.ndarray:
-    """Adjoint of :func:`analyze`; inverts it exactly on its range.
-
-    For coefficient sets of real images the imaginary part of the result
-    is at rounding level; the real part is returned unless
-    ``return_complex`` is set.
-    """
-    if len(coeffs.blocks) != len(frame._caches):
-        raise ValueError("coefficient set does not match frame tile count")
-    n = frame.params.grid_n
-    Facc = _synthesize_spectrum(coeffs, frame)
-    rec = (n * n / 2.0) * np.fft.ifft2(Facc.reshape(n, n))
-    return rec if return_complex else rec.real
+        ns = c.n_spectrum
+        v = np.fft.rfft2(block).ravel()[c.box_flat[:ns]]
+        v /= math.sqrt(c.P1 * c.P2)
+        np.conjugate(v[c.n_direct :], out=v[c.n_direct :])
+        v *= c.window[:ns]
+        # the half-spectrum indices of one tile are unique, so += is collision-free
+        Facc[c.grid_flat[:ns]] += v
+    return (n * n / 2.0) * np.fft.irfft2(Facc.reshape(n, n // 2 + 1), s=(n, n))
 
 
 def analyze_direct(
@@ -264,9 +223,11 @@ def analyze_direct(
     """Slow oracle for one tile: direct summation, no folding fast path.
 
     Computes ``sigma/sqrt(P1*P2) * sum_k F[k] W[k] exp(2i*pi*(m1*k1/P1 +
-    m2*k2/P2))`` over the tile support with unreduced signed indices.
-    Refuses grids above ``DIRECT_GRID_LIMIT`` to guard against accidental
-    quartic-cost runs.
+    m2*k2/P2))`` over the full tile support with unreduced signed indices
+    and the complex ``fft2`` spectrum.  The result is complex; for a real
+    image its imaginary part is rounding and its real part is the block
+    :func:`analyze` returns.  Refuses grids above ``DIRECT_GRID_LIMIT`` to
+    guard against accidental quartic-cost runs.
     """
     n = frame.params.grid_n
     if n > DIRECT_GRID_LIMIT:
@@ -276,12 +237,13 @@ def analyze_direct(
     image = _check_image(image, frame)
     i = wedge if isinstance(wedge, int) else frame.wedge_index(*wedge)
     c = frame._caches[i]
+    k1, k2, window = c.support()
     F = np.fft.fft2(image).ravel()
-    vals = F[c.grid_flat] * c.window
+    vals = F[(k1 % n) * n + (k2 % n)] * window
     m1 = np.arange(c.P1)
     m2 = np.arange(c.P2)
-    e1 = np.exp(2j * np.pi * np.outer(m1, c.k1) / c.P1)
-    e2 = np.exp(2j * np.pi * np.outer(m2, c.k2) / c.P2)
+    e1 = np.exp(2j * np.pi * np.outer(m1, k1) / c.P1)
+    e2 = np.exp(2j * np.pi * np.outer(m2, k2) / c.P2)
     out = (e1 * vals) @ e2.T
     return frame.sigma / math.sqrt(c.P1 * c.P2) * out
 
@@ -301,7 +263,7 @@ def curvelet_atom(
     m1, m2 = int(m[0]) % c.P1, int(m[1]) % c.P2
     coeffs = CoefficientSet(
         frame.wedge_table(),
-        [np.zeros((w.P1, w.P2), dtype=complex) for w in frame._caches],
+        [np.zeros((w.P1, w.P2)) for w in frame._caches],
         frame.params.grid_n,
         frame.params.s,
         frame.params.alpha,
@@ -325,7 +287,7 @@ def dump_coefficients(
 ) -> tuple[str, str]:
     """Portable dump: ``<stem>.json`` header plus ``<stem>.csv`` body.
 
-    CSV columns are ``j, ell, m1, m2, re, im``; with ``top_k`` only the K
+    CSV columns are ``j, ell, m1, m2, re``; with ``top_k`` only the K
     largest-magnitude coefficients are written, by descending magnitude
     (stable order on ties), or all of them when K exceeds the count.
     """
@@ -344,7 +306,7 @@ def dump_coefficients(
         },
         "wedge_table": [list(t) for t in coeffs.wedge_table],
         "total_coefficients": coeffs.total_count,
-        "rows": "j,ell,m1,m2,re,im",
+        "rows": "j,ell,m1,m2,re",
     }
     json_path, csv_path = stem + ".json", stem + ".csv"
     with open(json_path, "w") as fh:
@@ -354,8 +316,7 @@ def dump_coefficients(
         for (j, ell, P1, P2), b in zip(coeffs.wedge_table, coeffs.blocks):
             for m1 in range(P1):
                 for m2 in range(P2):
-                    v = b[m1, m2]
-                    rows.append((j, ell, m1, m2, v.real, v.imag))
+                    rows.append((j, ell, m1, m2, b[m1, m2]))
     else:
         from .approximation import _largest_mask  # approximation imports this module
 
@@ -368,10 +329,9 @@ def dump_coefficients(
             j, ell, P1, P2 = coeffs.wedge_table[i]
             local = int(flat - offs[i])
             m1, m2 = divmod(local, P2)
-            v = coeffs.blocks[i][m1, m2]
-            rows.append((j, ell, m1, m2, v.real, v.imag))
+            rows.append((j, ell, m1, m2, coeffs.blocks[i][m1, m2]))
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["j", "ell", "m1", "m2", "re", "im"])
+        writer.writerow(["j", "ell", "m1", "m2", "re"])
         writer.writerows(rows)
     return json_path, csv_path

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from alphacurvelets import approximation as appr
 from alphacurvelets.cartoons import CartoonSpec, render
 from alphacurvelets.tiling import FrameParams
-from alphacurvelets.transform import CoefficientSet, DigitalCurveletFrame, analyze, grid_norms
+from alphacurvelets.transform import CoefficientSet, DigitalCurveletFrame, analyze, grid_norms, synthesize
 
 
 def toy_coeffs(values):
@@ -160,6 +160,33 @@ def test_error_curve_verifies_n_outside_the_schedule(frame64, monkeypatch):
         appr.error_curve(disc, frame64, [10], coeffs=coeffs, verify_at=(20,))
 
 
+def test_error_curve_verifies_exactly_the_threshold_synthesis(frame64):
+    f = np.random.default_rng(6).standard_normal((64, 64))
+    coeffs = analyze(f, frame64)
+    for n in (1, 50, 777, coeffs.total_count):
+        curve = appr.error_curve(f, frame64, [n], coeffs=coeffs, verify_at=(n,))
+        _, want = grid_norms(f - synthesize(appr.threshold(coeffs, n), frame64), 64)
+        assert curve.err2_synthesis[n] == want
+
+
+def test_error_curve_selects_on_magnitudes_not_their_squares(frame64, monkeypatch):
+    # magnitudes of 1e-170 and below square to zero: ties the magnitudes lack
+    coeffs = analyze(np.random.default_rng(7).standard_normal((64, 64)), frame64)
+    top = coeffs.flat_magnitudes().max()
+    coeffs.blocks = [np.round(b / top * 1000.0) * 1e-172 for b in coeffs.blocks]
+    mags = coeffs.flat_magnitudes()
+    n = 300
+    by_mags = np.argsort(-mags, kind="stable")[:n]
+    assert not np.array_equal(np.sort(by_mags), np.sort(np.argsort(-(mags**2), kind="stable")[:n]))
+    seen = []
+    monkeypatch.setattr(appr, "synthesize", lambda c, frame: seen.append(c) or synthesize(c, frame))
+    appr.error_curve(np.zeros((64, 64)), frame64, [n], coeffs=coeffs, verify_at=(n,))
+    kept = np.flatnonzero(np.concatenate([b.ravel() for b in seen[0].blocks]))
+    want = appr.threshold(coeffs, n)
+    assert all(np.array_equal(a, b) for a, b in zip(seen[0].blocks, want.blocks))
+    assert set(kept.tolist()) <= set(by_mags.tolist())
+
+
 def test_error_curve_tail_far_below_signal_energy():
     # the tail here is ~1e-13 of the signal energy: energy - cumsum cancels
     # to rounding noise there, the smallest-first sum does not
@@ -278,8 +305,7 @@ def test_apriori_check_reports_bounded_constants():
 
 
 def test_bound1_estimator_slope_and_degeneracy():
-    frame = DigitalCurveletFrame.build(FrameParams(s=1.0, alpha=0.5, grid_n=1024))
-    curve = appr.bound1_tail_estimator(frame)
+    curve = appr.bound1_tail_estimator(FrameParams(s=1.0, alpha=0.5, grid_n=1024))
     counts = curve.metadata["scale_tile_counts"]
     fit = appr.fit_rate(curve, window=(sum(counts[:3]), sum(counts[:-1])))
     assert -2.3 <= fit.slope <= -1.7
@@ -294,7 +320,7 @@ def test_bound1_estimator_never_exceeds_digital_error():
     n = 256
     frame = DigitalCurveletFrame.build(FrameParams(s=1.0, alpha=0.5, grid_n=n))
     disc = render(CartoonSpec(kind="disc", antialias=4), n)
-    bound = appr.bound1_tail_estimator(frame)
+    bound = appr.bound1_tail_estimator(frame.params)
     usable = [m for m in bound.n_terms if m < bound.metadata["tile_count"]]
     curve = appr.error_curve(disc, frame, usable)
     for b, e in zip(bound.err2, curve.err2):

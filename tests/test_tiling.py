@@ -168,7 +168,8 @@ def test_wrap_translates_disjoint(layout128):
     supports = _scan_supports(p, layout128.profile)
     for spec, sup in zip(layout128.wedges, supports):
         P1, P2 = spec.wrap_periods
-        keys = (sup.k1 % P1) * P2 + (sup.k2 % P2)
+        k1, k2, _ = sup.support()
+        keys = (k1 % P1) * P2 + (k2 % P2)
         assert len(np.unique(keys)) == len(keys)
         assert spec.support_cardinality == len(keys)
 
@@ -245,3 +246,58 @@ def test_layout_matches_golden_file():
     golden_path = os.path.join(os.path.dirname(__file__), "data", "layout_s1_a05_n64.json")
     golden = json.load(open(golden_path))
     assert doc == golden
+
+
+@pytest.mark.parametrize("snapped", [False, True])
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.7])
+@pytest.mark.parametrize("grid", [64, 128, 256])
+def test_every_window_equals_its_mirror_bit_for_bit(grid, alpha, snapped):
+    p = FrameParams.nyquist_snapped(1.0, alpha, grid) if snapped else FrameParams(s=1.0, alpha=alpha, grid_n=grid)
+    layout = build_layout(p)
+    for spec, sup in zip(layout.wedges, layout.supports):
+        k1, k2, window = sup.support()
+        key = (k1 % grid) * grid + (k2 % grid)
+        assert spec.support_cardinality == key.size == np.unique(key).size
+        mirror = ((-k1) % grid) * grid + (-k2) % grid
+        order = np.argsort(key)
+        at = order[np.searchsorted(key, mirror, sorter=order)]
+        assert np.array_equal(key[at], mirror)  # the support is symmetric
+        assert np.array_equal(window[at], window)  # and so is every window sample
+
+
+def test_windows_match_the_geometric_formula_on_the_full_support():
+    # the mirrors copy values, so check them against a direct evaluation
+    p = FrameParams.nyquist_snapped(1.0, 0.5, 128)
+    layout = build_layout(p)
+    for spec, sup in zip(layout.wedges, layout.supports):
+        k1, k2, window = sup.support()
+        xi = 0.5 * np.stack([k1, k2], axis=-1).astype(float)
+        assert np.max(np.abs(wedge_value(xi, spec, layout.profile) - window), initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("s", [0.75, 1.0, 1.3])
+def test_nyquist_edge_is_carried_by_the_closure_window(s):
+    # on the rows k1 = -n/2 and columns k2 = -n/2 (a lattice point and its
+    # mirror there differ by n, not by sign) the closure's radial window
+    # carries the whole partition; a snapped top corona can reach the two
+    # points (0, -n/2) and (-n/2, 0) exactly, with a window of rounding size
+    n = 64
+    p = FrameParams.nyquist_snapped(s, 0.5, n)
+    layout = build_layout(p)
+    closure = p.scale_of_closure()
+    half = n // 2
+    reached = []
+    for sup in layout.supports:
+        k1, k2, window = sup.support()
+        edge = (k1 == -half) | (k2 == -half)
+        if sup.j == closure:
+            r = 0.5 * np.hypot(k1[edge], k2[edge])
+            assert edge.sum() == 2 * n - 1
+            assert np.array_equal(window[edge], layout.profile.radial(closure, r))
+        elif edge.any():
+            assert set(zip(k1[edge].tolist(), k2[edge].tolist())) <= {(0, -half), (-half, 0)}
+            assert np.max(np.abs(window[edge])) <= 1e-14
+            reached.append((sup.j, sup.ell))
+    if s == 0.75:
+        assert reached  # this ladder's top corona rounds up to the edge
+    assert verify_partition(layout) <= 1e-12

@@ -16,7 +16,6 @@ from alphacurvelets.transform import (
     dump_coefficients,
     grid_norms,
     synthesize,
-    _synthesize_spectrum,
 )
 
 
@@ -66,13 +65,12 @@ def test_supports_are_scanned_once_and_shared(monkeypatch):
     frame = DigitalCurveletFrame.build(p)
     dev = verify_partition(frame.layout)
     assert len(calls) == 1
-    supports = frame.layout.supports
-    assert len(supports) == len(frame._caches)
-    for c, sup in zip(frame._caches, supports):
-        assert c.grid_flat is sup.grid_flat and c.window is sup.window
+    assert frame._caches is frame.layout.supports
+    # the half-spectrum sum gives the maximum over the whole lattice
     acc = np.zeros(64 * 64)
-    for sup in scan(p, frame.layout.profile):
-        acc[sup.grid_flat] += sup.window**2
+    for sup in frame._caches:
+        k1, k2, window = sup.support()
+        acc[(k1 % 64) * 64 + (k2 % 64)] += window**2
     assert frame.partition_deviation == dev == float(np.abs(acc - 1.0).max())
 
 
@@ -114,21 +112,22 @@ def test_single_mode_lights_only_covering_wedges(frame128):
     n = 128
     target = None
     for i, c in enumerate(frame._caches):
-        if c.j == 5 and c.ell == 0 and len(c.k1):
-            w1 = np.argmax(c.window)
-            if c.window[w1] > 0.999999:
-                target = (i, c.k1[w1], c.k2[w1])
+        sk1, sk2, window = c.support()
+        if c.j == 5 and c.ell == 0 and window.size:
+            w1 = np.argmax(window)
+            if window[w1] > 0.999999:
+                target = (i, sk1[w1], sk2[w1])
     assert target is not None
     i0, k1, k2 = target
     x = np.arange(n)
     X1, X2 = np.meshgrid(x, x, indexing="ij")
     f = np.cos(2 * np.pi * (k1 * X1 + k2 * X2) / n + 0.37)
     coeffs = analyze(f, frame)
-    covering = {
-        i
-        for i, c in enumerate(frame._caches)
-        if np.any((c.k1 == k1) & (c.k2 == k2)) or np.any((c.k1 == -k1) & (c.k2 == -k2))
-    }
+    covering = set()
+    for i, c in enumerate(frame._caches):
+        sk1, sk2, _ = c.support()
+        if np.any((sk1 == k1) & (sk2 == k2)) or np.any((sk1 == -k1) & (sk2 == -k2)):
+            covering.add(i)
     assert i0 in covering
     for i, b in enumerate(coeffs.blocks):
         energy = float(np.sum(np.abs(b) ** 2))
@@ -144,14 +143,56 @@ def test_delta_image_reconstruction(frame64):
     assert np.linalg.norm(rec - f) <= 1e-10 * np.linalg.norm(f)
 
 
-def test_direct_oracle_equivalence_all_wedges(frame64):
-    rng = np.random.default_rng(5)
-    f = rng.standard_normal((64, 64))
-    coeffs = analyze(f, frame64)
-    for i in range(len(frame64._caches)):
-        direct = analyze_direct(f, frame64, i)
+def test_direct_oracle_equivalence_all_wedges(frame64, frame128):
+    # the oracle sums the complex formula; the fast path's blocks are real
+    for frame in (frame64, frame128):
+        n = frame.params.grid_n
+        f = np.random.default_rng(5).standard_normal((n, n))
+        coeffs = analyze(f, frame)
+        for i, block in enumerate(coeffs.blocks):
+            assert block.dtype == np.float64
+            direct = analyze_direct(f, frame, i)
+            ref = max(np.linalg.norm(direct), 1e-300)
+            assert np.linalg.norm(direct.imag) <= 1e-12 * ref
+            assert np.linalg.norm(block - direct.real) <= 1e-12 * ref
+
+
+def test_frame_reaching_the_nyquist_edge_stays_real_and_exact():
+    # this snapped ladder's top corona reaches (0, -32) and (-32, 0), points
+    # that are their own mirrors; their wrap periods divide the grid
+    frame = DigitalCurveletFrame.build(FrameParams.nyquist_snapped(0.75, 0.5, 64))
+    reached = [
+        i
+        for i, c in enumerate(frame._caches)
+        if c.j <= frame.params.j_max and np.any(np.stack(c.support()[:2]) == -32)
+    ]
+    assert reached
+    f = np.random.default_rng(15).standard_normal((64, 64))
+    coeffs = analyze(f, frame)
+    for i in reached:
+        direct = analyze_direct(f, frame, i)
         ref = np.linalg.norm(direct)
-        assert np.linalg.norm(coeffs.blocks[i] - direct) <= 1e-9 * max(ref, 1e-300)
+        assert np.linalg.norm(coeffs.blocks[i] - direct) <= 1e-12 * ref
+    _, e2 = grid_norms(f, 64)
+    assert abs(coeffs.total_energy - e2) <= 1e-10 * e2
+    assert np.linalg.norm(synthesize(coeffs, frame) - f) <= 1e-10 * np.linalg.norm(f)
+
+
+def test_nyquist_edge_widens_a_wrap_period_that_does_not_divide_the_grid():
+    # here the wrap search gives tile (11, -64), which holds (0, -128), the
+    # periods (6, 146); the fold of that point's mirror (0, 128) is then not
+    # its mirrored box position, so the period across the edge becomes 256
+    frame = DigitalCurveletFrame.build(
+        FrameParams.nyquist_snapped(0.5242541429599622, -0.16941813270624814, 256)
+    )
+    c = frame._caches[frame.wedge_index(11, -64)]
+    assert (c.P1, c.P2) == (6, 256)
+    assert frame.layout.wedges[frame.wedge_index(11, -64)].wrap_periods == (6, 256)
+    f = np.random.default_rng(16).standard_normal((256, 256))
+    coeffs = analyze(f, frame)
+    _, e2 = grid_norms(f, 256)
+    assert abs(coeffs.total_energy - e2) <= 1e-10 * e2
+    assert np.linalg.norm(synthesize(coeffs, frame) - f) <= 1e-10 * np.linalg.norm(f)
 
 
 def test_direct_oracle_by_index_pair(frame64):
@@ -175,19 +216,15 @@ def test_direct_oracle_refuses_large_grids():
 
 
 def test_synthesis_is_adjoint(frame64):
+    # the adjoint on the frame's real coefficient space
     rng = np.random.default_rng(7)
     f = rng.standard_normal((64, 64))
     coeffs = analyze(f, frame64)
     other = CoefficientSet(
-        coeffs.wedge_table,
-        [rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape) for b in coeffs.blocks],
-        64,
+        coeffs.wedge_table, [rng.standard_normal(b.shape) for b in coeffs.blocks], 64
     )
-    lhs = sum(
-        float(np.sum(a * np.conj(b)).real) for a, b in zip(coeffs.blocks, other.blocks)
-    )
-    rec = synthesize(other, frame64, return_complex=True)
-    rhs = quad_inner(f, rec, 64)
+    lhs = sum(float(np.sum(a * b)) for a, b in zip(coeffs.blocks, other.blocks))
+    rhs = quad_inner(f, synthesize(other, frame64), 64)
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -195,9 +232,7 @@ def test_analyze_synthesize_is_projection(frame64):
     rng = np.random.default_rng(8)
     coeffs = analyze(rng.standard_normal((64, 64)), frame64)
     arb = CoefficientSet(
-        coeffs.wedge_table,
-        [rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape) for b in coeffs.blocks],
-        64,
+        coeffs.wedge_table, [rng.standard_normal(b.shape) for b in coeffs.blocks], 64
     )
     once = analyze(synthesize(arb, frame64), frame64)
     twice = analyze(synthesize(once, frame64), frame64)
@@ -206,24 +241,23 @@ def test_analyze_synthesize_is_projection(frame64):
     assert math.sqrt(num / den) <= 1e-10
 
 
-def test_reconstruction_imaginary_part_is_rounding(frame128):
-    rng = np.random.default_rng(9)
-    f = rng.standard_normal((128, 128))
-    coeffs = analyze(f, frame128)
-    n = 128
-    Facc = _synthesize_spectrum(coeffs, frame128)
-    rec = (n * n / 2.0) * np.fft.ifft2(Facc.reshape(n, n))
-    assert np.max(np.abs(rec.imag)) <= 1e-10 * np.max(np.abs(f))
+def test_synthesize_rejects_complex_blocks(frame64):
+    coeffs = analyze(np.random.default_rng(9).standard_normal((64, 64)), frame64)
+    i = frame64.wedge_index(3, 1)
+    blocks = list(coeffs.blocks)
+    blocks[i] = blocks[i] + 1e-3j
+    with pytest.raises(ValueError, match=r"tile \(3, 1\) is complex"):
+        synthesize(CoefficientSet(coeffs.wedge_table, blocks, 64), frame64)
 
 
 def test_atom_spectrum_confined_to_support(frame64):
     for mu in ((0, 0, (0, 0)), (4, -2, (3, 1)), (5, 0, (7, 2))):
         atom = curvelet_atom(frame64, mu)
-        assert np.max(np.abs(np.imag(atom))) == 0.0  # synthesize returns real
+        assert atom.dtype == np.float64
         F = np.fft.fft2(atom).ravel()
-        i = frame64.wedge_index(mu[0], mu[1])
+        k1, k2, _ = frame64._caches[frame64.wedge_index(mu[0], mu[1])].support()
         mask = np.ones(64 * 64, dtype=bool)
-        mask[frame64._caches[i].grid_flat] = False
+        mask[(k1 % 64) * 64 + (k2 % 64)] = False
         outside = np.sum(np.abs(F[mask]) ** 2)
         total = np.sum(np.abs(F) ** 2)
         assert outside <= 1e-20 * total
@@ -232,7 +266,7 @@ def test_atom_spectrum_confined_to_support(frame64):
 def test_atom_l2_norms_bounded(frame128):
     norms = []
     for c in frame128._caches:
-        if len(c.k1) == 0 or c.j > frame128.params.j_max:
+        if c.n_spectrum == 0 or c.j > frame128.params.j_max:
             continue
         atom = curvelet_atom(frame128, (c.j, c.ell, (c.P1 // 2, c.P2 // 2)))
         _, e2 = grid_norms(atom, 128)
@@ -278,12 +312,15 @@ def test_analyze_is_the_per_tile_formula_bit_for_bit(fixture, request):
     frame = request.getfixturevalue(fixture)
     n = frame.params.grid_n
     f = np.random.default_rng(14).standard_normal((n, n))
-    F = np.fft.fft2(f).ravel()
+    F = np.fft.rfft2(f).ravel()
     blocks = analyze(f, frame).blocks
     for c, block in zip(frame._caches, blocks):
-        H = np.zeros(c.P1 * c.P2, dtype=complex)
-        H[c.box_flat] = F[c.grid_flat] * c.window
-        want = (frame.sigma * math.sqrt(c.P1 * c.P2)) * np.fft.ifft2(H.reshape(c.P1, c.P2))
+        vals = F[c.grid_flat] * c.window
+        vals[c.n_direct :] = np.conj(vals[c.n_direct :])
+        H = np.zeros(c.P1 * (c.P2 // 2 + 1), dtype=complex)
+        H[c.box_flat] = vals
+        H = H.reshape(c.P1, c.P2 // 2 + 1)
+        want = (frame.sigma * math.sqrt(c.P1 * c.P2)) * np.fft.irfft2(H, s=(c.P1, c.P2))
         assert np.array_equal(block, want)
     # the scratch arrays are reused per tile: no block may alias them
     for a, b in zip(blocks, blocks[1:]):
@@ -303,9 +340,9 @@ def test_dump_coefficients(tmp_path, frame64):
     stem = os.fspath(tmp_path / "coeffs")
     jpath, cpath = dump_coefficients(coeffs, frame64, stem, top_k=10)
     lines = open(cpath).read().strip().split("\n")
-    assert lines[0] == "j,ell,m1,m2,re,im"
+    assert lines[0] == "j,ell,m1,m2,re"
     assert len(lines) == 11
-    mags = [math.hypot(float(r.split(",")[4]), float(r.split(",")[5])) for r in lines[1:]]
+    mags = [abs(float(r.split(",")[4])) for r in lines[1:]]
     assert mags == sorted(mags, reverse=True)
     import json
 
