@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -113,22 +113,17 @@ class RateReport:
         return path
 
 
-def threshold(
-    coeffs: CoefficientSet, n_keep: int, magnitudes: np.ndarray | None = None
-) -> CoefficientSet:
+def threshold(coeffs: CoefficientSet, n_keep: int) -> CoefficientSet:
     """Keep exactly the ``n_keep`` largest-magnitude coefficients.
 
     Ties are broken by the stable flat order (scale-major, then angle,
     then lattice position), so runs are bit-for-bit reproducible.
-    ``magnitudes`` is ``coeffs.flat_magnitudes()`` when the caller already
-    holds it; it is only read.
     """
     total = coeffs.total_count
     if not 1 <= n_keep <= total:
         raise ValueError(f"n_keep must be in [1, {total}], got {n_keep}")
-    if magnitudes is None:
-        magnitudes = coeffs.flat_magnitudes()
-    return coeffs.copy_with_flat_mask(_largest_mask(magnitudes, n_keep))
+    mags = coeffs.flat_magnitudes()
+    return replace(coeffs, values=np.where(_largest_mask(mags, n_keep), coeffs.values, 0.0))
 
 
 def _largest_mask(mags: np.ndarray, n: int) -> np.ndarray:
@@ -199,10 +194,9 @@ def error_curve(
     total = coeffs.total_count
     if checked and checked[-1] > total:
         raise ValueError(f"N={checked[-1]} exceeds coefficient count {total}")
-    mags = coeffs.flat_magnitudes()
     # the tails reorder their squares in place; the selections below use the
     # magnitudes, because squaring can merge distinct magnitudes into ties
-    tails = _smallest_first_tails(np.square(mags), checked[-1] if checked else 0)
+    tails = _smallest_first_tails(np.square(coeffs.values), checked[-1] if checked else 0)
     energy = float(tails[0])
     err2 = [float(tails[n]) for n in n_list]
     curve = ErrorCurve(
@@ -217,7 +211,7 @@ def error_curve(
         },
     )
     for n in verify_at:
-        rec = synthesize(threshold(coeffs, n, mags), frame)
+        rec = synthesize(threshold(coeffs, n), frame)
         _, err = grid_norms(np.asarray(image, float) - rec, frame.params.grid_n)
         tail = float(tails[n])
         if err > tail * (1.0 + 1e-9) + 1e-18 * energy:

@@ -67,71 +67,32 @@ def curvelet_parametrization(
     return PhasePoint(s=s2j, theta=theta, x=x)
 
 
-def _omega_block(sa, ta, xa, sb, tb, xb, alpha):
-    """Distance matrix block, vectorized: rows from set A, columns from B.
-
-    ``ratio * (1 + t1 + t2 + t3)`` with the terms below, evaluated in
-    place on at most six ``(rows, cols)`` buffers: every entry goes through
-    the same operations in the same order as the formula written term by
-    term, so the values are those of the direct expression.
-
-    * ``ratio = max(sa/sb, sb/sa)``, ``s0 = min(sa, sb)``
-    * ``t1 = s0**(2(1-alpha)) * dt**2``, ``dt`` the orientation gap mod pi
-    * ``t2 = s0**(2 alpha) * (dx1**2 + dx2**2)``
-    * ``t3 = s0**2 * (e1 dx1 + e2 dx2)**2 / (1 + t1)``, ``e = (cos ta, -sin ta)``
-    """
-    sa_c, sb_r = sa[:, None], sb[None, :]
-    s0 = np.minimum(sa_c, sb_r)
-    dt = np.abs(ta[:, None] - tb[None, :])
-    np.remainder(dt, math.pi, out=dt)
-    den = math.pi - dt
-    np.minimum(dt, den, out=dt)
-    np.square(dt, out=dt)
-    np.power(s0, 2.0 * (1.0 - alpha), out=den)
-    den *= dt  # t1
-    den += 1.0  # 1 + t1: the denominator of t3 and the head of the sum
-    dx1 = np.subtract(xa[:, None, 0], xb[None, :, 0], out=dt)
-    dx2 = xa[:, None, 1] - xb[None, :, 1]
-    proj = np.cos(ta)[:, None] * dx1
-    proj += -np.sin(ta)[:, None] * dx2
-    np.square(dx1, out=dx1)
-    np.square(dx2, out=dx2)
-    dx1 += dx2
-    t2 = np.power(s0, 2.0 * alpha, out=dx2)
-    t2 *= dx1
-    np.square(proj, out=proj)
-    t3 = np.square(s0, out=s0)
-    t3 *= proj
-    t3 /= den
-    total = den
-    total += t2
-    total += t3
-    del dx1, dx2, proj, t2, t3, s0  # four buffers freed before ratio takes two
-    ratio = sa_c / sb_r
-    np.maximum(ratio, sb_r / sa_c, out=ratio)
-    ratio *= total
-    return ratio
-
-
 def index_distance(p: PhasePoint, q: PhasePoint, alpha: float) -> float:
     """Anisotropy-weighted phase-space distance, always >= 1.
 
-    ``max(s_p/s_q, s_q/s_p) * (1 + d)`` where ``d`` adds an angular term,
-    an isotropic position term, and a directional position term measured
-    along ``(cos theta_p, -sin theta_p)``; all with the smaller scale as
-    weight and orientations compared modulo pi.
+    ``ratio * (1 + t1 + t2 + t3)``, weighted by the smaller scale
+    ``s0 = min(s_p, s_q)``:
+
+    * ``ratio = max(s_p/s_q, s_q/s_p)``
+    * ``t1 = s0**(2(1-alpha)) * dt**2``, ``dt`` the orientation gap mod pi
+    * ``t2 = s0**(2 alpha) * |dx|**2``, an isotropic position term
+    * ``t3 = s0**2 * (e . dx)**2 / (1 + t1)``, the position gap along
+      ``e = (cos theta_p, -sin theta_p)``
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     if p.s <= 0 or q.s <= 0:
         raise ValueError("scales must be positive")
-    sa = np.array([p.s])
-    ta = np.array([p.theta])
-    xa = np.array([p.x], dtype=float)
-    sb = np.array([q.s])
-    tb = np.array([q.theta])
-    xb = np.array([q.x], dtype=float)
-    return float(_omega_block(sa, ta, xa, sb, tb, xb, alpha)[0, 0])
+    ratio = max(p.s / q.s, q.s / p.s)
+    s0 = min(p.s, q.s)
+    dt = abs(p.theta - q.theta) % math.pi
+    dt = min(dt, math.pi - dt)
+    dx1 = p.x[0] - q.x[0]
+    dx2 = p.x[1] - q.x[1]
+    t1 = s0 ** (2.0 * (1.0 - alpha)) * dt**2
+    t2 = s0 ** (2.0 * alpha) * (dx1**2 + dx2**2)
+    t3 = s0**2 * (math.cos(p.theta) * dx1 - math.sin(p.theta) * dx2) ** 2 / (1.0 + t1)
+    return ratio * (1.0 + t1 + t2 + t3)
 
 
 def _require_finite(name: str, value: float, low: float) -> None:
@@ -191,7 +152,9 @@ def _runs(s: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _pairwise_sups(sa, ta, xa, sb, tb, xb, alpha, k, block=1 << 17):
-    """Row and column sups of the sums of ``_omega_block(...)**-k``.
+    """Row and column sups of the sums of ``index_distance(a, b)**-k``, for
+    ``a`` in set A (rows) and ``b`` in set B (columns), with the terms
+    ``ratio``, ``s0``, ``t1`` named as there.
 
     Rows go one run of equal scale ``s`` and orientation ``theta`` at a
     time.  Within a run, ``ratio``, ``s0`` and ``1 + t1`` depend on the

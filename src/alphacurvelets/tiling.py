@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,10 +66,12 @@ def _co_step(t):
     Using the cosine form keeps ``smooth_step(t)**2 + _co_step(t)**2 == 1``
     within one ulp because both sides share the identical ramp argument.
     The zero end is masked: ``cos(pi/2)`` rounds to 6e-17, not 0, and the
-    windows must vanish exactly outside their supports.
+    windows must vanish exactly outside their supports.  Just below
+    ``t = 1`` the ramp rounds above 1 and the cosine to about -2e-15; it
+    is clamped at 0, so no window is negative.
     """
     t = np.asarray(t, dtype=float)
-    return np.where(t >= 1.0, 0.0, np.cos(0.5 * np.pi * _poly_ramp(t)))
+    return np.where(t >= 1.0, 0.0, np.maximum(np.cos(0.5 * np.pi * _poly_ramp(t)), 0.0))
 
 
 @dataclass(frozen=True)
@@ -200,9 +202,9 @@ class FrameParams:
     def scale_of_closure(self) -> int:
         return self.j_max + 1
 
-    def total_wedge_count(self, include_closure: bool = True) -> int:
-        n = sum(self.tile_count(j) for j in range(self.j_max + 1))
-        return n + 1 if include_closure else n
+    def total_wedge_count(self) -> int:
+        """Tiles of the layout: every wedge pair plus the closure."""
+        return sum(self.tile_count(j) for j in range(self.j_max + 1)) + 1
 
 
 @dataclass(frozen=True)
@@ -221,13 +223,6 @@ class BoundingRect:
     half_length: float
     half_width: float
     angle: float
-
-    def contains(self, xi: np.ndarray) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        u = c * xi[..., 0] + s * xi[..., 1]
-        v = -s * xi[..., 0] + c * xi[..., 1]
-        return (np.abs(u) <= self.half_length) & (np.abs(v) <= self.half_width)
 
 
 @dataclass(frozen=True)
@@ -394,15 +389,9 @@ class TilingLayout:
     def __len__(self) -> int:
         return len(self.wedges)
 
-    def scales(self) -> list[int]:
-        return list(range(self.params.j_max + 2))
-
-    def to_json(self) -> str:
-        return layout_to_json(self)
-
 
 class TileSupport:
-    """Lattice support of one tile on the rfft half spectrum, and its fold.
+    """Lattice support of one tile on the rfft half spectrum, folded on its wrap box.
 
     Every tile is a pair of opposite lobes, so its support and window are
     symmetric under ``k -> -k``; for a real image only the half spectrum
@@ -411,59 +400,31 @@ class TileSupport:
     the window there.  Its first ``n_spectrum`` entries are the support's
     points on the half spectrum, each once.
 
-    :meth:`fold` finds the wrap box ``P1 x P2`` and sets ``box_flat``, each
-    entry's flat index on the half box ``P1 x (P2/2 + 1)``.  Entries from
-    ``n_direct`` on are mirrored: the box position is that of ``-k``, which
-    takes the conjugate value.  Entries past ``n_spectrum`` serve analysis
-    only; they fill box columns 0 and ``P2/2``, where both a point's fold
-    and its mirror's lie in the half box, for points whose mirror the half
-    spectrum omits.  :func:`build_layout` folds every tile.
+    The record is built complete from the scan's entries: the wrap box
+    ``P1 x P2`` is the one :func:`_find_wrap_periods` picks, checked for
+    collisions, or the whole grid when ``wrap`` is false.  ``box_flat`` is
+    each entry's flat index on the half box ``P1 x (P2/2 + 1)``.  Entries
+    from ``n_direct`` on are mirrored: the box position is that of ``-k``,
+    which takes the conjugate value.  Entries past ``n_spectrum`` serve
+    analysis only; they fill box columns 0 and ``P2/2``, where both a
+    point's fold and its mirror's lie in the half box, for points whose
+    mirror the half spectrum omits.  ``cardinality`` is the size of the
+    full support.
+
+    Only a tile reaching the Nyquist edge (the points ``(0, -n/2)`` and
+    ``(-n/2, 0)``, which a snapped top corona can touch) may have a period
+    widened to ``n``.  Raises ``RuntimeError`` if two support points share
+    a wrapped box position.
     """
 
     __slots__ = (
         "j", "ell", "grid_n", "grid_flat", "window", "n_spectrum", "n_direct", "P1", "P2", "box_flat",
-        "cardinality", "_k1", "_k2",
+        "cardinality",
     )
 
-    def __init__(self, j, ell, grid_n, grid_flat, window, k1, k2):
-        self.j = j
-        self.ell = ell
-        self.grid_n = grid_n
-        self.grid_flat = grid_flat
-        self.window = window
-        self.n_spectrum = grid_flat.size
-        # signed indices of the entries, kept only until the fold
-        self._k1, self._k2 = k1, k2
-        self.n_direct = self.P1 = self.P2 = self.box_flat = self.cardinality = None
-
-    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Full lattice support: signed ``k1``, ``k2`` in ``[-n/2, n/2)`` and
-        window samples; the half-spectrum points first, then the mirrors it
-        omits."""
-        n = self.grid_n
-        half = n // 2
-        row, col = np.divmod(self.grid_flat[: self.n_spectrum], half + 1)
-        k1 = np.where(row >= half, row - n, row)
-        k2 = np.where(col == half, -half, col)
-        omitted = (col != 0) & (col != half)
-        w = self.window[: self.n_spectrum]
-        return (*_with_mirrors(k1, k2, omitted, half), np.concatenate([w, w[omitted]]))
-
-    def fold(self, wrap: bool) -> None:
-        """Fold the support onto its wrap box (see the class doc).
-
-        The box is the one :func:`_find_wrap_periods` picks, checked for
-        collisions, or the whole grid when ``wrap`` is false.  Only a tile
-        reaching the Nyquist edge (the points ``(0, -n/2)`` and
-        ``(-n/2, 0)``, which a snapped top corona can touch) may have a
-        period widened to ``n``.  Sets ``cardinality``, the size of the
-        full support.  Raises ``RuntimeError`` if two support points share
-        a wrapped box position.
-        """
-        n, half = self.grid_n, self.grid_n // 2
-        k1, k2 = self._k1, self._k2
-        self._k1 = self._k2 = None
-        omitted = (k2 != 0) & (k2 != -half)
+    def __init__(self, j, ell, grid_n, grid_flat, window, wrap):
+        n, half = grid_n, grid_n // 2
+        k1, k2, omitted = _signed_indices(grid_flat, n)
         full1, full2 = _with_mirrors(k1, k2, omitted, half)
         if wrap:
             P1, P2 = _find_wrap_periods(full1, full2, n)
@@ -475,7 +436,7 @@ class TileSupport:
             if n % P2 and k2.min() == -half:
                 P2 = n
             if not _collision_free(_fold(full1, full2, P1, P2), P1 * P2):
-                raise RuntimeError(f"wrap collision in tile ({self.j}, {self.ell})")
+                raise RuntimeError(f"wrap collision in tile ({j}, {ell})")
         else:
             P1 = P2 = n  # reducing modulo n is one-to-one on the lattice
         self.cardinality = full1.size
@@ -492,11 +453,32 @@ class TileSupport:
         mm1 = (P1 - mm1) % P1
         mm2 = np.where(mm2 >= cols, P2 - mm2, mm2)
         order = np.concatenate([direct, mirrored])
-        self.grid_flat = self.grid_flat[order]
-        self.window = self.window[order]
+        self.j, self.ell, self.grid_n = j, ell, grid_n
+        self.n_spectrum = grid_flat.size
+        self.grid_flat = grid_flat[order]
+        self.window = window[order]
         self.box_flat = np.concatenate([m1[direct] * cols + m2[direct], mm1 * cols + mm2])
         self.n_direct = direct.size
         self.P1, self.P2 = P1, P2
+
+    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Full lattice support: signed ``k1``, ``k2`` in ``[-n/2, n/2)`` and
+        window samples; the half-spectrum points first, then the mirrors it
+        omits."""
+        k1, k2, omitted = _signed_indices(self.grid_flat[: self.n_spectrum], self.grid_n)
+        w = self.window[: self.n_spectrum]
+        return (*_with_mirrors(k1, k2, omitted, self.grid_n // 2), np.concatenate([w, w[omitted]]))
+
+
+def _signed_indices(grid_flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signed ``k1``, ``k2`` in ``[-n/2, n/2)`` of half-spectrum indices, and
+    the mask of the points whose mirror the half spectrum omits (columns
+    other than 0 and ``n/2``)."""
+    half = n // 2
+    row, col = np.divmod(grid_flat, half + 1)
+    k1 = np.where(row >= half, row - n, row)
+    k2 = np.where(col == half, -half, col)
+    return k1, k2, (col != 0) & (col != half)
 
 
 def _with_mirrors(k1, k2, omitted, half):
@@ -506,17 +488,20 @@ def _with_mirrors(k1, k2, omitted, half):
     return np.concatenate([k1, m1]), np.concatenate([k2, -k2[omitted]])
 
 
-def _scan_supports(params: FrameParams, profile: WindowProfile) -> list[TileSupport]:
+def _scan_supports(
+    params: FrameParams, profile: WindowProfile
+) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
     """Evaluate every window once per mirror pair ``{k, -k}`` of lattice points.
 
-    The scanned points are the columns ``0 < k2 < n/2`` of the rfft half
-    spectrum, plus the rows ``k1`` in ``[0, n/2)`` and ``k1 = -n/2`` of its
-    columns 0 and ``n/2``.  Each mirror that those two columns hold is then
-    added with its partner's window value, so the windows are exactly
-    symmetric by construction; the other mirrors stay implicit (see
-    :class:`TileSupport`).  Points are binned per scale by radius and per
-    wedge by angle, so each scanned point is touched only by the (at most
-    four) windows that are nonzero there.
+    Returns ``(j, ell, grid_flat, window)`` per tile in layout order, the
+    entries :class:`TileSupport` folds.  The scanned points are the columns
+    ``0 < k2 < n/2`` of the rfft half spectrum, plus the rows ``k1`` in
+    ``[0, n/2)`` and ``k1 = -n/2`` of its columns 0 and ``n/2``.  Each
+    mirror that those two columns hold is then added with its partner's
+    window value, so the windows are exactly symmetric by construction;
+    the other mirrors stay implicit.  Points are binned per scale by radius
+    and per wedge by angle, so each scanned point is touched only by the
+    (at most four) windows that are nonzero there.
     """
     n = params.grid_n
     half = n // 2
@@ -535,19 +520,11 @@ def _scan_supports(params: FrameParams, profile: WindowProfile) -> list[TileSupp
         """Entries of the scanned points ``idx``, then the mirrors in columns 0 and n/2."""
         k1, k2 = K1[idx], K2[idx]
         pair = ((k2 == 0) | (k2 == -half)) & (k1 > 0)
-        f, pk1 = flat[idx], k1[pair]
-        return [
-            np.concatenate([a, b])
-            for a, b in (
-                (f, f[pair] + (n - 2 * pk1) * cols),
-                (W, W[pair]),
-                (k1, -pk1),
-                (k2, k2[pair]),
-                *((t, t[pair]) for t in tags),
-            )
-        ]
+        f = flat[idx]
+        mirrors = f[pair] + (n - 2 * k1[pair]) * cols
+        return [np.concatenate([f, mirrors])] + [np.concatenate([t, t[pair]]) for t in (W, *tags)]
 
-    out: list[TileSupport] = []
+    out: list[tuple[int, int, np.ndarray, np.ndarray]] = []
     for j in range(params.j_max + 2):
         if j == 0:
             sel = np.nonzero(r < C * params.tau2)[0]
@@ -559,7 +536,7 @@ def _scan_supports(params: FrameParams, profile: WindowProfile) -> list[TileSupp
             sel = np.nonzero((r > lo) & (r < hi))[0]
         U = profile.radial(j, r[sel])
         if j == 0 or j == params.j_max + 1:
-            out.append(TileSupport(j, 0, n, *with_column_mirrors(sel, U)))
+            out.append((j, 0, *with_column_mirrors(sel, U)))
             continue
         L = params.tile_count(j)
         Lm = L // 2
@@ -575,15 +552,15 @@ def _scan_supports(params: FrameParams, profile: WindowProfile) -> list[TileSupp
         V = profile.angular_from_bins(j, mm, centers)
         keep = V > 0
         pt_idx, centers, W = pt_idx[keep], centers[keep], (uu * V)[keep]
-        f, W, k1, k2, cbin = with_column_mirrors(pt_idx, W, centers.astype(np.int64) % L)
+        f, W, cbin = with_column_mirrors(pt_idx, W, centers.astype(np.int64) % L)
         order = np.argsort(cbin, kind="stable")
-        f, W, k1, k2, cbin = f[order], W[order], k1[order], k2[order], cbin[order]
+        f, W, cbin = f[order], W[order], cbin[order]
         bounds = np.searchsorted(cbin, np.arange(L + 1))
         for c in range(L):
             ell = c if c < L - Lm else c - L
             sl = slice(bounds[c], bounds[c + 1])
-            out.append(TileSupport(j, ell, n, f[sl], W[sl], k1[sl], k2[sl]))
-    out.sort(key=lambda w: (w.j, w.ell))
+            out.append((j, ell, f[sl], W[sl]))
+    out.sort(key=lambda t: (t[0], t[1]))
     return out
 
 
@@ -607,13 +584,15 @@ def _find_wrap_periods(k1: np.ndarray, k2: np.ndarray, grid_n: int) -> tuple[int
     Two families are scanned: full extent along one axis with the other
     axis wrapped (and vice versa).  Within a family the wrapped period
     starts at the densest-column count and grows (+2 first, then
-    geometrically) until the collision scan passes; the full bounding box
-    is the guaranteed fallback.  The smaller-area passing box wins.
+    geometrically) until the collision scan passes or the period covers
+    the axis's extent (capped at the grid).  The second way always passes:
+    the full-extent period is at least that axis's span, so both axes then
+    reduce one-to-one.  The smaller-area box wins.
     """
     m = len(k1)
     if m == 0:
         return 2, 2
-    best: tuple[int, int] | None = None
+    cands = []
     lo1, lo2 = k1.min(), k2.min()
     span1, span2 = int(k1.max() - lo1) + 1, int(k2.max() - lo2) + 1
     for ka, kb, lo_a, span_a, span_b, swap in (
@@ -621,31 +600,16 @@ def _find_wrap_periods(k1: np.ndarray, k2: np.ndarray, grid_n: int) -> tuple[int
         (k2, k1, lo2, span2, span1, True),
     ):
         Pa = min(_even_up(span_a), grid_n)
-        Pb = max(2, _even_up(np.bincount(ka - lo_a).max()))
-        Pb = max(Pb, _even_up(m / Pa))
+        Pb = max(2, _even_up(np.bincount(ka - lo_a).max()), _even_up(m / Pa))
         rows = ka % Pa  # fixed within the family
-
-        def free(P: int) -> bool:
-            return _collision_free(rows * P + kb % P, Pa * P)
-
         tries = 0
-        ok = False
-        while Pb < min(span_b, grid_n) and not (ok := free(Pb)):
+        while Pb < min(span_b, grid_n) and not _collision_free(rows * Pb + kb % Pb, Pa * Pb):
             tries += 1
             Pb = Pb + 2 if tries <= 8 else _even_up(Pb * 1.25)
-        if not ok:
-            Pb = min(Pb, grid_n)
-            ok = free(Pb)
-        if not ok:
-            Pb = min(_even_up(span_b), grid_n)
-            ok = free(Pb)
-        # in the swapped family the check above is that of cand with its axes exchanged
-        cand = (Pb, Pa) if swap else (Pa, Pb)
-        if ok and (best is None or cand[0] * cand[1] < best[0] * best[1]):
-            best = cand
-    if best is None:  # full grid always works: modulo map is then injective
-        best = (grid_n, grid_n)
-    return best
+        Pb = min(Pb, grid_n)
+        # in the swapped family the check above is that of the box with its axes exchanged
+        cands.append((Pb, Pa) if swap else (Pa, Pb))
+    return min(cands, key=lambda P: P[0] * P[1])
 
 
 def build_layout(params: FrameParams) -> TilingLayout:
@@ -657,25 +621,19 @@ def build_layout(params: FrameParams) -> TilingLayout:
     supports of the one lattice scan stay on the layout, in the same order.
     """
     profile = WindowProfile(params)
-    supports = _scan_supports(params, profile)
-    wedges = []
-    for sup in supports:
-        spec = wedge_geometry(params, sup.j, sup.ell)
-        sup.fold(wrap=sup.j != params.scale_of_closure())
-        wedges.append(
-            WedgeSpec(
-                index=spec.index,
-                orientation=spec.orientation,
-                radial_support=spec.radial_support,
-                radial_core=spec.radial_core,
-                angular_halfwidth_outer=spec.angular_halfwidth_outer,
-                angular_halfwidth_inner=spec.angular_halfwidth_inner,
-                bounding_rect=spec.bounding_rect,
-                is_closure=spec.is_closure,
-                wrap_periods=(sup.P1, sup.P2),
-                support_cardinality=sup.cardinality,
-            )
+    closure = params.scale_of_closure()
+    supports = [
+        TileSupport(j, ell, params.grid_n, grid_flat, window, wrap=j != closure)
+        for j, ell, grid_flat, window in _scan_supports(params, profile)
+    ]
+    wedges = [
+        replace(
+            wedge_geometry(params, sup.j, sup.ell),
+            wrap_periods=(sup.P1, sup.P2),
+            support_cardinality=sup.cardinality,
         )
+        for sup in supports
+    ]
     expected = params.total_wedge_count()
     if len(wedges) != expected:
         raise RuntimeError(f"layout has {len(wedges)} tiles, expected {expected}")

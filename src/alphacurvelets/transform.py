@@ -15,6 +15,9 @@ therefore takes one ``rfft2`` of the image, fills each tile's half box
 of each block, scatters it into the half spectrum and applies one
 ``irfft2``.  :func:`analyze_direct` sums the complex formula over the full
 support, as an oracle for both.
+
+The coefficients of one analysis are one flat real array; each tile's
+block is a view of it (:class:`CoefficientSet`).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,8 +65,7 @@ class DigitalCurveletFrame:
         self.profile = layout.profile
         self._caches = caches
         self.sigma = 2.0 / self.params.grid_n**2
-        self.block_sizes = [c.P1 * c.P2 for c in caches]
-        self.total_coefficients = int(sum(self.block_sizes))
+        self.total_coefficients = int(sum(c.P1 * c.P2 for c in caches))
 
     @classmethod
     def build(cls, params: FrameParams) -> "DigitalCurveletFrame":
@@ -85,69 +87,72 @@ class DigitalCurveletFrame:
 
 @dataclass
 class CoefficientSet:
-    """Coefficient blocks of one analysis, in stable scale-major order.
+    """Coefficients of one analysis as one flat real array.
 
-    ``blocks[i]`` is the real ``P1 x P2`` array of tile ``i``; the flat
-    ordering used for thresholding ties is blocks concatenated in layout
-    order, each in C order.
+    ``values`` is in the stable scale-major order that thresholding breaks
+    ties by: tile after tile in layout order, each ``P1 x P2`` box in C
+    order.  Tile ``i`` is ``values[offsets[i]:offsets[i + 1]]``, and
+    ``blocks[i]`` is a ``P1 x P2`` view of it.  A nonzero imaginary part is
+    refused, naming its tile.
     """
 
     wedge_table: list[tuple[int, int, int, int]]
-    blocks: list[np.ndarray]
+    values: np.ndarray
     grid_n: int
     s: float = 1.0
     alpha: float = 0.5
+    offsets: np.ndarray = field(init=False, repr=False)
+    blocks: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        sizes = [P1 * P2 for (_j, _ell, P1, P2) in self.wedge_table]
+        self.offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+        shape = np.shape(self.values)
+        if shape != (self.offsets[-1],):
+            raise ValueError(f"{shape} values do not match {self.offsets[-1]} coefficients")
+        if np.iscomplexobj(self.values) and np.any(np.imag(self.values)):
+            i = self._tile_of(np.flatnonzero(np.imag(self.values))[0])
+            j, ell, _P1, _P2 = self.wedge_table[i]
+            raise ValueError(f"block of tile ({j}, {ell}) is complex; coefficients are real")
+        self.values = np.ascontiguousarray(np.real(self.values), dtype=np.float64)
+        bounds = zip(self.offsets[:-1], self.offsets[1:], self.wedge_table)
+        self.blocks = [self.values[lo:hi].reshape(P1, P2) for lo, hi, (_j, _ell, P1, P2) in bounds]
+
+    def _tile_of(self, flat: np.ndarray) -> np.ndarray:
+        """Tile of each flat position."""
+        return np.searchsorted(self.offsets, flat, side="right") - 1
 
     @property
     def total_count(self) -> int:
-        return int(sum(b.size for b in self.blocks))
+        return int(self.values.size)
 
     @property
     def total_energy(self) -> float:
+        # block by block: one flat sum rounds differently and would move reported digits
         return float(sum(np.sum(np.abs(b) ** 2) for b in self.blocks))
 
     def flat_magnitudes(self) -> np.ndarray:
-        """``|c|`` of every coefficient in flat order, written block by block
-        into one array (no per-block temporaries)."""
-        out = np.empty(self.total_count)
-        lo = 0
-        for b in self.blocks:
-            np.abs(b.ravel(), out=out[lo : lo + b.size])
-            lo += b.size
-        return out
-
-    def block_offsets(self) -> np.ndarray:
-        sizes = [b.size for b in self.blocks]
-        return np.concatenate([[0], np.cumsum(sizes)])
+        """``|c|`` of every coefficient in flat order."""
+        return np.abs(self.values)
 
     def flat_index(self, j: int, ell: int, m: tuple[int, int]) -> int:
         """Flat position of coefficient ``(j, ell, m)`` in the stable order."""
-        offs = self.block_offsets()
         for i, (jj, ee, P1, P2) in enumerate(self.wedge_table):
             if (jj, ee) == (j, ell):
                 m1, m2 = int(m[0]), int(m[1])
                 if not (0 <= m1 < P1 and 0 <= m2 < P2):
                     raise ValueError(f"box index {m} outside {P1}x{P2}")
-                return int(offs[i]) + m1 * P2 + m2
+                return int(self.offsets[i]) + m1 * P2 + m2
         raise KeyError(f"no tile ({j}, {ell})")
 
     def index_of_flat(self, flat: int) -> tuple[int, int, tuple[int, int]]:
         """Inverse of :meth:`flat_index`."""
         if not 0 <= flat < self.total_count:
             raise ValueError(f"flat index {flat} outside [0, {self.total_count})")
-        offs = self.block_offsets()
-        i = int(np.searchsorted(offs, flat, side="right") - 1)
+        i = int(self._tile_of(flat))
         j, ell, _P1, P2 = self.wedge_table[i]
-        m1, m2 = divmod(int(flat - offs[i]), P2)
+        m1, m2 = divmod(int(flat - self.offsets[i]), P2)
         return j, ell, (m1, m2)
-
-    def copy_with_flat_mask(self, keep: np.ndarray) -> "CoefficientSet":
-        offs = self.block_offsets()
-        blocks = []
-        for i, b in enumerate(self.blocks):
-            m = keep[offs[i] : offs[i + 1]].reshape(b.shape)
-            blocks.append(np.where(m, b, 0.0))
-        return CoefficientSet(self.wedge_table, blocks, self.grid_n, self.s, self.alpha)
 
 
 def _check_image(image: np.ndarray, frame: DigitalCurveletFrame) -> np.ndarray:
@@ -163,16 +168,19 @@ def _check_image(image: np.ndarray, frame: DigitalCurveletFrame) -> np.ndarray:
 def analyze(image: np.ndarray, frame: DigitalCurveletFrame) -> CoefficientSet:
     """Forward transform; Parseval in the grid quadrature norm.
 
-    The windowed support and the half box of each tile are staged in two
-    scratch arrays sized for the largest tile, so the only arrays a call
-    allocates per tile are the coefficient blocks it returns.
+    The coefficients are written tile by tile into the views of one flat
+    array.  The windowed support and the half box of each tile are staged
+    in two scratch arrays sized for the largest tile.
     """
     image = _check_image(image, frame)
     F = np.fft.rfft2(image).ravel()
     box = np.empty(max(c.P1 * (c.P2 // 2 + 1) for c in frame._caches), dtype=complex)
     vals = np.empty(max(c.grid_flat.size for c in frame._caches), dtype=complex)
-    blocks = []
-    for c in frame._caches:
+    p = frame.params
+    coeffs = CoefficientSet(
+        frame.wedge_table(), np.empty(frame.total_coefficients), p.grid_n, p.s, p.alpha
+    )
+    for c, block in zip(frame._caches, coeffs.blocks):
         H = box[: c.P1 * (c.P2 // 2 + 1)]
         H.fill(0)
         v = vals[: c.grid_flat.size]
@@ -180,31 +188,23 @@ def analyze(image: np.ndarray, frame: DigitalCurveletFrame) -> CoefficientSet:
         v *= c.window
         np.conjugate(v[c.n_direct :], out=v[c.n_direct :])
         H[c.box_flat] = v
-        block = np.fft.irfft2(H.reshape(c.P1, c.P2 // 2 + 1), s=(c.P1, c.P2))
-        block *= frame.sigma * math.sqrt(c.P1 * c.P2)
-        blocks.append(block)
-    return CoefficientSet(
-        frame.wedge_table(), blocks, frame.params.grid_n, frame.params.s, frame.params.alpha
-    )
+        # irfft2 ignores an out= argument, so the block is written by the
+        # multiply; the unnamed result is freed at once
+        np.multiply(
+            np.fft.irfft2(H.reshape(c.P1, c.P2 // 2 + 1), s=(c.P1, c.P2)),
+            frame.sigma * math.sqrt(c.P1 * c.P2),
+            out=block,
+        )
+    return coeffs
 
 
 def synthesize(coeffs: CoefficientSet, frame: DigitalCurveletFrame) -> np.ndarray:
-    """Adjoint of :func:`analyze`; inverts it exactly on its range.
-
-    Blocks must be real: a complex block raises a ``ValueError`` naming
-    its tile rather than losing its imaginary part.
-    """
-    if len(coeffs.blocks) != len(frame._caches):
-        raise ValueError("coefficient set does not match frame tile count")
+    """Adjoint of :func:`analyze`; inverts it exactly on its range."""
+    if [b.shape for b in coeffs.blocks] != [(c.P1, c.P2) for c in frame._caches]:
+        raise ValueError("coefficient blocks do not match the frame's tile boxes")
     n = frame.params.grid_n
     Facc = np.zeros(n * (n // 2 + 1), dtype=complex)
     for c, block in zip(frame._caches, coeffs.blocks):
-        if block.shape != (c.P1, c.P2):
-            raise ValueError(
-                f"block shape {block.shape} does not match tile box {(c.P1, c.P2)}"
-            )
-        if np.iscomplexobj(block):
-            raise ValueError(f"block of tile ({c.j}, {c.ell}) is complex; coefficients are real")
         if not np.any(block):
             continue
         ns = c.n_spectrum
@@ -261,12 +261,9 @@ def curvelet_atom(
     i = frame.wedge_index(j, ell)
     c = frame._caches[i]
     m1, m2 = int(m[0]) % c.P1, int(m[1]) % c.P2
+    p = frame.params
     coeffs = CoefficientSet(
-        frame.wedge_table(),
-        [np.zeros((w.P1, w.P2)) for w in frame._caches],
-        frame.params.grid_n,
-        frame.params.s,
-        frame.params.alpha,
+        frame.wedge_table(), np.zeros(frame.total_coefficients), p.grid_n, p.s, p.alpha
     )
     coeffs.blocks[i][m1, m2] = 1.0
     return synthesize(coeffs, frame)
@@ -311,25 +308,18 @@ def dump_coefficients(
     json_path, csv_path = stem + ".json", stem + ".csv"
     with open(json_path, "w") as fh:
         json.dump(header, fh, indent=2)
-    rows = []
     if top_k is None:
-        for (j, ell, P1, P2), b in zip(coeffs.wedge_table, coeffs.blocks):
-            for m1 in range(P1):
-                for m2 in range(P2):
-                    rows.append((j, ell, m1, m2, b[m1, m2]))
+        order = np.arange(coeffs.total_count)
     else:
         from .approximation import _largest_mask  # approximation imports this module
 
         mags = coeffs.flat_magnitudes()
         top = np.flatnonzero(_largest_mask(mags, min(int(top_k), mags.size)))
         order = top[np.lexsort((top, -mags[top]))]
-        offs = coeffs.block_offsets()
-        for flat in order:
-            i = int(np.searchsorted(offs, flat, side="right") - 1)
-            j, ell, P1, P2 = coeffs.wedge_table[i]
-            local = int(flat - offs[i])
-            m1, m2 = divmod(local, P2)
-            rows.append((j, ell, m1, m2, coeffs.blocks[i][m1, m2]))
+    tile = coeffs._tile_of(order)
+    j, ell, _P1, P2 = np.array(coeffs.wedge_table, dtype=np.int64).reshape(-1, 4)[tile].T
+    m1, m2 = np.divmod(order - coeffs.offsets[tile], P2)
+    rows = zip(j.tolist(), ell.tolist(), m1.tolist(), m2.tolist(), coeffs.values[order].tolist())
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["j", "ell", "m1", "m2", "re"])

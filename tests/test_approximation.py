@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,14 +13,13 @@ from alphacurvelets.transform import CoefficientSet, DigitalCurveletFrame, analy
 
 
 def toy_coeffs(values):
-    blocks = [np.asarray(values, dtype=complex).reshape(1, -1)]
-    return CoefficientSet([(0, 0, 1, len(values))], blocks, 16)
+    return CoefficientSet([(0, 0, 1, len(values))], np.asarray(values, dtype=float), 16)
 
 
 def test_threshold_keeps_largest_by_magnitude():
     coeffs = toy_coeffs([5.0, 3.0, 2.0])
     kept = appr.threshold(coeffs, 2)
-    assert np.array_equal(kept.blocks[0], np.array([[5.0, 3.0, 0.0]], dtype=complex))
+    assert np.array_equal(kept.blocks[0], np.array([[5.0, 3.0, 0.0]]))
 
 
 def test_threshold_full_is_identity():
@@ -39,7 +39,7 @@ def test_threshold_rejects_bad_counts():
 def test_threshold_stable_tie_break():
     coeffs = toy_coeffs([1.0, 1.0, 1.0, 1.0])
     kept = appr.threshold(coeffs, 2)
-    assert np.array_equal(kept.blocks[0], np.array([[1.0, 1.0, 0.0, 0.0]], dtype=complex))
+    assert np.array_equal(kept.blocks[0], np.array([[1.0, 1.0, 0.0, 0.0]]))
 
 
 def test_threshold_idempotent_and_nested():
@@ -66,7 +66,7 @@ def test_threshold_matches_stable_argsort_oracle():
         size = int(rng.integers(1, 200))
         kind = case % 4
         if kind == 0:
-            values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            values = rng.standard_normal(size)
         elif kind == 1:  # tie-heavy: few distinct integer magnitudes, both signs
             values = rng.integers(-3, 4, size).astype(float)
         elif kind == 2:
@@ -74,12 +74,11 @@ def test_threshold_matches_stable_argsort_oracle():
         else:
             values = np.zeros(size)
         split = int(rng.integers(0, size + 1))  # two blocks: ties across blocks
-        blocks = [values[:split].astype(complex).reshape(1, -1), values[split:].astype(complex).reshape(1, -1)]
-        coeffs = CoefficientSet([(0, 0, 1, split), (1, 0, 1, size - split)], blocks, 16)
+        coeffs = CoefficientSet([(0, 0, 1, split), (1, 0, 1, size - split)], values, 16)
         mags = np.abs(values)
         for n in {1, size, int(rng.integers(1, size + 1))}:
             kept = appr.threshold(coeffs, n)
-            mask = np.concatenate([b.ravel() for b in kept.blocks]) != 0
+            mask = kept.values != 0
             want = stable_argsort_mask(mags, n)
             assert np.array_equal(appr._largest_mask(mags, n), want), (case, n)
             assert np.array_equal(mask, want & (mags != 0)), (case, n)
@@ -173,7 +172,7 @@ def test_error_curve_selects_on_magnitudes_not_their_squares(frame64, monkeypatc
     # magnitudes of 1e-170 and below square to zero: ties the magnitudes lack
     coeffs = analyze(np.random.default_rng(7).standard_normal((64, 64)), frame64)
     top = coeffs.flat_magnitudes().max()
-    coeffs.blocks = [np.round(b / top * 1000.0) * 1e-172 for b in coeffs.blocks]
+    coeffs = dataclasses.replace(coeffs, values=np.round(coeffs.values / top * 1000.0) * 1e-172)
     mags = coeffs.flat_magnitudes()
     n = 300
     by_mags = np.argsort(-mags, kind="stable")[:n]
@@ -181,9 +180,8 @@ def test_error_curve_selects_on_magnitudes_not_their_squares(frame64, monkeypatc
     seen = []
     monkeypatch.setattr(appr, "synthesize", lambda c, frame: seen.append(c) or synthesize(c, frame))
     appr.error_curve(np.zeros((64, 64)), frame64, [n], coeffs=coeffs, verify_at=(n,))
-    kept = np.flatnonzero(np.concatenate([b.ravel() for b in seen[0].blocks]))
-    want = appr.threshold(coeffs, n)
-    assert all(np.array_equal(a, b) for a, b in zip(seen[0].blocks, want.blocks))
+    kept = np.flatnonzero(seen[0].values)
+    assert np.array_equal(seen[0].values, appr.threshold(coeffs, n).values)
     assert set(kept.tolist()) <= set(by_mags.tolist())
 
 

@@ -218,12 +218,14 @@ def _omega_reference(sa, ta, xa, sb, tb, xb, alpha):
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0 / 3.0, 1.0])
-def test_in_place_distance_kernel_is_the_formula_bit_for_bit(alpha):
-    from alphacurvelets.molecules import _omega_block
-
+def test_index_distance_is_the_formula(alpha):
     rng = np.random.default_rng(21)
     m, n = 37, 53
-    a = (rng.random(m) * 8 + 0.1, rng.random(m) * 7 - 3, rng.standard_normal((m, 2)) * 3)
-    b = (rng.random(n) * 8 + 0.1, rng.random(n) * 7 - 3, rng.standard_normal((n, 2)) * 3)
+    # orientations reduced mod pi, as PhasePoint stores them
+    a = (rng.random(m) * 8 + 0.1, (rng.random(m) * 7 - 3) % math.pi, rng.standard_normal((m, 2)) * 3)
+    b = (rng.random(n) * 8 + 0.1, (rng.random(n) * 7 - 3) % math.pi, rng.standard_normal((n, 2)) * 3)
     ref = _omega_reference(*a, *b, alpha)
-    assert np.array_equal(_omega_block(*a, *b, alpha), ref)
+    pa = [PhasePoint(s=s, theta=t, x=tuple(x)) for s, t, x in zip(*a)]
+    pb = [PhasePoint(s=s, theta=t, x=tuple(x)) for s, t, x in zip(*b)]
+    got = np.array([[index_distance(p, q, alpha) for q in pb] for p in pa])
+    assert np.max(np.abs(got - ref) / ref) <= 1e-15

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from alphacurvelets.tiling import (
     FrameParams,
     _co_step,
-    _scan_supports,
     build_layout,
     layout_to_json,
     smooth_step,
@@ -84,6 +83,25 @@ def test_smooth_step_monotone():
     assert np.all(_co_step(t) == smooth_step(1 - t)) or np.allclose(
         _co_step(t), smooth_step(1 - t), atol=5e-16
     )
+
+
+def test_co_step_is_never_negative_below_one():
+    # the quintic ramp rounds above 1 just below t = 1; the cosine must not
+    # follow it below zero there
+    t = 1.0 - np.arange(1, 200) * 2.0**-53
+    assert np.all(_co_step(t) >= 0.0)
+    assert _co_step(np.nextafter(1.0, 0.0)) == 0.0
+    assert np.all(_co_step(np.linspace(0.0, 1.0, 10001)) >= 0.0)
+
+
+@pytest.mark.parametrize("snapped", [False, True])
+@pytest.mark.parametrize("s", [0.53, 0.84, 1.0])
+def test_no_window_sample_is_negative(s, snapped):
+    # snapped s = 0.53 at grid 128 and 0.84 at grid 64 once gave -1.9e-15
+    for grid in (64, 128):
+        p = FrameParams.nyquist_snapped(s, 0.5, grid) if snapped else FrameParams(s=s, alpha=0.5, grid_n=grid)
+        for sup in build_layout(p).supports:
+            assert sup.window.min(initial=0.0) >= 0.0
 
 
 @pytest.fixture(scope="module")
@@ -164,9 +182,7 @@ def test_partition_sweep(alpha):
 
 
 def test_wrap_translates_disjoint(layout128):
-    p = layout128.params
-    supports = _scan_supports(p, layout128.profile)
-    for spec, sup in zip(layout128.wedges, supports):
+    for spec, sup in zip(layout128.wedges, layout128.supports):
         P1, P2 = spec.wrap_periods
         k1, k2, _ = sup.support()
         keys = (k1 % P1) * P2 + (k2 % P2)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -85,7 +86,8 @@ def test_build_rejects_a_broken_partition(monkeypatch):
 
     def corrupted(*args):
         supports = scan(*args)
-        supports[0].window = 1.01 * supports[0].window
+        j, ell, grid_flat, window = supports[0]
+        supports[0] = (j, ell, grid_flat, 1.01 * window)
         return supports
 
     monkeypatch.setattr(tiling, "_scan_supports", corrupted)
@@ -220,10 +222,8 @@ def test_synthesis_is_adjoint(frame64):
     rng = np.random.default_rng(7)
     f = rng.standard_normal((64, 64))
     coeffs = analyze(f, frame64)
-    other = CoefficientSet(
-        coeffs.wedge_table, [rng.standard_normal(b.shape) for b in coeffs.blocks], 64
-    )
-    lhs = sum(float(np.sum(a * b)) for a, b in zip(coeffs.blocks, other.blocks))
+    other = CoefficientSet(coeffs.wedge_table, rng.standard_normal(coeffs.total_count), 64)
+    lhs = float(np.dot(coeffs.values, other.values))
     rhs = quad_inner(f, synthesize(other, frame64), 64)
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -231,23 +231,25 @@ def test_synthesis_is_adjoint(frame64):
 def test_analyze_synthesize_is_projection(frame64):
     rng = np.random.default_rng(8)
     coeffs = analyze(rng.standard_normal((64, 64)), frame64)
-    arb = CoefficientSet(
-        coeffs.wedge_table, [rng.standard_normal(b.shape) for b in coeffs.blocks], 64
-    )
+    arb = CoefficientSet(coeffs.wedge_table, rng.standard_normal(coeffs.total_count), 64)
     once = analyze(synthesize(arb, frame64), frame64)
     twice = analyze(synthesize(once, frame64), frame64)
-    num = sum(np.linalg.norm(a - b) ** 2 for a, b in zip(once.blocks, twice.blocks))
-    den = sum(np.linalg.norm(a) ** 2 for a in once.blocks)
-    assert math.sqrt(num / den) <= 1e-10
+    assert np.linalg.norm(once.values - twice.values) <= 1e-10 * np.linalg.norm(once.values)
 
 
 def test_synthesize_rejects_complex_blocks(frame64):
     coeffs = analyze(np.random.default_rng(9).standard_normal((64, 64)), frame64)
     i = frame64.wedge_index(3, 1)
-    blocks = list(coeffs.blocks)
-    blocks[i] = blocks[i] + 1e-3j
+    values = coeffs.values.astype(complex)
+    values[coeffs.offsets[i] + 1 :] += 1e-3j  # tile (3, 1) is the first with an imaginary part
     with pytest.raises(ValueError, match=r"tile \(3, 1\) is complex"):
-        synthesize(CoefficientSet(coeffs.wedge_table, blocks, 64), frame64)
+        synthesize(CoefficientSet(coeffs.wedge_table, values, 64), frame64)
+    # a zero imaginary part loses nothing: the set keeps the real parts
+    real = CoefficientSet(coeffs.wedge_table, coeffs.values.astype(complex), 64)
+    assert real.values.dtype == np.float64
+    assert np.array_equal(synthesize(real, frame64), synthesize(coeffs, frame64))
+    with pytest.raises(ValueError, match="do not match"):
+        CoefficientSet(coeffs.wedge_table, coeffs.values[:-1], 64)
 
 
 def test_atom_spectrum_confined_to_support(frame64):
@@ -334,6 +336,22 @@ def test_flat_magnitudes_are_the_concatenated_block_magnitudes(frame64):
     assert np.array_equal(coeffs.flat_magnitudes(), want)
 
 
+def test_blocks_are_disjoint_views_of_the_flat_values_in_order(frame64):
+    coeffs = analyze(np.random.default_rng(13).standard_normal((64, 64)), frame64)
+    assert coeffs.values.dtype == np.float64 and coeffs.values.ndim == 1
+    assert coeffs.offsets[0] == 0 and coeffs.offsets[-1] == coeffs.total_count
+    for i, ((j, ell, P1, P2), block) in enumerate(zip(coeffs.wedge_table, coeffs.blocks)):
+        assert block.shape == (P1, P2)
+        assert block.base is coeffs.values
+        assert coeffs.flat_index(j, ell, (0, 0)) == coeffs.offsets[i]
+        assert np.array_equal(block.ravel(), coeffs.values[coeffs.offsets[i] : coeffs.offsets[i + 1]])
+    for a, b in zip(coeffs.blocks, coeffs.blocks[1:]):
+        assert not np.shares_memory(a, b)
+    # a write to a block is a write to the flat array
+    coeffs.blocks[3][0, 1] = 7.0
+    assert coeffs.values[coeffs.flat_index(*coeffs.wedge_table[3][:2], (0, 1))] == 7.0
+
+
 def test_dump_coefficients(tmp_path, frame64):
     rng = np.random.default_rng(12)
     coeffs = analyze(rng.standard_normal((64, 64)), frame64)
@@ -349,13 +367,21 @@ def test_dump_coefficients(tmp_path, frame64):
     header = json.load(open(jpath))
     assert header["params"]["grid_n"] == 64
     assert header["total_coefficients"] == coeffs.total_count
+    # the full dump lists every coefficient in the stable flat order
+    _, cpath = dump_coefficients(coeffs, frame64, stem)
+    rows = [r.split(",") for r in open(cpath).read().strip().split("\n")[1:]]
+    assert len(rows) == coeffs.total_count
+    for flat in (0, 1, 777, coeffs.total_count - 1):
+        j, ell, (m1, m2) = coeffs.index_of_flat(flat)
+        assert rows[flat][:4] == [str(j), str(ell), str(m1), str(m2)]
+        assert float(rows[flat][4]) == coeffs.values[flat]
 
 
 def test_dump_coefficients_top_k_order_with_ties(tmp_path, frame64):
     rng = np.random.default_rng(14)
     coeffs = analyze(rng.standard_normal((64, 64)), frame64)
     step = coeffs.flat_magnitudes().max() / 8
-    coeffs.blocks = [np.round(b.real / step) * step for b in coeffs.blocks]  # many tied magnitudes
+    coeffs = dataclasses.replace(coeffs, values=np.round(coeffs.values / step) * step)  # many tied magnitudes
     mags = coeffs.flat_magnitudes()
     for k in (1, 37, 500):
         _, cpath = dump_coefficients(coeffs, frame64, os.fspath(tmp_path / f"top{k}"), top_k=k)
