@@ -45,6 +45,10 @@ __all__ = [
     "fit_scale_slope",
 ]
 
+PROBE_EXTENT = 0.6  # half-width of the generator probe grid; the support is [-1/2, 1/2]^2
+ONSET_RESID_TOL = 0.45  # log2 units: wider than the tile-count stairs, narrower than the head
+ONSET_MIN_POINTS = 4
+
 
 @dataclass
 class ErrorCurve:
@@ -265,9 +269,7 @@ def fit_rate(
     )
 
 
-def level_window(
-    curve: ErrorCurve, rel_hi: float = 5e-3, rel_lo: float = 1e-5
-) -> tuple[int, int]:
+def level_window(curve: ErrorCurve, rel_hi: float, rel_lo: float) -> tuple[int, int]:
     """Fit window anchored at relative squared-error levels.
 
     Returns the N range over which ``err2 / signal_energy`` descends from
@@ -307,15 +309,18 @@ def weak_lp_norm(values, p: float) -> float:
 
 def apriori_decay_check(
     coeffs: CoefficientSet,
+    params: FrameParams,
     f_sup: float,
-    fit_scales: tuple[int, int] | None = None,
+    fit_scales: tuple[int, int],
 ) -> dict:
     """Per-scale max-coefficient table and its log2 regression slope.
 
-    Reports, per corona scale, the largest coefficient magnitude and the
-    implied constant ``max / (f_sup * 2**(-j*s*(1+alpha)/2))``; the slope
-    of ``log2 max`` against ``j`` over the mid scales is compared
-    downstream with ``-s*(1+alpha)/2``.
+    ``coeffs`` is an analysis by the frame of ``params``, whose ``s`` and
+    ``alpha`` set the decay.  Reports, per corona scale, the largest
+    coefficient magnitude and the implied constant
+    ``max / (f_sup * 2**(-j*s*(1+alpha)/2))``; the slope of ``log2 max``
+    against ``j`` over the scales ``fit_scales`` (inclusive) is reported
+    with its target ``-s*(1+alpha)/2``.
     """
     scales = sorted({j for (j, _, _, _) in coeffs.wedge_table})
     maxima = {j: 0.0 for j in scales}
@@ -326,12 +331,10 @@ def apriori_decay_check(
     rows = [(j, maxima[j]) for j in scales if j != closure_scale]
     if all(m == 0.0 for _, m in rows) or f_sup == 0.0:
         return {"rows": rows, "slope": None, "verdict": "vacuous", "constants": []}
-    decay = coeffs.s * (1.0 + coeffs.alpha) / 2.0
+    decay = params.s * (1.0 + params.alpha) / 2.0
     constants = [
         (j, m / (f_sup * 2.0 ** (-j * decay))) for j, m in rows if m > 0
     ]
-    if fit_scales is None:
-        fit_scales = (2, closure_scale - 1)
     lo, hi = fit_scales
     pts = [(j, m) for j, m in rows if lo <= j <= hi and m > 0]
     if len(pts) < 3:
@@ -348,63 +351,44 @@ def apriori_decay_check(
     }
 
 
-def bound1_tail_estimator(
-    params: FrameParams,
-    n_list: list[int] | None = None,
-    resolution: float = 1.0,
-) -> ErrorCurve:
+def bound1_tail_estimator(params: FrameParams) -> ErrorCurve:
     """Certified lower bounds on the disc's N-term error from tile cores.
 
-    For each N the N tiles with the largest analytic core energies are
-    granted to the approximant (most favorable selection); the summed
-    core energies of every unselected tile lower-bound the squared error
-    of ANY N-term approximant built from the frame.  Tiles beyond the
-    layout's top scale are not counted, so for N at or above the tile
-    count the bound degenerates to zero and the point is flagged.  Only
-    the frame's parameters enter, so no frame is built.
+    For each N from 1 to the tile count the N tiles with the largest
+    analytic core energies are granted to the approximant (most favorable
+    selection); the summed core energies of every unselected tile
+    lower-bound the squared error of ANY N-term approximant built from the
+    frame.  Tiles beyond the layout's top scale are not counted, so at N
+    equal to the tile count the bound degenerates to zero and that point
+    is flagged in ``degenerate_n``.  Only the frame's parameters enter, so
+    no frame is built.
     """
     energies = []
     counts = []
     for j in range(params.j_max + 1):
         spec = wedge_geometry(params, j, 0)
-        e = bessel.wedge_energy_quadrature(spec, region="core", resolution=resolution)
-        energies.append(e)
+        energies.append(bessel.wedge_energy_quadrature(spec, region="core"))
         counts.append(params.tile_count(j))
     per_tile = np.repeat(energies, counts)
     n_tiles = per_tile.size
-    if n_list is None:
-        n_list = list(range(1, n_tiles + 1))
-    n_list = sorted(set(int(n) for n in n_list))
-    if n_list and n_list[0] < 1:
-        raise ValueError(f"N must be at least 1, got N={n_list[0]}")
-    tails = _smallest_first_tails(per_tile, max([n for n in n_list if n < n_tiles], default=0))
-    err2 = []
-    degenerate = []
-    for n in n_list:
-        if n >= n_tiles:
-            err2.append(0.0)
-            degenerate.append(n)
-        else:
-            err2.append(float(tails[n]))
+    tails = _smallest_first_tails(per_tile, n_tiles - 1)
     return ErrorCurve(
-        n_terms=n_list,
-        err2=err2,
+        n_terms=list(range(1, n_tiles + 1)),
+        err2=[float(t) for t in tails[1:n_tiles]] + [0.0],
         metadata={
             "kind": "tile-core lower bound",
             "s": params.s,
             "alpha": params.alpha,
             "j_max": params.j_max,
             "tile_count": n_tiles,
-            "degenerate_n": degenerate,
+            "degenerate_n": [n_tiles],
             "scale_energies": energies,
             "scale_tile_counts": counts,
         },
     )
 
 
-def generator_decay_check(
-    frame: DigitalCurveletFrame, probe_step: float = 1e-3, probe_extent: float = 0.6
-) -> list[dict]:
+def generator_decay_check(frame: DigitalCurveletFrame, probe_step: float) -> list[dict]:
     """Probe the rescaled scale generators on a dense frequency grid.
 
     The spectrum of the scale-``j`` generator is the horizontal window
@@ -413,10 +397,11 @@ def generator_decay_check(
     support inside ``[-1/2, 1/2]^2`` (exact zeros outside), sup equal to
     the window peak, and exact vanishing on the inner rectangle
     ``|xi_1| <= 2**(-2s-5)``, ``|xi_2| <= 2**(j*s*(1-alpha)) * 2**(-2s-5)``
-    for ``j >= 1``.
+    for ``j >= 1``.  The probe grid has spacing ``probe_step`` on
+    ``[-PROBE_EXTENT, PROBE_EXTENT]^2``, a margin around the unit box.
     """
     p = frame.params
-    ax = np.arange(-probe_extent, probe_extent + probe_step / 2, probe_step)
+    ax = np.arange(-PROBE_EXTENT, PROBE_EXTENT + probe_step / 2, probe_step)
     X1, X2 = np.meshgrid(ax, ax, indexing="ij")
     out = []
     inner = 2.0 ** (-2.0 * p.s - 5.0)
@@ -439,27 +424,24 @@ def generator_decay_check(
     return out
 
 
-def fit_scale_slope(
-    scales: list[int],
-    values: list[float],
-    onset: int | None = None,
-    resid_tol: float = 0.45,
-    min_points: int = 4,
-) -> dict:
+def fit_scale_slope(scales: list[int], values: list[float]) -> dict:
     """Fit ``log2 value`` against scale, auto-detecting the onset scale.
 
-    When ``onset`` is not given, the smallest scale is chosen from which
-    the least-squares fit over the remaining scales has max absolute
-    residual below ``resid_tol`` (in log2 units); floor-induced stair
-    patterns in the tile counts stay within that band while the
-    pre-asymptotic head does not.
+    The onset is the smallest scale from which the least-squares fit over
+    the remaining scales, at least ``ONSET_MIN_POINTS`` of them, has max
+    absolute residual below ``ONSET_RESID_TOL`` (in log2 units);
+    floor-induced stair patterns in the tile counts stay within that band
+    while the pre-asymptotic head does not.  When no onset qualifies, the
+    fit over the last ``ONSET_MIN_POINTS`` scales is returned.  Fewer than
+    ``ONSET_MIN_POINTS`` scales raise ``ValueError``.
     """
     scales = list(scales)
+    if len(scales) < ONSET_MIN_POINTS:
+        raise ValueError(
+            f"{len(scales)} scales given; the slope fit needs at least {ONSET_MIN_POINTS}"
+        )
     y = np.log2(np.asarray(values, dtype=float))
-    if onset is not None:
-        starts = [onset]
-    else:
-        starts = [j for j in scales if sum(s >= j for s in scales) >= min_points]
+    starts = [j for j in scales if sum(s >= j for s in scales) >= ONSET_MIN_POINTS]
     last = None
     for j0 in starts:
         sel = [i for i, j in enumerate(scales) if j >= j0]
@@ -473,7 +455,7 @@ def fit_scale_slope(
             "max_residual": resid,
             "n_points": len(sel),
         }
-        if onset is not None or resid <= resid_tol:
+        if resid <= ONSET_RESID_TOL:
             return last
     return last
 

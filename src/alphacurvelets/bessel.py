@@ -225,11 +225,7 @@ def _integrate(f, a: float, b: float, n0: int, rel_tol: float = 1e-3) -> float:
 
 
 def wedge_energy_quadrature(
-    spec: WedgeSpec,
-    region: str = "core",
-    resolution: float = 1.0,
-    profile: WindowProfile | None = None,
-    rel_tol: float = 1e-3,
+    spec: WedgeSpec, region: str = "core", profile: WindowProfile | None = None
 ) -> float:
     """Disc-spectrum energy over one tile region, by radial quadrature.
 
@@ -238,8 +234,9 @@ def wedge_energy_quadrature(
     (``"window"``, requires ``profile``).  By radial symmetry the angular
     integral is a constant: the tile's angular measure for the indicator
     regions, or ``2*pi / L_j`` exactly for the squared window.  The radial
-    point density tracks the corona radius (integrand oscillates with unit
-    period); convergence is certified by interval doubling.
+    quadrature starts at 16 points per unit radius, at least 64 (the
+    integrand oscillates with unit period), and doubles until two
+    successive sums agree to 1e-3 relative.
     """
     if spec.is_closure:
         raise ValueError("closure band has no analytic tile energy")
@@ -272,8 +269,7 @@ def wedge_energy_quadrature(
             # midpoints are interior, so r > 0 always; regular at the origin
             return bessel_j(1.0, math.pi * r) ** 2 / (4.0 * r)
 
-    n0 = max(64, int(16 * (hi - lo) * resolution))
-    return measure * _integrate(integrand, lo, hi, n0, rel_tol)
+    return measure * _integrate(integrand, lo, hi, max(64, int(16 * (hi - lo))))
 
 
 def remainder_bound_check(

@@ -319,8 +319,6 @@ def star_class_report(spec: CartoonSpec, samples: int = 8192) -> dict:
     for k, b in enumerate(spec.sin_coeffs):
         w = k + 1.0
         d += b * w**beta * np.sin(w * t + beta * math.pi / 2.0)
-    if beta == 0:
-        d = rho
     oscillation = float(d.max() - d.min())
     implied = max(oscillation / rho0, 1.0 / rho0)
     return {

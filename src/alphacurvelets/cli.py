@@ -33,18 +33,6 @@ from .transform import (
     synthesize,
 )
 
-EXPERIMENTS = (
-    "verify-frame",
-    "wedge-energy",
-    "disc-rate",
-    "disc-lower-bound",
-    "straight-edge-rate",
-    "apriori-decay",
-    "bessel-check",
-    "molecule-distance",
-    "generator-decay",
-)
-
 BAND_NOTES = {
     "verify-frame": "partition<=1e-12, parseval/reconstruction<=1e-10, oracle<=1e-9",
     "wedge-energy": "core-energy slope = -s*(2-alpha) +/- 0.2; digital/analytic in [0.9, 1.1]",
@@ -276,16 +264,27 @@ def _full_schedule(cfg: dict, total: int) -> list[int]:
     )
 
 
+def _threshold_rate(
+    cfg: dict, frame: DigitalCurveletFrame, img: np.ndarray, window: tuple[int, int] | None = None
+) -> tuple[appr.ErrorCurve, appr.RateReport]:
+    """N-term error curve of ``img`` over the full schedule and its fitted rate.
+
+    The fit runs over ``window``, or else over the level window between
+    the configured ``level_hi`` and ``level_lo``.
+    """
+    coeffs = analyze(img, frame)
+    curve = appr.error_curve(img, frame, _full_schedule(cfg, coeffs.total_count), coeffs=coeffs)
+    if window is None:
+        window = appr.level_window(curve, float(cfg["level_hi"]), float(cfg["level_lo"]))
+    return curve, appr.fit_rate(curve, window=window)
+
+
 def run_disc_rate(cfg: dict) -> tuple[bool, dict, list[dict]]:
     alpha = float(cfg["alpha"])
     grid = int(cfg["grid"])
-    params = _rate_params(cfg, alpha, grid)
-    frame = DigitalCurveletFrame.build(params)
+    frame = DigitalCurveletFrame.build(_rate_params(cfg, alpha, grid))
     disc = render(CartoonSpec(kind="disc", antialias=int(cfg["antialias"])), grid)
-    coeffs = analyze(disc, frame)
-    curve = appr.error_curve(disc, frame, _full_schedule(cfg, coeffs.total_count), coeffs=coeffs)
-    window = appr.level_window(curve, float(cfg["level_hi"]), float(cfg["level_lo"]))
-    fit = appr.fit_rate(curve, window=window)
+    curve, fit = _threshold_rate(cfg, frame, disc)
     band = None
     for key, val in cfg["bands"].items():
         if abs(float(key) - alpha) < 1e-9:
@@ -324,14 +323,9 @@ def run_straight_edge_rate(cfg: dict) -> tuple[bool, dict, list[dict]]:
     rows = []
 
     def one(frame, spec: CartoonSpec, img: np.ndarray, window: tuple[int, int] | None = None):
-        alpha = frame.params.alpha
-        coeffs = analyze(img, frame)
-        curve = appr.error_curve(img, frame, _full_schedule(cfg, coeffs.total_count), coeffs=coeffs)
-        if window is None:
-            window = appr.level_window(curve, float(cfg["level_hi"]), float(cfg["level_lo"]))
-        fit = appr.fit_rate(curve, window=window)
+        curve, fit = _threshold_rate(cfg, frame, img, window)
         for n, e in zip(curve.n_terms, curve.err2):
-            rows.append({"run": f"{spec.kind}-alpha{alpha}", "N": n, "err2": e})
+            rows.append({"run": f"{spec.kind}-alpha{frame.params.alpha}", "N": n, "err2": e})
         return fit
 
     edge = CartoonSpec(
@@ -378,8 +372,8 @@ def run_apriori_decay(cfg: dict) -> tuple[bool, dict, list[dict]]:
         coeffs = analyze(disc, frame)
         lo, hi = cfg["fit_scales"]
         hi = params.j_max + hi if hi < 0 else hi
-        table = appr.apriori_decay_check(coeffs, f_sup=1.0, fit_scales=(lo, hi))
-        target = -params.s * (1.0 + float(alpha)) / 2.0
+        table = appr.apriori_decay_check(coeffs, params, f_sup=1.0, fit_scales=(lo, hi))
+        target = table["target"]
         # the size bound is one-sided: curved edges cannot saturate it for
         # strongly directional tiles, so only slopes above target+tol fail
         ok_c = table["slope"] <= target + cfg["max_coeff_tol"]
@@ -524,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="alphacurvelets", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run one named experiment")
-    runp.add_argument("experiment", choices=EXPERIMENTS)
+    runp.add_argument("experiment", choices=RUNNERS)
     runp.add_argument("--config", help="JSON file overriding the experiment defaults")
     runp.add_argument("--out", default=None, help="output directory (default ./reports)")
     runp.add_argument("--grid", type=int, default=None)
@@ -545,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list":
-        for name in EXPERIMENTS:
+        for name in RUNNERS:
             print(f"{name}: {BAND_NOTES[name]}")
         return 0
 

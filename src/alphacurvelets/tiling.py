@@ -74,6 +74,11 @@ def _co_step(t):
     return np.where(t >= 1.0, 0.0, np.maximum(np.cos(0.5 * np.pi * _poly_ramp(t)), 0.0))
 
 
+def _knot(s: float, k: int) -> float:
+    """Radial knot ``2**(k*s/3)``: the corona ratio ``2**s`` in log thirds."""
+    return 2.0 ** (k * s / 3.0)
+
+
 @dataclass(frozen=True)
 class FrameParams:
     """Configuration of one frame instance.
@@ -91,21 +96,19 @@ class FrameParams:
         Radius unit ``C`` of the coronae.  Default ``2**(-s) / (3*pi)``,
         the largest value for which every wedge pair fits inside its
         anisotropic bounding rectangle.
-    tau1, tau2 : float, optional
-        Radial transition knots, ``1 < tau1 < tau2 < 2**s``.  Defaults are
-        evenly log-spaced: ``2**(s/3)`` and ``2**(2*s/3)``.
     j_max : int, optional
         Finest corona scale.  Defaults to the largest ``j`` with
         ``C * 2**(s*(j+1)) * tau2 <= grid_n / 4`` so the top corona stays
         below the grid Nyquist frequency with margin.
+
+    The radial transition knots are fixed by ``s``: ``tau1 = 2**(s/3)`` and
+    ``tau2 = 2**(2*s/3)``, evenly log-spaced in ``(1, 2**s)``.
     """
 
     s: float
     alpha: float
     grid_n: int
     corona_constant: float | None = None
-    tau1: float | None = None
-    tau2: float | None = None
     j_max: int | None = None
 
     def __post_init__(self) -> None:
@@ -125,15 +128,6 @@ class FrameParams:
             object.__setattr__(self, "corona_constant", 2.0 ** (-self.s) / (3.0 * math.pi))
         if self.corona_constant <= 0:
             raise ValueError("corona_constant must be positive")
-        if self.tau1 is None:
-            object.__setattr__(self, "tau1", 2.0 ** (self.s / 3.0))
-        if self.tau2 is None:
-            object.__setattr__(self, "tau2", 2.0 ** (2.0 * self.s / 3.0))
-        if not (1.0 < self.tau1 < self.tau2 < 2.0 ** self.s):
-            raise ValueError(
-                f"radial knots must satisfy 1 < tau1 < tau2 < 2**s, "
-                f"got tau1={self.tau1}, tau2={self.tau2}, 2**s={2.0 ** self.s}"
-            )
         if self.j_max is None:
             object.__setattr__(self, "j_max", self.nyquist_j_max())
         elif self.j_max < 0 or (
@@ -144,6 +138,16 @@ class FrameParams:
                 f"j_max={self.j_max} exceeds the Nyquist bound: the top corona "
                 f"support must stay within grid_n/4 = {self.grid_n / 4}"
             )
+
+    @property
+    def tau1(self) -> float:
+        """Lower radial knot ``2**(s/3)``."""
+        return _knot(self.s, 1)
+
+    @property
+    def tau2(self) -> float:
+        """Upper radial knot ``2**(2*s/3)``."""
+        return _knot(self.s, 2)
 
     def nyquist_j_max(self) -> int:
         """Largest scale whose corona fits below Nyquist with margin."""
@@ -158,9 +162,7 @@ class FrameParams:
         return j
 
     @staticmethod
-    def nyquist_snapped(
-        s: float, alpha: float, grid_n: int, tau2: float | None = None
-    ) -> "FrameParams":
+    def nyquist_snapped(s: float, alpha: float, grid_n: int) -> "FrameParams":
         """Parameters whose top corona support ends exactly at Nyquist.
 
         The corona unit is chosen so ``C * 2**(j_max*s) * tau2 == grid_n/4``
@@ -170,12 +172,10 @@ class FrameParams:
         corona unit, whole octaves of edge energy land in the single
         isotropic closure tile and flatten every N-term error curve.
         """
-        t2 = 2.0 ** (2.0 * s / 3.0) if tau2 is None else tau2
+        t2 = _knot(s, 2)
         j_max = math.floor(math.log2(grid_n / 4.0 * 2.0**s / t2) / s)
         C = grid_n / 4.0 / (2.0 ** (j_max * s) * t2)
-        return FrameParams(
-            s=s, alpha=alpha, grid_n=grid_n, corona_constant=C, tau2=tau2, j_max=j_max
-        )
+        return FrameParams(s=s, alpha=alpha, grid_n=grid_n, corona_constant=C, j_max=j_max)
 
     def tile_count(self, j: int) -> int:
         """Number of wedge pairs ``L_j`` in the scale-``j`` corona."""
@@ -183,10 +183,7 @@ class FrameParams:
             raise ValueError("scale must be nonnegative")
         if j == 0:
             return 1
-        L = 2 ** (math.floor(j * self.s * (1.0 - self.alpha)) + 1)
-        if L < 1:
-            raise ValueError(f"tile count below 1 at scale {j} (alpha={self.alpha})")
-        return L
+        return 2 ** (math.floor(j * self.s * (1.0 - self.alpha)) + 1)
 
     def tile_angle(self, j: int) -> float:
         """Angular width ``phi_j`` of one wedge at scale ``j``."""
@@ -385,9 +382,6 @@ class TilingLayout:
     profile: WindowProfile
     wedges: list[WedgeSpec] = field(default_factory=list)
     supports: list[TileSupport] = field(default_factory=list, repr=False, compare=False)
-
-    def __len__(self) -> int:
-        return len(self.wedges)
 
 
 class TileSupport:
@@ -652,7 +646,7 @@ def wedge_value(xi, spec: WedgeSpec, profile: WindowProfile) -> np.ndarray:
     return float(vals[0]) if scalar else vals.reshape(xi.shape[:-1])
 
 
-def verify_partition(layout: TilingLayout, include_closure: bool = True) -> float:
+def verify_partition(layout: TilingLayout) -> float:
     """Max deviation of the squared-window sum from 1 over the lattice.
 
     Accumulates over the supports the layout already holds, so no lattice
@@ -662,8 +656,6 @@ def verify_partition(layout: TilingLayout, include_closure: bool = True) -> floa
     params = layout.params
     acc = np.zeros(params.grid_n * (params.grid_n // 2 + 1))
     for sup in layout.supports:
-        if not include_closure and sup.j == params.scale_of_closure():
-            continue
         ns = sup.n_spectrum
         acc[sup.grid_flat[:ns]] += sup.window[:ns] ** 2
     return float(np.abs(acc - 1.0).max())

@@ -93,14 +93,14 @@ class CoefficientSet:
     ties by: tile after tile in layout order, each ``P1 x P2`` box in C
     order.  Tile ``i`` is ``values[offsets[i]:offsets[i + 1]]``, and
     ``blocks[i]`` is a ``P1 x P2`` view of it.  A nonzero imaginary part is
-    refused, naming its tile.
+    refused, naming its tile.  The set holds no frame parameters: a
+    consumer that needs them, such as
+    :func:`~alphacurvelets.approximation.apriori_decay_check`, takes the
+    frame's :class:`~alphacurvelets.tiling.FrameParams` as an argument.
     """
 
     wedge_table: list[tuple[int, int, int, int]]
     values: np.ndarray
-    grid_n: int
-    s: float = 1.0
-    alpha: float = 0.5
     offsets: np.ndarray = field(init=False, repr=False)
     blocks: list[np.ndarray] = field(init=False, repr=False)
 
@@ -176,10 +176,7 @@ def analyze(image: np.ndarray, frame: DigitalCurveletFrame) -> CoefficientSet:
     F = np.fft.rfft2(image).ravel()
     box = np.empty(max(c.P1 * (c.P2 // 2 + 1) for c in frame._caches), dtype=complex)
     vals = np.empty(max(c.grid_flat.size for c in frame._caches), dtype=complex)
-    p = frame.params
-    coeffs = CoefficientSet(
-        frame.wedge_table(), np.empty(frame.total_coefficients), p.grid_n, p.s, p.alpha
-    )
+    coeffs = CoefficientSet(frame.wedge_table(), np.empty(frame.total_coefficients))
     for c, block in zip(frame._caches, coeffs.blocks):
         H = box[: c.P1 * (c.P2 // 2 + 1)]
         H.fill(0)
@@ -261,10 +258,7 @@ def curvelet_atom(
     i = frame.wedge_index(j, ell)
     c = frame._caches[i]
     m1, m2 = int(m[0]) % c.P1, int(m[1]) % c.P2
-    p = frame.params
-    coeffs = CoefficientSet(
-        frame.wedge_table(), np.zeros(frame.total_coefficients), p.grid_n, p.s, p.alpha
-    )
+    coeffs = CoefficientSet(frame.wedge_table(), np.zeros(frame.total_coefficients))
     coeffs.blocks[i][m1, m2] = 1.0
     return synthesize(coeffs, frame)
 

@@ -13,7 +13,7 @@ from alphacurvelets.transform import CoefficientSet, DigitalCurveletFrame, analy
 
 
 def toy_coeffs(values):
-    return CoefficientSet([(0, 0, 1, len(values))], np.asarray(values, dtype=float), 16)
+    return CoefficientSet([(0, 0, 1, len(values))], np.asarray(values, dtype=float))
 
 
 def test_threshold_keeps_largest_by_magnitude():
@@ -74,7 +74,7 @@ def test_threshold_matches_stable_argsort_oracle():
         else:
             values = np.zeros(size)
         split = int(rng.integers(0, size + 1))  # two blocks: ties across blocks
-        coeffs = CoefficientSet([(0, 0, 1, split), (1, 0, 1, size - split)], values, 16)
+        coeffs = CoefficientSet([(0, 0, 1, split), (1, 0, 1, size - split)], values)
         mags = np.abs(values)
         for n in {1, size, int(rng.integers(1, size + 1))}:
             kept = appr.threshold(coeffs, n)
@@ -286,7 +286,7 @@ def test_weak_lp_sandwich_property(values, p):
 
 def test_apriori_check_vacuous_for_zero_image(frame64):
     coeffs = analyze(np.zeros((64, 64)), frame64)
-    out = appr.apriori_decay_check(coeffs, f_sup=0.0)
+    out = appr.apriori_decay_check(coeffs, frame64.params, f_sup=0.0, fit_scales=(2, 3))
     assert out["verdict"] == "vacuous"
     assert out["slope"] is None
 
@@ -296,10 +296,23 @@ def test_apriori_check_reports_bounded_constants():
     frame = DigitalCurveletFrame.build(params)
     disc = render(CartoonSpec(kind="disc", antialias=4), 256)
     coeffs = analyze(disc, frame)
-    out = appr.apriori_decay_check(coeffs, f_sup=1.0, fit_scales=(2, params.j_max - 1))
+    out = appr.apriori_decay_check(coeffs, params, f_sup=1.0, fit_scales=(2, params.j_max - 1))
     assert out["slope"] < -0.4
     consts = [c for _, c in out["constants"]]
     assert max(consts) / max(min(consts), 1e-12) < 50
+
+
+def test_apriori_target_follows_the_given_params():
+    # an alpha-0 frame: the target is -s*(1+alpha)/2 = -0.5, also for a set
+    # rebuilt from its table and values
+    params = FrameParams.nyquist_snapped(1.0, 0.0, 256)
+    frame = DigitalCurveletFrame.build(params)
+    coeffs = analyze(render(CartoonSpec(kind="disc", antialias=2), 256), frame)
+    scales = (2, params.j_max - 1)
+    out = appr.apriori_decay_check(coeffs, params, f_sup=1.0, fit_scales=scales)
+    rebuilt = CoefficientSet(coeffs.wedge_table, coeffs.values)
+    assert out["target"] == -0.5
+    assert appr.apriori_decay_check(rebuilt, params, f_sup=1.0, fit_scales=scales) == out
 
 
 def test_bound1_estimator_slope_and_degeneracy():
@@ -371,6 +384,19 @@ def test_level_window():
         appr.level_window(curve, rel_hi=1e-9, rel_lo=1e-7)
 
 
+def test_error_curve_json_carries_metadata_and_verified_points(frame64):
+    import json
+
+    disc = render(CartoonSpec(kind="disc", antialias=2), 64)
+    curve = appr.error_curve(disc, frame64, [4, 16], verify_at=(16,))
+    doc = json.loads(curve.to_json())
+    assert doc["n_terms"] == [4, 16]
+    assert doc["err2"] == curve.err2
+    assert doc["metadata"] == curve.metadata
+    assert doc["metadata"]["alpha"] == 0.5
+    assert doc["err2_synthesis"] == {"16": curve.err2_synthesis[16]}
+
+
 def test_error_curve_csv_has_header_plus_rows(tmp_path):
     import os
 
@@ -406,3 +432,15 @@ def test_fit_scale_slope_onset_detection():
     out = appr.fit_scale_slope(scales, vals)
     assert out["onset"] >= 3
     assert abs(out["slope"] + 1.5) <= 0.2
+
+
+def test_fit_scale_slope_falls_back_to_the_finest_scales():
+    scales = list(range(1, 9))
+    # a +-1 zigzag in log2 leaves every fit above the onset tolerance
+    vals = [2.0 ** (-j + (1.0 if j % 2 else -1.0)) for j in scales]
+    out = appr.fit_scale_slope(scales, vals)
+    assert (out["onset"], out["n_points"]) == (5, 4)
+    assert out["slope"] == pytest.approx(-1.4)
+    assert out["max_residual"] == pytest.approx(1.2)
+    with pytest.raises(ValueError, match="3 scales given"):
+        appr.fit_scale_slope([1, 2, 3], [1.0, 0.5, 0.25])

@@ -233,3 +233,21 @@ def test_star_class_report():
     assert star_class_report(tight)["member"] is False
     with pytest.raises(ValueError):
         star_class_report(CartoonSpec(kind="disc"))
+
+
+def test_star_class_report_sine_terms_and_beta_zero():
+    from alphacurvelets.cartoons import star_class_report
+
+    # third derivative of 0.05*sin(3t) oscillates by 2*0.05*27 = 2.7 over rho0 = 0.45
+    wavy = CartoonSpec(kind="star", rho0=0.5, sin_coeffs=(0.0, 0.0, 0.05), beta=3, nu=7.0)
+    rep = star_class_report(wavy)
+    assert rep["rho0"] == pytest.approx(0.45, rel=1e-6)
+    assert rep["implied_nu"] == pytest.approx(6.0, rel=1e-5)
+    assert rep["member"] is True
+    # at beta 0 the radius oscillates by less than 1 inside the unit square,
+    # so the reciprocal-radius floor 1/rho0 is the budget
+    lumpy = CartoonSpec(kind="star", rho0=0.5, cos_coeffs=(0.2,), sin_coeffs=(0.0, 0.1), beta=0, nu=3.0)
+    rep = star_class_report(lumpy)
+    assert rep["beta"] == 0
+    assert rep["implied_nu"] == 1.0 / rep["rho0"]
+    assert rep["member"] is False  # 1/rho0 is about 4.2

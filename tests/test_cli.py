@@ -2,6 +2,7 @@ import json
 import os
 import stat
 
+import numpy as np
 import pytest
 
 from alphacurvelets import cli
@@ -10,7 +11,7 @@ from alphacurvelets import cli
 def test_list_prints_every_experiment(capsys):
     assert cli.main(["list"]) == 0
     out = capsys.readouterr().out
-    for name in cli.EXPERIMENTS:
+    for name in cli.RUNNERS:
         assert name in out
 
 
@@ -19,6 +20,43 @@ def test_resolve_config_rejects_unknown_fields(tmp_path):
     bad.write_text(json.dumps({"no_such_knob": 1}))
     with pytest.raises(ValueError, match="no_such_knob"):
         cli.resolve_config("disc-rate", os.fspath(bad), {})
+
+
+def test_resolve_config_applies_a_config_file_under_the_overrides(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"grid": 128, "slope_tol": 0.5, "seed": 11}))
+    cfg = cli.resolve_config("disc-lower-bound", os.fspath(path), {"seed": 3, "alpha": None})
+    assert (cfg["grid"], cfg["slope_tol"], cfg["seed"]) == (128, 0.5, 3)
+    assert cfg["alphas"] == cli.load_defaults()["experiments"]["disc-lower-bound"]["alphas"]
+
+
+def test_json_default_converts_numpy_scalars():
+    doc = {"i": np.int64(7), "f": np.float32(0.5), "b": np.bool_(True)}
+    assert json.loads(json.dumps(doc, default=cli._json_default)) == {"i": 7, "f": 0.5, "b": True}
+    with pytest.raises(TypeError, match="not JSON-serializable"):
+        cli._json_default(object())
+
+
+def test_emit_report_without_rows_writes_an_empty_table(tmp_path):
+    files = cli.emit_report("bessel-check", {"seed": 1}, {"pass": True}, [], os.fspath(tmp_path))
+    assert open(files["csv"]).read() == "\n"
+    report = json.load(open(files["json"]))
+    assert report["results"] == {"pass": True}
+    assert sorted(os.listdir(tmp_path)) == ["bessel-check.csv", "bessel-check.gnuplot", "bessel-check.json"]
+
+
+def test_atomic_write_removes_its_temp_file_when_the_write_fails(tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("old")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        cli._atomic_write(os.fspath(target), "new")
+    assert os.listdir(tmp_path) == ["report.json"]
+    assert target.read_text() == "old"
 
 
 def test_config_hash_is_stable():
@@ -102,7 +140,6 @@ def test_dump_flags(tmp_path, capsys):
 
 
 def test_every_experiment_has_runner_and_band():
-    assert set(cli.EXPERIMENTS) == set(cli.RUNNERS)
-    assert set(cli.EXPERIMENTS) == set(cli.BAND_NOTES)
+    assert list(cli.RUNNERS) == list(cli.BAND_NOTES)
     defaults = cli.load_defaults()
-    assert set(cli.EXPERIMENTS) == set(defaults["experiments"])
+    assert set(cli.RUNNERS) == set(defaults["experiments"])

@@ -222,7 +222,7 @@ def test_synthesis_is_adjoint(frame64):
     rng = np.random.default_rng(7)
     f = rng.standard_normal((64, 64))
     coeffs = analyze(f, frame64)
-    other = CoefficientSet(coeffs.wedge_table, rng.standard_normal(coeffs.total_count), 64)
+    other = CoefficientSet(coeffs.wedge_table, rng.standard_normal(coeffs.total_count))
     lhs = float(np.dot(coeffs.values, other.values))
     rhs = quad_inner(f, synthesize(other, frame64), 64)
     assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -231,7 +231,7 @@ def test_synthesis_is_adjoint(frame64):
 def test_analyze_synthesize_is_projection(frame64):
     rng = np.random.default_rng(8)
     coeffs = analyze(rng.standard_normal((64, 64)), frame64)
-    arb = CoefficientSet(coeffs.wedge_table, rng.standard_normal(coeffs.total_count), 64)
+    arb = CoefficientSet(coeffs.wedge_table, rng.standard_normal(coeffs.total_count))
     once = analyze(synthesize(arb, frame64), frame64)
     twice = analyze(synthesize(once, frame64), frame64)
     assert np.linalg.norm(once.values - twice.values) <= 1e-10 * np.linalg.norm(once.values)
@@ -243,13 +243,13 @@ def test_synthesize_rejects_complex_blocks(frame64):
     values = coeffs.values.astype(complex)
     values[coeffs.offsets[i] + 1 :] += 1e-3j  # tile (3, 1) is the first with an imaginary part
     with pytest.raises(ValueError, match=r"tile \(3, 1\) is complex"):
-        synthesize(CoefficientSet(coeffs.wedge_table, values, 64), frame64)
+        synthesize(CoefficientSet(coeffs.wedge_table, values), frame64)
     # a zero imaginary part loses nothing: the set keeps the real parts
-    real = CoefficientSet(coeffs.wedge_table, coeffs.values.astype(complex), 64)
+    real = CoefficientSet(coeffs.wedge_table, coeffs.values.astype(complex))
     assert real.values.dtype == np.float64
     assert np.array_equal(synthesize(real, frame64), synthesize(coeffs, frame64))
     with pytest.raises(ValueError, match="do not match"):
-        CoefficientSet(coeffs.wedge_table, coeffs.values[:-1], 64)
+        CoefficientSet(coeffs.wedge_table, coeffs.values[:-1])
 
 
 def test_atom_spectrum_confined_to_support(frame64):
