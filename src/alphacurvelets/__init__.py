@@ -17,7 +17,6 @@ from .approximation import (
     weak_lp_norm,
 )
 from .bessel import (
-    DiscSpectrum,
     bessel_j,
     bessel_j_series,
     disc_spectrum,
@@ -28,14 +27,11 @@ from .cartoons import CartoonSpec, render, smooth_factor
 from .molecules import PhasePoint, consistency_sum, curvelet_parametrization, index_distance
 from .tiling import (
     FrameParams,
-    ScaleAngleIndex,
     TilingLayout,
-    WedgeSpec,
     WindowProfile,
     build_layout,
     smooth_step,
     verify_partition,
-    wedge_value,
 )
 from .transform import (
     CoefficientSet,
@@ -50,14 +46,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FrameParams",
-    "ScaleAngleIndex",
-    "WedgeSpec",
     "WindowProfile",
     "TilingLayout",
     "build_layout",
     "smooth_step",
     "verify_partition",
-    "wedge_value",
     "DigitalCurveletFrame",
     "CoefficientSet",
     "analyze",
@@ -66,7 +59,6 @@ __all__ = [
     "curvelet_atom",
     "bessel_j",
     "bessel_j_series",
-    "DiscSpectrum",
     "disc_spectrum",
     "wedge_energy_quadrature",
     "remainder_bound_check",

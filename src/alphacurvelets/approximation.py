@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bessel
-from .tiling import FrameParams, wedge_geometry
+from .tiling import FrameParams
 from .transform import CoefficientSet, DigitalCurveletFrame, analyze, curvelet_atom, grid_norms, synthesize
 
 __all__ = [
@@ -366,8 +366,7 @@ def bound1_tail_estimator(params: FrameParams) -> ErrorCurve:
     energies = []
     counts = []
     for j in range(params.j_max + 1):
-        spec = wedge_geometry(params, j, 0)
-        energies.append(bessel.wedge_energy_quadrature(spec, region="core"))
+        energies.append(bessel.wedge_energy_quadrature(params, j))
         counts.append(params.tile_count(j))
     per_tile = np.repeat(energies, counts)
     n_tiles = per_tile.size

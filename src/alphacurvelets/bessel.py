@@ -20,14 +20,13 @@ import math
 import mpmath as mp
 import numpy as np
 
-from .tiling import WedgeSpec, WindowProfile
+from .tiling import FrameParams, WindowProfile
 
 __all__ = [
     "SUPPORTED_ORDERS",
     "CROSSOVER_RADIUS",
     "bessel_j",
     "bessel_j_series",
-    "DiscSpectrum",
     "disc_spectrum",
     "disc_spectrum_radial",
     "wedge_energy_quadrature",
@@ -171,20 +170,6 @@ def bessel_j_series(order: float, r: float, rel_tol: float = 1e-17) -> float:
         return float(acc)
 
 
-class DiscSpectrum:
-    """Spectrum of the radius-1/2 disc indicator: radial, real, peak pi/4."""
-
-    value_at_zero = math.pi / 4.0
-
-    def __call__(self, xi) -> np.ndarray | float:
-        xi = np.asarray(xi, dtype=float)
-        r = np.hypot(xi[..., 0], xi[..., 1])
-        return disc_spectrum_radial(r)
-
-    def radial(self, r) -> np.ndarray | float:
-        return disc_spectrum_radial(r)
-
-
 def disc_spectrum_radial(r) -> np.ndarray | float:
     """``J_1(pi r) / (2 r)`` with the removable singularity filled."""
     arr = np.atleast_1d(np.asarray(r, dtype=float))
@@ -224,41 +209,39 @@ def _integrate(f, a: float, b: float, n0: int, rel_tol: float = 1e-3) -> float:
     )
 
 
-def wedge_energy_quadrature(
-    spec: WedgeSpec, region: str = "core", profile: WindowProfile | None = None
-) -> float:
-    """Disc-spectrum energy over one tile region, by radial quadrature.
+def wedge_energy_quadrature(params: FrameParams, j: int, region: str = "core") -> float:
+    """Disc-spectrum energy over one scale-``j`` tile region, by radial quadrature.
 
-    ``region`` selects the flat-top core (indicator of the core wedge
-    pair), the full outer wedge pair, or the smooth squared window itself
-    (``"window"``, requires ``profile``).  By radial symmetry the angular
-    integral is a constant: the tile's angular measure for the indicator
-    regions, or ``2*pi / L_j`` exactly for the squared window.  The radial
-    quadrature starts at 16 points per unit radius, at least 64 (the
-    integrand oscillates with unit period), and doubles until two
-    successive sums agree to 1e-3 relative.
+    Every tile of a scale is a rotation of the same tile, so the energy
+    depends on ``j`` alone.  ``region`` selects the flat-top core
+    (indicator of the core wedge pair), the full outer wedge pair, or the
+    smooth squared window itself (``"window"``).  By radial symmetry the
+    angular integral is a constant: the angular measure of the wedge pair,
+    ``phi_j`` for the core and ``3*phi_j`` for the outer pair, or
+    ``2*pi / L_j`` exactly for the squared window; the ball takes
+    ``2*pi``.  The radial intervals are :meth:`FrameParams.radial_core`
+    and :meth:`FrameParams.radial_support`.  The radial quadrature starts
+    at 16 points per unit radius, at least 64 (the integrand oscillates
+    with unit period), and doubles until two successive sums agree to
+    1e-3 relative.  The closure band ``j_max + 1`` has no analytic energy
+    and is refused, as are scales outside ``[0, j_max]``.
     """
-    if spec.is_closure:
+    if j == params.scale_of_closure():
         raise ValueError("closure band has no analytic tile energy")
-    j = spec.index.j
     if region == "core":
-        lo, hi = spec.radial_core
-        measure = 2.0 * math.pi if j == 0 else 2.0 * (2.0 * spec.angular_halfwidth_inner)
+        lo, hi = params.radial_core(j)
+        measure = 2.0 * math.pi if j == 0 else params.tile_angle(j)
     elif region == "outer":
-        lo, hi = spec.radial_support
-        measure = 2.0 * math.pi if j == 0 else 2.0 * (2.0 * spec.angular_halfwidth_outer)
+        lo, hi = params.radial_support(j)
+        measure = 2.0 * math.pi if j == 0 else 3.0 * params.tile_angle(j)
     elif region == "window":
-        if profile is None:
-            raise ValueError("region='window' requires the window profile")
-        lo, hi = spec.radial_support
-        measure = 2.0 * math.pi if j == 0 else 2.0 * math.pi / profile.params.tile_count(j)
+        lo, hi = params.radial_support(j)
+        measure = 2.0 * math.pi if j == 0 else 2.0 * math.pi / params.tile_count(j)
     else:
         raise ValueError(f"unknown region {region!r}")
-    if measure == 0.0 or hi <= lo:
-        return 0.0
 
     if region == "window":
-        rad = profile.radial
+        rad = WindowProfile(params).radial
 
         def integrand(r):
             return rad(j, r) ** 2 * bessel_j(1.0, math.pi * r) ** 2 / (4.0 * r)

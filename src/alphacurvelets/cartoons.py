@@ -22,14 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import DiscSpectrum
-
 __all__ = [
     "CartoonSpec",
     "SmoothFactor",
     "smooth_factor",
     "render",
-    "analytic_spectrum",
     "star_class_report",
     "cartoon_to_json",
     "cartoon_from_json",
@@ -288,13 +285,6 @@ def render(spec: CartoonSpec, grid_n: int) -> np.ndarray:
                 acc += _evaluate(spec, X1, X2)
         acc /= a * a
     return out
-
-
-def analytic_spectrum(spec: CartoonSpec) -> DiscSpectrum | None:
-    """Closed-form spectrum where one exists (the disc); else ``None``."""
-    if spec.kind == "disc":
-        return DiscSpectrum()
-    return None
 
 
 def star_class_report(spec: CartoonSpec, samples: int = 8192) -> dict:

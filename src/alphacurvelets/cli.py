@@ -23,7 +23,7 @@ import numpy as np
 from . import approximation as appr
 from . import bessel, molecules
 from .cartoons import CartoonSpec, render, write_pgm
-from .tiling import FrameParams, build_layout, verify_partition, wedge_geometry
+from .tiling import FrameParams, build_layout, verify_partition
 from .transform import (
     DigitalCurveletFrame,
     analyze,
@@ -36,7 +36,7 @@ from .transform import (
 BAND_NOTES = {
     "verify-frame": "partition<=1e-12, parseval/reconstruction<=1e-10, oracle<=1e-9",
     "wedge-energy": "core-energy slope = -s*(2-alpha) +/- 0.2; digital/analytic in [0.9, 1.1]",
-    "disc-rate": "disc threshold slope: alpha=0.5 in [-2.4,-1.7]; alpha=1/3 >= -1.75",
+    "disc-rate": "disc threshold slope: alpha=0.5 in [-2.4,-1.7]; alpha=1/3 in [-1.75,-1.0]",
     "disc-lower-bound": "tile-core tail slope = -1/(1-alpha) +/- 0.3",
     "straight-edge-rate": "alpha=0.5 in [-2.45,-1.7]; alpha=0.25 <= -1.8; bump <= -1.9",
     "apriori-decay": "max-coeff slope = -s*(1+alpha)/2 +/- 0.15; atom L1 slope +/- 0.25",
@@ -195,9 +195,8 @@ def run_verify_frame(cfg: dict) -> tuple[bool, dict, list[dict]]:
 def _scale_energy_table(params: FrameParams) -> tuple[list[int], list[float]]:
     scales, energies = [], []
     for j in range(1, params.j_max + 1):
-        spec = wedge_geometry(params, j, 0)
         scales.append(j)
-        energies.append(bessel.wedge_energy_quadrature(spec, region="core"))
+        energies.append(bessel.wedge_energy_quadrature(params, j))
     return scales, energies
 
 
@@ -233,10 +232,7 @@ def run_wedge_energy(cfg: dict) -> tuple[bool, dict, list[dict]]:
         band = cfg["digital_ratio_band"]
         ratios = []
         for j in range(lo_m, hi_m + 1):
-            spec = wedge_geometry(params, j, 0)
-            analytic = bessel.wedge_energy_quadrature(
-                spec, region="window", profile=frame.profile
-            ) * params.tile_count(j)
+            analytic = bessel.wedge_energy_quadrature(params, j, "window") * params.tile_count(j)
             ratio = per_scale[j] / analytic
             ratios.append({"j": j, "ratio": ratio, "digital": per_scale[j], "analytic": analytic})
             ok = ok and band[0] <= ratio <= band[1]

@@ -24,21 +24,17 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "FrameParams",
-    "ScaleAngleIndex",
-    "BoundingRect",
-    "WedgeSpec",
     "WindowProfile",
     "TilingLayout",
+    "TileSupport",
     "smooth_step",
-    "wedge_geometry",
     "build_layout",
-    "wedge_value",
     "verify_partition",
     "layout_to_json",
 ]
@@ -203,39 +199,46 @@ class FrameParams:
         """Tiles of the layout: every wedge pair plus the closure."""
         return sum(self.tile_count(j) for j in range(self.j_max + 1)) + 1
 
+    def _check_scale(self, j: int) -> None:
+        if not 0 <= j <= self.j_max + 1:
+            raise ValueError(f"scale {j} outside [0, {self.j_max + 1}]")
 
-@dataclass(frozen=True)
-class ScaleAngleIndex:
-    """Scale-angle pair ``(j, ell)``; closure uses ``j = j_max + 1, ell = 0``."""
+    def radial_support(self, j: int) -> tuple[float, float]:
+        """Radial interval ``(lo, hi)`` holding every scale-``j`` window.
 
-    j: int
-    ell: int
+        The corona spans ``C * 2**(s*(j-1))`` to ``C * 2**(s*(j+1))``; the
+        ball starts at 0 and the closure ``j = j_max + 1`` runs to infinity.
+        """
+        self._check_scale(j)
+        C, s = self.corona_constant, self.s
+        if j == 0:
+            return 0.0, C * 2.0**s
+        if j == self.j_max + 1:
+            return C * 2.0 ** (self.j_max * s) * self.tau1, math.inf
+        return C * 2.0 ** (s * (j - 1)), C * 2.0 ** (s * (j + 1))
 
+    def radial_core(self, j: int) -> tuple[float, float]:
+        """Radial interval ``(lo, hi)`` on which the scale-``j`` radial window is one."""
+        self._check_scale(j)
+        C, s = self.corona_constant, self.s
+        if j == 0:
+            return 0.0, C * self.tau1
+        if j == self.j_max + 1:
+            return C * 2.0 ** (self.j_max * s) * self.tau2, math.inf
+        return C * 2.0 ** (s * (j - 1)) * self.tau2, C * 2.0 ** (s * j) * self.tau1
 
-@dataclass(frozen=True)
-class BoundingRect:
-    """Rotated rectangle ``[-half_length, half_length] x [-half_width, half_width]``
-    in the frame rotated by ``angle``."""
-
-    half_length: float
-    half_width: float
-    angle: float
-
-
-@dataclass(frozen=True)
-class WedgeSpec:
-    """Geometry of one tile: supports, core, bounding box, wrap periods."""
-
-    index: ScaleAngleIndex
-    orientation: float
-    radial_support: tuple[float, float]
-    radial_core: tuple[float, float]
-    angular_halfwidth_outer: float
-    angular_halfwidth_inner: float
-    bounding_rect: BoundingRect | None
-    is_closure: bool = False
-    wrap_periods: tuple[int, int] | None = None
-    support_cardinality: int | None = None
+    def as_dict(self) -> dict:
+        """The frame's values as the layout and coefficient dumps record them,
+        the derived knots ``tau1`` and ``tau2`` included."""
+        return {
+            "s": self.s,
+            "alpha": self.alpha,
+            "grid_n": self.grid_n,
+            "corona_constant": self.corona_constant,
+            "tau1": self.tau1,
+            "tau2": self.tau2,
+            "j_max": self.j_max,
+        }
 
 
 class WindowProfile:
@@ -324,68 +327,27 @@ class WindowProfile:
         return vals
 
 
-def wedge_geometry(params: FrameParams, j: int, ell: int) -> WedgeSpec:
-    """Grid-free geometry of tile ``(j, ell)`` (wrap data left unset)."""
-    C, s, a = params.corona_constant, params.s, params.alpha
-    closure = params.scale_of_closure()
-    if j == closure:
-        lo = C * 2.0 ** (params.j_max * s) * params.tau1
-        return WedgeSpec(
-            index=ScaleAngleIndex(j, 0),
-            orientation=0.0,
-            radial_support=(lo, math.inf),
-            radial_core=(C * 2.0 ** (params.j_max * s) * params.tau2, math.inf),
-            angular_halfwidth_outer=math.pi,
-            angular_halfwidth_inner=math.pi,
-            bounding_rect=None,
-            is_closure=True,
-        )
-    if not 0 <= j <= params.j_max:
-        raise ValueError(f"scale {j} outside [0, {params.j_max}]")
-    if ell not in params.ell_range(j):
-        raise ValueError(f"ell={ell} invalid at scale {j}")
-    phi = params.tile_angle(j)
-    if j == 0:
-        return WedgeSpec(
-            index=ScaleAngleIndex(0, 0),
-            orientation=0.0,
-            radial_support=(0.0, C * 2.0 ** s),
-            radial_core=(0.0, C * params.tau1),
-            angular_halfwidth_outer=math.pi,
-            angular_halfwidth_inner=math.pi,
-            bounding_rect=BoundingRect(0.5, 0.5, 0.0),
-        )
-    return WedgeSpec(
-        index=ScaleAngleIndex(j, ell),
-        orientation=ell * phi,
-        radial_support=(C * 2.0 ** (s * (j - 1)), C * 2.0 ** (s * (j + 1))),
-        radial_core=(C * 2.0 ** (s * (j - 1)) * params.tau2, C * 2.0 ** (s * j) * params.tau1),
-        angular_halfwidth_outer=0.75 * phi,
-        angular_halfwidth_inner=0.25 * phi,
-        bounding_rect=BoundingRect(
-            2.0 ** (j * s - 1.0), 2.0 ** (j * s * a - 1.0), ell * phi
-        ),
-    )
-
-
 @dataclass
 class TilingLayout:
     """All tiles of one frame: ball, wedges scale-major, closure last.
 
-    ``supports[i]`` is the folded lattice support of ``wedges[i]`` (see
-    :class:`TileSupport`) from the layout's one scan of the lattice.  Frames
-    and :func:`verify_partition` use these records rather than scanning
-    again, so treat them as read-only.
+    ``wedges[i]`` is the :class:`TileSupport` of tile ``i``, one record per
+    tile from the layout's one scan of the lattice.  Every tile of a scale
+    shares that scale's geometry, which ``params`` gives:
+    :meth:`FrameParams.tile_angle`, :meth:`FrameParams.radial_support` and
+    :meth:`FrameParams.radial_core`.  Frames and :func:`verify_partition`
+    use these records rather than scanning again, so treat them as
+    read-only.
     """
 
     params: FrameParams
     profile: WindowProfile
-    wedges: list[WedgeSpec] = field(default_factory=list)
-    supports: list[TileSupport] = field(default_factory=list, repr=False, compare=False)
+    wedges: list[TileSupport] = field(default_factory=list, repr=False, compare=False)
 
 
 class TileSupport:
-    """Lattice support of one tile on the rfft half spectrum, folded on its wrap box.
+    """Tile ``(j, ell)`` of a layout: its lattice support on the rfft half
+    spectrum, folded on its wrap box.
 
     Every tile is a pair of opposite lobes, so its support and window are
     symmetric under ``k -> -k``; for a real image only the half spectrum
@@ -402,8 +364,8 @@ class TileSupport:
     which takes the conjugate value.  Entries past ``n_spectrum`` serve
     analysis only; they fill box columns 0 and ``P2/2``, where both a
     point's fold and its mirror's lie in the half box, for points whose
-    mirror the half spectrum omits.  ``cardinality`` is the size of the
-    full support.
+    mirror the half spectrum omits.  ``support_cardinality`` is the size
+    of the full support.
 
     Only a tile reaching the Nyquist edge (the points ``(0, -n/2)`` and
     ``(-n/2, 0)``, which a snapped top corona can touch) may have a period
@@ -413,7 +375,7 @@ class TileSupport:
 
     __slots__ = (
         "j", "ell", "grid_n", "grid_flat", "window", "n_spectrum", "n_direct", "P1", "P2", "box_flat",
-        "cardinality",
+        "support_cardinality",
     )
 
     def __init__(self, j, ell, grid_n, grid_flat, window, wrap):
@@ -433,7 +395,7 @@ class TileSupport:
                 raise RuntimeError(f"wrap collision in tile ({j}, {ell})")
         else:
             P1 = P2 = n  # reducing modulo n is one-to-one on the lattice
-        self.cardinality = full1.size
+        self.support_cardinality = full1.size
         del full1, full2
         cols = P2 // 2 + 1
         m1, m2 = k1 % P1, k2 % P2
@@ -607,43 +569,22 @@ def _find_wrap_periods(k1: np.ndarray, k2: np.ndarray, grid_n: int) -> tuple[int
 
 
 def build_layout(params: FrameParams) -> TilingLayout:
-    """Construct the full tiling with wrap periods, support counts and supports.
+    """Construct the full tiling: one folded lattice support per tile.
 
-    The wedge list is ordered scale-major (ball first, angular index
+    The tile list is ordered scale-major (ball first, angular index
     ascending within each scale, closure last); this ordering is the
-    stable flat order used for coefficient tie-breaking downstream.  The
-    supports of the one lattice scan stay on the layout, in the same order.
+    stable flat order used for coefficient tie-breaking downstream.
     """
     profile = WindowProfile(params)
     closure = params.scale_of_closure()
-    supports = [
+    wedges = [
         TileSupport(j, ell, params.grid_n, grid_flat, window, wrap=j != closure)
         for j, ell, grid_flat, window in _scan_supports(params, profile)
-    ]
-    wedges = [
-        replace(
-            wedge_geometry(params, sup.j, sup.ell),
-            wrap_periods=(sup.P1, sup.P2),
-            support_cardinality=sup.cardinality,
-        )
-        for sup in supports
     ]
     expected = params.total_wedge_count()
     if len(wedges) != expected:
         raise RuntimeError(f"layout has {len(wedges)} tiles, expected {expected}")
-    return TilingLayout(params=params, profile=profile, wedges=wedges, supports=supports)
-
-
-def wedge_value(xi, spec: WedgeSpec, profile: WindowProfile) -> np.ndarray:
-    """Window value ``W_J(xi)`` for arbitrary frequency points.
-
-    Total function: zero outside the tile, symmetric under ``xi -> -xi``,
-    and exactly zero at the origin for every tile except the ball.
-    """
-    xi = np.asarray(xi, dtype=float)
-    scalar = xi.ndim == 1
-    vals = profile.window(spec.index.j, spec.index.ell, np.atleast_2d(xi))
-    return float(vals[0]) if scalar else vals.reshape(xi.shape[:-1])
+    return TilingLayout(params=params, profile=profile, wedges=wedges)
 
 
 def verify_partition(layout: TilingLayout) -> float:
@@ -655,7 +596,7 @@ def verify_partition(layout: TilingLayout) -> float:
     """
     params = layout.params
     acc = np.zeros(params.grid_n * (params.grid_n // 2 + 1))
-    for sup in layout.supports:
+    for sup in layout.wedges:
         ns = sup.n_spectrum
         acc[sup.grid_flat[:ns]] += sup.window[:ns] ** 2
     return float(np.abs(acc - 1.0).max())
@@ -663,25 +604,18 @@ def verify_partition(layout: TilingLayout) -> float:
 
 def layout_to_json(layout: TilingLayout) -> str:
     """Serialize per-wedge geometry for golden tests and debugging."""
+    p = layout.params
     doc = {
-        "params": {
-            "s": layout.params.s,
-            "alpha": layout.params.alpha,
-            "grid_n": layout.params.grid_n,
-            "corona_constant": layout.params.corona_constant,
-            "tau1": layout.params.tau1,
-            "tau2": layout.params.tau2,
-            "j_max": layout.params.j_max,
-        },
+        "params": p.as_dict(),
         "wedges": [
             {
-                "j": w.index.j,
-                "ell": w.index.ell,
-                "orientation_radians": w.orientation,
-                "radial_support": list(w.radial_support),
-                "wrap_periods": list(w.wrap_periods) if w.wrap_periods else None,
+                "j": w.j,
+                "ell": w.ell,
+                "orientation_radians": w.ell * p.tile_angle(w.j),
+                "radial_support": list(p.radial_support(w.j)),
+                "wrap_periods": [w.P1, w.P2],
                 "support_cardinality": w.support_cardinality,
-                "is_closure": w.is_closure,
+                "is_closure": w.j == p.scale_of_closure(),
             }
             for w in layout.wedges
         ],

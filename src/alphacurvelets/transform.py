@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tiling import FrameParams, TileSupport, TilingLayout, build_layout, verify_partition
+from .tiling import FrameParams, TilingLayout, build_layout, verify_partition
 
 __all__ = [
     "DigitalCurveletFrame",
@@ -46,26 +46,25 @@ PARTITION_TOL = 1e-12
 
 
 class DigitalCurveletFrame:
-    """A built frame: layout plus its folded per-tile supports.
+    """A built frame: a layout and the deviation of its partition of unity.
 
     Use :meth:`build` to construct; instances are immutable in practice
-    and safe to share across threads.  ``_caches`` is the layout's list of
-    :class:`~alphacurvelets.tiling.TileSupport` records.
+    and safe to share across threads.  ``_caches`` is ``layout.wedges``,
+    the layout's one :class:`~alphacurvelets.tiling.TileSupport` record
+    per tile, which analysis and synthesis read.
     ``partition_deviation`` is the max deviation of the squared-window sum
     from 1 over the lattice, as :func:`~alphacurvelets.tiling.verify_partition`
     gives it; :meth:`build` refuses frames where it exceeds ``PARTITION_TOL``.
     """
 
-    def __init__(
-        self, layout: TilingLayout, caches: list[TileSupport], partition_deviation: float
-    ):
+    def __init__(self, layout: TilingLayout, partition_deviation: float):
         self.layout = layout
         self.partition_deviation = partition_deviation
         self.params = layout.params
         self.profile = layout.profile
-        self._caches = caches
+        self._caches = layout.wedges
         self.sigma = 2.0 / self.params.grid_n**2
-        self.total_coefficients = int(sum(c.P1 * c.P2 for c in caches))
+        self.total_coefficients = int(sum(c.P1 * c.P2 for c in self._caches))
 
     @classmethod
     def build(cls, params: FrameParams) -> "DigitalCurveletFrame":
@@ -73,7 +72,7 @@ class DigitalCurveletFrame:
         dev = verify_partition(layout)
         if dev > PARTITION_TOL:
             raise RuntimeError(f"window partition deviates by {dev:.3e}")
-        return cls(layout, layout.supports, dev)
+        return cls(layout, dev)
 
     def wedge_index(self, j: int, ell: int) -> int:
         for i, c in enumerate(self._caches):
@@ -284,17 +283,8 @@ def dump_coefficients(
     """
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
-    p = frame.params
     header = {
-        "params": {
-            "s": p.s,
-            "alpha": p.alpha,
-            "grid_n": p.grid_n,
-            "corona_constant": p.corona_constant,
-            "tau1": p.tau1,
-            "tau2": p.tau2,
-            "j_max": p.j_max,
-        },
+        "params": frame.params.as_dict(),
         "wedge_table": [list(t) for t in coeffs.wedge_table],
         "total_coefficients": coeffs.total_count,
         "rows": "j,ell,m1,m2,re",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from alphacurvelets import bessel
-from alphacurvelets.tiling import FrameParams, WindowProfile, wedge_geometry
+from alphacurvelets.tiling import FrameParams
 
 # frozen from the arbitrary-precision series oracle
 J1_AT_2PI = -0.21238253007636911
@@ -82,10 +82,7 @@ def test_disc_spectrum_values():
 def test_wedge_energy_slope_parabolic():
     p = FrameParams(s=1.0, alpha=0.5, grid_n=1024)
     scales = range(3, p.j_max + 1)
-    energies = [
-        bessel.wedge_energy_quadrature(wedge_geometry(p, j, 0), region="core")
-        for j in scales
-    ]
+    energies = [bessel.wedge_energy_quadrature(p, j, "core") for j in scales]
     slope = np.polyfit(list(scales), np.log2(energies), 1)[0]
     assert -1.7 <= slope <= -1.3
 
@@ -93,10 +90,7 @@ def test_wedge_energy_slope_parabolic():
 def test_wedge_energy_slope_directional():
     p = FrameParams(s=1.0, alpha=0.0, grid_n=1024)
     scales = range(3, p.j_max + 1)
-    energies = [
-        bessel.wedge_energy_quadrature(wedge_geometry(p, j, 0), region="core")
-        for j in scales
-    ]
+    energies = [bessel.wedge_energy_quadrature(p, j, "core") for j in scales]
     slope = np.polyfit(list(scales), np.log2(energies), 1)[0]
     assert abs(slope - (-2.0)) <= 0.2
 
@@ -105,22 +99,20 @@ def test_wedge_energy_core_window_outer_sandwich():
     # the window equals one on the core and vanishes outside the outer
     # wedge, so the three energies nest
     p = FrameParams(s=1.0, alpha=0.5, grid_n=256)
-    spec = wedge_geometry(p, 5, 0)
-    core = bessel.wedge_energy_quadrature(spec, region="core")
-    outer = bessel.wedge_energy_quadrature(spec, region="outer")
-    window = bessel.wedge_energy_quadrature(
-        spec, region="window", profile=WindowProfile(p)
-    )
+    core = bessel.wedge_energy_quadrature(p, 5, "core")
+    outer = bessel.wedge_energy_quadrature(p, 5, "outer")
+    window = bessel.wedge_energy_quadrature(p, 5, "window")
     assert 0 < core < window < outer
 
 
-def test_wedge_energy_degenerate_region_is_zero():
+def test_wedge_energy_rejects_closure_negative_scale_and_unknown_region():
     p = FrameParams(s=1.0, alpha=0.5, grid_n=256)
-    spec = wedge_geometry(p, 4, 0)
-    import dataclasses
-
-    flat = dataclasses.replace(spec, angular_halfwidth_inner=0.0)
-    assert bessel.wedge_energy_quadrature(flat, region="core") == 0.0
+    with pytest.raises(ValueError, match="closure"):
+        bessel.wedge_energy_quadrature(p, p.scale_of_closure())
+    with pytest.raises(ValueError, match="outside"):
+        bessel.wedge_energy_quadrature(p, -1)
+    with pytest.raises(ValueError, match="unknown region"):
+        bessel.wedge_energy_quadrature(p, 3, "inner")
 
 
 def test_quadrature_reports_nonconvergence():

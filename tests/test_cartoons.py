@@ -5,13 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from alphacurvelets.bessel import DiscSpectrum
+from alphacurvelets.bessel import disc_spectrum
 from alphacurvelets.cartoons import (
     CartoonSpec,
     _evaluate,
     cartoon_from_json,
     cartoon_to_json,
-    analytic_spectrum,
     render,
     smooth_factor,
     write_pgm,
@@ -94,16 +93,9 @@ def test_rendered_bump_second_differences_bounded():
     assert np.max(np.abs(d2y)) <= bound
 
 
-def test_analytic_spectrum_capabilities():
-    assert isinstance(analytic_spectrum(CartoonSpec(kind="disc")), DiscSpectrum)
-    assert analytic_spectrum(CartoonSpec(kind="half_space", phi=0.1, c=0.0)) is None
-    assert analytic_spectrum(CartoonSpec(kind="star", rho0=0.5)) is None
-
-
 def test_disc_spectrum_grid_convergence():
     # the grid spectrum converges to the sampled analytic spectrum on a
     # fixed low-frequency band as the grid is refined
-    spect = DiscSpectrum()
     errs = []
     for n in (128, 256, 512, 1024):
         img = render(CartoonSpec(kind="disc", antialias=4), n)
@@ -112,7 +104,7 @@ def test_disc_spectrum_grid_convergence():
         k = np.arange(-kmax, kmax + 1)
         K1, K2 = np.meshgrid(k, k, indexing="ij")
         vals = (4.0 / n**2) * (-1.0) ** (K1 + K2) * F[K1 % n, K2 % n]
-        exact = spect(np.stack([K1 / 2.0, K2 / 2.0], axis=-1))
+        exact = disc_spectrum(np.stack([K1 / 2.0, K2 / 2.0], axis=-1))
         errs.append(np.linalg.norm(vals.real - exact) / np.linalg.norm(exact))
     assert all(b < a for a, b in zip(errs, errs[1:]))
 

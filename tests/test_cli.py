@@ -143,3 +143,9 @@ def test_every_experiment_has_runner_and_band():
     assert list(cli.RUNNERS) == list(cli.BAND_NOTES)
     defaults = cli.load_defaults()
     assert set(cli.RUNNERS) == set(defaults["experiments"])
+
+
+def test_disc_rate_note_names_every_configured_band():
+    bands = cli.load_defaults()["experiments"]["disc-rate"]["bands"]
+    for lo, hi in bands.values():
+        assert f"[{lo},{hi}]" in cli.BAND_NOTES["disc-rate"]

@@ -13,8 +13,6 @@ from alphacurvelets.tiling import (
     layout_to_json,
     smooth_step,
     verify_partition,
-    wedge_geometry,
-    wedge_value,
 )
 
 
@@ -98,7 +96,7 @@ def test_no_window_sample_is_negative(s, snapped):
     # snapped s = 0.53 at grid 128 and 0.84 at grid 64 once gave -1.9e-15
     for grid in (64, 128):
         p = FrameParams.nyquist_snapped(s, 0.5, grid) if snapped else FrameParams(s=s, alpha=0.5, grid_n=grid)
-        for sup in build_layout(p).supports:
+        for sup in build_layout(p).wedges:
             assert sup.window.min(initial=0.0) >= 0.0
 
 
@@ -110,52 +108,50 @@ def layout128():
 def test_wedge_value_symmetry(layout128):
     rng = np.random.default_rng(0)
     profile = layout128.profile
-    for spec in layout128.wedges[::5]:
+    for w in layout128.wedges[::5]:
         xi = rng.uniform(-30, 30, size=(500, 2))
-        a = wedge_value(xi, spec, profile)
-        b = wedge_value(-xi, spec, profile)
+        a = profile.window(w.j, w.ell, xi)
+        b = profile.window(w.j, w.ell, -xi)
         assert np.array_equal(a, b) or np.allclose(a, b, atol=1e-15)
 
 
 def test_wedge_value_zero_outside_bounding_rect(layout128):
+    # the box 2**(j*s) x 2**(j*s*alpha) of the paper, turned to the tile
     rng = np.random.default_rng(1)
-    profile = layout128.profile
-    for spec in layout128.wedges:
-        if spec.is_closure or spec.index.j == 0:
+    p, profile = layout128.params, layout128.profile
+    for w in layout128.wedges:
+        if w.j in (0, p.scale_of_closure()):
             continue
-        rect = spec.bounding_rect
-        c, s = math.cos(rect.angle), math.sin(rect.angle)
+        half_length, half_width = 2.0 ** (w.j * p.s - 1.0), 2.0 ** (w.j * p.s * p.alpha - 1.0)
+        angle = w.ell * p.tile_angle(w.j)
+        c, s = math.cos(angle), math.sin(angle)
         n = 100_000
-        u = rng.uniform(-4 * rect.half_length, 4 * rect.half_length, n)
-        v = rng.uniform(-4 * rect.half_width, 4 * rect.half_width, n)
-        outside = (np.abs(u) > rect.half_length) | (np.abs(v) > rect.half_width)
+        u = rng.uniform(-4 * half_length, 4 * half_length, n)
+        v = rng.uniform(-4 * half_width, 4 * half_width, n)
+        outside = (np.abs(u) > half_length) | (np.abs(v) > half_width)
         xi = np.stack([c * u - s * v, s * u + c * v], axis=-1)[outside]
-        vals = wedge_value(xi, spec, profile)
+        vals = profile.window(w.j, w.ell, xi)
         assert np.all(vals == 0.0)
 
 
 def test_wedge_value_one_on_core(layout128):
-    profile = layout128.profile
-    for spec in layout128.wedges:
-        if spec.is_closure:
-            continue
-        j, ell = spec.index.j, spec.index.ell
-        lo, hi = spec.radial_core
-        if hi <= lo:
-            continue
-        r = 0.5 * (lo + hi) if j > 0 else 0.5 * hi
-        theta = spec.orientation
+    p, profile = layout128.params, layout128.profile
+    for w in layout128.wedges:
+        lo, hi = p.radial_core(w.j)
+        assert lo < hi
+        r = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+        theta = w.ell * p.tile_angle(w.j)
         xi = np.array([[r * math.cos(theta), r * math.sin(theta)]])
-        val = wedge_value(xi, spec, profile)
+        val = profile.window(w.j, w.ell, xi)
         assert val[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_wedge_value_at_origin(layout128):
-    xi = np.array([0.0, 0.0])
-    for spec in layout128.wedges:
-        val = wedge_value(xi, spec, layout128.profile)
-        expected = 1.0 if spec.index.j == 0 else 0.0
-        assert val == expected
+    xi = np.zeros((1, 2))
+    for w in layout128.wedges:
+        val = layout128.profile.window(w.j, w.ell, xi)
+        expected = 1.0 if w.j == 0 else 0.0
+        assert val[0] == expected
 
 
 def test_partition_default(layout128):
@@ -165,9 +161,9 @@ def test_partition_default(layout128):
 def test_partition_without_closure_leaves_corner_uncovered(layout128):
     n = layout128.params.grid_n
     acc = np.zeros(n * (n // 2 + 1))
-    for sup in layout128.supports[:-1]:  # the closure is the last tile
+    for sup in layout128.wedges[:-1]:  # the closure is the last tile
         acc[sup.grid_flat[: sup.n_spectrum]] += sup.window[: sup.n_spectrum] ** 2
-    assert layout128.supports[-1].j == layout128.params.scale_of_closure()
+    assert layout128.wedges[-1].j == layout128.params.scale_of_closure()
     assert np.abs(acc - 1.0).max() == pytest.approx(1.0)
 
 
@@ -185,12 +181,12 @@ def test_partition_sweep(alpha):
 
 
 def test_wrap_translates_disjoint(layout128):
-    for spec, sup in zip(layout128.wedges, layout128.supports):
-        P1, P2 = spec.wrap_periods
+    for sup in layout128.wedges:
+        P1, P2 = sup.P1, sup.P2
         k1, k2, _ = sup.support()
         keys = (k1 % P1) * P2 + (k2 % P2)
         assert len(np.unique(keys)) == len(keys)
-        assert spec.support_cardinality == len(keys)
+        assert sup.support_cardinality == len(keys)
 
 
 def test_total_tile_count(layout128):
@@ -209,12 +205,13 @@ def test_layout_json_dump(layout128):
     assert doc["wedges"][-1]["is_closure"] is True
 
 
-def test_wedge_geometry_rejects_bad_indices():
+def test_radial_intervals_reject_scales_out_of_range():
     p = FrameParams(s=1.0, alpha=0.5, grid_n=128)
-    with pytest.raises(ValueError):
-        wedge_geometry(p, 2, 99)
-    with pytest.raises(ValueError):
-        wedge_geometry(p, p.j_max + 5, 0)
+    for j in (-1, p.j_max + 2):
+        with pytest.raises(ValueError, match="outside"):
+            p.radial_support(j)
+        with pytest.raises(ValueError, match="outside"):
+            p.radial_core(j)
 
 
 def test_nyquist_snapped_tops_out_at_nyquist():
@@ -273,10 +270,10 @@ def test_layout_matches_golden_file():
 def test_every_window_equals_its_mirror_bit_for_bit(grid, alpha, snapped):
     p = FrameParams.nyquist_snapped(1.0, alpha, grid) if snapped else FrameParams(s=1.0, alpha=alpha, grid_n=grid)
     layout = build_layout(p)
-    for spec, sup in zip(layout.wedges, layout.supports):
+    for sup in layout.wedges:
         k1, k2, window = sup.support()
         key = (k1 % grid) * grid + (k2 % grid)
-        assert spec.support_cardinality == key.size == np.unique(key).size
+        assert sup.support_cardinality == key.size == np.unique(key).size
         mirror = ((-k1) % grid) * grid + (-k2) % grid
         order = np.argsort(key)
         at = order[np.searchsorted(key, mirror, sorter=order)]
@@ -288,10 +285,10 @@ def test_windows_match_the_geometric_formula_on_the_full_support():
     # the mirrors copy values, so check them against a direct evaluation
     p = FrameParams.nyquist_snapped(1.0, 0.5, 128)
     layout = build_layout(p)
-    for spec, sup in zip(layout.wedges, layout.supports):
+    for sup in layout.wedges:
         k1, k2, window = sup.support()
         xi = 0.5 * np.stack([k1, k2], axis=-1).astype(float)
-        assert np.max(np.abs(wedge_value(xi, spec, layout.profile) - window), initial=0.0) <= 1e-13
+        assert np.max(np.abs(layout.profile.window(sup.j, sup.ell, xi) - window), initial=0.0) <= 1e-13
 
 
 @pytest.mark.parametrize("s", [0.75, 1.0, 1.3])
@@ -306,7 +303,7 @@ def test_nyquist_edge_is_carried_by_the_closure_window(s):
     closure = p.scale_of_closure()
     half = n // 2
     reached = []
-    for sup in layout.supports:
+    for sup in layout.wedges:
         k1, k2, window = sup.support()
         edge = (k1 == -half) | (k2 == -half)
         if sup.j == closure:
