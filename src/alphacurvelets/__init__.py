@@ -14,7 +14,6 @@ from .approximation import (
     fit_rate,
     generator_decay_check,
     threshold,
-    weak_lp_norm,
 )
 from .bessel import (
     bessel_j,
@@ -23,7 +22,7 @@ from .bessel import (
     remainder_bound_check,
     wedge_energy_quadrature,
 )
-from .cartoons import CartoonSpec, render, smooth_factor
+from .cartoons import CartoonSpec, render
 from .molecules import PhasePoint, consistency_sum, curvelet_parametrization, index_distance
 from .tiling import (
     FrameParams,
@@ -64,13 +63,11 @@ __all__ = [
     "remainder_bound_check",
     "CartoonSpec",
     "render",
-    "smooth_factor",
     "ErrorCurve",
     "RateReport",
     "threshold",
     "error_curve",
     "fit_rate",
-    "weak_lp_norm",
     "apriori_decay_check",
     "bound1_tail_estimator",
     "generator_decay_check",

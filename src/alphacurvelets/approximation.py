@@ -18,8 +18,6 @@ signal energy is summed exactly instead of cancelling in
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -35,7 +33,6 @@ __all__ = [
     "threshold",
     "error_curve",
     "fit_rate",
-    "weak_lp_norm",
     "apriori_decay_check",
     "bound1_tail_estimator",
     "generator_decay_check",
@@ -71,25 +68,6 @@ class ErrorCurve:
         if len(e) and np.any(np.diff(e) > 1e-12 * max(e.max(), 1.0)):
             raise ValueError("err2 must be nonincreasing in N")
 
-    def to_csv(self, path: str) -> str:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["N", "err2"])
-            for n, e in zip(self.n_terms, self.err2):
-                w.writerow([n, repr(e)])
-        return path
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_terms": self.n_terms,
-                "err2": self.err2,
-                "metadata": self.metadata,
-                "err2_synthesis": {str(k): v for k, v in self.err2_synthesis.items()},
-            },
-            indent=2,
-        )
-
 
 @dataclass
 class RateReport:
@@ -103,18 +81,6 @@ class RateReport:
     target: float | None = None
     tolerance: float | None = None
     verdict: str | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2)
-
-    def to_csv(self, path: str) -> str:
-        cols = ["slope", "intercept", "window_lo", "window_hi", "residual", "n_points", "target", "tolerance", "verdict"]
-        row = [self.slope, self.intercept, self.window[0], self.window[1], self.residual, self.n_points, self.target, self.tolerance, self.verdict]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(cols)
-            w.writerow(row)
-        return path
 
 
 def threshold(coeffs: CoefficientSet, n_keep: int) -> CoefficientSet:
@@ -230,20 +196,13 @@ def error_curve(
 
 def fit_rate(
     curve: ErrorCurve,
-    window: tuple[int, int] | None = None,
+    window: tuple[int, int],
     target: float | None = None,
     tolerance: float | None = None,
 ) -> RateReport:
-    """Least-squares line through ``(log N, log err2)`` over the window.
-
-    The default window drops ``N < 32`` and all N within a factor 4 of
-    the total coefficient count (grid-resolution saturation guard).
-    """
+    """Least-squares line through ``(log N, log err2)`` over ``window = (lo, hi)``, inclusive."""
     n = np.asarray(curve.n_terms, dtype=float)
     e = np.asarray(curve.err2, dtype=float)
-    if window is None:
-        total = curve.metadata.get("total_coefficients", int(n[-1]) * 4)
-        window = (32, max(32, total // 4))
     lo, hi = window
     sel = (n >= lo) & (n <= hi)
     if np.count_nonzero(sel) < 5:
@@ -293,18 +252,6 @@ def level_window(curve: ErrorCurve, rel_hi: float, rel_lo: float) -> tuple[int, 
     if hi <= lo:
         raise ValueError(f"degenerate level window [{lo}, {hi}]")
     return lo, hi
-
-
-def weak_lp_norm(values, p: float) -> float:
-    """``sup_n n**(1/p) |c*_n|`` over the nonincreasing rearrangement."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    a = np.abs(np.asarray(values, dtype=float)).ravel()
-    if a.size == 0:
-        return 0.0
-    a = np.sort(a)[::-1]
-    n = np.arange(1, a.size + 1, dtype=float)
-    return float(np.max(n ** (1.0 / p) * a))
 
 
 def apriori_decay_check(

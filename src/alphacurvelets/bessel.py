@@ -192,9 +192,7 @@ def _midpoint(f, a: float, b: float, n: int) -> float:
 
 
 def _integrate(f, a: float, b: float, n0: int, rel_tol: float = 1e-3) -> float:
-    """Composite midpoint with a doubling convergence certificate."""
-    if b <= a:
-        return 0.0
+    """Composite midpoint on ``a < b`` with a doubling convergence certificate."""
     n = max(int(n0), 16)
     prev = _midpoint(f, a, b, n)
     for _ in range(8):
@@ -214,44 +212,38 @@ def wedge_energy_quadrature(params: FrameParams, j: int, region: str = "core") -
 
     Every tile of a scale is a rotation of the same tile, so the energy
     depends on ``j`` alone.  ``region`` selects the flat-top core
-    (indicator of the core wedge pair), the full outer wedge pair, or the
-    smooth squared window itself (``"window"``).  By radial symmetry the
-    angular integral is a constant: the angular measure of the wedge pair,
-    ``phi_j`` for the core and ``3*phi_j`` for the outer pair, or
-    ``2*pi / L_j`` exactly for the squared window; the ball takes
-    ``2*pi``.  The radial intervals are :meth:`FrameParams.radial_core`
-    and :meth:`FrameParams.radial_support`.  The radial quadrature starts
-    at 16 points per unit radius, at least 64 (the integrand oscillates
-    with unit period), and doubles until two successive sums agree to
-    1e-3 relative.  The closure band ``j_max + 1`` has no analytic energy
-    and is refused, as are scales outside ``[0, j_max]``.
+    (``"core"``, the indicator of the core wedge pair) or the smooth
+    squared window itself (``"window"``).  By radial symmetry the angular
+    integral is a constant: the angular measure ``phi_j`` of the core
+    wedge pair, or ``2*pi / L_j`` exactly for the squared window; the ball
+    takes ``2*pi``.  The radial intervals are
+    :meth:`FrameParams.radial_core` and :meth:`FrameParams.radial_support`.
+    The radial quadrature starts at 16 points per unit radius, at least 64
+    (the integrand oscillates with unit period), and doubles until two
+    successive sums agree to 1e-3 relative.  The closure band
+    ``j_max + 1`` has no analytic energy and is refused, as are scales
+    outside ``[0, j_max]``.
     """
     if j == params.scale_of_closure():
         raise ValueError("closure band has no analytic tile energy")
     if region == "core":
         lo, hi = params.radial_core(j)
         measure = 2.0 * math.pi if j == 0 else params.tile_angle(j)
-    elif region == "outer":
-        lo, hi = params.radial_support(j)
-        measure = 2.0 * math.pi if j == 0 else 3.0 * params.tile_angle(j)
+
+        def integrand(r):
+            # midpoints are interior, so r > 0 always; regular at the origin
+            return bessel_j(1.0, math.pi * r) ** 2 / (4.0 * r)
+
     elif region == "window":
         lo, hi = params.radial_support(j)
-        measure = 2.0 * math.pi if j == 0 else 2.0 * math.pi / params.tile_count(j)
-    else:
-        raise ValueError(f"unknown region {region!r}")
-
-    if region == "window":
+        measure = 2.0 * math.pi / params.tile_count(j)
         rad = WindowProfile(params).radial
 
         def integrand(r):
             return rad(j, r) ** 2 * bessel_j(1.0, math.pi * r) ** 2 / (4.0 * r)
 
     else:
-
-        def integrand(r):
-            # midpoints are interior, so r > 0 always; regular at the origin
-            return bessel_j(1.0, math.pi * r) ** 2 / (4.0 * r)
-
+        raise ValueError(f"unknown region {region!r}")
     return measure * _integrate(integrand, lo, hi, max(64, int(16 * (hi - lo))))
 
 

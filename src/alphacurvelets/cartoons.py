@@ -14,7 +14,6 @@ gives the same image bit for bit; stars are evaluated per sample.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import operator
@@ -25,11 +24,7 @@ import numpy as np
 __all__ = [
     "CartoonSpec",
     "SmoothFactor",
-    "smooth_factor",
     "render",
-    "star_class_report",
-    "cartoon_to_json",
-    "cartoon_from_json",
     "write_pgm",
 ]
 
@@ -91,11 +86,6 @@ class SmoothFactor:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return self.flat_value * self.profile(x[..., 0]) * self.profile(x[..., 1])
-
-
-def smooth_factor(beta: int, nu: float) -> SmoothFactor:
-    """Bump supported in ``[-1, 1]^2`` with derivative sups below ``nu``."""
-    return SmoothFactor(beta, nu)
 
 
 @dataclass(frozen=True)
@@ -161,14 +151,10 @@ def _evaluate(spec: CartoonSpec, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     if spec.kind == "half_space":
         side = (x1 * math.cos(spec.phi) - x2 * math.sin(spec.phi) >= spec.c).astype(float)
         if spec.beta >= 1:
-            g = smooth_factor(spec.beta, spec.nu)
-            pts = np.stack([x1, x2], axis=-1)
-            return side * g(pts)
+            return side * _smooth(spec)(np.stack([x1, x2], axis=-1))
         return side
     if spec.kind == "smooth_bump":
-        g = smooth_factor(max(spec.beta, 1), spec.nu)
-        pts = np.stack([x1, x2], axis=-1)
-        return g(pts)
+        return _smooth(spec)(np.stack([x1, x2], axis=-1))
     # star
     t = np.arctan2(x2, x1)
     return (np.hypot(x1, x2) <= spec.radius_function(t)).astype(float)
@@ -177,9 +163,9 @@ def _evaluate(spec: CartoonSpec, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
 def _smooth(spec: CartoonSpec) -> SmoothFactor | None:
     """The spec's smooth factor, or ``None`` for a kind without one."""
     if spec.kind == "smooth_bump":
-        return smooth_factor(max(spec.beta, 1), spec.nu)
+        return SmoothFactor(max(spec.beta, 1), spec.nu)
     if spec.kind == "half_space" and spec.beta >= 1:
-        return smooth_factor(spec.beta, spec.nu)
+        return SmoothFactor(spec.beta, spec.nu)
     return None
 
 
@@ -285,61 +271,6 @@ def render(spec: CartoonSpec, grid_n: int) -> np.ndarray:
                 acc += _evaluate(spec, X1, X2)
         acc /= a * a
     return out
-
-
-def star_class_report(spec: CartoonSpec, samples: int = 8192) -> dict:
-    """Implied regularity-class membership of a star-shaped set.
-
-    The declared ``(beta, nu)`` are metadata; this reports the smallest
-    budget the radius function actually requires at integer ``beta`` --
-    the oscillation of the beta-th derivative relative to the minimal
-    radius, and the reciprocal-radius floor -- rather than enforcing it.
-    """
-    if spec.kind != "star":
-        raise ValueError("class report is defined for star cartoons only")
-    t = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    rho = spec.radius_function(t)
-    rho0 = float(rho.min())
-    beta = max(int(spec.beta), 0)
-    # derivatives of the trigonometric polynomial are exact
-    d = np.zeros_like(t)
-    for k, a in enumerate(spec.cos_coeffs):
-        w = k + 1.0
-        d += a * w**beta * np.cos(w * t + beta * math.pi / 2.0)
-    for k, b in enumerate(spec.sin_coeffs):
-        w = k + 1.0
-        d += b * w**beta * np.sin(w * t + beta * math.pi / 2.0)
-    oscillation = float(d.max() - d.min())
-    implied = max(oscillation / rho0, 1.0 / rho0)
-    return {
-        "rho0": rho0,
-        "beta": beta,
-        "declared_nu": spec.nu,
-        "implied_nu": implied,
-        "member": spec.nu >= implied,
-    }
-
-
-def cartoon_to_json(spec: CartoonSpec) -> str:
-    doc = {
-        "kind": spec.kind,
-        "phi": spec.phi,
-        "c": spec.c,
-        "beta": spec.beta,
-        "nu": spec.nu,
-        "rho0": spec.rho0,
-        "cos_coeffs": list(spec.cos_coeffs),
-        "sin_coeffs": list(spec.sin_coeffs),
-        "antialias": spec.antialias,
-    }
-    return json.dumps(doc, indent=2)
-
-
-def cartoon_from_json(text: str) -> CartoonSpec:
-    doc = json.loads(text)
-    doc["cos_coeffs"] = tuple(doc.get("cos_coeffs", ()))
-    doc["sin_coeffs"] = tuple(doc.get("sin_coeffs", ()))
-    return CartoonSpec(**doc)
 
 
 def write_pgm(grid: np.ndarray, path: str) -> str:

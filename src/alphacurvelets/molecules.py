@@ -81,8 +81,6 @@ def index_distance(p: PhasePoint, q: PhasePoint, alpha: float) -> float:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if p.s <= 0 or q.s <= 0:
-        raise ValueError("scales must be positive")
     ratio = max(p.s / q.s, q.s / p.s)
     s0 = min(p.s, q.s)
     dt = abs(p.theta - q.theta) % math.pi
@@ -108,6 +106,8 @@ def enumerate_phase_points(
     Returns parallel arrays (scales, thetas, positions).  Translation
     indices ``k`` run over the anisotropic lattice; since the rotation
     preserves the norm, the spatial cutoff is applied before rotating.
+    The set is never empty: scale 0 passes ``scale_cap >= 1`` and ``k = 0``
+    the spatial cap.
     """
     _require_finite("scale_cap", scale_cap, 1.0)
     _require_finite("spatial_cap", spatial_cap, 0.0)
@@ -130,8 +130,6 @@ def enumerate_phase_points(
             ts.append(np.full(U1.size, theta))
             xs.append(np.stack([c * U1 + sn * U2, -sn * U1 + c * U2], axis=-1))
         j += 1
-    if not ss:
-        raise ValueError("empty truncated index set")
     return np.concatenate(ss), np.concatenate(ts), np.concatenate(xs)
 
 

@@ -174,7 +174,12 @@ class FrameParams:
         return FrameParams(s=s, alpha=alpha, grid_n=grid_n, corona_constant=C, j_max=j_max)
 
     def tile_count(self, j: int) -> int:
-        """Number of wedge pairs ``L_j`` in the scale-``j`` corona."""
+        """Number of wedge pairs ``L_j`` in the scale-``j`` corona.
+
+        Any scale ``j >= 0`` is valid, also above ``j_max``: the phase-space
+        parametrization of :mod:`alphacurvelets.molecules` does not depend
+        on the grid.  Negative scales raise ``ValueError``.
+        """
         if j < 0:
             raise ValueError("scale must be nonnegative")
         if j == 0:
@@ -182,40 +187,41 @@ class FrameParams:
         return 2 ** (math.floor(j * self.s * (1.0 - self.alpha)) + 1)
 
     def tile_angle(self, j: int) -> float:
-        """Angular width ``phi_j`` of one wedge at scale ``j``."""
-        if j == 0:
-            return math.pi
-        return math.pi * 2.0 ** (-math.floor(j * self.s * (1.0 - self.alpha)) - 1)
+        """Angular width ``phi_j = pi / L_j`` of one wedge at scale ``j``.
+
+        Valid for every scale :meth:`tile_count` accepts.
+        """
+        return math.pi / self.tile_count(j)
 
     def ell_range(self, j: int) -> range:
-        """Angular indices at scale ``j``: ``-floor(L/2) .. ceil(L/2)-1``."""
+        """Angular indices at scale ``j``: ``-floor(L/2) .. ceil(L/2)-1``.
+
+        Valid for every scale :meth:`tile_count` accepts.
+        """
         L = self.tile_count(j)
         return range(-(L // 2), L - (L // 2))
 
     def scale_of_closure(self) -> int:
         return self.j_max + 1
 
-    def total_wedge_count(self) -> int:
-        """Tiles of the layout: every wedge pair plus the closure."""
-        return sum(self.tile_count(j) for j in range(self.j_max + 1)) + 1
-
     def _check_scale(self, j: int) -> None:
         if not 0 <= j <= self.j_max + 1:
             raise ValueError(f"scale {j} outside [0, {self.j_max + 1}]")
 
     def radial_support(self, j: int) -> tuple[float, float]:
-        """Radial interval ``(lo, hi)`` holding every scale-``j`` window.
+        """Radial interval ``(lo, hi)`` outside which the scale-``j`` window is zero.
 
-        The corona spans ``C * 2**(s*(j-1))`` to ``C * 2**(s*(j+1))``; the
-        ball starts at 0 and the closure ``j = j_max + 1`` runs to infinity.
+        The corona window rises from ``C * 2**(s*(j-1)) * tau1`` and falls
+        to zero at ``C * 2**(s*j) * tau2``; the ball starts at 0 and the
+        closure ``j = j_max + 1`` runs to infinity.
         """
         self._check_scale(j)
         C, s = self.corona_constant, self.s
         if j == 0:
-            return 0.0, C * 2.0**s
+            return 0.0, C * self.tau2
         if j == self.j_max + 1:
             return C * 2.0 ** (self.j_max * s) * self.tau1, math.inf
-        return C * 2.0 ** (s * (j - 1)), C * 2.0 ** (s * (j + 1))
+        return C * 2.0 ** (s * (j - 1)) * self.tau1, C * 2.0 ** (s * j) * self.tau2
 
     def radial_core(self, j: int) -> tuple[float, float]:
         """Radial interval ``(lo, hi)`` on which the scale-``j`` radial window is one."""
@@ -455,9 +461,10 @@ def _scan_supports(
     ``[0, n/2)`` and ``k1 = -n/2`` of its columns 0 and ``n/2``.  Each
     mirror that those two columns hold is then added with its partner's
     window value, so the windows are exactly symmetric by construction;
-    the other mirrors stay implicit.  Points are binned per scale by radius
-    and per wedge by angle, so each scanned point is touched only by the
-    (at most four) windows that are nonzero there.
+    the other mirrors stay implicit.  Points are binned per scale by radius,
+    inside :meth:`FrameParams.radial_support`, and per wedge by angle, so
+    each scanned point is touched only by the (at most four) windows that
+    are nonzero there.
     """
     n = params.grid_n
     half = n // 2
@@ -470,7 +477,6 @@ def _scan_supports(
     K2 = np.where(col == half, -half, col)
     del row, col
     r = 0.5 * np.hypot(K1.astype(float), K2.astype(float))
-    C, s = params.corona_constant, params.s
 
     def with_column_mirrors(idx, W, *tags):
         """Entries of the scanned points ``idx``, then the mirrors in columns 0 and n/2."""
@@ -482,14 +488,11 @@ def _scan_supports(
 
     out: list[tuple[int, int, np.ndarray, np.ndarray]] = []
     for j in range(params.j_max + 2):
-        if j == 0:
-            sel = np.nonzero(r < C * params.tau2)[0]
-        elif j == params.j_max + 1:
-            sel = np.nonzero(r > C * 2.0 ** (params.j_max * s) * params.tau1)[0]
-        else:
-            lo = C * 2.0 ** ((j - 1) * s) * params.tau1
-            hi = C * 2.0 ** (j * s) * params.tau2
-            sel = np.nonzero((r > lo) & (r < hi))[0]
+        lo, hi = params.radial_support(j)
+        inside = r < hi
+        if j > 0:  # the ball holds the origin, where r == lo
+            inside &= r > lo
+        sel = np.nonzero(inside)[0]
         U = profile.radial(j, r[sel])
         if j == 0 or j == params.j_max + 1:
             out.append((j, 0, *with_column_mirrors(sel, U)))
@@ -581,9 +584,6 @@ def build_layout(params: FrameParams) -> TilingLayout:
         TileSupport(j, ell, params.grid_n, grid_flat, window, wrap=j != closure)
         for j, ell, grid_flat, window in _scan_supports(params, profile)
     ]
-    expected = params.total_wedge_count()
-    if len(wedges) != expected:
-        raise RuntimeError(f"layout has {len(wedges)} tiles, expected {expected}")
     return TilingLayout(params=params, profile=profile, wedges=wedges)
 
 

@@ -95,14 +95,12 @@ def test_wedge_energy_slope_directional():
     assert abs(slope - (-2.0)) <= 0.2
 
 
-def test_wedge_energy_core_window_outer_sandwich():
-    # the window equals one on the core and vanishes outside the outer
-    # wedge, so the three energies nest
+def test_wedge_energy_core_below_window():
+    # the squared window equals one on the core and is positive around it
     p = FrameParams(s=1.0, alpha=0.5, grid_n=256)
     core = bessel.wedge_energy_quadrature(p, 5, "core")
-    outer = bessel.wedge_energy_quadrature(p, 5, "outer")
     window = bessel.wedge_energy_quadrature(p, 5, "window")
-    assert 0 < core < window < outer
+    assert 0 < core < window
 
 
 def test_wedge_energy_rejects_closure_negative_scale_and_unknown_region():
@@ -112,7 +110,7 @@ def test_wedge_energy_rejects_closure_negative_scale_and_unknown_region():
     with pytest.raises(ValueError, match="outside"):
         bessel.wedge_energy_quadrature(p, -1)
     with pytest.raises(ValueError, match="unknown region"):
-        bessel.wedge_energy_quadrature(p, 3, "inner")
+        bessel.wedge_energy_quadrature(p, 3, "outer")
 
 
 def test_quadrature_reports_nonconvergence():
@@ -142,3 +140,12 @@ def test_errors():
         bessel.bessel_j(1.0, -1.0)
     with pytest.raises(ValueError):
         bessel.remainder_bound_check(0.5, 10.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        bessel.bessel_j_series(1.0, -1.0)
+
+
+def test_series_oracle_at_the_origin():
+    for order in bessel.SUPPORTED_ORDERS:
+        assert bessel.bessel_j_series(order, 0.0) == bessel.bessel_j(order, 0.0)
+    assert bessel.bessel_j_series(0.0, 0.0) == 1.0
+    assert bessel.bessel_j_series(-0.5, 0.0) == math.inf

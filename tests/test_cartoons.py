@@ -1,4 +1,3 @@
-import json
 import math
 import os
 
@@ -8,11 +7,9 @@ import pytest
 from alphacurvelets.bessel import disc_spectrum
 from alphacurvelets.cartoons import (
     CartoonSpec,
+    SmoothFactor,
     _evaluate,
-    cartoon_from_json,
-    cartoon_to_json,
     render,
-    smooth_factor,
     write_pgm,
 )
 
@@ -61,7 +58,7 @@ def test_render_deterministic():
 
 def test_smooth_factor_support_and_sup():
     for beta in (1, 2, 3):
-        g = smooth_factor(beta, nu=5.0)
+        g = SmoothFactor(beta, nu=5.0)
         pts = np.random.default_rng(0).uniform(-2, 2, size=(20000, 2))
         vals = g(pts)
         outside = np.any(np.abs(pts) >= 1.0, axis=-1)
@@ -73,11 +70,20 @@ def test_smooth_factor_support_and_sup():
 
 
 def test_smooth_factor_flat_top_for_all_orders():
-    g1 = smooth_factor(1, nu=3.0)
-    g3 = smooth_factor(3, nu=3.0)
+    g1 = SmoothFactor(1, nu=3.0)
+    g3 = SmoothFactor(3, nu=3.0)
     centre = np.zeros((1, 2))
     assert g1(centre)[0] == pytest.approx(g1.flat_value)
     assert g3(centre)[0] == pytest.approx(g3.flat_value)
+
+
+def test_smooth_factor_rejects_bad_beta_and_nu():
+    for beta in (0, -1, 1.5):
+        with pytest.raises(ValueError, match="beta"):
+            SmoothFactor(beta, nu=1.0)
+    for nu in (0.0, -2.0):
+        with pytest.raises(ValueError, match="nu"):
+            SmoothFactor(2, nu=nu)
 
 
 def test_rendered_bump_second_differences_bounded():
@@ -110,8 +116,10 @@ def test_disc_spectrum_grid_convergence():
 
 
 def test_star_validation_and_render():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive"):
         CartoonSpec(kind="star", rho0=0.2, cos_coeffs=(0.5,))
+    with pytest.raises(ValueError, match="inside"):
+        CartoonSpec(kind="star", rho0=0.9, sin_coeffs=(0.0, 0.2))
     spec = CartoonSpec(kind="star", rho0=0.5, cos_coeffs=(0.12,), sin_coeffs=(0.0, 0.06))
     img = render(spec, 128)
     assert img.min() >= 0.0 and img.max() <= 1.0
@@ -161,8 +169,6 @@ def test_spec_rejects_bad_beta_and_nu():
     for beta in (0.5, -2, 2.5, "2", float("nan")):
         with pytest.raises(ValueError, match="beta"):
             CartoonSpec(kind="half_space", beta=beta)
-        with pytest.raises(ValueError, match="beta"):
-            cartoon_from_json(json.dumps({"kind": "half_space", "beta": beta}))
     for kw in (dict(kind="half_space", beta=1), dict(kind="smooth_bump")):
         for nu in (0.0, -1.0):
             with pytest.raises(ValueError, match="nu"):
@@ -193,13 +199,6 @@ def test_spec_takes_numpy_integer_antialias():
     assert type(spec.antialias) is int
     assert spec == CartoonSpec(kind="disc", antialias=3)
     assert np.array_equal(render(spec, 32), render(CartoonSpec(kind="disc", antialias=3), 32))
-    assert cartoon_from_json(cartoon_to_json(spec)) == spec
-
-
-def test_json_round_trip():
-    spec = CartoonSpec(kind="half_space", phi=1.25, c=-0.1, beta=2, nu=7.0, antialias=8)
-    back = cartoon_from_json(cartoon_to_json(spec))
-    assert back == spec
 
 
 def test_pgm_dump(tmp_path):
@@ -210,36 +209,3 @@ def test_pgm_dump(tmp_path):
     assert lines[1] == "32 32"
     assert lines[2] == "255"
     assert len(lines[3].split()) == 32
-
-
-def test_star_class_report():
-    from alphacurvelets.cartoons import star_class_report
-
-    spec = CartoonSpec(kind="star", rho0=0.5, cos_coeffs=(0.1,), beta=2, nu=10.0)
-    rep = star_class_report(spec)
-    assert rep["rho0"] == pytest.approx(0.4, abs=1e-3)
-    # second derivative of 0.1*cos(t) oscillates by 0.2; budget floor is 1/rho0
-    assert rep["implied_nu"] == pytest.approx(max(0.2 / 0.4, 1 / 0.4), rel=1e-2)
-    assert rep["member"] is True
-    tight = CartoonSpec(kind="star", rho0=0.5, cos_coeffs=(0.1,), beta=2, nu=1.0)
-    assert star_class_report(tight)["member"] is False
-    with pytest.raises(ValueError):
-        star_class_report(CartoonSpec(kind="disc"))
-
-
-def test_star_class_report_sine_terms_and_beta_zero():
-    from alphacurvelets.cartoons import star_class_report
-
-    # third derivative of 0.05*sin(3t) oscillates by 2*0.05*27 = 2.7 over rho0 = 0.45
-    wavy = CartoonSpec(kind="star", rho0=0.5, sin_coeffs=(0.0, 0.0, 0.05), beta=3, nu=7.0)
-    rep = star_class_report(wavy)
-    assert rep["rho0"] == pytest.approx(0.45, rel=1e-6)
-    assert rep["implied_nu"] == pytest.approx(6.0, rel=1e-5)
-    assert rep["member"] is True
-    # at beta 0 the radius oscillates by less than 1 inside the unit square,
-    # so the reciprocal-radius floor 1/rho0 is the budget
-    lumpy = CartoonSpec(kind="star", rho0=0.5, cos_coeffs=(0.2,), sin_coeffs=(0.0, 0.1), beta=0, nu=3.0)
-    rep = star_class_report(lumpy)
-    assert rep["beta"] == 0
-    assert rep["implied_nu"] == 1.0 / rep["rho0"]
-    assert rep["member"] is False  # 1/rho0 is about 4.2

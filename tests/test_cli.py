@@ -116,6 +116,14 @@ def test_disc_rate_requires_configured_band():
         cli.RUNNERS["disc-rate"](cfg)
 
 
+def test_rate_params_snap_only_when_configured():
+    snapped = cli._rate_params({"snapped_ladder": True, "s": 1.0}, 0.5, 128)
+    assert snapped == cli.FrameParams.nyquist_snapped(1.0, 0.5, 128)
+    for cfg in ({"snapped_ladder": False, "s": 1.0}, {"s": 1.0}):
+        assert cli._rate_params(cfg, 0.5, 128) == cli.FrameParams(s=1.0, alpha=0.5, grid_n=128)
+    assert snapped != cli._rate_params({"s": 1.0}, 0.5, 128)
+
+
 def test_dump_flags(tmp_path, capsys):
     out = os.fspath(tmp_path / "r")
     pgm = os.fspath(tmp_path / "img.pgm")

@@ -131,6 +131,12 @@ def test_consistency_rejects_bad_exponent():
             consistency_sum(PARAMS, PARAMS_HALF, 0.5, k_exp, scale_cap=2.0, spatial_cap=1.0)
 
 
+def test_consistency_rejects_alpha_outside_the_unit_interval():
+    for alpha in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="alpha"):
+            consistency_sum(PARAMS, PARAMS_HALF, alpha, 3.0, scale_cap=2.0, spatial_cap=1.0)
+
+
 def test_consistency_cross_scale_stabilizes():
     sups = []
     for cap in (1.0, 2.0, 4.0):

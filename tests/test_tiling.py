@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from alphacurvelets.tiling import (
     FrameParams,
+    WindowProfile,
     _co_step,
     build_layout,
     layout_to_json,
@@ -37,6 +38,12 @@ def test_params_validation():
     # explicit scale count above the Nyquist bound is rejected, not clamped
     with pytest.raises(ValueError):
         FrameParams(s=1.0, alpha=0.5, grid_n=64, j_max=40)
+    for C in (0.0, -0.1):
+        with pytest.raises(ValueError, match="corona_constant"):
+            FrameParams(s=1.0, alpha=0.5, grid_n=64, corona_constant=C)
+    # the first corona, C * 2**s * tau2 = 31.7, does not fit below grid_n/4 = 4
+    with pytest.raises(ValueError, match="too small"):
+        FrameParams(s=1.0, alpha=0.5, grid_n=16, corona_constant=10.0)
 
 
 def test_tile_counts_and_angles():
@@ -52,6 +59,20 @@ def test_tile_counts_and_angles():
         assert p.tile_count(j) == 2 ** (math.floor(j * 0.5) + 1)
     q = FrameParams(s=1.0, alpha=0.0, grid_n=256)
     assert [q.tile_count(j) for j in (1, 2, 3)] == [4, 8, 16]
+
+
+def test_scale_geometry_rejects_negative_scales_only():
+    p = FrameParams(s=1.0, alpha=0.5, grid_n=256)
+    for geometry in (p.tile_count, p.tile_angle, p.ell_range):
+        for j in (-1, -4):
+            with pytest.raises(ValueError, match="nonnegative"):
+                geometry(j)
+    # scales past the grid's closure stay valid: the phase-space
+    # parametrization does not depend on the grid
+    j = p.j_max + 7
+    assert p.tile_count(j) == 2 ** (math.floor(j * 0.5) + 1)
+    assert p.tile_angle(j) * p.tile_count(j) == math.pi
+    assert len(p.ell_range(j)) == p.tile_count(j)
 
 
 def test_smooth_step_boundaries():
@@ -212,6 +233,40 @@ def test_radial_intervals_reject_scales_out_of_range():
             p.radial_support(j)
         with pytest.raises(ValueError, match="outside"):
             p.radial_core(j)
+        with pytest.raises(ValueError, match="outside"):
+            WindowProfile(p).radial(j, [0.5])
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        FrameParams(s=1.0, alpha=0.5, grid_n=1024),
+        FrameParams(s=0.5, alpha=0.25, grid_n=256),
+        FrameParams.nyquist_snapped(1.3, 0.0, 512),
+    ],
+    ids=["s1-n1024", "s0.5-n256", "snapped-s1.3-n512"],
+)
+def test_radial_support_is_the_window_support(params):
+    radial = WindowProfile(params).radial
+    for j in range(params.j_max + 2):
+        lo, hi = params.radial_support(j)
+        top = hi if math.isfinite(hi) else 4.0 * lo
+        inside = np.linspace(lo * (1 + 1e-3), top * (1 - 1e-3), 10_001)
+        assert np.all(radial(j, inside) > 0), j
+        outside = [r for r in (lo * (1 - 1e-3), hi * (1 + 1e-3)) if 0 < r < math.inf]
+        assert np.all(radial(j, outside) == 0), j
+
+
+def test_angular_factor_is_one_off_the_wedges_and_checks_ell():
+    p = FrameParams(s=1.0, alpha=0.5, grid_n=128)
+    profile = WindowProfile(p)
+    theta = np.linspace(-4.0, 4.0, 17)
+    for j in (0, p.scale_of_closure()):
+        assert np.array_equal(profile.angular(j, 0, theta), np.ones_like(theta))
+    L = p.tile_count(3)
+    for ell in (L - L // 2, -(L // 2) - 1):
+        with pytest.raises(ValueError, match="outside range"):
+            profile.angular(3, ell, theta)
 
 
 def test_nyquist_snapped_tops_out_at_nyquist():

@@ -251,6 +251,12 @@ def test_synthesize_rejects_complex_blocks(frame64):
         CoefficientSet(coeffs.wedge_table, coeffs.values[:-1])
 
 
+def test_synthesize_rejects_the_coefficients_of_another_frame(frame64, frame128):
+    coeffs = analyze(np.random.default_rng(9).standard_normal((64, 64)), frame64)
+    with pytest.raises(ValueError, match="do not match the frame's tile boxes"):
+        synthesize(coeffs, frame128)
+
+
 def test_atom_spectrum_confined_to_support(frame64):
     for mu in ((0, 0, (0, 0)), (4, -2, (3, 1)), (5, 0, (7, 2))):
         atom = curvelet_atom(frame64, mu)
@@ -404,3 +410,7 @@ def test_flat_index_round_trip(frame64):
         coeffs.index_of_flat(coeffs.total_count)
     with pytest.raises(KeyError):
         coeffs.flat_index(2, 99, (0, 0))
+    j, ell, P1, P2 = coeffs.wedge_table[3]
+    for m in ((P1, 0), (0, P2), (-1, 0)):
+        with pytest.raises(ValueError, match="outside"):
+            coeffs.flat_index(j, ell, m)
