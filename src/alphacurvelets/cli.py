@@ -52,20 +52,22 @@ def load_defaults() -> dict:
 
 
 def resolve_config(experiment: str, config_path: str | None, overrides: dict) -> dict:
-    base = load_defaults()
-    cfg = dict(base["experiments"][experiment])
-    cfg.setdefault("seed", base["seed"])
-    cfg.setdefault("s", base["s"])
+    """The experiment's packaged block, updated by a JSON file, then by the non-None overrides.
+
+    A key the block lacks is refused: its runner would not read it.
+    """
+    cfg = dict(load_defaults()["experiments"][experiment])
+    changes = {}
     if config_path:
         with open(config_path) as fh:
-            user = json.load(fh)
-        unknown = set(user) - set(cfg) - {"grid", "alpha", "seed", "s", "out_dir"}
-        if unknown:
-            raise ValueError(f"unknown config fields for {experiment}: {sorted(unknown)}")
-        cfg.update(user)
-    for key, val in overrides.items():
-        if val is not None:
-            cfg[key] = val
+            changes = json.load(fh)
+        if not isinstance(changes, dict):
+            raise ValueError(f"config file {config_path!r} must hold a JSON object")
+    changes.update((key, val) for key, val in overrides.items() if val is not None)
+    unknown = sorted(set(changes) - set(cfg))
+    if unknown:
+        raise ValueError(f"{experiment} does not read {', '.join(unknown)}; its keys are {sorted(cfg)}")
+    cfg.update(changes)
     return cfg
 
 
@@ -98,6 +100,12 @@ def _atomic_write(path: str, text: str) -> str:
     return path
 
 
+def _plot_columns(cols: list[str]) -> tuple[int, int]:
+    """gnuplot's 1-based (x, y) columns: x is ``N``, else ``j``, else the first; y follows x."""
+    x = next((cols.index(c) for c in ("N", "j") if c in cols), 0) + 1
+    return x, x + 1
+
+
 def emit_report(
     experiment: str, cfg: dict, results: dict, rows: list[dict], out_dir: str
 ) -> dict:
@@ -112,14 +120,11 @@ def emit_report(
         raise OSError(f"output directory {out_dir!r} is not writable: {exc}") from exc
     stem = os.path.join(out_dir, experiment)
     csv_path = stem + ".csv"
-    if rows:
-        cols = list(rows[0].keys())
-        lines = [",".join(cols)]
-        for r in rows:
-            lines.append(",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c]) for c in cols))
-        _atomic_write(csv_path, "\n".join(lines) + "\n")
-    else:
-        _atomic_write(csv_path, "\n")
+    cols = list(rows[0]) if rows else []
+    lines = [",".join(cols)]
+    for r in rows:
+        lines.append(",".join(repr(float(r[c])) if isinstance(r[c], float) else str(r[c]) for c in cols))
+    _atomic_write(csv_path, "\n".join(lines) + "\n")
     report = {
         "experiment": experiment,
         "config": cfg,
@@ -127,18 +132,19 @@ def emit_report(
         "results": results,
     }
     json_path = _atomic_write(stem + ".json", json.dumps(report, indent=2, default=_json_default))
+    x, y = _plot_columns(cols)
     plot = (
         "set datafile separator ','\n"
         "set logscale xy\n"
         f"set title '{experiment}'\n"
-        f"plot '{os.path.basename(csv_path)}' skip 1 using 1:2 with linespoints\n"
+        f"plot '{os.path.basename(csv_path)}' skip 1 using {x}:{y} with linespoints\n"
     )
     plot_path = _atomic_write(stem + ".gnuplot", plot)
     return {"csv": csv_path, "json": json_path, "plot": plot_path}
 
 
 def _params(cfg: dict, alpha: float, grid: int) -> FrameParams:
-    return FrameParams(s=cfg.get("s", 1.0), alpha=alpha, grid_n=grid)
+    return FrameParams(s=cfg["s"], alpha=alpha, grid_n=grid)
 
 
 def run_verify_frame(cfg: dict) -> tuple[bool, dict, list[dict]]:
@@ -217,47 +223,41 @@ def run_wedge_energy(cfg: dict) -> tuple[bool, dict, list[dict]]:
         )
         for j, e in zip(scales, energies):
             rows.append({"alpha": alpha, "j": j, "core_energy": e})
-    digital = None
-    d_alpha = cfg.get("digital_alpha")
-    if d_alpha is not None:
-        params = _params(cfg, float(d_alpha), grid)
-        frame = DigitalCurveletFrame.build(params)
-        disc = render(CartoonSpec(kind="disc", antialias=int(cfg["antialias"])), grid)
-        coeffs = analyze(disc, frame)
-        per_scale = {}
-        for (j, _ell, _p1, _p2), b in zip(coeffs.wedge_table, coeffs.blocks):
-            per_scale[j] = per_scale.get(j, 0.0) + float(np.sum(np.abs(b) ** 2))
-        lo_m, hi_m = cfg["digital_mid_scales"]
-        hi_m = params.j_max + hi_m if hi_m < 0 else hi_m
-        band = cfg["digital_ratio_band"]
-        ratios = []
-        for j in range(lo_m, hi_m + 1):
-            analytic = bessel.wedge_energy_quadrature(params, j, "window") * params.tile_count(j)
-            ratio = per_scale[j] / analytic
-            ratios.append({"j": j, "ratio": ratio, "digital": per_scale[j], "analytic": analytic})
-            ok = ok and band[0] <= ratio <= band[1]
-        digital = {"alpha": float(d_alpha), "ratios": ratios, "band": band}
+    d_alpha = float(cfg["digital_alpha"])
+    params = _params(cfg, d_alpha, grid)
+    frame = DigitalCurveletFrame.build(params)
+    disc = render(CartoonSpec(kind="disc", antialias=int(cfg["antialias"])), grid)
+    coeffs = analyze(disc, frame)
+    per_scale = {}
+    for (j, _ell, _p1, _p2), b in zip(coeffs.wedge_table, coeffs.blocks):
+        per_scale[j] = per_scale.get(j, 0.0) + float(np.sum(np.abs(b) ** 2))
+    lo_m, hi_m = cfg["digital_mid_scales"]
+    hi_m = params.j_max + hi_m if hi_m < 0 else hi_m
+    band = cfg["digital_ratio_band"]
+    ratios = []
+    for j in range(lo_m, hi_m + 1):
+        analytic = bessel.wedge_energy_quadrature(params, j, "window") * params.tile_count(j)
+        ratio = per_scale[j] / analytic
+        ratios.append({"j": j, "ratio": ratio, "digital": per_scale[j], "analytic": analytic})
+        ok = ok and band[0] <= ratio <= band[1]
+    digital = {"alpha": d_alpha, "ratios": ratios, "band": band}
     results = {"summaries": summaries, "digital": digital}
     return ok, results, rows
 
 
 def _rate_params(cfg: dict, alpha: float, grid: int) -> FrameParams:
-    """Rate experiments snap the corona ladder to Nyquist by default.
+    """Rate experiments snap the corona ladder to Nyquist.
 
     With the library-default corona unit the directional ladder tops out
     octaves below Nyquist and the single isotropic closure tile absorbs
     the outer spectrum, flattening every N-term curve; snapping removes
     that artifact while the frame stays exactly tight.
     """
-    if cfg.get("snapped_ladder", False):
-        return FrameParams.nyquist_snapped(cfg.get("s", 1.0), alpha, grid)
-    return _params(cfg, alpha, grid)
+    return FrameParams.nyquist_snapped(cfg["s"], alpha, grid)
 
 
 def _full_schedule(cfg: dict, total: int) -> list[int]:
-    return appr.geometric_schedule(
-        int(cfg["schedule_start"]), max(total // 4, 64), cfg.get("schedule_ratio", math.sqrt(2.0))
-    )
+    return appr.geometric_schedule(int(cfg["schedule_start"]), max(total // 4, 64))
 
 
 def _threshold_rate(
@@ -541,17 +541,17 @@ def main(argv: list[str] | None = None) -> int:
 
     overrides = {"grid": args.grid, "alpha": args.alpha, "s": args.s, "seed": args.seed}
     cfg = resolve_config(args.experiment, args.config, overrides)
-    out_dir = args.out or os.environ.get("ALPHACURVELETS_OUT", load_defaults()["out_dir"])
+    base = load_defaults()
+    out_dir = args.out or os.environ.get("ALPHACURVELETS_OUT", base["out_dir"])
     if args.dump_pgm or args.dump_coeffs is not None:
-        grid = int(cfg.get("grid", load_defaults()["grid"]))
-        alpha = float(cfg.get("alpha", load_defaults()["alpha"]))
+        grid, alpha, s = (cfg.get(key, base[key]) for key in ("grid", "alpha", "s"))
         spec = CartoonSpec(kind="disc", antialias=int(cfg.get("antialias", 4)))
-        img = render(spec, grid)
+        img = render(spec, int(grid))
         if args.dump_pgm:
             write_pgm(img, args.dump_pgm)
             print(f"wrote {args.dump_pgm}")
         if args.dump_coeffs is not None:
-            frame = DigitalCurveletFrame.build(_params(cfg, alpha, grid))
+            frame = DigitalCurveletFrame.build(FrameParams(s=s, alpha=float(alpha), grid_n=int(grid)))
             coeffs = analyze(img, frame)
             os.makedirs(out_dir, exist_ok=True)
             top = None if args.dump_coeffs == 0 else args.dump_coeffs

@@ -24,10 +24,48 @@ def test_resolve_config_rejects_unknown_fields(tmp_path):
 
 def test_resolve_config_applies_a_config_file_under_the_overrides(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"grid": 128, "slope_tol": 0.5, "seed": 11}))
-    cfg = cli.resolve_config("disc-lower-bound", os.fspath(path), {"seed": 3, "alpha": None})
-    assert (cfg["grid"], cfg["slope_tol"], cfg["seed"]) == (128, 0.5, 3)
-    assert cfg["alphas"] == cli.load_defaults()["experiments"]["disc-lower-bound"]["alphas"]
+    path.write_text(json.dumps({"grid": 128, "oracle_tol": 1e-8, "seed": 11}))
+    cfg = cli.resolve_config("verify-frame", os.fspath(path), {"seed": 3, "alpha": None})
+    assert (cfg["grid"], cfg["oracle_tol"], cfg["seed"]) == (128, 1e-8, 3)
+    assert cfg["alphas"] == cli.load_defaults()["experiments"]["verify-frame"]["alphas"]
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides, key",
+    [
+        ("wedge-energy", {"alpha": 0.3}, "alpha"),
+        ("molecule-distance", {"seed": 9}, "seed"),
+        ("molecule-distance", {"s": 0.8}, "s"),
+        ("bessel-check", {"grid": 64}, "grid"),
+    ],
+)
+def test_resolve_config_refuses_an_override_the_experiment_does_not_read(experiment, overrides, key):
+    with pytest.raises(ValueError, match=f"{experiment} does not read {key};"):
+        cli.resolve_config(experiment, None, overrides)
+
+
+def test_resolve_config_refuses_out_dir_in_a_config_file(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"out_dir": os.fspath(tmp_path)}))
+    with pytest.raises(ValueError, match="disc-rate does not read out_dir"):
+        cli.resolve_config("disc-rate", os.fspath(path), {})
+
+
+def test_resolve_config_refuses_a_config_file_that_is_not_an_object(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(["grid", 64]))
+    with pytest.raises(ValueError, match="JSON object"):
+        cli.resolve_config("disc-rate", os.fspath(path), {})
+
+
+def test_packaged_configs_are_exactly_the_experiment_blocks(tmp_path):
+    defaults = cli.load_defaults()
+    for experiment, block in defaults["experiments"].items():
+        assert cli.resolve_config(experiment, None, {}) == block
+        # every key of the block may be set, from a file or as an override
+        path = tmp_path / f"{experiment}.json"
+        path.write_text(json.dumps(block))
+        assert cli.resolve_config(experiment, os.fspath(path), {key: block[key] for key in block}) == block
 
 
 def test_json_default_converts_numpy_scalars():
@@ -75,12 +113,19 @@ def test_run_verify_frame_small(tmp_path, capsys):
     report = json.load(open(os.path.join(out, "verify-frame.json")))
     assert report["results"]["pass"] is True
     assert report["config_sha1"]
+    header, *lines = open(os.path.join(out, "verify-frame.csv")).read().splitlines()
+    assert len(lines) == len(report["config"]["alphas"])
+    for line in lines:
+        *numbers, ok = line.split(",")
+        assert ok == "True"
+        for cell in numbers:
+            float(cell)  # a numpy scalar's repr, np.float64(...), would not parse
 
 
 def test_rerun_is_byte_identical(tmp_path):
     out1 = os.fspath(tmp_path / "a")
     out2 = os.fspath(tmp_path / "b")
-    args = ["run", "molecule-distance", "--seed", "3"]
+    args = ["run", "molecule-distance"]
     assert cli.main(args + ["--out", out1]) == 0
     assert cli.main(args + ["--out", out2]) == 0
     csv1 = open(os.path.join(out1, "molecule-distance.csv"), "rb").read()
@@ -89,6 +134,43 @@ def test_rerun_is_byte_identical(tmp_path):
     j1 = open(os.path.join(out1, "molecule-distance.json"), "rb").read()
     j2 = open(os.path.join(out2, "molecule-distance.json"), "rb").read()
     assert j1 == j2
+
+
+def test_report_config_reruns_byte_identically(tmp_path):
+    out1 = os.fspath(tmp_path / "a")
+    out2 = os.fspath(tmp_path / "b")
+    assert cli.main(["run", "bessel-check", "--out", out1]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(json.load(open(os.path.join(out1, "bessel-check.json")))["config"]))
+    assert cli.main(["run", "bessel-check", "--config", os.fspath(config), "--out", out2]) == 0
+    for ext in (".json", ".csv"):
+        first = open(os.path.join(out1, "bessel-check" + ext), "rb").read()
+        assert open(os.path.join(out2, "bessel-check" + ext), "rb").read() == first
+
+
+def test_plot_columns_follow_the_documented_csv_headers():
+    doc = open(os.path.join(os.path.dirname(__file__), "..", "docs", "formats.md")).read()
+    headers = {}
+    for line in doc.splitlines():
+        cells = [c.strip() for c in line.split("|")]
+        if len(cells) > 3 and cells[1] in cli.RUNNERS:
+            headers[cells[1]] = cells[2].strip("`").split(", ")
+    expected = {
+        "verify-frame": ("alpha", "partition_dev"),
+        "wedge-energy": ("j", "core_energy"),
+        "disc-rate": ("N", "err2"),
+        "disc-lower-bound": ("N", "err2_lower_bound"),
+        "straight-edge-rate": ("N", "err2"),
+        "apriori-decay": ("j", "max_coeff"),
+        "bessel-check": ("r", "dev_plus"),
+        "molecule-distance": ("spatial_cap", "sup_a"),
+        "generator-decay": ("j", "sup"),
+    }
+    assert set(headers) == set(expected)
+    for experiment, cols in headers.items():
+        x, y = cli._plot_columns(cols)
+        assert (cols[x - 1], cols[y - 1]) == expected[experiment]
+    assert cli._plot_columns([]) == (1, 2)
 
 
 def test_unwritable_output_directory_is_reported(tmp_path):
@@ -116,12 +198,8 @@ def test_disc_rate_requires_configured_band():
         cli.RUNNERS["disc-rate"](cfg)
 
 
-def test_rate_params_snap_only_when_configured():
-    snapped = cli._rate_params({"snapped_ladder": True, "s": 1.0}, 0.5, 128)
-    assert snapped == cli.FrameParams.nyquist_snapped(1.0, 0.5, 128)
-    for cfg in ({"snapped_ladder": False, "s": 1.0}, {"s": 1.0}):
-        assert cli._rate_params(cfg, 0.5, 128) == cli.FrameParams(s=1.0, alpha=0.5, grid_n=128)
-    assert snapped != cli._rate_params({"s": 1.0}, 0.5, 128)
+def test_rate_params_snap_to_nyquist():
+    assert cli._rate_params({"s": 1.0}, 0.5, 128) == cli.FrameParams.nyquist_snapped(1.0, 0.5, 128)
 
 
 def test_dump_flags(tmp_path, capsys):

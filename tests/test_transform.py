@@ -292,6 +292,12 @@ def test_atom_l1_norm_decay_slope():
     assert abs(res["l1_slope"] - target) <= 0.25
 
 
+def test_atom_l1_decay_skips_scales_with_an_empty_tile(frame64):
+    # at grid 64 with the default corona unit, tiles (1, 0) and (2, 0) hold no lattice point
+    assert [frame64._caches[frame64.wedge_index(j, 0)].n_spectrum for j in (1, 2)] == [0, 0]
+    assert [r["j"] for r in atom_l1_decay(frame64)["rows"]] == [0, 3, 4, 5, 6]
+
+
 def test_atom_invalid_index(frame64):
     with pytest.raises(KeyError):
         curvelet_atom(frame64, (2, 57, (0, 0)))
