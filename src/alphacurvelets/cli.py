@@ -46,6 +46,10 @@ BAND_NOTES = {
 }
 
 
+class ConfigError(ValueError):
+    """Input refused before any work; :func:`main` reports it as a usage error."""
+
+
 def load_defaults() -> dict:
     with resources.files("alphacurvelets").joinpath("defaults.json").open() as fh:
         return json.load(fh)
@@ -62,11 +66,11 @@ def resolve_config(experiment: str, config_path: str | None, overrides: dict) ->
         with open(config_path) as fh:
             changes = json.load(fh)
         if not isinstance(changes, dict):
-            raise ValueError(f"config file {config_path!r} must hold a JSON object")
+            raise ConfigError(f"config file {config_path!r} must hold a JSON object")
     changes.update((key, val) for key, val in overrides.items() if val is not None)
     unknown = sorted(set(changes) - set(cfg))
     if unknown:
-        raise ValueError(f"{experiment} does not read {', '.join(unknown)}; its keys are {sorted(cfg)}")
+        raise ConfigError(f"{experiment} does not read {', '.join(unknown)}; its keys are {sorted(cfg)}")
     cfg.update(changes)
     return cfg
 
@@ -278,15 +282,15 @@ def _threshold_rate(
 def run_disc_rate(cfg: dict) -> tuple[bool, dict, list[dict]]:
     alpha = float(cfg["alpha"])
     grid = int(cfg["grid"])
-    frame = DigitalCurveletFrame.build(_rate_params(cfg, alpha, grid))
-    disc = render(CartoonSpec(kind="disc", antialias=int(cfg["antialias"])), grid)
-    curve, fit = _threshold_rate(cfg, frame, disc)
     band = None
     for key, val in cfg["bands"].items():
         if abs(float(key) - alpha) < 1e-9:
             band = val
     if band is None:
-        raise ValueError(f"no acceptance band configured for alpha={alpha}")
+        raise ConfigError(f"no acceptance band configured for alpha={alpha}")
+    frame = DigitalCurveletFrame.build(_rate_params(cfg, alpha, grid))
+    disc = render(CartoonSpec(kind="disc", antialias=int(cfg["antialias"])), grid)
+    curve, fit = _threshold_rate(cfg, frame, disc)
     ok = band[0] <= fit.slope <= band[1]
     rows = [{"N": n, "err2": e} for n, e in zip(curve.n_terms, curve.err2)]
     results = {"alpha": alpha, "slope": fit.slope, "band": band, "fit": fit.__dict__}
@@ -540,24 +544,27 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     overrides = {"grid": args.grid, "alpha": args.alpha, "s": args.s, "seed": args.seed}
-    cfg = resolve_config(args.experiment, args.config, overrides)
-    base = load_defaults()
-    out_dir = args.out or os.environ.get("ALPHACURVELETS_OUT", base["out_dir"])
-    if args.dump_pgm or args.dump_coeffs is not None:
-        grid, alpha, s = (cfg.get(key, base[key]) for key in ("grid", "alpha", "s"))
-        spec = CartoonSpec(kind="disc", antialias=int(cfg.get("antialias", 4)))
-        img = render(spec, int(grid))
-        if args.dump_pgm:
-            write_pgm(img, args.dump_pgm)
-            print(f"wrote {args.dump_pgm}")
-        if args.dump_coeffs is not None:
-            frame = DigitalCurveletFrame.build(FrameParams(s=s, alpha=float(alpha), grid_n=int(grid)))
-            coeffs = analyze(img, frame)
-            os.makedirs(out_dir, exist_ok=True)
-            top = None if args.dump_coeffs == 0 else args.dump_coeffs
-            paths = dump_coefficients(coeffs, frame, os.path.join(out_dir, "coefficients"), top)
-            print(f"wrote {paths[0]} and {paths[1]}")
-    return run_experiment(args.experiment, cfg, out_dir)
+    try:
+        cfg = resolve_config(args.experiment, args.config, overrides)
+        base = load_defaults()
+        out_dir = args.out or os.environ.get("ALPHACURVELETS_OUT", base["out_dir"])
+        if args.dump_pgm or args.dump_coeffs is not None:
+            grid, alpha, s = (cfg.get(key, base[key]) for key in ("grid", "alpha", "s"))
+            spec = CartoonSpec(kind="disc", antialias=int(cfg.get("antialias", 4)))
+            img = render(spec, int(grid))
+            if args.dump_pgm:
+                write_pgm(img, args.dump_pgm)
+                print(f"wrote {args.dump_pgm}")
+            if args.dump_coeffs is not None:
+                frame = DigitalCurveletFrame.build(FrameParams(s=s, alpha=float(alpha), grid_n=int(grid)))
+                coeffs = analyze(img, frame)
+                os.makedirs(out_dir, exist_ok=True)
+                top = None if args.dump_coeffs == 0 else args.dump_coeffs
+                paths = dump_coefficients(coeffs, frame, os.path.join(out_dir, "coefficients"), top)
+                print(f"wrote {paths[0]} and {paths[1]}")
+        return run_experiment(args.experiment, cfg, out_dir)
+    except ConfigError as exc:
+        runp.error(str(exc))
 
 
 if __name__ == "__main__":

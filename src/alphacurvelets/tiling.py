@@ -10,6 +10,11 @@ single isotropic closure window absorbs everything above the top corona,
 which keeps the partition of unity exact and hence makes the digital
 transform in :mod:`alphacurvelets.transform` a Parseval frame.
 
+The windows are evaluated once per lattice orbit of the mirror ``k -> -k``
+and the reflection ``k2 -> -k2``, on the quadrant ``0 <= k1, k2 <= n/2``,
+so they are exactly symmetric under both.  The reflection maps tile
+``ell`` onto tile ``-ell``, so half the tiles are row flips of the others.
+
 Conventions
 -----------
 * Image domain is ``[-1, 1]^2`` sampled ``grid_n`` per axis (corner-anchored,
@@ -21,6 +26,7 @@ Conventions
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import warnings
@@ -360,7 +366,9 @@ class TileSupport:
     ``k2 mod n`` in ``[0, n/2]`` is kept.  ``grid_flat`` indexes that half
     spectrum, ``(k1 mod n) * (n/2 + 1) + (k2 mod n)``, and ``window`` holds
     the window there.  Its first ``n_spectrum`` entries are the support's
-    points on the half spectrum, each once.
+    points on the half spectrum, each once.  Tile ``(j, -ell)`` is the
+    image of tile ``(j, ell)`` under ``k2 -> -k2``: the same record with
+    its rows flipped, as :meth:`reflected` makes it.
 
     The record is built complete from the scan's entries: the wrap box
     ``P1 x P2`` is the one :func:`_find_wrap_periods` picks, checked for
@@ -423,6 +431,21 @@ class TileSupport:
         self.n_direct = direct.size
         self.P1, self.P2 = P1, P2
 
+    def reflected(self) -> TileSupport:
+        """Tile ``(j, -ell)``: with the mirror ``k -> -k``, the reflection
+        ``k2 -> -k2`` maps ``(k1, k2)`` onto ``(-k1, k2)``, so each entry keeps
+        its column and window and flips its row in the half spectrum and the
+        box.  The wrap search finds the same box for tiles off the row
+        ``k1 = -n/2``, as every tile ``0 < ell < L/2`` is."""
+        out = copy.copy(self)
+        out.ell = -self.ell
+        n, cols, box_cols = self.grid_n, self.grid_n // 2 + 1, self.P2 // 2 + 1
+        row, col = np.divmod(self.grid_flat, cols)
+        out.grid_flat = (n - row) % n * cols + col
+        row, col = np.divmod(self.box_flat, box_cols)
+        out.box_flat = (self.P1 - row) % self.P1 * box_cols + col
+        return out
+
     def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Full lattice support: signed ``k1``, ``k2`` in ``[-n/2, n/2)`` and
         window samples; the half-spectrum points first, then the mirrors it
@@ -453,38 +476,31 @@ def _with_mirrors(k1, k2, omitted, half):
 def _scan_supports(
     params: FrameParams, profile: WindowProfile
 ) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
-    """Evaluate every window once per mirror pair ``{k, -k}`` of lattice points.
+    """Evaluate every window once per reflection orbit of lattice points.
 
-    Returns ``(j, ell, grid_flat, window)`` per tile in layout order, the
-    entries :class:`TileSupport` folds.  The scanned points are the columns
-    ``0 < k2 < n/2`` of the rfft half spectrum, plus the rows ``k1`` in
-    ``[0, n/2)`` and ``k1 = -n/2`` of its columns 0 and ``n/2``.  Each
-    mirror that those two columns hold is then added with its partner's
-    window value, so the windows are exactly symmetric by construction;
-    the other mirrors stay implicit.  Points are binned per scale by radius,
+    Returns ``(j, ell, grid_flat, window)``, the entries :class:`TileSupport`
+    folds, for the tiles ``0 <= ell < L/2`` and ``ell = -L/2`` of each
+    scale (``ell = 0`` for the ball and the closure), scale-major.  The
+    scanned points are the quadrant ``(a, b)``, ``0 <= a, b <= n/2``, with
+    radius and angle computed once; a tile ``ell`` binned at ``(a, b)``
+    takes that half-spectrum point.  For ``0 < a < n/2`` the row mirror
+    ``(-a, b)`` takes the same value: on the columns 0 and ``n/2`` it is
+    the mirror of ``(a, -b) = (a, b)`` and goes to tile ``ell``; elsewhere
+    it is the mirror of the reflection ``(a, -b)`` and goes to tile
+    ``-ell``.  So every window is exactly symmetric under ``k -> -k`` and
+    ``k2 -> -k2`` by construction.  Points are binned per scale by radius,
     inside :meth:`FrameParams.radial_support`, and per wedge by angle, so
-    each scanned point is touched only by the (at most four) windows that
-    are nonzero there.
+    each point is touched only by the (at most four) windows nonzero there.
     """
     n = params.grid_n
     half = n // 2
     cols = half + 1
-    row = np.repeat(np.arange(n), cols)
-    col = np.tile(np.arange(cols), n)
-    flat = np.flatnonzero(((col != 0) & (col != half)) | (row <= half))
-    row, col = row[flat], col[flat]
-    K1 = np.where(row >= half, row - n, row)
-    K2 = np.where(col == half, -half, col)
-    del row, col
-    r = 0.5 * np.hypot(K1.astype(float), K2.astype(float))
-
-    def with_column_mirrors(idx, W, *tags):
-        """Entries of the scanned points ``idx``, then the mirrors in columns 0 and n/2."""
-        k1, k2 = K1[idx], K2[idx]
-        pair = ((k2 == 0) | (k2 == -half)) & (k1 > 0)
-        f = flat[idx]
-        mirrors = f[pair] + (n - 2 * k1[pair]) * cols
-        return [np.concatenate([f, mirrors])] + [np.concatenate([t, t[pair]]) for t in (W, *tags)]
+    a, b = np.divmod(np.arange(cols * cols), cols)
+    r = 0.5 * np.hypot(a, b)
+    theta = np.arctan2(b, a)
+    flat, row_mirror = a * cols + b, (n - a) * cols + b
+    inner = (a > 0) & (a < half)
+    same_tile = (b == 0) | (b == half)
 
     out: list[tuple[int, int, np.ndarray, np.ndarray]] = []
     for j in range(params.j_max + 2):
@@ -492,34 +508,33 @@ def _scan_supports(
         inside = r < hi
         if j > 0:  # the ball holds the origin, where r == lo
             inside &= r > lo
-        sel = np.nonzero(inside)[0]
-        U = profile.radial(j, r[sel])
-        if j == 0 or j == params.j_max + 1:
-            out.append((j, 0, *with_column_mirrors(sel, U)))
-            continue
-        L = params.tile_count(j)
-        Lm = L // 2
-        theta = np.arctan2(K2[sel].astype(float), K1[sel].astype(float))
-        m = profile.angular_bins(j, theta)
-        c_hi = np.floor(m + 0.75)
-        c_lo = np.ceil(m - 0.75)
-        second = c_hi != c_lo
-        pt_idx = np.concatenate([sel, sel[second]])
-        centers = np.concatenate([c_lo, c_hi[second]])
-        mm = np.concatenate([m, m[second]])
-        uu = np.concatenate([U, U[second]])
-        V = profile.angular_from_bins(j, mm, centers)
-        keep = V > 0
-        pt_idx, centers, W = pt_idx[keep], centers[keep], (uu * V)[keep]
-        f, W, cbin = with_column_mirrors(pt_idx, W, centers.astype(np.int64) % L)
-        order = np.argsort(cbin, kind="stable")
-        f, W, cbin = f[order], W[order], cbin[order]
-        bounds = np.searchsorted(cbin, np.arange(L + 1))
-        for c in range(L):
-            ell = c if c < L - Lm else c - L
-            sl = slice(bounds[c], bounds[c + 1])
-            out.append((j, ell, f[sl], W[sl]))
-    out.sort(key=lambda t: (t[0], t[1]))
+        pt = np.flatnonzero(inside)
+        W = profile.radial(j, r[pt])
+        L, cbin = 1, np.zeros(pt.size, dtype=np.int64)
+        if 0 < j <= params.j_max:
+            L = params.tile_count(j)
+            m = profile.angular_bins(j, theta[pt])
+            c_hi = np.floor(m + 0.75)
+            c_lo = np.ceil(m - 0.75)
+            second = c_hi != c_lo
+            pt = np.concatenate([pt, pt[second]])
+            centers = np.concatenate([c_lo, c_hi[second]])
+            V = profile.angular_from_bins(j, np.concatenate([m, m[second]]), centers)
+            keep = V > 0
+            pt, W = pt[keep], (np.concatenate([W, W[second]]) * V)[keep]
+            cbin = centers[keep].astype(np.int64) % L
+        mirrored = inner[pt]
+        pm, cm = pt[mirrored], cbin[mirrored]
+        tile = np.concatenate([cbin, np.where(same_tile[pm], cm, -cm % L)])
+        scanned = tile <= L // 2
+        f = np.concatenate([flat[pt], row_mirror[pm]])[scanned]
+        W = np.concatenate([W, W[mirrored]])[scanned]
+        tile = tile[scanned]
+        order = np.argsort(tile, kind="stable")
+        bounds = np.searchsorted(tile[order], np.arange(L // 2 + 2))
+        for c in range(L // 2 + 1):
+            sl = order[bounds[c] : bounds[c + 1]]
+            out.append((j, c if 2 * c < L else c - L, f[sl], W[sl]))
     return out
 
 
@@ -577,13 +592,18 @@ def build_layout(params: FrameParams) -> TilingLayout:
     The tile list is ordered scale-major (ball first, angular index
     ascending within each scale, closure last); this ordering is the
     stable flat order used for coefficient tie-breaking downstream.
+    :class:`TileSupport` folds the scanned tiles ``0 <= ell < L/2`` and
+    ``ell = -L/2`` of each scale; each tile ``-L/2 < ell < 0`` is
+    :meth:`TileSupport.reflected` of tile ``-ell``.
     """
     profile = WindowProfile(params)
     closure = params.scale_of_closure()
-    wedges = [
-        TileSupport(j, ell, params.grid_n, grid_flat, window, wrap=j != closure)
-        for j, ell, grid_flat, window in _scan_supports(params, profile)
-    ]
+    wedges = []
+    for j, ell, grid_flat, window in _scan_supports(params, profile):
+        wedges.append(TileSupport(j, ell, params.grid_n, grid_flat, window, wrap=j != closure))
+        if ell > 0:
+            wedges.append(wedges[-1].reflected())
+    wedges.sort(key=lambda t: (t.j, t.ell))
     return TilingLayout(params=params, profile=profile, wedges=wedges)
 
 

@@ -198,6 +198,38 @@ def test_disc_rate_requires_configured_band():
         cli.RUNNERS["disc-rate"](cfg)
 
 
+def test_disc_rate_looks_up_its_band_before_building_a_frame(monkeypatch):
+    def build(params):
+        raise AssertionError("frame built before the band lookup")
+
+    monkeypatch.setattr(cli.DigitalCurveletFrame, "build", build)
+    cfg = cli.resolve_config("disc-rate", None, {"alpha": 0.4})
+    with pytest.raises(ValueError, match="no acceptance band configured for alpha=0.4"):
+        cli.RUNNERS["disc-rate"](cfg)
+
+
+@pytest.mark.parametrize(
+    "experiment,message",
+    [("wedge-energy", "wedge-energy does not read alpha"), ("disc-rate", "no acceptance band configured")],
+)
+def test_refused_input_is_a_usage_error(experiment, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", experiment, "--alpha", "0.4", "--out", os.fspath(tmp_path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: alphacurvelets run") and message in err
+    assert "Traceback" not in err and not any(tmp_path.iterdir())
+
+
+def test_errors_inside_a_run_are_not_usage_errors(monkeypatch, tmp_path):
+    def broken(cfg):
+        raise ValueError("inside the run")
+
+    monkeypatch.setitem(cli.RUNNERS, "bessel-check", broken)
+    with pytest.raises(ValueError, match="inside the run"):
+        cli.main(["run", "bessel-check", "--out", os.fspath(tmp_path)])
+
+
 def test_rate_params_snap_to_nyquist():
     assert cli._rate_params({"s": 1.0}, 0.5, 128) == cli.FrameParams.nyquist_snapped(1.0, 0.5, 128)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from alphacurvelets.tiling import (
     FrameParams,
+    TileSupport,
     WindowProfile,
     _co_step,
     build_layout,
@@ -344,6 +345,58 @@ def test_windows_match_the_geometric_formula_on_the_full_support():
         k1, k2, window = sup.support()
         xi = 0.5 * np.stack([k1, k2], axis=-1).astype(float)
         assert np.max(np.abs(layout.profile.window(sup.j, sup.ell, xi) - window), initial=0.0) <= 1e-13
+
+
+ORACLE_CASES = [(g, a, snapped) for g in (64, 128) for a in (0.0, 0.25, 0.5, 0.9) for snapped in (False, True)]
+
+
+def _oracle_layout(grid, alpha, snapped):
+    p = FrameParams.nyquist_snapped(1.0, alpha, grid) if snapped else FrameParams(s=1.0, alpha=alpha, grid_n=grid)
+    return build_layout(p)
+
+
+@pytest.mark.parametrize("grid,alpha,snapped", ORACLE_CASES)
+def test_windows_match_the_brute_force_oracle_over_the_whole_lattice(grid, alpha, snapped):
+    # the scan evaluates each window once per reflection orbit on a quadrant;
+    # the oracle evaluates every window at every signed lattice point
+    layout = _oracle_layout(grid, alpha, snapped)
+    k = np.arange(grid) - grid // 2
+    K1, K2 = np.meshgrid(k, k, indexing="ij")
+    xi = 0.5 * np.stack([K1.ravel(), K2.ravel()], axis=-1).astype(float)
+    for sup in layout.wedges:
+        oracle = layout.profile.window(sup.j, sup.ell, xi)
+        k1, k2, window = sup.support()
+        held = np.zeros(grid * grid)
+        held[(k1 + grid // 2) * grid + (k2 + grid // 2)] = window
+        assert np.max(np.abs(held - oracle)) <= 1e-12, (sup.j, sup.ell)
+        in_support = np.zeros(grid * grid, dtype=bool)
+        in_support[(k1 + grid // 2) * grid + (k2 + grid // 2)] = True
+        assert in_support[oracle > 1e-15].all(), (sup.j, sup.ell)
+
+
+@pytest.mark.parametrize("grid,alpha,snapped", ORACLE_CASES)
+def test_reflected_tiles_are_row_flips_equal_to_the_constructor(grid, alpha, snapped):
+    layout = _oracle_layout(grid, alpha, snapped)
+    tiles = {(sup.j, sup.ell): sup for sup in layout.wedges}
+    cols = grid // 2 + 1
+    derived = 0
+    for (j, ell), sup in tiles.items():
+        if ell >= 0 or (j, -ell) not in tiles:
+            continue
+        derived += 1
+        src = tiles[j, -ell]
+        row, col = np.divmod(src.grid_flat, cols)
+        assert np.array_equal(sup.grid_flat, (grid - row) % grid * cols + col)
+        box_cols = src.P2 // 2 + 1
+        row, col = np.divmod(src.box_flat, box_cols)
+        assert np.array_equal(sup.box_flat, (src.P1 - row) % src.P1 * box_cols + col)
+        assert np.array_equal(sup.window, src.window)
+        ns = sup.n_spectrum
+        built = TileSupport(j, ell, grid, sup.grid_flat[:ns], sup.window[:ns], wrap=True)
+        for name in TileSupport.__slots__:
+            a, b = getattr(built, name), getattr(sup, name)
+            assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype, (j, ell, name)
+    assert derived == sum(L // 2 - 1 for L in map(layout.params.tile_count, range(1, layout.params.j_max + 1)))
 
 
 @pytest.mark.parametrize("s", [0.75, 1.0, 1.3])
