@@ -27,7 +27,6 @@ from .molecules import PhasePoint, consistency_sum, curvelet_parametrization, in
 from .tiling import (
     FrameParams,
     TilingLayout,
-    WindowProfile,
     build_layout,
     smooth_step,
     verify_partition,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FrameParams",
-    "WindowProfile",
     "TilingLayout",
     "build_layout",
     "smooth_step",

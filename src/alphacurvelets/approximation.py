@@ -45,6 +45,7 @@ __all__ = [
 PROBE_EXTENT = 0.6  # half-width of the generator probe grid; the support is [-1/2, 1/2]^2
 ONSET_RESID_TOL = 0.45  # log2 units: wider than the tile-count stairs, narrower than the head
 ONSET_MIN_POINTS = 4
+SCHEDULE_RATIO = math.sqrt(2.0)  # N-term schedules step by half an octave
 
 
 @dataclass
@@ -78,9 +79,6 @@ class RateReport:
     window: tuple[int, int]
     residual: float
     n_points: int
-    target: float | None = None
-    tolerance: float | None = None
-    verdict: str | None = None
 
 
 def threshold(coeffs: CoefficientSet, n_keep: int) -> CoefficientSet:
@@ -124,8 +122,8 @@ def _smallest_first_tails(values: np.ndarray, n_max: int) -> np.ndarray:
     return np.cumsum(np.concatenate(([values[:k].sum()], np.sort(values[k:]))))[::-1]
 
 
-def geometric_schedule(start: int, stop: int, ratio: float = math.sqrt(2.0)) -> list[int]:
-    """Strictly increasing integer schedule, geometric with given ratio."""
+def geometric_schedule(start: int, stop: int) -> list[int]:
+    """Strictly increasing integer schedule, geometric with ratio ``SCHEDULE_RATIO``."""
     if start < 1 or stop < start:
         raise ValueError("need 1 <= start <= stop")
     out = []
@@ -134,7 +132,7 @@ def geometric_schedule(start: int, stop: int, ratio: float = math.sqrt(2.0)) -> 
         v = int(round(x))
         if not out or v > out[-1]:
             out.append(v)
-        x *= ratio
+        x *= SCHEDULE_RATIO
     if out[-1] != stop:
         out.append(stop)
     return out
@@ -194,12 +192,7 @@ def error_curve(
     return curve
 
 
-def fit_rate(
-    curve: ErrorCurve,
-    window: tuple[int, int],
-    target: float | None = None,
-    tolerance: float | None = None,
-) -> RateReport:
+def fit_rate(curve: ErrorCurve, window: tuple[int, int]) -> RateReport:
     """Least-squares line through ``(log N, log err2)`` over ``window = (lo, hi)``, inclusive."""
     n = np.asarray(curve.n_terms, dtype=float)
     e = np.asarray(curve.err2, dtype=float)
@@ -213,18 +206,12 @@ def fit_rate(
     y = np.log(e[sel])
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    verdict = None
-    if target is not None and tolerance is not None:
-        verdict = "pass" if abs(slope - target) <= tolerance else "fail"
     return RateReport(
         slope=float(slope),
         intercept=float(intercept),
         window=(int(lo), int(hi)),
         residual=resid,
         n_points=int(np.count_nonzero(sel)),
-        target=target,
-        tolerance=tolerance,
-        verdict=verdict,
     )
 
 
@@ -334,7 +321,7 @@ def bound1_tail_estimator(params: FrameParams) -> ErrorCurve:
     )
 
 
-def generator_decay_check(frame: DigitalCurveletFrame, probe_step: float) -> list[dict]:
+def generator_decay_check(params: FrameParams, probe_step: float) -> list[dict]:
     """Probe the rescaled scale generators on a dense frequency grid.
 
     The spectrum of the scale-``j`` generator is the horizontal window
@@ -346,21 +333,21 @@ def generator_decay_check(frame: DigitalCurveletFrame, probe_step: float) -> lis
     for ``j >= 1``.  The probe grid has spacing ``probe_step`` on
     ``[-PROBE_EXTENT, PROBE_EXTENT]^2``, a margin around the unit box.
     """
-    p = frame.params
     ax = np.arange(-PROBE_EXTENT, PROBE_EXTENT + probe_step / 2, probe_step)
     X1, X2 = np.meshgrid(ax, ax, indexing="ij")
     out = []
-    inner = 2.0 ** (-2.0 * p.s - 5.0)
-    for j in range(p.j_max + 1):
-        U1 = 2.0**(j * p.s) * X1
-        U2 = 2.0**(j * p.s * p.alpha) * X2
+    inner = 2.0 ** (-2.0 * params.s - 5.0)
+    for j in range(params.j_max + 1):
+        U1 = 2.0**(j * params.s) * X1
+        U2 = 2.0**(j * params.s * params.alpha) * X2
         pts = np.stack([U1.ravel(), U2.ravel()], axis=-1)
-        vals = frame.profile.window(j, 0, pts).reshape(X1.shape)
+        vals = params.window(j, 0, pts).reshape(X1.shape)
         outside = (np.abs(X1) > 0.5) | (np.abs(X2) > 0.5)
         support_ok = bool(np.all(vals[outside] == 0.0))
         sup = float(vals.max())
         if j >= 1:
-            win = (np.abs(X1) <= inner) & (np.abs(X2) <= inner * 2.0 ** (j * p.s * (1.0 - p.alpha)))
+            wide = inner * 2.0 ** (j * params.s * (1.0 - params.alpha))
+            win = (np.abs(X1) <= inner) & (np.abs(X2) <= wide)
             inner_ok = bool(np.all(vals[win] == 0.0))
         else:
             inner_ok = True

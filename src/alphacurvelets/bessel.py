@@ -20,7 +20,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from .tiling import FrameParams, WindowProfile
+from .tiling import FrameParams
 
 __all__ = [
     "SUPPORTED_ORDERS",
@@ -237,10 +237,9 @@ def wedge_energy_quadrature(params: FrameParams, j: int, region: str = "core") -
     elif region == "window":
         lo, hi = params.radial_support(j)
         measure = 2.0 * math.pi / params.tile_count(j)
-        rad = WindowProfile(params).radial
 
         def integrand(r):
-            return rad(j, r) ** 2 * bessel_j(1.0, math.pi * r) ** 2 / (4.0 * r)
+            return params.radial(j, r) ** 2 * bessel_j(1.0, math.pi * r) ** 2 / (4.0 * r)
 
     else:
         raise ValueError(f"unknown region {region!r}")

@@ -479,8 +479,7 @@ def run_generator_decay(cfg: dict) -> tuple[bool, dict, list[dict]]:
     rows = []
     for alpha in cfg["alphas"]:
         params = _params(cfg, float(alpha), int(cfg["grid"]))
-        frame = DigitalCurveletFrame.build(params)
-        table = appr.generator_decay_check(frame, probe_step=float(cfg["probe_step"]))
+        table = appr.generator_decay_check(params, probe_step=float(cfg["probe_step"]))
         for entry in table:
             ok = ok and entry["support_ok"] and entry["inner_zero_ok"] and entry["sup"] <= 1.0 + 1e-12
             rows.append({"alpha": alpha, **entry})
@@ -542,12 +541,14 @@ def main(argv: list[str] | None = None) -> int:
         for name in RUNNERS:
             print(f"{name}: {BAND_NOTES[name]}")
         return 0
+    if args.dump_coeffs is not None and args.dump_coeffs < 0:
+        runp.error(f"--dump-coeffs K must be >= 0, got {args.dump_coeffs}")
 
     overrides = {"grid": args.grid, "alpha": args.alpha, "s": args.s, "seed": args.seed}
     try:
         cfg = resolve_config(args.experiment, args.config, overrides)
         base = load_defaults()
-        out_dir = args.out or os.environ.get("ALPHACURVELETS_OUT", base["out_dir"])
+        out_dir = args.out or base["out_dir"]
         if args.dump_pgm or args.dump_coeffs is not None:
             grid, alpha, s = (cfg.get(key, base[key]) for key in ("grid", "alpha", "s"))
             spec = CartoonSpec(kind="disc", antialias=int(cfg.get("antialias", 4)))

@@ -9,6 +9,8 @@ exactly (up to float rounding) on every frequency.  On a finite grid a
 single isotropic closure window absorbs everything above the top corona,
 which keeps the partition of unity exact and hence makes the digital
 transform in :mod:`alphacurvelets.transform` a Parseval frame.
+:class:`FrameParams` holds this whole geometry: the scale ladder, tile
+counts and angles, radial intervals and the window functions themselves.
 
 The windows are evaluated once per lattice orbit of the mirror ``k -> -k``
 and the reflection ``k2 -> -k2``, on the quadrant ``0 <= k1, k2 <= n/2``,
@@ -36,7 +38,6 @@ import numpy as np
 
 __all__ = [
     "FrameParams",
-    "WindowProfile",
     "TilingLayout",
     "TileSupport",
     "smooth_step",
@@ -76,14 +77,9 @@ def _co_step(t):
     return np.where(t >= 1.0, 0.0, np.maximum(np.cos(0.5 * np.pi * _poly_ramp(t)), 0.0))
 
 
-def _knot(s: float, k: int) -> float:
-    """Radial knot ``2**(k*s/3)``: the corona ratio ``2**s`` in log thirds."""
-    return 2.0 ** (k * s / 3.0)
-
-
 @dataclass(frozen=True)
 class FrameParams:
-    """Configuration of one frame instance.
+    """Geometry of one frame: scale counts, angles, radial intervals and windows.
 
     Parameters
     ----------
@@ -94,24 +90,34 @@ class FrameParams:
         1/2 parabolic scaling, 1 isotropic tiles.
     grid_n : int
         Samples per axis on ``[-1, 1]^2``; must be even and >= 16.
-    corona_constant : float, optional
-        Radius unit ``C`` of the coronae.  Default ``2**(-s) / (3*pi)``,
-        the largest value for which every wedge pair fits inside its
-        anisotropic bounding rectangle.
-    j_max : int, optional
-        Finest corona scale.  Defaults to the largest ``j`` with
-        ``C * 2**(s*(j+1)) * tau2 <= grid_n / 4`` so the top corona stays
-        below the grid Nyquist frequency with margin.
+    snapped : bool, default False
+        Which corona ladder.  The default ladder has the radius unit
+        ``corona_constant = 2**(-s) / (3*pi)``, the largest for which every
+        wedge pair fits inside its anisotropic bounding rectangle, and as
+        finest scale ``j_max`` the largest ``j`` with
+        ``C * 2**(s*(j+1)) * tau2 <= grid_n / 4``, so the top corona stays
+        below the grid Nyquist frequency with margin.  The snapped ladder
+        (:meth:`nyquist_snapped`) ends the top corona's support exactly at
+        ``grid_n / 4``.
 
     The radial transition knots are fixed by ``s``: ``tau1 = 2**(s/3)`` and
-    ``tau2 = 2**(2*s/3)``, evenly log-spaced in ``(1, 2**s)``.
+    ``tau2 = 2**(2*s/3)``, evenly log-spaced in ``(1, 2**s)``.  Radial
+    windows are functions of ``y = log2(r / C)``: scale ``j`` rises on
+    ``[(j-1)*s + log2(tau1), (j-1)*s + log2(tau2)]`` and falls on the same
+    interval shifted by ``s``, except that the ball does not rise and the
+    closure ``j_max + 1`` does not fall.  Rising and falling edges of
+    adjacent scales share bit-identical ramp arguments, and the sine/cosine
+    pairing makes the squared sum exactly one.  The angular profile is
+    evaluated in bin coordinates (units of the tile angle), which keeps the
+    neighbour-pair identity independent of the tile count.
     """
 
     s: float
     alpha: float
     grid_n: int
-    corona_constant: float | None = None
-    j_max: int | None = None
+    snapped: bool = False
+    corona_constant: float = field(init=False)
+    j_max: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not (self.s > 0 and math.isfinite(self.s)):
@@ -126,42 +132,29 @@ class FrameParams:
             )
         if self.grid_n < 16 or self.grid_n % 2 != 0:
             raise ValueError(f"grid_n must be even and >= 16, got {self.grid_n}")
-        if self.corona_constant is None:
-            object.__setattr__(self, "corona_constant", 2.0 ** (-self.s) / (3.0 * math.pi))
-        if self.corona_constant <= 0:
-            raise ValueError("corona_constant must be positive")
-        if self.j_max is None:
-            object.__setattr__(self, "j_max", self.nyquist_j_max())
-        elif self.j_max < 0 or (
-            self.corona_constant * 2.0 ** (self.s * self.j_max) * self.tau2
-            > self.grid_n / 4.0 * (1.0 + 1e-12)
-        ):
-            raise ValueError(
-                f"j_max={self.j_max} exceeds the Nyquist bound: the top corona "
-                f"support must stay within grid_n/4 = {self.grid_n / 4}"
-            )
+        s, top = self.s, self.grid_n / 4.0
+        if self.snapped:
+            j_max = math.floor(math.log2(top * 2.0**s / self.tau2) / s)
+            C = top / (2.0 ** (j_max * s) * self.tau2)
+        else:
+            C = 2.0 ** (-s) / (3.0 * math.pi)
+            if C * 2.0**s * self.tau2 > top:
+                raise ValueError(f"grid_n={self.grid_n} too small for even one corona")
+            j_max = 0
+            while C * 2.0 ** (s * (j_max + 2)) * self.tau2 <= top:
+                j_max += 1
+        object.__setattr__(self, "corona_constant", C)
+        object.__setattr__(self, "j_max", j_max)
 
     @property
     def tau1(self) -> float:
-        """Lower radial knot ``2**(s/3)``."""
-        return _knot(self.s, 1)
+        """Lower radial knot ``2**(s/3)``: the corona ratio ``2**s`` in log thirds."""
+        return 2.0 ** (self.s / 3.0)
 
     @property
     def tau2(self) -> float:
         """Upper radial knot ``2**(2*s/3)``."""
-        return _knot(self.s, 2)
-
-    def nyquist_j_max(self) -> int:
-        """Largest scale whose corona fits below Nyquist with margin."""
-        j = 0
-        while (
-            self.corona_constant * 2.0 ** (self.s * (j + 2)) * self.tau2
-            <= self.grid_n / 4.0
-        ):
-            j += 1
-        if self.corona_constant * 2.0 ** (self.s * 1) * self.tau2 > self.grid_n / 4.0:
-            raise ValueError(f"grid_n={self.grid_n} too small for even one corona")
-        return j
+        return 2.0 ** (2 * self.s / 3.0)
 
     @staticmethod
     def nyquist_snapped(s: float, alpha: float, grid_n: int) -> "FrameParams":
@@ -174,10 +167,7 @@ class FrameParams:
         corona unit, whole octaves of edge energy land in the single
         isotropic closure tile and flatten every N-term error curve.
         """
-        t2 = _knot(s, 2)
-        j_max = math.floor(math.log2(grid_n / 4.0 * 2.0**s / t2) / s)
-        C = grid_n / 4.0 / (2.0 ** (j_max * s) * t2)
-        return FrameParams(s=s, alpha=alpha, grid_n=grid_n, corona_constant=C, j_max=j_max)
+        return FrameParams(s, alpha, grid_n, snapped=True)
 
     def tile_count(self, j: int) -> int:
         """Number of wedge pairs ``L_j`` in the scale-``j`` corona.
@@ -214,30 +204,75 @@ class FrameParams:
         if not 0 <= j <= self.j_max + 1:
             raise ValueError(f"scale {j} outside [0, {self.j_max + 1}]")
 
-    def radial_support(self, j: int) -> tuple[float, float]:
-        """Radial interval ``(lo, hi)`` outside which the scale-``j`` window is zero.
-
-        The corona window rises from ``C * 2**(s*(j-1)) * tau1`` and falls
-        to zero at ``C * 2**(s*j) * tau2``; the ball starts at 0 and the
-        closure ``j = j_max + 1`` runs to infinity.
-        """
+    def _interval(self, j: int, rise_knot: float, fall_knot: float) -> tuple[float, float]:
+        """``(C * 2**(s*(j-1)) * rise_knot, C * 2**(s*j) * fall_knot)``, from 0
+        for the ball and to infinity for the closure."""
         self._check_scale(j)
         C, s = self.corona_constant, self.s
-        if j == 0:
-            return 0.0, C * self.tau2
-        if j == self.j_max + 1:
-            return C * 2.0 ** (self.j_max * s) * self.tau1, math.inf
-        return C * 2.0 ** (s * (j - 1)) * self.tau1, C * 2.0 ** (s * j) * self.tau2
+        lo = C * 2.0 ** (s * (j - 1)) * rise_knot if j > 0 else 0.0
+        hi = C * 2.0 ** (s * j) * fall_knot if j <= self.j_max else math.inf
+        return lo, hi
+
+    def radial_support(self, j: int) -> tuple[float, float]:
+        """Radial interval ``(lo, hi)`` outside which the scale-``j`` window is zero."""
+        return self._interval(j, self.tau1, self.tau2)
 
     def radial_core(self, j: int) -> tuple[float, float]:
         """Radial interval ``(lo, hi)`` on which the scale-``j`` radial window is one."""
+        return self._interval(j, self.tau2, self.tau1)
+
+    def radial(self, j: int, r) -> np.ndarray:
+        """Radial factor ``U_j(r)``; ``j = j_max + 1`` selects the closure."""
         self._check_scale(j)
-        C, s = self.corona_constant, self.s
-        if j == 0:
-            return 0.0, C * self.tau1
-        if j == self.j_max + 1:
-            return C * 2.0 ** (self.j_max * s) * self.tau2, math.inf
-        return C * 2.0 ** (s * (j - 1)) * self.tau2, C * 2.0 ** (s * j) * self.tau1
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        y = np.full(r.shape, -np.inf)  # r = 0: smooth_step(-inf) is exactly 0
+        pos = r > 0
+        y[pos] = np.log2(r[pos] / self.corona_constant)
+        lt1 = math.log2(self.tau1)
+        dlt = math.log2(self.tau2) - lt1
+        rise = smooth_step((y - ((j - 1) * self.s + lt1)) / dlt) if j > 0 else 1.0
+        fall = _co_step((y - (j * self.s + lt1)) / dlt) if j <= self.j_max else 1.0
+        return rise * fall
+
+    def angular_bins(self, j: int, theta) -> np.ndarray:
+        """Angle mapped to tile-index units: ``(theta mod pi) / phi_j``."""
+        phi = self.tile_angle(j)
+        return (np.asarray(theta, dtype=float) % math.pi) / phi
+
+    def angular_from_bins(self, j: int, m, center) -> np.ndarray:
+        """Angular factor of the wedge centred at integer bin ``center``.
+
+        ``m`` is the output of :meth:`angular_bins`.  The pair of opposite
+        lobes is folded together by the mod-``L`` reduction, so a single
+        expression covers the symmetric wedge pair.
+        """
+        L = self.tile_count(j)
+        # abs before the modulo: reducing a small negative offset mod L would
+        # absorb its low bits into the large modulus
+        d = np.abs(np.asarray(m, dtype=float) - np.asarray(center)) % L
+        d = np.minimum(d, L - d)
+        return _co_step(2.0 * d - 0.5)
+
+    def angular(self, j: int, ell: int, theta) -> np.ndarray:
+        """Angular factor ``V_{j,ell}`` on directions ``theta`` (radians)."""
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        if j == 0 or j == self.j_max + 1:
+            return np.ones_like(theta)
+        L = self.tile_count(j)
+        if ell not in self.ell_range(j):
+            raise ValueError(f"ell={ell} outside range for scale {j} (L={L})")
+        m = self.angular_bins(j, theta)
+        return self.angular_from_bins(j, m, ell % L)
+
+    def window(self, j: int, ell: int, xi) -> np.ndarray:
+        """Full window ``W_{j,ell}`` on frequency points ``xi`` (..., 2)."""
+        xi = np.atleast_2d(np.asarray(xi, dtype=float))
+        r = np.hypot(xi[..., 0], xi[..., 1])
+        vals = self.radial(j, r)
+        if j != 0 and j != self.j_max + 1:
+            theta = np.arctan2(xi[..., 1], xi[..., 0])
+            vals = vals * self.angular(j, ell, theta)
+        return vals
 
     def as_dict(self) -> dict:
         """The frame's values as the layout and coefficient dumps record them,
@@ -253,92 +288,6 @@ class FrameParams:
         }
 
 
-class WindowProfile:
-    """Evaluable radial/angular window factors for one parameter set.
-
-    Radial windows are functions of ``y = log2(r / C)``: scale ``j`` rises on
-    ``[(j-1)*s + log2(tau1), (j-1)*s + log2(tau2)]`` and falls on the same
-    interval shifted by ``s``.  Rising and falling edges of adjacent scales
-    share bit-identical ramp arguments, and the sine/cosine pairing makes
-    the squared sum exactly one.  The angular profile is evaluated in bin
-    coordinates (units of the tile angle), which keeps the neighbour-pair
-    identity independent of the tile count.
-    """
-
-    def __init__(self, params: FrameParams):
-        self.params = params
-        self._lt1 = math.log2(params.tau1)
-        self._lt2 = math.log2(params.tau2)
-        self._dlt = self._lt2 - self._lt1
-
-    def _log_radius(self, r: np.ndarray) -> np.ndarray:
-        y = np.full(r.shape, -np.inf)
-        pos = r > 0
-        y[pos] = np.log2(r[pos] / self.params.corona_constant)
-        return y
-
-    def radial(self, j: int, r) -> np.ndarray:
-        """Radial factor ``U_j(r)``; ``j = j_max + 1`` selects the closure."""
-        p = self.params
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        y = self._log_radius(r)
-        if j == 0:
-            return _co_step((y - self._lt1) / self._dlt)
-        if j == p.j_max + 1:
-            out = smooth_step((y - (p.j_max * p.s + self._lt1)) / self._dlt)
-            out[~np.isfinite(y)] = 0.0
-            return out
-        if not 1 <= j <= p.j_max:
-            raise ValueError(f"scale {j} outside [0, {p.j_max + 1}]")
-        rise = smooth_step((y - ((j - 1) * p.s + self._lt1)) / self._dlt)
-        fall = _co_step((y - (j * p.s + self._lt1)) / self._dlt)
-        out = rise * fall
-        out[~np.isfinite(y)] = 0.0
-        return out
-
-    def angular_bins(self, j: int, theta) -> np.ndarray:
-        """Angle mapped to tile-index units: ``(theta mod pi) / phi_j``."""
-        phi = self.params.tile_angle(j)
-        return (np.asarray(theta, dtype=float) % math.pi) / phi
-
-    def angular_from_bins(self, j: int, m, center) -> np.ndarray:
-        """Angular factor of the wedge centred at integer bin ``center``.
-
-        ``m`` is the output of :meth:`angular_bins`.  The pair of opposite
-        lobes is folded together by the mod-``L`` reduction, so a single
-        expression covers the symmetric wedge pair.
-        """
-        L = self.params.tile_count(j)
-        # abs before the modulo: reducing a small negative offset mod L would
-        # absorb its low bits into the large modulus
-        d = np.abs(np.asarray(m, dtype=float) - np.asarray(center)) % L
-        d = np.minimum(d, L - d)
-        return _co_step(2.0 * d - 0.5)
-
-    def angular(self, j: int, ell: int, theta) -> np.ndarray:
-        """Angular factor ``V_{j,ell}`` on directions ``theta`` (radians)."""
-        p = self.params
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if j == 0 or j == p.j_max + 1:
-            return np.ones_like(theta)
-        L = p.tile_count(j)
-        if ell not in p.ell_range(j):
-            raise ValueError(f"ell={ell} outside range for scale {j} (L={L})")
-        m = self.angular_bins(j, theta)
-        return self.angular_from_bins(j, m, ell % L)
-
-    def window(self, j: int, ell: int, xi) -> np.ndarray:
-        """Full window ``W_{j,ell}`` on frequency points ``xi`` (..., 2)."""
-        xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        r = np.hypot(xi[..., 0], xi[..., 1])
-        vals = self.radial(j, r)
-        p = self.params
-        if j != 0 and j != p.j_max + 1:
-            theta = np.arctan2(xi[..., 1], xi[..., 0])
-            vals = vals * self.angular(j, ell, theta)
-        return vals
-
-
 @dataclass
 class TilingLayout:
     """All tiles of one frame: ball, wedges scale-major, closure last.
@@ -346,14 +295,14 @@ class TilingLayout:
     ``wedges[i]`` is the :class:`TileSupport` of tile ``i``, one record per
     tile from the layout's one scan of the lattice.  Every tile of a scale
     shares that scale's geometry, which ``params`` gives:
-    :meth:`FrameParams.tile_angle`, :meth:`FrameParams.radial_support` and
-    :meth:`FrameParams.radial_core`.  Frames and :func:`verify_partition`
+    :meth:`FrameParams.tile_angle`, :meth:`FrameParams.radial_support`,
+    :meth:`FrameParams.radial_core` and the windows :meth:`FrameParams.window`
+    evaluates.  Frames and :func:`verify_partition`
     use these records rather than scanning again, so treat them as
     read-only.
     """
 
     params: FrameParams
-    profile: WindowProfile
     wedges: list[TileSupport] = field(default_factory=list, repr=False, compare=False)
 
 
@@ -473,9 +422,7 @@ def _with_mirrors(k1, k2, omitted, half):
     return np.concatenate([k1, m1]), np.concatenate([k2, -k2[omitted]])
 
 
-def _scan_supports(
-    params: FrameParams, profile: WindowProfile
-) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+def _scan_supports(params: FrameParams) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
     """Evaluate every window once per reflection orbit of lattice points.
 
     Returns ``(j, ell, grid_flat, window)``, the entries :class:`TileSupport`
@@ -509,17 +456,17 @@ def _scan_supports(
         if j > 0:  # the ball holds the origin, where r == lo
             inside &= r > lo
         pt = np.flatnonzero(inside)
-        W = profile.radial(j, r[pt])
+        W = params.radial(j, r[pt])
         L, cbin = 1, np.zeros(pt.size, dtype=np.int64)
         if 0 < j <= params.j_max:
             L = params.tile_count(j)
-            m = profile.angular_bins(j, theta[pt])
+            m = params.angular_bins(j, theta[pt])
             c_hi = np.floor(m + 0.75)
             c_lo = np.ceil(m - 0.75)
             second = c_hi != c_lo
             pt = np.concatenate([pt, pt[second]])
             centers = np.concatenate([c_lo, c_hi[second]])
-            V = profile.angular_from_bins(j, np.concatenate([m, m[second]]), centers)
+            V = params.angular_from_bins(j, np.concatenate([m, m[second]]), centers)
             keep = V > 0
             pt, W = pt[keep], (np.concatenate([W, W[second]]) * V)[keep]
             cbin = centers[keep].astype(np.int64) % L
@@ -596,15 +543,14 @@ def build_layout(params: FrameParams) -> TilingLayout:
     ``ell = -L/2`` of each scale; each tile ``-L/2 < ell < 0`` is
     :meth:`TileSupport.reflected` of tile ``-ell``.
     """
-    profile = WindowProfile(params)
     closure = params.scale_of_closure()
     wedges = []
-    for j, ell, grid_flat, window in _scan_supports(params, profile):
+    for j, ell, grid_flat, window in _scan_supports(params):
         wedges.append(TileSupport(j, ell, params.grid_n, grid_flat, window, wrap=j != closure))
         if ell > 0:
             wedges.append(wedges[-1].reflected())
     wedges.sort(key=lambda t: (t.j, t.ell))
-    return TilingLayout(params=params, profile=profile, wedges=wedges)
+    return TilingLayout(params=params, wedges=wedges)
 
 
 def verify_partition(layout: TilingLayout) -> float:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +62,6 @@ class DigitalCurveletFrame:
         self.layout = layout
         self.partition_deviation = partition_deviation
         self.params = layout.params
-        self.profile = layout.profile
         self._caches = layout.wedges
         self.sigma = 2.0 / self.params.grid_n**2
         self.total_coefficients = int(sum(c.P1 * c.P2 for c in self._caches))
@@ -213,10 +213,10 @@ def synthesize(coeffs: CoefficientSet, frame: DigitalCurveletFrame) -> np.ndarra
     return (n * n / 2.0) * np.fft.irfft2(Facc.reshape(n, n // 2 + 1), s=(n, n))
 
 
-def analyze_direct(
-    image: np.ndarray, frame: DigitalCurveletFrame, wedge: tuple[int, int] | int
-) -> np.ndarray:
-    """Slow oracle for one tile: direct summation, no folding fast path.
+def analyze_direct(image: np.ndarray, frame: DigitalCurveletFrame, tile: int) -> np.ndarray:
+    """Slow oracle for the tile at layout index ``tile``: direct summation,
+    no folding fast path.  :meth:`DigitalCurveletFrame.wedge_index` gives
+    the index of tile ``(j, ell)``.
 
     Computes ``sigma/sqrt(P1*P2) * sum_k F[k] W[k] exp(2i*pi*(m1*k1/P1 +
     m2*k2/P2))`` over the full tile support with unreduced signed indices
@@ -231,8 +231,7 @@ def analyze_direct(
             f"direct summation restricted to grids <= {DIRECT_GRID_LIMIT}, got {n}"
         )
     image = _check_image(image, frame)
-    i = wedge if isinstance(wedge, int) else frame.wedge_index(*wedge)
-    c = frame._caches[i]
+    c = frame._caches[operator.index(tile)]
     k1, k2, window = c.support()
     F = np.fft.fft2(image).ravel()
     vals = F[(k1 % n) * n + (k2 % n)] * window

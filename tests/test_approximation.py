@@ -307,7 +307,7 @@ def test_bound1_estimator_never_exceeds_digital_error():
 
 
 def test_generator_decay_all_flags(frame64):
-    table = appr.generator_decay_check(frame64, probe_step=0.005)
+    table = appr.generator_decay_check(frame64.params, probe_step=0.005)
     assert len(table) == frame64.params.j_max + 1
     for entry in table:
         assert entry["support_ok"]
@@ -331,8 +331,8 @@ def test_straight_edge_sorted_coefficient_decay():
 
 
 def test_geometric_schedule():
-    sched = appr.geometric_schedule(32, 1024, ratio=2.0)
-    assert sched == [32, 64, 128, 256, 512, 1024]
+    sched = appr.geometric_schedule(32, 1024)  # half-octave steps
+    assert sched == [32, 45, 64, 91, 128, 181, 256, 362, 512, 724, 1024]
     assert appr.geometric_schedule(10, 11)[-1] == 11
     with pytest.raises(ValueError):
         appr.geometric_schedule(0, 10)
@@ -385,14 +385,11 @@ def test_rate_report_serialization():
 
     n = [2**k for k in range(4, 16)]
     curve = appr.ErrorCurve(n_terms=n, err2=[float(v) ** -2 for v in n], metadata={})
-    fit = appr.fit_rate(curve, window=(16, 2**15), target=-2.0, tolerance=0.1)
-    assert fit.verdict == "pass"
+    fit = appr.fit_rate(curve, window=(16, 2**15))
     doc = json.loads(json.dumps(fit.__dict__))
     assert doc["slope"] == pytest.approx(-2.0)
     assert doc["window"] == [16, 2**15]
-    assert (doc["target"], doc["tolerance"], doc["verdict"]) == (-2.0, 0.1, "pass")
-    assert appr.fit_rate(curve, window=(16, 2**15), target=-1.5, tolerance=0.1).verdict == "fail"
-    assert appr.fit_rate(curve, window=(16, 2**15)).verdict is None
+    assert sorted(doc) == ["intercept", "n_points", "residual", "slope", "window"]
 
 
 def test_fit_scale_slope_onset_detection():

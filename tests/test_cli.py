@@ -221,6 +221,19 @@ def test_refused_input_is_a_usage_error(experiment, message, tmp_path, capsys):
     assert "Traceback" not in err and not any(tmp_path.iterdir())
 
 
+def test_negative_dump_coeffs_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    def build(params):
+        raise AssertionError("frame built before --dump-coeffs was checked")
+
+    monkeypatch.setattr(cli.DigitalCurveletFrame, "build", build)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "bessel-check", "--dump-coeffs", "-2", "--out", os.fspath(tmp_path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: alphacurvelets run") and "--dump-coeffs K must be >= 0, got -2" in err
+    assert "Traceback" not in err and not any(tmp_path.iterdir())
+
+
 def test_errors_inside_a_run_are_not_usage_errors(monkeypatch, tmp_path):
     def broken(cfg):
         raise ValueError("inside the run")

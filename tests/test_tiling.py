@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from alphacurvelets.tiling import (
     FrameParams,
     TileSupport,
-    WindowProfile,
     _co_step,
     build_layout,
     layout_to_json,
@@ -36,15 +35,14 @@ def test_params_validation():
         FrameParams(s=1.0, alpha=0.5, grid_n=8)
     with pytest.raises(TypeError):  # the radial knots follow from s
         FrameParams(s=1.0, alpha=0.5, grid_n=64, tau1=1.3)
-    # explicit scale count above the Nyquist bound is rejected, not clamped
-    with pytest.raises(ValueError):
-        FrameParams(s=1.0, alpha=0.5, grid_n=64, j_max=40)
-    for C in (0.0, -0.1):
-        with pytest.raises(ValueError, match="corona_constant"):
-            FrameParams(s=1.0, alpha=0.5, grid_n=64, corona_constant=C)
-    # the first corona, C * 2**s * tau2 = 31.7, does not fit below grid_n/4 = 4
+    # the ladder follows from s, grid_n and snapped
+    with pytest.raises(TypeError):
+        FrameParams(s=1.0, alpha=0.5, grid_n=64, j_max=3)
+    with pytest.raises(TypeError):
+        FrameParams(s=1.0, alpha=0.5, grid_n=64, corona_constant=0.1)
+    # the first corona, C * 2**s * tau2 = 2**(16/3) / (3*pi) = 4.28, does not fit below grid_n/4 = 4
     with pytest.raises(ValueError, match="too small"):
-        FrameParams(s=1.0, alpha=0.5, grid_n=16, corona_constant=10.0)
+        FrameParams(s=8.0, alpha=0.5, grid_n=16)
 
 
 def test_tile_counts_and_angles():
@@ -129,18 +127,18 @@ def layout128():
 
 def test_wedge_value_symmetry(layout128):
     rng = np.random.default_rng(0)
-    profile = layout128.profile
+    p = layout128.params
     for w in layout128.wedges[::5]:
         xi = rng.uniform(-30, 30, size=(500, 2))
-        a = profile.window(w.j, w.ell, xi)
-        b = profile.window(w.j, w.ell, -xi)
+        a = p.window(w.j, w.ell, xi)
+        b = p.window(w.j, w.ell, -xi)
         assert np.array_equal(a, b) or np.allclose(a, b, atol=1e-15)
 
 
 def test_wedge_value_zero_outside_bounding_rect(layout128):
     # the box 2**(j*s) x 2**(j*s*alpha) of the paper, turned to the tile
     rng = np.random.default_rng(1)
-    p, profile = layout128.params, layout128.profile
+    p = layout128.params
     for w in layout128.wedges:
         if w.j in (0, p.scale_of_closure()):
             continue
@@ -152,26 +150,26 @@ def test_wedge_value_zero_outside_bounding_rect(layout128):
         v = rng.uniform(-4 * half_width, 4 * half_width, n)
         outside = (np.abs(u) > half_length) | (np.abs(v) > half_width)
         xi = np.stack([c * u - s * v, s * u + c * v], axis=-1)[outside]
-        vals = profile.window(w.j, w.ell, xi)
+        vals = p.window(w.j, w.ell, xi)
         assert np.all(vals == 0.0)
 
 
 def test_wedge_value_one_on_core(layout128):
-    p, profile = layout128.params, layout128.profile
+    p = layout128.params
     for w in layout128.wedges:
         lo, hi = p.radial_core(w.j)
         assert lo < hi
         r = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
         theta = w.ell * p.tile_angle(w.j)
         xi = np.array([[r * math.cos(theta), r * math.sin(theta)]])
-        val = profile.window(w.j, w.ell, xi)
+        val = p.window(w.j, w.ell, xi)
         assert val[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_wedge_value_at_origin(layout128):
     xi = np.zeros((1, 2))
     for w in layout128.wedges:
-        val = layout128.profile.window(w.j, w.ell, xi)
+        val = layout128.params.window(w.j, w.ell, xi)
         expected = 1.0 if w.j == 0 else 0.0
         assert val[0] == expected
 
@@ -190,7 +188,8 @@ def test_partition_without_closure_leaves_corner_uncovered(layout128):
 
 
 def test_partition_single_corona():
-    p = FrameParams(s=1.0, alpha=0.5, grid_n=64, j_max=0)
+    p = FrameParams(s=4.0, alpha=0.5, grid_n=16)
+    assert p.j_max == 0
     lay = build_layout(p)
     assert len(lay.wedges) == 2  # ball plus closure
     assert verify_partition(lay) <= 1e-12
@@ -235,7 +234,7 @@ def test_radial_intervals_reject_scales_out_of_range():
         with pytest.raises(ValueError, match="outside"):
             p.radial_core(j)
         with pytest.raises(ValueError, match="outside"):
-            WindowProfile(p).radial(j, [0.5])
+            p.radial(j, [0.5])
 
 
 @pytest.mark.parametrize(
@@ -248,7 +247,7 @@ def test_radial_intervals_reject_scales_out_of_range():
     ids=["s1-n1024", "s0.5-n256", "snapped-s1.3-n512"],
 )
 def test_radial_support_is_the_window_support(params):
-    radial = WindowProfile(params).radial
+    radial = params.radial
     for j in range(params.j_max + 2):
         lo, hi = params.radial_support(j)
         top = hi if math.isfinite(hi) else 4.0 * lo
@@ -260,14 +259,13 @@ def test_radial_support_is_the_window_support(params):
 
 def test_angular_factor_is_one_off_the_wedges_and_checks_ell():
     p = FrameParams(s=1.0, alpha=0.5, grid_n=128)
-    profile = WindowProfile(p)
     theta = np.linspace(-4.0, 4.0, 17)
     for j in (0, p.scale_of_closure()):
-        assert np.array_equal(profile.angular(j, 0, theta), np.ones_like(theta))
+        assert np.array_equal(p.angular(j, 0, theta), np.ones_like(theta))
     L = p.tile_count(3)
     for ell in (L - L // 2, -(L // 2) - 1):
         with pytest.raises(ValueError, match="outside range"):
-            profile.angular(3, ell, theta)
+            p.angular(3, ell, theta)
 
 
 def test_nyquist_snapped_tops_out_at_nyquist():
@@ -275,6 +273,42 @@ def test_nyquist_snapped_tops_out_at_nyquist():
     top = p.corona_constant * 2.0 ** (p.s * p.j_max) * p.tau2
     assert top == pytest.approx(256 / 4.0)
     assert verify_partition(build_layout(p)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "args,C,j_max", [((1.0, 0.5, 1024), 0.6299605249474366, 8), ((0.73, 0.25, 512), 0.961483052482653, 9)]
+)
+def test_snapped_ladder_keeps_its_values(args, C, j_max):
+    p = FrameParams.nyquist_snapped(*args)
+    assert (p.snapped, p.corona_constant, p.j_max) == (True, C, j_max)
+    assert FrameParams(*args, snapped=True) == p
+
+
+def _radial_per_kind(p, j, r):
+    """The radial window as one formula per kind of scale: ball, corona, closure."""
+    lt1 = math.log2(p.tau1)
+    dlt = math.log2(p.tau2) - lt1
+    y = np.full(r.shape, -np.inf)
+    y[r > 0] = np.log2(r[r > 0] / p.corona_constant)
+    if j == 0:
+        return _co_step((y - lt1) / dlt)
+    if j == p.j_max + 1:
+        out = smooth_step((y - (p.j_max * p.s + lt1)) / dlt)
+    else:
+        out = smooth_step((y - ((j - 1) * p.s + lt1)) / dlt) * _co_step((y - (j * p.s + lt1)) / dlt)
+    out[~np.isfinite(y)] = 0.0
+    return out
+
+
+@pytest.mark.parametrize(
+    "params",
+    [FrameParams(s=1.0, alpha=0.5, grid_n=256), FrameParams.nyquist_snapped(0.73, 0.25, 512)],
+    ids=["default-s1-n256", "snapped-s0.73-n512"],
+)
+def test_radial_is_the_per_kind_formula_bit_for_bit(params):
+    r = np.linspace(0.0, 0.75 * params.grid_n, 20_001)
+    for j in (0, 1, params.j_max // 2, params.j_max, params.j_max + 1):
+        assert params.radial(j, r).tobytes() == _radial_per_kind(params, j, r).tobytes(), j
 
 
 def test_isotropic_alpha_is_supported_but_flagged():
@@ -344,7 +378,7 @@ def test_windows_match_the_geometric_formula_on_the_full_support():
     for sup in layout.wedges:
         k1, k2, window = sup.support()
         xi = 0.5 * np.stack([k1, k2], axis=-1).astype(float)
-        assert np.max(np.abs(layout.profile.window(sup.j, sup.ell, xi) - window), initial=0.0) <= 1e-13
+        assert np.max(np.abs(p.window(sup.j, sup.ell, xi) - window), initial=0.0) <= 1e-13
 
 
 ORACLE_CASES = [(g, a, snapped) for g in (64, 128) for a in (0.0, 0.25, 0.5, 0.9) for snapped in (False, True)]
@@ -364,7 +398,7 @@ def test_windows_match_the_brute_force_oracle_over_the_whole_lattice(grid, alpha
     K1, K2 = np.meshgrid(k, k, indexing="ij")
     xi = 0.5 * np.stack([K1.ravel(), K2.ravel()], axis=-1).astype(float)
     for sup in layout.wedges:
-        oracle = layout.profile.window(sup.j, sup.ell, xi)
+        oracle = layout.params.window(sup.j, sup.ell, xi)
         k1, k2, window = sup.support()
         held = np.zeros(grid * grid)
         held[(k1 + grid // 2) * grid + (k2 + grid // 2)] = window
@@ -417,7 +451,7 @@ def test_nyquist_edge_is_carried_by_the_closure_window(s):
         if sup.j == closure:
             r = 0.5 * np.hypot(k1[edge], k2[edge])
             assert edge.sum() == 2 * n - 1
-            assert np.array_equal(window[edge], layout.profile.radial(closure, r))
+            assert np.array_equal(window[edge], p.radial(closure, r))
         elif edge.any():
             assert set(zip(k1[edge].tolist(), k2[edge].tolist())) <= {(0, -half), (-half, 0)}
             assert np.max(np.abs(window[edge])) <= 1e-14

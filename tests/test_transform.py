@@ -201,19 +201,23 @@ def test_direct_oracle_by_index_pair(frame64):
     f = rng.standard_normal((64, 64))
     coeffs = analyze(f, frame64)
     i = frame64.wedge_index(4, 1)
-    direct = analyze_direct(f, frame64, (4, 1))
+    direct = analyze_direct(f, frame64, i)
     assert np.allclose(coeffs.blocks[i], direct, atol=1e-11)
+    # any integer index, numpy's included, selects the same tile
+    assert np.array_equal(analyze_direct(f, frame64, np.int64(i)), direct)
+    with pytest.raises(TypeError):
+        analyze_direct(f, frame64, (4, 1))
 
 
 def test_direct_oracle_zero_image(frame64):
-    block = analyze_direct(np.zeros((64, 64)), frame64, (3, 0))
+    block = analyze_direct(np.zeros((64, 64)), frame64, frame64.wedge_index(3, 0))
     assert np.all(block == 0)
 
 
 def test_direct_oracle_refuses_large_grids():
     frame = DigitalCurveletFrame.build(FrameParams(s=1.0, alpha=0.5, grid_n=256))
     with pytest.raises(ValueError):
-        analyze_direct(np.zeros((256, 256)), frame, (3, 0))
+        analyze_direct(np.zeros((256, 256)), frame, frame.wedge_index(3, 0))
 
 
 def test_synthesis_is_adjoint(frame64):
