@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bessel
-from .tiling import FrameParams
+from .tiling import FrameParams, as_index
 from .transform import CoefficientSet, DigitalCurveletFrame, analyze, curvelet_atom, grid_norms, synthesize
 
 __all__ = [
@@ -88,7 +88,7 @@ def threshold(coeffs: CoefficientSet, n_keep: int) -> CoefficientSet:
     then lattice position), so runs are bit-for-bit reproducible.
     """
     total = coeffs.total_count
-    if not 1 <= n_keep <= total:
+    if not 1 <= as_index(n_keep, "n_keep") <= total:
         raise ValueError(f"n_keep must be in [1, {total}], got {n_keep}")
     mags = coeffs.flat_magnitudes()
     return replace(coeffs, values=np.where(_largest_mask(mags, n_keep), coeffs.values, 0.0))
@@ -152,8 +152,8 @@ def error_curve(
     computed, checked against the dropped tail at that N (it never exceeds
     it) and stored in ``err2_synthesis``.  Every N must be at least 1.
     """
-    n_list = sorted(set(int(n) for n in n_list))
-    verify_at = [int(n) for n in verify_at]
+    n_list = sorted(set(as_index(n, "n_list entry") for n in n_list))
+    verify_at = [as_index(n, "verify_at entry") for n in verify_at]
     checked = sorted(set(n_list) | set(verify_at))
     if checked and checked[0] < 1:
         raise ValueError(f"N must be at least 1, got N={checked[0]}")

@@ -4,8 +4,9 @@
 a power series summed in 80-bit extended precision below the crossover
 radius and an adaptive large-argument cosine expansion above it, the two
 paths agreeing to ~1e-13 absolute at the crossover.  ``bessel_j_series``
-is the slow arbitrary-precision oracle summing the defining power series
-outright; tests freeze expected values from it.
+is the slow scalar oracle: mpmath's ``besselj``, an implementation
+independent of the recurrence ``bessel_j`` sums; tests freeze expected
+values from it.
 
 The spectrum of the indicator of the radius-1/2 disc is
 ``J_1(pi*|xi|) / (2*|xi|)``; its energy over a tile reduces to a 1-D
@@ -67,12 +68,7 @@ def _series_smallr(nu: float, r: np.ndarray) -> np.ndarray:
     """
     r = np.asarray(r, dtype=np.longdouble)
     half = 0.5 * r
-    if nu == -0.5:
-        with np.errstate(divide="ignore"):
-            term = np.where(r > 0, half ** np.longdouble(-0.5), np.inf)
-        term = term / np.longdouble(_GAMMA_NU_PLUS_1[nu])
-    else:
-        term = half ** np.longdouble(nu) / np.longdouble(_GAMMA_NU_PLUS_1[nu])
+    term = half ** np.longdouble(nu) / np.longdouble(_GAMMA_NU_PLUS_1[nu])
     acc = term.copy()
     z = half * half
     for k in range(1, 80):
@@ -143,31 +139,19 @@ def bessel_j(order: float, r) -> np.ndarray | float:
     return float(out[0]) if np.isscalar(r) or np.ndim(r) == 0 else out
 
 
-def bessel_j_series(order: float, r: float, rel_tol: float = 1e-17) -> float:
-    """Arbitrary-precision power-series oracle (slow, scalar).
+def bessel_j_series(order: float, r: float) -> float:
+    """mpmath's ``besselj`` at 30 digits: the slow scalar oracle.
 
-    Sums the defining series with working precision padded past the
-    cancellation level, truncating when terms fall below ``rel_tol``
-    relative to the partial sum.
+    The name is kept from when the oracle summed the defining power
+    series; the benchmark tracer and :mod:`alphacurvelets.cli` call it by
+    this name.  The working precision is pinned locally, so a caller's
+    global ``mp.dps`` does not move the value.
     """
     nu = _check_order(order)
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    if r == 0:
-        return _VALUE_AT_ZERO[nu]
-    digits = int(r * 0.4343) + int(-math.log10(rel_tol)) + 25
-    with mp.workdps(digits):
-        rr = mp.mpf(r)
-        half = rr / 2
-        term = half ** mp.mpf(nu) / mp.gamma(mp.mpf(nu) + 1)
-        acc = term
-        tol = mp.mpf(rel_tol)
-        for k in range(1, 20000):
-            term = -term * half * half / (k * (k + mp.mpf(nu)))
-            acc += term
-            if abs(term) < tol * abs(acc) and k > 3:
-                break
-        return float(acc)
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError("radii must be finite and nonnegative")
+    with mp.workdps(30):
+        return float(mp.besselj(nu, r))
 
 
 def disc_spectrum_radial(r) -> np.ndarray | float:

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tiling import as_index
 
 __all__ = [
     "CartoonSpec",
@@ -115,10 +116,7 @@ class CartoonSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown cartoon kind {self.kind!r}")
-        try:
-            antialias = operator.index(self.antialias)
-        except TypeError:
-            raise ValueError(f"antialias must be an integer, got {self.antialias!r}") from None
+        antialias = as_index(self.antialias, "antialias")
         if antialias < 1:
             raise ValueError("antialias factor must be >= 1")
         object.__setattr__(self, "antialias", antialias)
@@ -193,10 +191,7 @@ def _axis_terms(
 
 
 def _grid_size(grid_n) -> int:
-    try:
-        n = operator.index(grid_n)
-    except TypeError:
-        raise ValueError(f"grid_n must be an integer, got {grid_n!r}") from None
+    n = as_index(grid_n, "grid_n")
     if n < 2:
         raise ValueError("grid_n must be >= 2")
     return n

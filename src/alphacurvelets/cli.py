@@ -76,12 +76,8 @@ def resolve_config(experiment: str, config_path: str | None, overrides: dict) ->
 
 
 def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
@@ -110,10 +106,8 @@ def _plot_columns(cols: list[str]) -> tuple[int, int]:
     return x, x + 1
 
 
-def emit_report(
-    experiment: str, cfg: dict, results: dict, rows: list[dict], out_dir: str
-) -> dict:
-    """Write CSV + JSON + plot script; returns the file paths."""
+def _check_out_dir(out_dir: str) -> None:
+    """Create ``out_dir`` if needed and prove it writable, or raise ``OSError`` naming it."""
     try:
         os.makedirs(out_dir, exist_ok=True)
         probe = os.path.join(out_dir, ".write-probe")
@@ -122,6 +116,13 @@ def emit_report(
         os.remove(probe)
     except OSError as exc:
         raise OSError(f"output directory {out_dir!r} is not writable: {exc}") from exc
+
+
+def emit_report(
+    experiment: str, cfg: dict, results: dict, rows: list[dict], out_dir: str
+) -> dict:
+    """Write CSV + JSON + plot script; returns the file paths."""
+    _check_out_dir(out_dir)
     stem = os.path.join(out_dir, experiment)
     csv_path = stem + ".csv"
     cols = list(rows[0]) if rows else []
@@ -147,10 +148,6 @@ def emit_report(
     return {"csv": csv_path, "json": json_path, "plot": plot_path}
 
 
-def _params(cfg: dict, alpha: float, grid: int) -> FrameParams:
-    return FrameParams(s=cfg["s"], alpha=alpha, grid_n=grid)
-
-
 def run_verify_frame(cfg: dict) -> tuple[bool, dict, list[dict]]:
     rng = np.random.default_rng(cfg["seed"])
     grid = int(cfg["grid"])
@@ -159,10 +156,10 @@ def run_verify_frame(cfg: dict) -> tuple[bool, dict, list[dict]]:
     rows = []
     ok = True
     for alpha in cfg["alphas"]:
-        params = _params(cfg, alpha, grid)
+        params = FrameParams(cfg["s"], alpha, grid)
         layout = build_layout(params)
         pdev = verify_partition(layout)
-        frame = DigitalCurveletFrame.build(_params(cfg, alpha, tight_grid))
+        frame = DigitalCurveletFrame.build(FrameParams(cfg["s"], alpha, tight_grid))
         par_dev = rec_err = 0.0
         for _ in range(int(cfg["n_random_images"])):
             f = rng.standard_normal((tight_grid, tight_grid))
@@ -172,7 +169,7 @@ def run_verify_frame(cfg: dict) -> tuple[bool, dict, list[dict]]:
             rec = synthesize(coeffs, frame)
             _, d2 = grid_norms(f - rec, tight_grid)
             rec_err = max(rec_err, math.sqrt(d2 / e2))
-        oframe = DigitalCurveletFrame.build(_params(cfg, alpha, oracle_grid))
+        oframe = DigitalCurveletFrame.build(FrameParams(cfg["s"], alpha, oracle_grid))
         g = rng.standard_normal((oracle_grid, oracle_grid))
         ocoeffs = analyze(g, oframe)
         odev = 0.0
@@ -202,22 +199,15 @@ def run_verify_frame(cfg: dict) -> tuple[bool, dict, list[dict]]:
     return ok, results, rows
 
 
-def _scale_energy_table(params: FrameParams) -> tuple[list[int], list[float]]:
-    scales, energies = [], []
-    for j in range(1, params.j_max + 1):
-        scales.append(j)
-        energies.append(bessel.wedge_energy_quadrature(params, j))
-    return scales, energies
-
-
 def run_wedge_energy(cfg: dict) -> tuple[bool, dict, list[dict]]:
     ok = True
     rows = []
     summaries = []
     grid = int(cfg["grid"])
     for alpha in cfg["alphas"]:
-        params = _params(cfg, alpha, grid)
-        scales, energies = _scale_energy_table(params)
+        params = FrameParams(cfg["s"], alpha, grid)
+        scales = range(1, params.j_max + 1)
+        energies = [bessel.wedge_energy_quadrature(params, j) for j in scales]
         fit = appr.fit_scale_slope(scales, energies)
         target = -params.s * (2.0 - alpha)
         ok_a = abs(fit["slope"] - target) <= cfg["slope_tol"]
@@ -228,7 +218,7 @@ def run_wedge_energy(cfg: dict) -> tuple[bool, dict, list[dict]]:
         for j, e in zip(scales, energies):
             rows.append({"alpha": alpha, "j": j, "core_energy": e})
     d_alpha = float(cfg["digital_alpha"])
-    params = _params(cfg, d_alpha, grid)
+    params = FrameParams(cfg["s"], d_alpha, grid)
     frame = DigitalCurveletFrame.build(params)
     disc = render(CartoonSpec(kind="disc", antialias=int(cfg["antialias"])), grid)
     coeffs = analyze(disc, frame)
@@ -249,21 +239,6 @@ def run_wedge_energy(cfg: dict) -> tuple[bool, dict, list[dict]]:
     return ok, results, rows
 
 
-def _rate_params(cfg: dict, alpha: float, grid: int) -> FrameParams:
-    """Rate experiments snap the corona ladder to Nyquist.
-
-    With the library-default corona unit the directional ladder tops out
-    octaves below Nyquist and the single isotropic closure tile absorbs
-    the outer spectrum, flattening every N-term curve; snapping removes
-    that artifact while the frame stays exactly tight.
-    """
-    return FrameParams.nyquist_snapped(cfg["s"], alpha, grid)
-
-
-def _full_schedule(cfg: dict, total: int) -> list[int]:
-    return appr.geometric_schedule(int(cfg["schedule_start"]), max(total // 4, 64))
-
-
 def _threshold_rate(
     cfg: dict, frame: DigitalCurveletFrame, img: np.ndarray, window: tuple[int, int] | None = None
 ) -> tuple[appr.ErrorCurve, appr.RateReport]:
@@ -273,7 +248,8 @@ def _threshold_rate(
     the configured ``level_hi`` and ``level_lo``.
     """
     coeffs = analyze(img, frame)
-    curve = appr.error_curve(img, frame, _full_schedule(cfg, coeffs.total_count), coeffs=coeffs)
+    schedule = appr.geometric_schedule(int(cfg["schedule_start"]), max(coeffs.total_count // 4, 64))
+    curve = appr.error_curve(img, frame, schedule, coeffs=coeffs)
     if window is None:
         window = appr.level_window(curve, float(cfg["level_hi"]), float(cfg["level_lo"]))
     return curve, appr.fit_rate(curve, window=window)
@@ -288,7 +264,7 @@ def run_disc_rate(cfg: dict) -> tuple[bool, dict, list[dict]]:
             band = val
     if band is None:
         raise ConfigError(f"no acceptance band configured for alpha={alpha}")
-    frame = DigitalCurveletFrame.build(_rate_params(cfg, alpha, grid))
+    frame = DigitalCurveletFrame.build(FrameParams(cfg["s"], alpha, grid, snapped=True))
     disc = render(CartoonSpec(kind="disc", antialias=int(cfg["antialias"])), grid)
     curve, fit = _threshold_rate(cfg, frame, disc)
     ok = band[0] <= fit.slope <= band[1]
@@ -302,7 +278,7 @@ def run_disc_lower_bound(cfg: dict) -> tuple[bool, dict, list[dict]]:
     rows = []
     summaries = []
     for alpha in cfg["alphas"]:
-        curve = appr.bound1_tail_estimator(_params(cfg, float(alpha), int(cfg["grid"])))
+        curve = appr.bound1_tail_estimator(FrameParams(cfg["s"], float(alpha), int(cfg["grid"])))
         counts = curve.metadata["scale_tile_counts"]
         lo = sum(counts[:3])
         hi = sum(counts[:-1])
@@ -339,10 +315,10 @@ def run_straight_edge_rate(cfg: dict) -> tuple[bool, dict, list[dict]]:
     bump = CartoonSpec(
         kind="smooth_bump", beta=int(cfg["beta"]), nu=float(cfg["nu"]), antialias=int(cfg["antialias"])
     )
-    half = DigitalCurveletFrame.build(_rate_params(cfg, 0.5, grid))  # for the edge and the bump
+    half = DigitalCurveletFrame.build(FrameParams(cfg["s"], 0.5, grid, snapped=True))  # edge and bump
     img = render(edge, grid)
     fit_half = one(half, edge, img)
-    fit_quarter = one(DigitalCurveletFrame.build(_rate_params(cfg, 0.25, grid)), edge, img)
+    fit_quarter = one(DigitalCurveletFrame.build(FrameParams(cfg["s"], 0.25, grid, snapped=True)), edge, img)
     img = render(bump, grid)
     fit_bump = one(half, bump, img, window=tuple(cfg["bump_window"]))
     band = cfg["band_alpha_half"]
@@ -367,7 +343,7 @@ def run_apriori_decay(cfg: dict) -> tuple[bool, dict, list[dict]]:
     summaries = []
     disc = render(CartoonSpec(kind="disc", antialias=int(cfg["antialias"])), grid)
     for alpha in cfg["alphas"]:
-        params = _rate_params(cfg, float(alpha), grid)
+        params = FrameParams(cfg["s"], float(alpha), grid, snapped=True)
         frame = DigitalCurveletFrame.build(params)
         coeffs = analyze(disc, frame)
         lo, hi = cfg["fit_scales"]
@@ -478,7 +454,7 @@ def run_generator_decay(cfg: dict) -> tuple[bool, dict, list[dict]]:
     ok = True
     rows = []
     for alpha in cfg["alphas"]:
-        params = _params(cfg, float(alpha), int(cfg["grid"]))
+        params = FrameParams(cfg["s"], float(alpha), int(cfg["grid"]))
         table = appr.generator_decay_check(params, probe_step=float(cfg["probe_step"]))
         for entry in table:
             ok = ok and entry["support_ok"] and entry["inner_zero_ok"] and entry["sup"] <= 1.0 + 1e-12
@@ -499,17 +475,33 @@ RUNNERS = {
 }
 
 
+def _say(line: str) -> None:
+    """Print ``line`` now; if stdout's reader has gone, point stdout at devnull.
+
+    A closed pipe (``run ... | head``) then costs only the output: the
+    reports are written and the verdict's exit status stands.  Moving the
+    descriptor, as Python's ``signal`` docs advise, also keeps the exit
+    flush from raising again.
+    """
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def run_experiment(experiment: str, cfg: dict, out_dir: str) -> int:
     ok, results, rows = RUNNERS[experiment](cfg)
     ok = bool(ok)
     files = emit_report(experiment, cfg, {**results, "pass": ok}, rows, out_dir)
     verdict = "PASS" if ok else "FAIL"
-    print(f"{experiment}: {verdict}  ({BAND_NOTES[experiment]})")
+    _say(f"{experiment}: {verdict}  ({BAND_NOTES[experiment]})")
     for key in ("rows", "summaries"):
         for entry in results.get(key) or []:
             if isinstance(entry, dict):
-                print("  " + ", ".join(f"{k}={v}" for k, v in entry.items()))
-    print(f"  report: {files['json']}")
+                _say("  " + ", ".join(f"{k}={v}" for k, v in entry.items()))
+    _say(f"  report: {files['json']}")
     return 0 if ok else 1
 
 
@@ -539,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "list":
         for name in RUNNERS:
-            print(f"{name}: {BAND_NOTES[name]}")
+            _say(f"{name}: {BAND_NOTES[name]}")
         return 0
     if args.dump_coeffs is not None and args.dump_coeffs < 0:
         runp.error(f"--dump-coeffs K must be >= 0, got {args.dump_coeffs}")
@@ -549,20 +541,23 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_config(args.experiment, args.config, overrides)
         base = load_defaults()
         out_dir = args.out or base["out_dir"]
+        try:
+            _check_out_dir(out_dir)  # before the run, not after it
+        except OSError as exc:
+            raise ConfigError(str(exc)) from None
         if args.dump_pgm or args.dump_coeffs is not None:
             grid, alpha, s = (cfg.get(key, base[key]) for key in ("grid", "alpha", "s"))
             spec = CartoonSpec(kind="disc", antialias=int(cfg.get("antialias", 4)))
             img = render(spec, int(grid))
             if args.dump_pgm:
                 write_pgm(img, args.dump_pgm)
-                print(f"wrote {args.dump_pgm}")
+                _say(f"wrote {args.dump_pgm}")
             if args.dump_coeffs is not None:
-                frame = DigitalCurveletFrame.build(FrameParams(s=s, alpha=float(alpha), grid_n=int(grid)))
+                frame = DigitalCurveletFrame.build(FrameParams(s, float(alpha), int(grid)))
                 coeffs = analyze(img, frame)
-                os.makedirs(out_dir, exist_ok=True)
                 top = None if args.dump_coeffs == 0 else args.dump_coeffs
                 paths = dump_coefficients(coeffs, frame, os.path.join(out_dir, "coefficients"), top)
-                print(f"wrote {paths[0]} and {paths[1]}")
+                _say(f"wrote {paths[0]} and {paths[1]}")
         return run_experiment(args.experiment, cfg, out_dir)
     except ConfigError as exc:
         runp.error(str(exc))

@@ -31,6 +31,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -45,6 +46,17 @@ __all__ = [
     "verify_partition",
     "layout_to_json",
 ]
+
+
+def as_index(value, name: str) -> int:
+    """``value`` as a Python ``int``, by ``operator.index``.
+
+    Numpy integers pass; ``5.5`` or ``"5"`` raise ``ValueError`` naming ``name``.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _poly_ramp(t: np.ndarray) -> np.ndarray:
@@ -130,6 +142,7 @@ class FrameParams:
                 "supported, but outside the validated sweep",
                 stacklevel=2,
             )
+        object.__setattr__(self, "grid_n", as_index(self.grid_n, "grid_n"))
         if self.grid_n < 16 or self.grid_n % 2 != 0:
             raise ValueError(f"grid_n must be even and >= 16, got {self.grid_n}")
         s, top = self.s, self.grid_n / 4.0
@@ -174,9 +187,9 @@ class FrameParams:
 
         Any scale ``j >= 0`` is valid, also above ``j_max``: the phase-space
         parametrization of :mod:`alphacurvelets.molecules` does not depend
-        on the grid.  Negative scales raise ``ValueError``.
+        on the grid.  Negative or non-integer scales raise ``ValueError``.
         """
-        if j < 0:
+        if as_index(j, "scale j") < 0:
             raise ValueError("scale must be nonnegative")
         if j == 0:
             return 1
@@ -201,7 +214,7 @@ class FrameParams:
         return self.j_max + 1
 
     def _check_scale(self, j: int) -> None:
-        if not 0 <= j <= self.j_max + 1:
+        if not 0 <= as_index(j, "scale j") <= self.j_max + 1:
             raise ValueError(f"scale {j} outside [0, {self.j_max + 1}]")
 
     def _interval(self, j: int, rise_knot: float, fall_knot: float) -> tuple[float, float]:

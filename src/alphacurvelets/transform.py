@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tiling import FrameParams, TilingLayout, build_layout, verify_partition
+from .tiling import FrameParams, TilingLayout, as_index, build_layout, verify_partition
 
 __all__ = [
     "DigitalCurveletFrame",
@@ -280,7 +280,7 @@ def dump_coefficients(
     largest-magnitude coefficients are written, by descending magnitude
     (stable order on ties), or all of them when K exceeds the count.
     """
-    if top_k is not None and top_k < 1:
+    if top_k is not None and as_index(top_k, "top_k") < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
     header = {
         "params": frame.params.as_dict(),
@@ -297,7 +297,7 @@ def dump_coefficients(
         from .approximation import _largest_mask  # approximation imports this module
 
         mags = coeffs.flat_magnitudes()
-        top = np.flatnonzero(_largest_mask(mags, min(int(top_k), mags.size)))
+        top = np.flatnonzero(_largest_mask(mags, min(top_k, mags.size)))
         order = top[np.lexsort((top, -mags[top]))]
     tile = coeffs._tile_of(order)
     j, ell, _P1, P2 = np.array(coeffs.wedge_table, dtype=np.int64).reshape(-1, 4)[tile].T

@@ -34,6 +34,14 @@ def test_threshold_rejects_bad_counts():
         appr.threshold(coeffs, 3)
 
 
+def test_threshold_counts_must_be_integers():
+    coeffs = toy_coeffs([5.0, 3.0, 2.0])
+    assert np.array_equal(appr.threshold(coeffs, np.int64(2)).values, appr.threshold(coeffs, 2).values)
+    for bad in (1.5, "2"):
+        with pytest.raises(ValueError, match="n_keep must be an integer"):
+            appr.threshold(coeffs, bad)
+
+
 def test_threshold_rejects_nan_values():
     with pytest.raises(ValueError, match="NaN"):
         appr.threshold(toy_coeffs([1.0, np.nan, 2.0]), 2)
@@ -147,6 +155,17 @@ def test_error_curve_rejects_n_below_one(frame64):
         appr.error_curve(f, frame64, [0])
     with pytest.raises(ValueError, match="N=-3"):
         appr.error_curve(f, frame64, [10, -3])
+
+
+def test_error_curve_counts_must_be_integers(frame64):
+    f = np.random.default_rng(4).standard_normal((64, 64))
+    coeffs = analyze(f, frame64)
+    curve = appr.error_curve(f, frame64, [np.int64(5)], coeffs=coeffs, verify_at=(np.int32(7),))
+    assert curve.n_terms == [5] and list(curve.err2_synthesis) == [7]
+    with pytest.raises(ValueError, match="n_list entry must be an integer, got 5.5"):
+        appr.error_curve(f, frame64, [5.5], coeffs=coeffs)
+    with pytest.raises(ValueError, match="verify_at entry must be an integer, got 5.7"):
+        appr.error_curve(f, frame64, [5], coeffs=coeffs, verify_at=(5.7,))
 
 
 def test_error_curve_rejects_n_above_the_coefficient_count(frame64):

@@ -1,12 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from alphacurvelets import bessel
 from alphacurvelets.tiling import FrameParams
 
-# frozen from the arbitrary-precision series oracle
+# frozen from the oracle, mpmath's besselj
 J1_AT_2PI = -0.21238253007636911
 
 
@@ -109,6 +110,9 @@ def test_wedge_energy_rejects_closure_negative_scale_and_unknown_region():
         bessel.wedge_energy_quadrature(p, p.scale_of_closure())
     with pytest.raises(ValueError, match="outside"):
         bessel.wedge_energy_quadrature(p, -1)
+    for region in ("core", "window"):  # no tile energy between two scales
+        with pytest.raises(ValueError, match="scale j must be an integer"):
+            bessel.wedge_energy_quadrature(p, 1.5, region)
     with pytest.raises(ValueError, match="unknown region"):
         bessel.wedge_energy_quadrature(p, 3, "outer")
 
@@ -142,6 +146,20 @@ def test_errors():
         bessel.remainder_bound_check(0.5, 10.0)
     with pytest.raises(ValueError, match="nonnegative"):
         bessel.bessel_j_series(1.0, -1.0)
+    for r in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            bessel.bessel_j_series(1.0, r)
+    with pytest.raises(ValueError):
+        bessel.bessel_j_series(0.25, 1.0)
+
+
+def test_series_oracle_ignores_the_global_precision(monkeypatch):
+    rs = (0.05, 1.0, 2.0 * math.pi, 30.94, 120.0)
+    want = [bessel.bessel_j_series(nu, r) for nu in bessel.SUPPORTED_ORDERS for r in rs]
+    monkeypatch.setattr(mp.mp, "dps", 5)
+    assert [bessel.bessel_j_series(nu, r) for nu in bessel.SUPPORTED_ORDERS for r in rs] == want
+    assert bessel.bessel_j_series(1.0, 2.0 * math.pi) == J1_AT_2PI
+    assert mp.mp.dps == 5
 
 
 def test_series_oracle_at_the_origin():

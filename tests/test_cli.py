@@ -1,6 +1,9 @@
+import io
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -71,6 +74,7 @@ def test_packaged_configs_are_exactly_the_experiment_blocks(tmp_path):
 def test_json_default_converts_numpy_scalars():
     doc = {"i": np.int64(7), "f": np.float32(0.5), "b": np.bool_(True)}
     assert json.loads(json.dumps(doc, default=cli._json_default)) == {"i": 7, "f": 0.5, "b": True}
+    assert type(cli._json_default(np.bool_(False))) is bool
     with pytest.raises(TypeError, match="not JSON-serializable"):
         cli._json_default(object())
 
@@ -243,8 +247,69 @@ def test_errors_inside_a_run_are_not_usage_errors(monkeypatch, tmp_path):
         cli.main(["run", "bessel-check", "--out", os.fspath(tmp_path)])
 
 
-def test_rate_params_snap_to_nyquist():
-    assert cli._rate_params({"s": 1.0}, 0.5, 128) == cli.FrameParams.nyquist_snapped(1.0, 0.5, 128)
+def test_rate_params_snap_to_nyquist(monkeypatch):
+    asked = []
+
+    class Built(Exception):
+        pass
+
+    def build(params):
+        asked.append(params)
+        raise Built
+
+    monkeypatch.setattr(cli.DigitalCurveletFrame, "build", build)
+    with pytest.raises(Built):
+        cli.run_disc_rate(cli.resolve_config("disc-rate", None, {"grid": 128}))
+    assert asked == [cli.FrameParams.nyquist_snapped(1.0, 0.5, 128)]
+
+
+def test_unusable_out_is_refused_before_the_run(monkeypatch, tmp_path, capsys):
+    def run(cfg):
+        raise AssertionError("experiment ran before --out was checked")
+
+    monkeypatch.setitem(cli.RUNNERS, "bessel-check", run)
+    blocker = tmp_path / "blocked"
+    blocker.write_text("")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "bessel-check", "--out", os.fspath(blocker)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: alphacurvelets run") and "output directory" in err and "blocked" in err
+    assert "Traceback" not in err
+
+
+class _ClosedPipe(io.TextIOWrapper):
+    """A stdout whose reader has gone: every write raises ``BrokenPipeError``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_keeps_the_reports_and_the_verdict(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "reports"
+    with open(tmp_path / "stdout", "wb") as raw:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(raw))
+        assert cli.main(["run", "molecule-distance", "--out", os.fspath(out)]) == 0
+        assert cli.main(["list"]) == 0
+        monkeypatch.undo()
+    assert sorted(os.listdir(out)) == [f"molecule-distance.{ext}" for ext in ("csv", "gnuplot", "json")]
+    assert json.load(open(out / "molecule-distance.json"))["results"]["pass"] is True
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_pipe_ends_a_process_quietly(unbuffered):
+    read, write = os.pipe()
+    os.close(read)  # the reader has gone before the first line
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "alphacurvelets.cli", "list"], stdout=write, stderr=subprocess.PIPE, env=env
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_dump_flags(tmp_path, capsys):

@@ -45,6 +45,26 @@ def test_params_validation():
         FrameParams(s=8.0, alpha=0.5, grid_n=16)
 
 
+def test_grid_n_must_be_an_integer():
+    p = FrameParams(1.0, 0.5, np.int64(64))
+    assert type(p.grid_n) is int and p == FrameParams(1.0, 0.5, 64)
+    json.dumps(layout_to_json(build_layout(p)))  # a numpy integer would not serialize
+    for bad in (64.0, "64"):
+        with pytest.raises(ValueError, match="grid_n must be an integer"):
+            FrameParams(1.0, 0.5, bad)
+
+
+def test_scales_must_be_integers():
+    p = FrameParams(s=1.0, alpha=0.5, grid_n=256)
+    assert p.tile_count(np.int64(4)) == p.tile_count(4)
+    assert p.radial_core(np.int64(4)) == p.radial_core(4)
+    for geometry in (p.tile_count, p.tile_angle, p.ell_range, p.radial_support, p.radial_core):
+        with pytest.raises(ValueError, match="scale j must be an integer, got 1.5"):
+            geometry(1.5)
+    with pytest.raises(ValueError, match="scale j must be an integer"):
+        p.radial(2.0, [0.5])
+
+
 def test_tile_counts_and_angles():
     p = FrameParams(s=1.0, alpha=0.5, grid_n=256)
     assert p.tile_angle(4) == pytest.approx(math.pi / 8)

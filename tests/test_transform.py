@@ -408,6 +408,10 @@ def test_dump_coefficients_top_k_order_with_ties(tmp_path, frame64):
         assert rows == want
     with pytest.raises(ValueError):
         dump_coefficients(coeffs, frame64, os.fspath(tmp_path / "none"), top_k=0)
+    with pytest.raises(ValueError, match="top_k must be an integer, got 2.5"):
+        dump_coefficients(coeffs, frame64, os.fspath(tmp_path / "half"), top_k=2.5)
+    _, cpath = dump_coefficients(coeffs, frame64, os.fspath(tmp_path / "np"), top_k=np.int64(37))
+    assert open(cpath).read() == open(tmp_path / "top37.csv").read()
 
 
 def test_flat_index_round_trip(frame64):
