@@ -13,7 +13,8 @@ keeps.  Dropped tails are accumulated from the small end: the squared
 magnitudes below the largest requested N are summed once, and only the
 N largest are sorted and added smallest first, so a tail far below the
 signal energy is summed exactly instead of cancelling in
-``energy - cumsum``.
+``energy - cumsum``.  ``error_curve`` sums the tails on the transform's
+worker thread while the calling thread thresholds and synthesizes.
 """
 
 from __future__ import annotations
@@ -23,9 +24,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import bessel
+from . import bessel, transform
 from .tiling import FrameParams, as_index
-from .transform import CoefficientSet, DigitalCurveletFrame, analyze, curvelet_atom, grid_norms, synthesize
+from .transform import (
+    CoefficientSet,
+    DigitalCurveletFrame,
+    _check_image,
+    analyze,
+    curvelet_atom,
+    grid_norms,
+    synthesize,
+)
 
 __all__ = [
     "ErrorCurve",
@@ -90,17 +99,20 @@ def threshold(coeffs: CoefficientSet, n_keep: int) -> CoefficientSet:
     total = coeffs.total_count
     if not 1 <= as_index(n_keep, "n_keep") <= total:
         raise ValueError(f"n_keep must be in [1, {total}], got {n_keep}")
-    mags = coeffs.flat_magnitudes()
-    return replace(coeffs, values=np.where(_largest_mask(mags, n_keep), coeffs.values, 0.0))
+    return replace(coeffs, values=np.where(_largest_mask(coeffs.values, n_keep), coeffs.values, 0.0))
 
 
-def _largest_mask(mags: np.ndarray, n: int) -> np.ndarray:
-    """Mask of the ``n`` largest ``mags`` (``1 <= n <= mags.size``).
+def _largest_mask(values: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the ``n`` largest magnitudes of ``values`` (``1 <= n <= values.size``).
 
-    The same set as ``np.argsort(-mags, kind="stable")[:n]``: everything
-    above the boundary magnitude, then the lowest flat indices equal to it.
+    The same set as ``np.argsort(-abs(values), kind="stable")[:n]``:
+    everything above the boundary magnitude, then the lowest flat indices
+    equal to it.
     """
-    v = np.partition(mags, mags.size - n)[mags.size - n]
+    mags = np.abs(values)
+    mags.partition(mags.size - n)
+    v = mags[mags.size - n]
+    np.abs(values, out=mags)  # back in flat order: one array serves both steps
     keep = mags > v
     keep[np.flatnonzero(mags == v)[: n - np.count_nonzero(keep)]] = True
     if np.count_nonzero(keep) != n:
@@ -114,12 +126,16 @@ def _smallest_first_tails(values: np.ndarray, n_max: int) -> np.ndarray:
     One partial selection splits off the ``n_max`` largest values; the rest
     is summed pairwise and the split-off values are added to it smallest
     first, so no tail is a difference of large sums.  ``out[0]`` is the total.
-    The selection reorders ``values`` in place: pass a scratch array.
+    The selection and the sort reorder ``values`` in place: pass a scratch array.
     """
     k = values.size - n_max
     if 0 < k < values.size:
         values.partition(k)
-    return np.cumsum(np.concatenate(([values[:k].sum()], np.sort(values[k:]))))[::-1]
+    values[k:].sort()
+    out = np.empty(n_max + 1)
+    out[0] = values[:k].sum()
+    out[1:] = values[k:]
+    return np.cumsum(out, out=out)[::-1]
 
 
 def geometric_schedule(start: int, stop: int) -> list[int]:
@@ -157,19 +173,27 @@ def error_curve(
     checked = sorted(set(n_list) | set(verify_at))
     if checked and checked[0] < 1:
         raise ValueError(f"N must be at least 1, got N={checked[0]}")
+    if verify_at:
+        image = _check_image(image, frame)
     if coeffs is None:
         coeffs = analyze(image, frame)
     total = coeffs.total_count
     if checked and checked[-1] > total:
         raise ValueError(f"N={checked[-1]} exceeds coefficient count {total}")
-    # the tails reorder their squares in place; the selections below use the
+    # the worker sums the tails while this thread thresholds and synthesizes;
+    # the tails reorder their squares in place, and the selections use the
     # magnitudes, because squaring can merge distinct magnitudes into ties
-    tails = _smallest_first_tails(np.square(coeffs.values), checked[-1] if checked else 0)
+    n_max = checked[-1] if checked else 0
+    with transform._beside(_smallest_first_tails, np.square(coeffs.values), n_max) as pending:
+        synthesis = {
+            n: grid_norms(image - synthesize(threshold(coeffs, n), frame), frame.params.grid_n)[1]
+            for n in verify_at
+        }
+    tails = pending.result()
     energy = float(tails[0])
-    err2 = [float(tails[n]) for n in n_list]
     curve = ErrorCurve(
         n_terms=n_list,
-        err2=err2,
+        err2=[float(tails[n]) for n in n_list],
         metadata={
             "grid_n": frame.params.grid_n,
             "s": frame.params.s,
@@ -178,9 +202,7 @@ def error_curve(
             "signal_energy": energy,
         },
     )
-    for n in verify_at:
-        rec = synthesize(threshold(coeffs, n), frame)
-        _, err = grid_norms(np.asarray(image, float) - rec, frame.params.grid_n)
+    for n, err in synthesis.items():
         tail = float(tails[n])
         if err > tail * (1.0 + 1e-9) + 1e-18 * energy:
             # synthesis of masked coefficients is a contraction; exceeding

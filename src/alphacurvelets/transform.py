@@ -18,14 +18,32 @@ support, as an oracle for both.
 
 The coefficients of one analysis are one flat real array; each tile's
 block is a view of it (:class:`CoefficientSet`).
+
+The tile FFTs run on two threads: the calling thread and one worker
+thread shared by the whole module.  The two take tiles from opposite ends
+of the layout, each claiming the next as it finishes one, so the split
+follows how fast each thread actually runs; the caller starts with the
+last tile, the closure, the largest.  Analysis writes each thread's
+blocks from its own scratch arrays.  Synthesis shares only the tiles whose
+block is nonzero: the worker adds the spectra of its tiles into the half
+spectrum in tile order while the caller computes those of its own, which
+it adds, in tile order, once the worker is done.  Every sum is thus taken
+in tile order, as in one serial loop, and the results are bit-identical
+to it.  Tiles with fewer than ``THREAD_MIN_COEFFICIENTS`` coefficients in
+all, or fewer than ``THREAD_MIN_MEAN_BOX`` per tile, all stay on the caller.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import csv
+import itertools
 import json
 import math
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +62,58 @@ __all__ = [
 
 DIRECT_GRID_LIMIT = 128
 PARTITION_TOL = 1e-12
+
+
+# a frame runs on the calling thread alone below either size: there the
+# per-tile Python work, which holds the interpreter lock, outweighs the
+# FFTs, and a second thread adds hand-offs but no speed
+THREAD_MIN_COEFFICIENTS = 2**17
+THREAD_MIN_MEAN_BOX = 2**11
+
+
+def _start_worker() -> None:
+    global _WORKER
+    _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="alphacurvelets")
+
+
+_start_worker()
+os.register_at_fork(after_in_child=_start_worker)  # a forked child has no worker thread
+
+
+@contextlib.contextmanager
+def _beside(fn, *args):
+    """Run ``fn(*args)`` on the worker thread while the ``with`` body runs.
+
+    Yields the future.  Leaving the body, by a return or a raise, waits
+    for ``fn`` to finish, so no task outlives the call that started it; a
+    normal exit raises what ``fn`` raised.  ``fn`` must not wait for the
+    worker itself.
+    """
+    future = _WORKER.submit(fn, *args)
+    try:
+        yield future
+    finally:
+        wait((future,))
+    future.result()
+
+
+def _taking(take):
+    """The items ``take()`` pops off a deque, until it is empty.
+
+    Two threads share one deque's tiles this way: a deque's pops from
+    either end are thread-safe, so each tile goes to exactly one of them.
+    """
+    while True:
+        try:
+            yield take()
+        except IndexError:
+            return
+
+
+def _worth_two_threads(caches) -> bool:
+    """Whether tiles with these boxes are worth sharing with the worker thread."""
+    cost = sum(c.P1 * c.P2 for c in caches)
+    return cost >= max(THREAD_MIN_COEFFICIENTS, THREAD_MIN_MEAN_BOX * len(caches))
 
 
 class DigitalCurveletFrame:
@@ -155,6 +225,9 @@ class CoefficientSet:
 
 
 def _check_image(image: np.ndarray, frame: DigitalCurveletFrame) -> np.ndarray:
+    image = np.asarray(image)
+    if np.iscomplexobj(image):
+        raise ValueError("image is complex; the transform takes real images")
     image = np.asarray(image, dtype=float)
     n = frame.params.grid_n
     if image.shape != (n, n):
@@ -168,15 +241,38 @@ def analyze(image: np.ndarray, frame: DigitalCurveletFrame) -> CoefficientSet:
     """Forward transform; Parseval in the grid quadrature norm.
 
     The coefficients are written tile by tile into the views of one flat
-    array.  The windowed support and the half box of each tile are staged
-    in two scratch arrays sized for the largest tile.
+    array, by this thread and the worker.
     """
     image = _check_image(image, frame)
     F = np.fft.rfft2(image).ravel()
-    box = np.empty(max(c.P1 * (c.P2 // 2 + 1) for c in frame._caches), dtype=complex)
-    vals = np.empty(max(c.grid_flat.size for c in frame._caches), dtype=complex)
     coeffs = CoefficientSet(frame.wedge_table(), np.empty(frame.total_coefficients))
-    for c, block in zip(frame._caches, coeffs.blocks):
+    tiles = range(len(frame._caches))
+    if not _worth_two_threads(frame._caches):
+        _analyze_tiles(F, frame, tiles, coeffs.blocks, *_scratch(frame, tiles))
+        return coeffs
+    # the caller takes the closure, the largest tile, so the worker's
+    # scratch need not fit it; the scratch is allocated here, so the
+    # worker's heap does not keep it
+    shared = collections.deque(tiles[:-1])
+    theirs = _taking(shared.popleft)
+    with _beside(_analyze_tiles, F, frame, theirs, coeffs.blocks, *_scratch(frame, tiles[:-1])):
+        mine = itertools.chain(tiles[-1:], _taking(shared.pop))
+        _analyze_tiles(F, frame, mine, coeffs.blocks, *_scratch(frame, tiles))
+    return coeffs
+
+
+def _scratch(frame: DigitalCurveletFrame, tiles: range) -> tuple[np.ndarray, np.ndarray]:
+    """Half box and windowed-support arrays sized for the largest of ``tiles``."""
+    caches = [frame._caches[i] for i in tiles]
+    box = np.empty(max(c.P1 * (c.P2 // 2 + 1) for c in caches), dtype=complex)
+    vals = np.empty(max(c.grid_flat.size for c in caches), dtype=complex)
+    return box, vals
+
+
+def _analyze_tiles(F, frame, tiles, blocks, box, vals) -> None:
+    """Write the blocks of ``tiles`` from the half spectrum ``F``, staging in ``box`` and ``vals``."""
+    for i in tiles:
+        c = frame._caches[i]
         H = box[: c.P1 * (c.P2 // 2 + 1)]
         H.fill(0)
         v = vals[: c.grid_flat.size]
@@ -189,9 +285,8 @@ def analyze(image: np.ndarray, frame: DigitalCurveletFrame) -> CoefficientSet:
         np.multiply(
             np.fft.irfft2(H.reshape(c.P1, c.P2 // 2 + 1), s=(c.P1, c.P2)),
             frame.sigma * math.sqrt(c.P1 * c.P2),
-            out=block,
+            out=blocks[i],
         )
-    return coeffs
 
 
 def synthesize(coeffs: CoefficientSet, frame: DigitalCurveletFrame) -> np.ndarray:
@@ -200,17 +295,36 @@ def synthesize(coeffs: CoefficientSet, frame: DigitalCurveletFrame) -> np.ndarra
         raise ValueError("coefficient blocks do not match the frame's tile boxes")
     n = frame.params.grid_n
     Facc = np.zeros(n * (n // 2 + 1), dtype=complex)
-    for c, block in zip(frame._caches, coeffs.blocks):
-        if not np.any(block):
-            continue
-        ns = c.n_spectrum
-        v = np.fft.rfft2(block).ravel()[c.box_flat[:ns]]
-        v /= math.sqrt(c.P1 * c.P2)
-        np.conjugate(v[c.n_direct :], out=v[c.n_direct :])
-        v *= c.window[:ns]
-        # the half-spectrum indices of one tile are unique, so += is collision-free
-        Facc[c.grid_flat[:ns]] += v
+    live = [i for i, block in enumerate(coeffs.blocks) if np.any(block)]
+    if not _worth_two_threads([frame._caches[i] for i in live]):
+        _add_spectra(Facc, frame, live, coeffs.blocks)
+    else:
+        shared = collections.deque(live)
+        with _beside(_add_spectra, Facc, frame, _taking(shared.popleft), coeffs.blocks):
+            held = [(i, _spectrum(frame._caches[i], coeffs.blocks[i])) for i in _taking(shared.pop)]
+        # the worker has added every tile before these, in order: each sum
+        # rounds as in one tile-order loop
+        for i, v in reversed(held):
+            Facc[frame._caches[i].grid_flat[: v.size]] += v
     return (n * n / 2.0) * np.fft.irfft2(Facc.reshape(n, n // 2 + 1), s=(n, n))
+
+
+def _spectrum(c, block: np.ndarray) -> np.ndarray:
+    """Windowed half-spectrum values of one tile's block, at ``c.grid_flat[:c.n_spectrum]``."""
+    ns = c.n_spectrum
+    v = np.fft.rfft2(block).ravel()[c.box_flat[:ns]]
+    v /= math.sqrt(c.P1 * c.P2)
+    np.conjugate(v[c.n_direct :], out=v[c.n_direct :])
+    v *= c.window[:ns]
+    return v
+
+
+def _add_spectra(Facc, frame, tiles, blocks) -> None:
+    """Add the spectra of the blocks of ``tiles`` into ``Facc``, in the order given."""
+    for i in tiles:
+        c = frame._caches[i]
+        # the half-spectrum indices of one tile are unique, so += is collision-free
+        Facc[c.grid_flat[: c.n_spectrum]] += _spectrum(c, blocks[i])
 
 
 def analyze_direct(image: np.ndarray, frame: DigitalCurveletFrame, tile: int) -> np.ndarray:
@@ -296,9 +410,8 @@ def dump_coefficients(
     else:
         from .approximation import _largest_mask  # approximation imports this module
 
-        mags = coeffs.flat_magnitudes()
-        top = np.flatnonzero(_largest_mask(mags, min(top_k, mags.size)))
-        order = top[np.lexsort((top, -mags[top]))]
+        top = np.flatnonzero(_largest_mask(coeffs.values, min(top_k, coeffs.total_count)))
+        order = top[np.lexsort((top, -np.abs(coeffs.values[top])))]
     tile = coeffs._tile_of(order)
     j, ell, _P1, P2 = np.array(coeffs.wedge_table, dtype=np.int64).reshape(-1, 4)[tile].T
     m1, m2 = np.divmod(order - coeffs.offsets[tile], P2)

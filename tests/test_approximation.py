@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -188,6 +190,86 @@ def test_error_curve_verifies_n_outside_the_schedule(frame64, monkeypatch):
     monkeypatch.setattr(appr, "synthesize", lambda c, frame: np.zeros((64, 64)))
     with pytest.raises(AssertionError, match="N=20"):
         appr.error_curve(disc, frame64, [10], coeffs=coeffs, verify_at=(20,))
+    # the failed call left no task behind on the worker: the next one returns
+    monkeypatch.undo()
+    again = []
+    user = threading.Thread(
+        target=lambda: again.append(appr.error_curve(disc, frame64, [10], coeffs=coeffs, verify_at=(20,))),
+        daemon=True,
+    )
+    user.start()
+    user.join(timeout=60)
+    assert not user.is_alive()
+    assert again[0].err2 == curve.err2 and again[0].err2_synthesis == curve.err2_synthesis
+
+
+def serial_tails(values, n_max):
+    """One partial selection, the small end summed pairwise, the head added smallest first."""
+    squares = np.square(values)
+    k = squares.size - n_max
+    if 0 < k < squares.size:
+        squares.partition(k)
+    return np.cumsum(np.concatenate(([squares[:k].sum()], np.sort(squares[k:]))))[::-1]
+
+
+def test_error_curve_tails_are_the_serial_tails_bit_for_bit(frame64):
+    f = np.random.default_rng(19).standard_normal((64, 64))
+    coeffs = analyze(f, frame64)
+    for n_list in ([1, 7, 300, 2048], [5, coeffs.total_count]):
+        curve = appr.error_curve(f, frame64, n_list, coeffs=coeffs, verify_at=(300,))
+        tails = serial_tails(coeffs.values, max(n_list + [300]))
+        assert curve.err2 == [float(tails[n]) for n in n_list]
+        assert curve.metadata["signal_energy"] == float(tails[0])
+
+
+def test_error_curve_raises_what_the_tails_raise(frame64, monkeypatch):
+    f = np.random.default_rng(20).standard_normal((64, 64))
+
+    def broken(values, n_max):
+        raise RuntimeError("tails failed")
+
+    monkeypatch.setattr(appr, "_smallest_first_tails", broken)
+    with pytest.raises(RuntimeError, match="tails failed"):
+        appr.error_curve(f, frame64, [10], verify_at=(10,))
+
+
+def test_error_curve_waits_for_the_tails_when_the_synthesis_fails(frame64, monkeypatch):
+    f = np.random.default_rng(21).standard_normal((64, 64))
+    tails = appr._smallest_first_tails
+    started, finished = threading.Event(), []
+
+    def slow_tails(values, n_max):
+        started.set()
+        time.sleep(0.2)
+        finished.append(True)
+        return tails(values, n_max)
+
+    def lost(coeffs, frame):
+        assert started.wait(timeout=60)
+        raise MemoryError("synthesis failed")
+
+    monkeypatch.setattr(appr, "_smallest_first_tails", slow_tails)
+    monkeypatch.setattr(appr, "synthesize", lost)
+    with pytest.raises(MemoryError, match="synthesis failed"):
+        appr.error_curve(f, frame64, [10], verify_at=(10,))
+    assert finished == [True]
+
+
+def test_error_curve_checks_the_image_it_verifies_against(frame64):
+    f = np.random.default_rng(22).standard_normal((64, 64))
+    coeffs = analyze(f, frame64)
+    bad = f.copy()
+    bad[3, 4] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        appr.error_curve(bad, frame64, [5], coeffs=coeffs, verify_at=(5,))
+    with pytest.raises(ValueError, match="does not match grid"):
+        appr.error_curve(f[:32, :32], frame64, [5], coeffs=coeffs, verify_at=(5,))
+    with pytest.raises(ValueError, match="complex"):
+        appr.error_curve(f + 1j * f, frame64, [5], coeffs=coeffs, verify_at=(5,))
+    # without verify_at the image is not read
+    assert appr.error_curve(bad, frame64, [5], coeffs=coeffs).err2 == appr.error_curve(
+        f, frame64, [5], coeffs=coeffs
+    ).err2
 
 
 def test_error_curve_verifies_exactly_the_threshold_synthesis(frame64):

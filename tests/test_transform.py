@@ -1,11 +1,18 @@
+import collections
 import dataclasses
 import math
 import os
+import signal
+import sys
+import threading
+import time
+from concurrent.futures import Future
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from alphacurvelets import tiling
+from alphacurvelets import tiling, transform
 from alphacurvelets.approximation import atom_l1_decay
 from alphacurvelets.tiling import FrameParams, verify_partition
 from alphacurvelets.transform import (
@@ -28,6 +35,61 @@ def frame64():
 @pytest.fixture(scope="module")
 def frame128():
     return DigitalCurveletFrame.build(FrameParams(s=1.0, alpha=0.5, grid_n=128))
+
+
+@pytest.fixture(scope="module")
+def frame256s():
+    return DigitalCurveletFrame.build(FrameParams(s=1.0, alpha=0.5, grid_n=256, snapped=True))
+
+
+def force_threads(monkeypatch, threaded):
+    """Make every transform share its tiles with the worker thread, or none."""
+    least = 0 if threaded else 2**62
+    monkeypatch.setattr(transform, "THREAD_MIN_COEFFICIENTS", least)
+    monkeypatch.setattr(transform, "THREAD_MIN_MEAN_BOX", 0)
+
+
+# the frames as built (one thread below the size cutoff, two above it) and
+# with the other choice forced, so both code paths run on each side of it
+FRAMES = ["frame64", "frame128", "frame256s", "frame64_split", "frame128_split", "frame256s_one_thread"]
+
+
+def frame_named(request, name):
+    base, _, forced = name.partition("_")
+    if forced:
+        force_threads(request.getfixturevalue("monkeypatch"), forced == "split")
+    return request.getfixturevalue(base)
+
+
+def one_thread(fn, *args):
+    """``fn(*args)`` with every tile on the calling thread."""
+    with pytest.MonkeyPatch.context() as mp:
+        force_threads(mp, False)
+        return fn(*args)
+
+
+class InlineWorker:
+    """Runs each task when it is submitted: the worker takes every tile it can."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_running_or_notify_cancel()
+        future.set_result(fn(*args))
+        return future
+
+
+class LateWorker:
+    """Starts each task half a second late: the caller takes every tile."""
+
+    def submit(self, fn, *args):
+        future = Future()
+
+        def run():
+            future.set_running_or_notify_cancel()
+            future.set_result(fn(*args))
+
+        threading.Timer(0.5, run).start()
+        return future
 
 
 def quad_inner(a, b, n):
@@ -324,9 +386,9 @@ def test_total_energy_matches_quadrature_norm(frame64):
     assert coeffs.total_energy == pytest.approx(e2, rel=1e-10)
 
 
-@pytest.mark.parametrize("fixture", ["frame64", "frame128"])
+@pytest.mark.parametrize("fixture", FRAMES)
 def test_analyze_is_the_per_tile_formula_bit_for_bit(fixture, request):
-    frame = request.getfixturevalue(fixture)
+    frame = frame_named(request, fixture)
     n = frame.params.grid_n
     f = np.random.default_rng(14).standard_normal((n, n))
     F = np.fft.rfft2(f).ravel()
@@ -342,6 +404,139 @@ def test_analyze_is_the_per_tile_formula_bit_for_bit(fixture, request):
     # the scratch arrays are reused per tile: no block may alias them
     for a, b in zip(blocks, blocks[1:]):
         assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("fixture", FRAMES)
+def test_synthesize_is_the_per_tile_formula_bit_for_bit(fixture, request):
+    frame = frame_named(request, fixture)
+    n = frame.params.grid_n
+    coeffs = analyze(np.random.default_rng(16).standard_normal((n, n)), frame)
+    for block in coeffs.blocks[1::4]:  # some dead tiles; the live ones keep frame256s on two threads
+        block[...] = 0.0
+    live = [c for c, block in zip(frame._caches, coeffs.blocks) if np.any(block)]
+    assert transform._worth_two_threads(live) == (fixture in ("frame256s", "frame64_split", "frame128_split"))
+    # one thread, tile order, one += per live tile
+    Facc = np.zeros(n * (n // 2 + 1), dtype=complex)
+    for c, block in zip(frame._caches, coeffs.blocks):
+        if not np.any(block):
+            continue
+        ns = c.n_spectrum
+        v = np.fft.rfft2(block).ravel()[c.box_flat[:ns]] / math.sqrt(c.P1 * c.P2)
+        v[c.n_direct :] = np.conj(v[c.n_direct :])
+        Facc[c.grid_flat[:ns]] += v * c.window[:ns]
+    want = (n * n / 2.0) * np.fft.irfft2(Facc.reshape(n, n // 2 + 1), s=(n, n))
+    assert np.array_equal(synthesize(coeffs, frame), want)
+
+
+@pytest.mark.parametrize("worker", [InlineWorker, LateWorker])
+def test_transforms_are_the_same_whichever_thread_takes_the_tiles(frame256s, worker, monkeypatch):
+    f = np.random.default_rng(23).standard_normal((256, 256))
+    want = one_thread(analyze, f, frame256s)
+    monkeypatch.setattr(transform, "_WORKER", worker())
+    coeffs = analyze(f, frame256s)
+    assert np.array_equal(coeffs.values, want.values)
+    assert np.array_equal(synthesize(coeffs, frame256s), one_thread(synthesize, want, frame256s))
+
+
+def test_small_frames_keep_one_thread_and_large_ones_take_two(frame64, frame128, frame256s):
+    assert not transform._worth_two_threads(frame64._caches)
+    assert not transform._worth_two_threads(frame128._caches)
+    assert transform._worth_two_threads(frame256s._caches)
+
+
+def test_the_thread_cutoff_sits_at_both_sizes():
+    def threaded(*boxes):
+        return transform._worth_two_threads([SimpleNamespace(P1=1, P2=b) for b in boxes])
+
+    least = transform.THREAD_MIN_COEFFICIENTS
+    assert threaded(least // 2, least // 2)
+    assert not threaded(least // 2, least // 2 - 1)
+    box = transform.THREAD_MIN_MEAN_BOX
+    many = 2 * least // box
+    assert threaded(*[box] * many)
+    assert not threaded(*[box] * (many - 1), box - 1)
+
+
+def test_two_threads_taking_from_both_ends_get_each_tile_once():
+    shared = collections.deque(range(20000))
+    taken = [[], []]
+
+    def take(k, pop):
+        taken[k].extend(transform._taking(pop))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pops = (shared.popleft, shared.pop)
+        ends = [threading.Thread(target=take, args=(k, pop), daemon=True) for k, pop in enumerate(pops)]
+        for t in ends:
+            t.start()
+        for t in ends:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in ends)
+    front, back = taken
+    assert front == list(range(len(front)))
+    assert back == list(range(19999, len(front) - 1, -1))
+
+
+def test_a_frame_is_safe_to_share_across_threads(frame256s):
+    rng = np.random.default_rng(15)
+    images = [rng.standard_normal((256, 256)) for _ in range(2)]
+    want = []
+    for f in images:
+        coeffs = one_thread(analyze, f, frame256s)
+        want.append((coeffs.values, one_thread(synthesize, coeffs, frame256s)))
+    same = [[], []]
+
+    def run(k):
+        for _ in range(20):
+            coeffs = analyze(images[k], frame256s)
+            rec = synthesize(coeffs, frame256s)
+            same[k].append(np.array_equal(coeffs.values, want[k][0]) and np.array_equal(rec, want[k][1]))
+
+    # two users and the worker on two cores, switching often
+    users = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in users:
+            t.start()
+        for t in users:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in users)
+    assert same == [[True] * 20, [True] * 20]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_gets_a_worker_of_its_own(frame256s):
+    f = np.random.default_rng(17).standard_normal((256, 256))
+    want = analyze(f, frame256s).values  # the parent's worker is running now
+    pid = os.fork()
+    if pid == 0:
+        ok = False
+        try:
+            ok = np.array_equal(analyze(f, frame256s).values, want)
+        finally:
+            os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's analyze never returned")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_analyze_refuses_a_complex_image(frame64):
+    f = np.random.default_rng(18).standard_normal((64, 64))
+    for image in (f + 1j * f, f.astype(complex)):
+        with pytest.raises(ValueError, match="complex"):
+            analyze(image, frame64)
 
 
 def test_flat_magnitudes_are_the_concatenated_block_magnitudes(frame64):
