@@ -123,6 +123,9 @@ class CartoonSpec:
         integral = isinstance(self.beta, numbers.Real) and float(self.beta).is_integer()
         if not integral or self.beta < 0:
             raise ValueError(f"beta must be a non-negative integer, got {self.beta!r}")
+        for name in ("phi", "c", "nu", "rho0", "cos_coeffs", "sin_coeffs"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         smooth = self.kind == "smooth_bump" or (self.kind == "half_space" and self.beta >= 1)
         if smooth and not self.nu > 0:
             raise ValueError(f"nu must be positive for a smooth factor, got {self.nu!r}")

@@ -33,21 +33,64 @@ from .transform import (
     synthesize,
 )
 
+# each note names its bounds by config key; :func:`band_note` fills them in
 BAND_NOTES = {
-    "verify-frame": "partition<=1e-12, parseval/reconstruction<=1e-10, oracle<=1e-9",
-    "wedge-energy": "core-energy slope = -s*(2-alpha) +/- 0.2; digital/analytic in [0.9, 1.1]",
-    "disc-rate": "disc threshold slope: alpha=0.5 in [-2.4,-1.7]; alpha=1/3 in [-1.75,-1.0]",
-    "disc-lower-bound": "tile-core tail slope = -1/(1-alpha) +/- 0.3",
-    "straight-edge-rate": "alpha=0.5 in [-2.45,-1.7]; alpha=0.25 <= -1.8; bump <= -1.9",
-    "apriori-decay": "max-coeff slope = -s*(1+alpha)/2 +/- 0.15; atom L1 slope +/- 0.25",
-    "bessel-check": "closed forms <= 1e-12; remainder sup finite, stable to 1%",
-    "molecule-distance": "self-distance exactly 1; sup growth < 5% at last doubling",
+    "verify-frame": "partition<={partition_tol}, parseval<={parseval_tol}, "
+    "reconstruction<={reconstruction_tol}, oracle<={oracle_tol}",
+    "wedge-energy": "core-energy slope = -s*(2-alpha) +/- {slope_tol}; "
+    "digital/analytic in {digital_ratio_band}",
+    "disc-rate": "disc threshold slope: {bands}",
+    "disc-lower-bound": "tile-core tail slope = -1/(1-alpha) +/- {slope_tol}",
+    "straight-edge-rate": "alpha=0.5 in {band_alpha_half}; alpha=0.25 <= {max_slope_alpha_quarter}; "
+    "bump <= {max_slope_bump}",
+    "apriori-decay": "max-coeff slope = -s*(1+alpha)/2 +/- {max_coeff_tol}; "
+    "atom L1 slope +/- {atom_l1_tol}",
+    "bessel-check": "closed forms <= {closed_form_tol}; "
+    "remainder sup finite, stable to {remainder_stability_tol}",
+    "molecule-distance": "self-distance exactly 1; sup growth < {growth_tol} at last doubling",
     "generator-decay": "exact zeros outside the unit box and on the inner rectangle",
 }
 
 
 class ConfigError(ValueError):
     """Input refused before any work; :func:`main` reports it as a usage error."""
+
+
+def band_note(experiment: str, cfg: dict) -> str:
+    """``BAND_NOTES[experiment]`` with the bounds of the resolved ``cfg``."""
+    return BAND_NOTES[experiment].format(**{key: _brief(val) for key, val in cfg.items()})
+
+
+def _brief(val) -> str:
+    """A band as ``[lo,hi]``, a table of bands by alpha as ``alpha=a in [lo,hi]; ...``."""
+    if isinstance(val, dict):
+        return "; ".join(f"alpha={float(alpha):.4g} in {_brief(band)}" for alpha, band in val.items())
+    if isinstance(val, list):
+        return "[" + ",".join(map(str, val)) + "]"
+    return str(val)
+
+
+def _params(*args, snapped: bool = False) -> FrameParams:
+    """``FrameParams(*args, snapped=snapped)``; a value it refuses is a :class:`ConfigError`."""
+    try:
+        return FrameParams(*args, snapped=snapped)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _scale_window(cfg: dict, key: str, j_max: int, least: int) -> tuple[int, int]:
+    """The scales ``(lo, hi)`` of ``cfg[key]``, a negative ``hi`` counting back from ``j_max``.
+
+    A :class:`ConfigError` refuses a window that holds fewer than ``least``
+    of the frame's scales ``0..j_max``.
+    """
+    lo, hi = cfg[key]
+    hi = j_max + hi if hi < 0 else hi
+    if len(range(max(lo, 0), min(hi, j_max) + 1)) < least:
+        raise ConfigError(
+            f"{key} {cfg[key]} selects scales {lo}..{hi} of 0..{j_max}; the check needs at least {least}"
+        )
+    return lo, hi
 
 
 def load_defaults() -> dict:
@@ -155,8 +198,8 @@ def run_verify_frame(cfg: dict) -> tuple[bool, dict, list[dict]]:
     oracle_grid = min(64, max(32, grid // 8))
     rows = []
     ok = True
-    for alpha in cfg["alphas"]:
-        params = FrameParams(cfg["s"], alpha, grid)
+    every = [_params(cfg["s"], alpha, grid) for alpha in cfg["alphas"]]
+    for alpha, params in zip(cfg["alphas"], every):
         layout = build_layout(params)
         pdev = verify_partition(layout)
         frame = DigitalCurveletFrame.build(FrameParams(cfg["s"], alpha, tight_grid))
@@ -204,12 +247,15 @@ def run_wedge_energy(cfg: dict) -> tuple[bool, dict, list[dict]]:
     rows = []
     summaries = []
     grid = int(cfg["grid"])
-    for alpha in cfg["alphas"]:
-        params = FrameParams(cfg["s"], alpha, grid)
-        scales = range(1, params.j_max + 1)
-        energies = [bessel.wedge_energy_quadrature(params, j) for j in scales]
+    every = [_params(cfg["s"], alpha, grid) for alpha in cfg["alphas"]]
+    d_alpha = float(cfg["digital_alpha"])
+    params = _params(cfg["s"], d_alpha, grid)
+    lo_m, hi_m = _scale_window(cfg, "digital_mid_scales", params.j_max, 1)
+    for alpha, p in zip(cfg["alphas"], every):
+        scales = range(1, p.j_max + 1)
+        energies = [bessel.wedge_energy_quadrature(p, j) for j in scales]
         fit = appr.fit_scale_slope(scales, energies)
-        target = -params.s * (2.0 - alpha)
+        target = -p.s * (2.0 - alpha)
         ok_a = abs(fit["slope"] - target) <= cfg["slope_tol"]
         ok = ok and ok_a
         summaries.append(
@@ -217,16 +263,12 @@ def run_wedge_energy(cfg: dict) -> tuple[bool, dict, list[dict]]:
         )
         for j, e in zip(scales, energies):
             rows.append({"alpha": alpha, "j": j, "core_energy": e})
-    d_alpha = float(cfg["digital_alpha"])
-    params = FrameParams(cfg["s"], d_alpha, grid)
     frame = DigitalCurveletFrame.build(params)
     disc = render(CartoonSpec(kind="disc", antialias=int(cfg["antialias"])), grid)
     coeffs = analyze(disc, frame)
     per_scale = {}
     for (j, _ell, _p1, _p2), b in zip(coeffs.wedge_table, coeffs.blocks):
         per_scale[j] = per_scale.get(j, 0.0) + float(np.sum(np.abs(b) ** 2))
-    lo_m, hi_m = cfg["digital_mid_scales"]
-    hi_m = params.j_max + hi_m if hi_m < 0 else hi_m
     band = cfg["digital_ratio_band"]
     ratios = []
     for j in range(lo_m, hi_m + 1):
@@ -264,7 +306,7 @@ def run_disc_rate(cfg: dict) -> tuple[bool, dict, list[dict]]:
             band = val
     if band is None:
         raise ConfigError(f"no acceptance band configured for alpha={alpha}")
-    frame = DigitalCurveletFrame.build(FrameParams(cfg["s"], alpha, grid, snapped=True))
+    frame = DigitalCurveletFrame.build(_params(cfg["s"], alpha, grid, snapped=True))
     disc = render(CartoonSpec(kind="disc", antialias=int(cfg["antialias"])), grid)
     curve, fit = _threshold_rate(cfg, frame, disc)
     ok = band[0] <= fit.slope <= band[1]
@@ -277,8 +319,9 @@ def run_disc_lower_bound(cfg: dict) -> tuple[bool, dict, list[dict]]:
     ok = True
     rows = []
     summaries = []
-    for alpha in cfg["alphas"]:
-        curve = appr.bound1_tail_estimator(FrameParams(cfg["s"], float(alpha), int(cfg["grid"])))
+    every = [_params(cfg["s"], float(alpha), int(cfg["grid"])) for alpha in cfg["alphas"]]
+    for alpha, params in zip(cfg["alphas"], every):
+        curve = appr.bound1_tail_estimator(params)
         counts = curve.metadata["scale_tile_counts"]
         lo = sum(counts[:3])
         hi = sum(counts[:-1])
@@ -315,10 +358,10 @@ def run_straight_edge_rate(cfg: dict) -> tuple[bool, dict, list[dict]]:
     bump = CartoonSpec(
         kind="smooth_bump", beta=int(cfg["beta"]), nu=float(cfg["nu"]), antialias=int(cfg["antialias"])
     )
-    half = DigitalCurveletFrame.build(FrameParams(cfg["s"], 0.5, grid, snapped=True))  # edge and bump
+    half = DigitalCurveletFrame.build(_params(cfg["s"], 0.5, grid, snapped=True))  # edge and bump
     img = render(edge, grid)
     fit_half = one(half, edge, img)
-    fit_quarter = one(DigitalCurveletFrame.build(FrameParams(cfg["s"], 0.25, grid, snapped=True)), edge, img)
+    fit_quarter = one(DigitalCurveletFrame.build(_params(cfg["s"], 0.25, grid, snapped=True)), edge, img)
     img = render(bump, grid)
     fit_bump = one(half, bump, img, window=tuple(cfg["bump_window"]))
     band = cfg["band_alpha_half"]
@@ -341,14 +384,13 @@ def run_apriori_decay(cfg: dict) -> tuple[bool, dict, list[dict]]:
     ok = True
     rows = []
     summaries = []
+    every = [_params(cfg["s"], float(alpha), grid, snapped=True) for alpha in cfg["alphas"]]
+    windows = [_scale_window(cfg, "fit_scales", params.j_max, 3) for params in every]
     disc = render(CartoonSpec(kind="disc", antialias=int(cfg["antialias"])), grid)
-    for alpha in cfg["alphas"]:
-        params = FrameParams(cfg["s"], float(alpha), grid, snapped=True)
+    for alpha, params, window in zip(cfg["alphas"], every, windows):
         frame = DigitalCurveletFrame.build(params)
         coeffs = analyze(disc, frame)
-        lo, hi = cfg["fit_scales"]
-        hi = params.j_max + hi if hi < 0 else hi
-        table = appr.apriori_decay_check(coeffs, params, f_sup=1.0, fit_scales=(lo, hi))
+        table = appr.apriori_decay_check(coeffs, params, f_sup=1.0, fit_scales=window)
         target = table["target"]
         # the size bound is one-sided: curved edges cannot saturate it for
         # strongly directional tiles, so only slopes above target+tol fail
@@ -413,8 +455,8 @@ def run_bessel_check(cfg: dict) -> tuple[bool, dict, list[dict]]:
 
 
 def run_molecule_distance(cfg: dict) -> tuple[bool, dict, list[dict]]:
-    pa = FrameParams(s=float(cfg["s_a"]), alpha=float(cfg["alpha"]), grid_n=64)
-    pb = FrameParams(s=float(cfg["s_b"]), alpha=float(cfg["alpha"]), grid_n=64)
+    pa = _params(float(cfg["s_a"]), float(cfg["alpha"]), 64)
+    pb = _params(float(cfg["s_b"]), float(cfg["alpha"]), 64)
     p = molecules.curvelet_parametrization((2, 1, (3.0, -2.0)), pa)
     self_dist = molecules.index_distance(p, p, float(cfg["alpha"]))
     rows = []
@@ -453,8 +495,8 @@ def run_molecule_distance(cfg: dict) -> tuple[bool, dict, list[dict]]:
 def run_generator_decay(cfg: dict) -> tuple[bool, dict, list[dict]]:
     ok = True
     rows = []
-    for alpha in cfg["alphas"]:
-        params = FrameParams(cfg["s"], float(alpha), int(cfg["grid"]))
+    every = [_params(cfg["s"], float(alpha), int(cfg["grid"])) for alpha in cfg["alphas"]]
+    for alpha, params in zip(cfg["alphas"], every):
         table = appr.generator_decay_check(params, probe_step=float(cfg["probe_step"]))
         for entry in table:
             ok = ok and entry["support_ok"] and entry["inner_zero_ok"] and entry["sup"] <= 1.0 + 1e-12
@@ -496,7 +538,7 @@ def run_experiment(experiment: str, cfg: dict, out_dir: str) -> int:
     ok = bool(ok)
     files = emit_report(experiment, cfg, {**results, "pass": ok}, rows, out_dir)
     verdict = "PASS" if ok else "FAIL"
-    _say(f"{experiment}: {verdict}  ({BAND_NOTES[experiment]})")
+    _say(f"{experiment}: {verdict}  ({band_note(experiment, cfg)})")
     for key in ("rows", "summaries"):
         for entry in results.get(key) or []:
             if isinstance(entry, dict):
@@ -530,8 +572,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list":
+        packaged = load_defaults()["experiments"]
         for name in RUNNERS:
-            _say(f"{name}: {BAND_NOTES[name]}")
+            _say(f"{name}: {band_note(name, packaged[name])}")
         return 0
     if args.dump_coeffs is not None and args.dump_coeffs < 0:
         runp.error(f"--dump-coeffs K must be >= 0, got {args.dump_coeffs}")
@@ -553,7 +596,7 @@ def main(argv: list[str] | None = None) -> int:
                 write_pgm(img, args.dump_pgm)
                 _say(f"wrote {args.dump_pgm}")
             if args.dump_coeffs is not None:
-                frame = DigitalCurveletFrame.build(FrameParams(s, float(alpha), int(grid)))
+                frame = DigitalCurveletFrame.build(_params(s, float(alpha), int(grid)))
                 coeffs = analyze(img, frame)
                 top = None if args.dump_coeffs == 0 else args.dump_coeffs
                 paths = dump_coefficients(coeffs, frame, os.path.join(out_dir, "coefficients"), top)

@@ -379,11 +379,7 @@ class TileSupport:
         extra = omitted & ((m2 == 0) | (m2 == cols - 1))
         mirrored = np.concatenate([conj.nonzero()[0], extra.nonzero()[0]])
         direct = (~conj).nonzero()[0]
-        # -m of a mirrored entry: (P1 - m1) % P1 and, in the half box, P2 - m2
-        # for the columns past P2/2 and m2 itself for columns 0 and P2/2
-        mm1, mm2 = m1[mirrored], m2[mirrored]
-        mm1 = (P1 - mm1) % P1
-        mm2 = np.where(mm2 >= cols, P2 - mm2, mm2)
+        mm1, mm2 = -k1[mirrored] % P1, -k2[mirrored] % P2  # the fold of -k
         order = np.concatenate([direct, mirrored])
         self.j, self.ell, self.grid_n = j, ell, grid_n
         self.n_spectrum = grid_flat.size

@@ -19,18 +19,17 @@ support, as an oracle for both.
 The coefficients of one analysis are one flat real array; each tile's
 block is a view of it (:class:`CoefficientSet`).
 
-The tile FFTs run on two threads: the calling thread and one worker
-thread shared by the whole module.  The two take tiles from opposite ends
-of the layout, each claiming the next as it finishes one, so the split
-follows how fast each thread actually runs; the caller starts with the
-last tile, the closure, the largest.  Analysis writes each thread's
-blocks from its own scratch arrays.  Synthesis shares only the tiles whose
-block is nonzero: the worker adds the spectra of its tiles into the half
-spectrum in tile order while the caller computes those of its own, which
-it adds, in tile order, once the worker is done.  Every sum is thus taken
-in tile order, as in one serial loop, and the results are bit-identical
-to it.  Tiles with fewer than ``THREAD_MIN_COEFFICIENTS`` coefficients in
-all, or fewer than ``THREAD_MIN_MEAN_BOX`` per tile, all stay on the caller.
+The tile FFTs run on the calling thread and one worker thread shared by
+the whole module, both fed by one routine, ``_shared``.  The caller takes
+tiles from the back of the layout, starting with the closure, the
+largest; the worker takes them from the front; each claims the next as
+it finishes one, so the split follows how fast each thread runs.  A frame
+with fewer than ``THREAD_MIN_COEFFICIENTS`` coefficients, or fewer than
+``THREAD_MIN_MEAN_BOX`` per tile, leaves all its tiles to the caller.
+In synthesis the worker adds the spectra of its tiles into the half
+spectrum in tile order while the caller holds those of its own, to add
+them, in tile order, once the worker is done.  Every sum is thus taken
+in tile order, whichever thread takes a tile, and the bits never change.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import csv
-import itertools
 import json
 import math
 import operator
@@ -114,6 +112,22 @@ def _worth_two_threads(caches) -> bool:
     """Whether tiles with these boxes are worth sharing with the worker thread."""
     cost = sum(c.P1 * c.P2 for c in caches)
     return cost >= max(THREAD_MIN_COEFFICIENTS, THREAD_MIN_MEAN_BOX * len(caches))
+
+
+@contextlib.contextmanager
+def _shared(frame, tiles, fn, *args):
+    """Yield the frame's ``tiles`` the calling thread takes, last first.
+
+    If the tiles are worth two threads, ``fn(*args, theirs)`` runs on the
+    worker meanwhile, and leaving the body waits for it.  ``theirs`` takes
+    tiles from the front but never the last: zip asks ``range`` first, so
+    the worker pops all tiles but one at most.
+    """
+    shared = collections.deque(tiles)
+    two = _worth_two_threads([frame._caches[i] for i in tiles])
+    theirs = (i for _, i in zip(range(len(shared) - 1), _taking(shared.popleft)))
+    with _beside(fn, *args, theirs) if two else contextlib.nullcontext():
+        yield _taking(shared.pop)
 
 
 class DigitalCurveletFrame:
@@ -197,8 +211,7 @@ class CoefficientSet:
 
     @property
     def total_energy(self) -> float:
-        # block by block: one flat sum rounds differently and would move reported digits
-        return float(sum(np.sum(np.abs(b) ** 2) for b in self.blocks))
+        return float(np.einsum("i,i->", self.values, self.values))
 
     def flat_magnitudes(self) -> np.ndarray:
         """``|c|`` of every coefficient in flat order."""
@@ -246,30 +259,21 @@ def analyze(image: np.ndarray, frame: DigitalCurveletFrame) -> CoefficientSet:
     image = _check_image(image, frame)
     F = np.fft.rfft2(image).ravel()
     coeffs = CoefficientSet(frame.wedge_table(), np.empty(frame.total_coefficients))
-    tiles = range(len(frame._caches))
-    if not _worth_two_threads(frame._caches):
-        _analyze_tiles(F, frame, tiles, coeffs.blocks, *_scratch(frame, tiles))
-        return coeffs
-    # the caller takes the closure, the largest tile, so the worker's
-    # scratch need not fit it; the scratch is allocated here, so the
-    # worker's heap does not keep it
-    shared = collections.deque(tiles[:-1])
-    theirs = _taking(shared.popleft)
-    with _beside(_analyze_tiles, F, frame, theirs, coeffs.blocks, *_scratch(frame, tiles[:-1])):
-        mine = itertools.chain(tiles[-1:], _taking(shared.pop))
-        _analyze_tiles(F, frame, mine, coeffs.blocks, *_scratch(frame, tiles))
+    tiles, args = range(len(frame._caches)), (F, frame, coeffs.blocks)
+    # made here, so the worker's heap keeps neither pair; the worker never takes the last tile
+    with _shared(frame, tiles, _analyze_tiles, *args, *_scratch(frame._caches[:-1])) as mine:
+        _analyze_tiles(*args, *_scratch(frame._caches), mine)
     return coeffs
 
 
-def _scratch(frame: DigitalCurveletFrame, tiles: range) -> tuple[np.ndarray, np.ndarray]:
-    """Half box and windowed-support arrays sized for the largest of ``tiles``."""
-    caches = [frame._caches[i] for i in tiles]
+def _scratch(caches) -> tuple[np.ndarray, np.ndarray]:
+    """Half box and windowed-support arrays sized for the largest of the tiles ``caches``."""
     box = np.empty(max(c.P1 * (c.P2 // 2 + 1) for c in caches), dtype=complex)
     vals = np.empty(max(c.grid_flat.size for c in caches), dtype=complex)
     return box, vals
 
 
-def _analyze_tiles(F, frame, tiles, blocks, box, vals) -> None:
+def _analyze_tiles(F, frame, blocks, box, vals, tiles) -> None:
     """Write the blocks of ``tiles`` from the half spectrum ``F``, staging in ``box`` and ``vals``."""
     for i in tiles:
         c = frame._caches[i]
@@ -291,21 +295,16 @@ def _analyze_tiles(F, frame, tiles, blocks, box, vals) -> None:
 
 def synthesize(coeffs: CoefficientSet, frame: DigitalCurveletFrame) -> np.ndarray:
     """Adjoint of :func:`analyze`; inverts it exactly on its range."""
-    if [b.shape for b in coeffs.blocks] != [(c.P1, c.P2) for c in frame._caches]:
+    if coeffs.wedge_table != frame.wedge_table():
         raise ValueError("coefficient blocks do not match the frame's tile boxes")
     n = frame.params.grid_n
     Facc = np.zeros(n * (n // 2 + 1), dtype=complex)
     live = [i for i, block in enumerate(coeffs.blocks) if np.any(block)]
-    if not _worth_two_threads([frame._caches[i] for i in live]):
-        _add_spectra(Facc, frame, live, coeffs.blocks)
-    else:
-        shared = collections.deque(live)
-        with _beside(_add_spectra, Facc, frame, _taking(shared.popleft), coeffs.blocks):
-            held = [(i, _spectrum(frame._caches[i], coeffs.blocks[i])) for i in _taking(shared.pop)]
-        # the worker has added every tile before these, in order: each sum
-        # rounds as in one tile-order loop
-        for i, v in reversed(held):
-            Facc[frame._caches[i].grid_flat[: v.size]] += v
+    with _shared(frame, live, _add_spectra, Facc, frame, coeffs.blocks) as mine:
+        held = [(i, _spectrum(frame._caches[i], coeffs.blocks[i])) for i in mine]
+    # the worker has added every tile before these: each sum rounds as in tile order
+    for i, v in reversed(held):
+        Facc[frame._caches[i].grid_flat[: v.size]] += v
     return (n * n / 2.0) * np.fft.irfft2(Facc.reshape(n, n // 2 + 1), s=(n, n))
 
 
@@ -319,7 +318,7 @@ def _spectrum(c, block: np.ndarray) -> np.ndarray:
     return v
 
 
-def _add_spectra(Facc, frame, tiles, blocks) -> None:
+def _add_spectra(Facc, frame, blocks, tiles) -> None:
     """Add the spectra of the blocks of ``tiles`` into ``Facc``, in the order given."""
     for i in tiles:
         c = frame._caches[i]

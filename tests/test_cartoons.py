@@ -209,3 +209,19 @@ def test_pgm_dump(tmp_path):
     assert lines[1] == "32 32"
     assert lines[2] == "255"
     assert len(lines[3].split()) == 32
+
+
+@pytest.mark.parametrize(
+    "kind,field,value",
+    [
+        ("half_space", "phi", math.nan),
+        ("half_space", "c", math.inf),
+        ("star", "rho0", math.nan),
+        ("star", "cos_coeffs", (math.nan,)),
+        ("star", "sin_coeffs", (0.1, -math.inf)),
+        ("smooth_bump", "nu", math.inf),
+    ],
+)
+def test_spec_refuses_a_non_finite_field(kind, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        CartoonSpec(kind=kind, **{field: value})

@@ -342,6 +342,44 @@ def test_every_experiment_has_runner_and_band():
 
 
 def test_disc_rate_note_names_every_configured_band():
-    bands = cli.load_defaults()["experiments"]["disc-rate"]["bands"]
-    for lo, hi in bands.values():
-        assert f"[{lo},{hi}]" in cli.BAND_NOTES["disc-rate"]
+    cfg = cli.resolve_config("disc-rate", None, {})
+    for lo, hi in cfg["bands"].values():
+        assert f"[{lo},{hi}]" in cli.band_note("disc-rate", cfg)
+
+
+def test_the_verdict_names_the_applied_bands(monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(cli.RUNNERS, "disc-rate", lambda cfg: (False, {}, []))
+    config = tmp_path / "bands.json"
+    config.write_text(json.dumps({"bands": {"0.5": [-1.0, 0.0]}}))
+    out = os.fspath(tmp_path / "r")
+    assert cli.main(["run", "disc-rate", "--config", os.fspath(config), "--out", out]) == 1
+    verdict = capsys.readouterr().out.splitlines()[0]
+    assert verdict == "disc-rate: FAIL  (disc threshold slope: alpha=0.5 in [-1.0,0.0])"
+
+
+@pytest.mark.parametrize(
+    "args,config,message",
+    [
+        (["disc-rate", "--grid", "10"], None, "grid_n must be even and >= 16, got 10"),
+        (["disc-rate", "--s", "0"], None, "s must be positive and finite, got 0.0"),
+        (["molecule-distance", "--alpha", "1.5"], None, "alpha must be finite and <= 1, got 1.5"),
+        (["disc-lower-bound"], {"grid": 12}, "grid_n must be even and >= 16, got 12"),
+        (["wedge-energy", "--grid", "64"], None, "digital_mid_scales [5, -2] selects scales 5..4 of 0..6"),
+        (["apriori-decay", "--grid", "32"], None, "fit_scales [2, -1] selects scales 2..2 of 0..3"),
+    ],
+)
+def test_an_out_of_range_value_is_a_usage_error(args, config, message, monkeypatch, tmp_path, capsys):
+    def build(params):
+        raise AssertionError("frame built before its values were checked")
+
+    monkeypatch.setattr(cli.DigitalCurveletFrame, "build", build)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        args = [*args, "--config", os.fspath(tmp_path / "cfg.json")]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", *args, "--out", os.fspath(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: alphacurvelets run") and message in err
+    assert "Traceback" not in err and not any(out.iterdir())

@@ -92,6 +92,20 @@ class LateWorker:
         return future
 
 
+class RecordingWorker:
+    """Records each task and finishes it at once without running it: the caller takes every tile."""
+
+    def __init__(self):
+        self.tasks = []
+
+    def submit(self, fn, *args):
+        self.tasks.append(fn)
+        future = Future()
+        future.set_running_or_notify_cancel()
+        future.set_result(None)
+        return future
+
+
 def quad_inner(a, b, n):
     return float(np.sum(a * np.conj(b)).real) * (2.0 / n) ** 2
 
@@ -436,6 +450,56 @@ def test_transforms_are_the_same_whichever_thread_takes_the_tiles(frame256s, wor
     coeffs = analyze(f, frame256s)
     assert np.array_equal(coeffs.values, want.values)
     assert np.array_equal(synthesize(coeffs, frame256s), one_thread(synthesize, want, frame256s))
+
+
+def callers_tiles(monkeypatch):
+    """The list that records each tile the calling thread takes, in order."""
+    taking, taken = transform._taking, []
+
+    def recording(take):
+        for i in taking(take):
+            if take.__name__ == "pop":  # the calling thread's end of the deque
+                taken.append(i)
+            yield i
+
+    monkeypatch.setattr(transform, "_taking", recording)
+    return taken
+
+
+@pytest.mark.parametrize("fixture", ["frame256s", "frame256s_one_thread"])
+def test_the_calling_thread_takes_the_last_tile_first(fixture, request, monkeypatch):
+    frame = frame_named(request, fixture)
+    f = np.random.default_rng(24).standard_normal((256, 256))
+    want = one_thread(analyze, f, frame)
+    worker = RecordingWorker()
+    monkeypatch.setattr(transform, "_WORKER", worker)
+    taken = callers_tiles(monkeypatch)
+    coeffs = analyze(f, frame)
+    assert taken == list(range(len(frame._caches)))[::-1]
+    assert np.array_equal(coeffs.values, want.values)
+    taken.clear()
+    coeffs.blocks[-1][...] = 0.0  # a dead closure: the caller starts with the last live tile
+    rec = synthesize(coeffs, frame)
+    assert taken == list(range(len(frame._caches) - 1))[::-1]
+    assert np.array_equal(rec, one_thread(synthesize, coeffs, frame))
+    two = fixture == "frame256s"
+    assert worker.tasks == two * [transform._analyze_tiles, transform._add_spectra]
+
+
+def test_the_worker_never_takes_the_last_tile(frame256s, monkeypatch):
+    # the worker's scratch in analyze need not fit the last tile, the largest
+    f = np.random.default_rng(25).standard_normal((256, 256))
+    want = one_thread(analyze, f, frame256s)
+    monkeypatch.setattr(transform, "_WORKER", InlineWorker())
+    taken = callers_tiles(monkeypatch)
+    coeffs = analyze(f, frame256s)
+    assert taken == [len(frame256s._caches) - 1]
+    assert np.array_equal(coeffs.values, want.values)
+    coeffs.blocks[-1][...] = 0.0
+    want = one_thread(synthesize, coeffs, frame256s)
+    taken.clear()
+    assert np.array_equal(synthesize(coeffs, frame256s), want)
+    assert taken == [len(frame256s._caches) - 2]
 
 
 def test_small_frames_keep_one_thread_and_large_ones_take_two(frame64, frame128, frame256s):
