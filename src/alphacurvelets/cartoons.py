@@ -26,7 +26,6 @@ __all__ = [
     "CartoonSpec",
     "SmoothFactor",
     "render",
-    "write_pgm",
 ]
 
 _KINDS = ("disc", "half_space", "smooth_bump", "star")
@@ -270,15 +269,3 @@ def render(spec: CartoonSpec, grid_n: int) -> np.ndarray:
         acc /= a * a
     return out
 
-
-def write_pgm(grid: np.ndarray, path: str) -> str:
-    """Plain (ASCII) PGM dump, rescaled to 0..255, for quick inspection."""
-    grid = np.asarray(grid, dtype=float)
-    lo, hi = float(grid.min()), float(grid.max())
-    scale = 255.0 / (hi - lo) if hi > lo else 0.0
-    pix = np.round((grid - lo) * scale).astype(int)
-    with open(path, "w") as fh:
-        fh.write(f"P2\n{grid.shape[1]} {grid.shape[0]}\n255\n")
-        for row in pix:
-            fh.write(" ".join(str(v) for v in row) + "\n")
-    return path

@@ -22,13 +22,13 @@ import numpy as np
 
 from . import approximation as appr
 from . import bessel, molecules
-from .cartoons import CartoonSpec, render, write_pgm
-from .tiling import FrameParams, build_layout, verify_partition
+from .cartoons import CartoonSpec, render
+from .tiling import FrameParams, as_index, build_layout, verify_partition
 from .transform import (
+    CoefficientSet,
     DigitalCurveletFrame,
     analyze,
     analyze_direct,
-    dump_coefficients,
     grid_norms,
     synthesize,
 )
@@ -70,19 +70,27 @@ def _brief(val) -> str:
     return str(val)
 
 
-def _params(*args, snapped: bool = False) -> FrameParams:
-    """``FrameParams(*args, snapped=snapped)``; a value it refuses is a :class:`ConfigError`."""
+def _checked(make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a value it refuses is a :class:`ConfigError`."""
     try:
-        return FrameParams(*args, snapped=snapped)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _index(cfg: dict, key: str, least: int) -> int:
+    """``cfg[key]``, an integer of at least ``least``, or a :class:`ConfigError` naming it."""
+    value = _checked(as_index, cfg[key], key)
+    if value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {value}")
+    return value
 
 
 def _scale_window(cfg: dict, key: str, j_max: int, least: int) -> tuple[int, int]:
     """The scales ``(lo, hi)`` of ``cfg[key]``, a negative ``hi`` counting back from ``j_max``.
 
-    A :class:`ConfigError` refuses a window that holds fewer than ``least``
-    of the frame's scales ``0..j_max``.
+    The window is clipped to the frame's scales ``0..j_max``; a
+    :class:`ConfigError` refuses one that keeps fewer than ``least`` of them.
     """
     lo, hi = cfg[key]
     hi = j_max + hi if hi < 0 else hi
@@ -90,7 +98,7 @@ def _scale_window(cfg: dict, key: str, j_max: int, least: int) -> tuple[int, int
         raise ConfigError(
             f"{key} {cfg[key]} selects scales {lo}..{hi} of 0..{j_max}; the check needs at least {least}"
         )
-    return lo, hi
+    return max(lo, 0), min(hi, j_max)
 
 
 def load_defaults() -> dict:
@@ -129,18 +137,26 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha1(blob).hexdigest()
 
 
-def _atomic_write(path: str, text: str) -> str:
+def _atomic_write(path: str, lines) -> str:
+    """Write the strings ``lines``, which may stream, to a temp file renamed to ``path``."""
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
     return path
+
+
+def _table(cols: list[str], rows):
+    """CSV lines, LF-ended: ``cols``, then each row of ``rows``, floats by ``repr``, the rest by ``str``."""
+    yield ",".join(cols) + "\n"
+    for row in rows:
+        yield ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n"
 
 
 def _plot_columns(cols: list[str]) -> tuple[int, int]:
@@ -153,10 +169,7 @@ def _check_out_dir(out_dir: str) -> None:
     """Create ``out_dir`` if needed and prove it writable, or raise ``OSError`` naming it."""
     try:
         os.makedirs(out_dir, exist_ok=True)
-        probe = os.path.join(out_dir, ".write-probe")
-        with open(probe, "w"):
-            pass
-        os.remove(probe)
+        os.remove(_atomic_write(os.path.join(out_dir, ".write-probe"), []))
     except OSError as exc:
         raise OSError(f"output directory {out_dir!r} is not writable: {exc}") from exc
 
@@ -169,17 +182,14 @@ def emit_report(
     stem = os.path.join(out_dir, experiment)
     csv_path = stem + ".csv"
     cols = list(rows[0]) if rows else []
-    lines = [",".join(cols)]
-    for r in rows:
-        lines.append(",".join(repr(float(r[c])) if isinstance(r[c], float) else str(r[c]) for c in cols))
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
+    _atomic_write(csv_path, _table(cols, ([r[c] for c in cols] for r in rows)))
     report = {
         "experiment": experiment,
         "config": cfg,
         "config_sha1": config_hash(cfg),
         "results": results,
     }
-    json_path = _atomic_write(stem + ".json", json.dumps(report, indent=2, default=_json_default))
+    json_path = _atomic_write(stem + ".json", [json.dumps(report, indent=2, default=_json_default)])
     x, y = _plot_columns(cols)
     plot = (
         "set datafile separator ','\n"
@@ -187,24 +197,68 @@ def emit_report(
         f"set title '{experiment}'\n"
         f"plot '{os.path.basename(csv_path)}' skip 1 using {x}:{y} with linespoints\n"
     )
-    plot_path = _atomic_write(stem + ".gnuplot", plot)
+    plot_path = _atomic_write(stem + ".gnuplot", [plot])
     return {"csv": csv_path, "json": json_path, "plot": plot_path}
 
 
+def dump_coefficients(
+    coeffs: CoefficientSet,
+    frame: DigitalCurveletFrame,
+    stem: str,
+    top_k: int | None = None,
+) -> tuple[str, str]:
+    """Portable dump: ``<stem>.json`` header plus ``<stem>.csv`` body.
+
+    CSV columns are ``j, ell, m1, m2, re``; with ``top_k`` only the K
+    largest-magnitude coefficients are written, by descending magnitude
+    (stable order on ties), or all of them when K exceeds the count.
+    """
+    if top_k is not None and as_index(top_k, "top_k") < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k}")
+    header = {
+        "params": frame.params.as_dict(),
+        "wedge_table": [list(t) for t in coeffs.wedge_table],
+        "total_coefficients": coeffs.total_count,
+        "rows": "j,ell,m1,m2,re",
+    }
+    if top_k is None:
+        order = np.arange(coeffs.total_count)
+    else:
+        top = np.flatnonzero(appr._largest_mask(coeffs.values, min(top_k, coeffs.total_count)))
+        order = top[np.lexsort((top, -np.abs(coeffs.values[top])))]
+    tile = coeffs._tile_of(order)
+    j, ell, _P1, P2 = np.array(coeffs.wedge_table, dtype=np.int64).reshape(-1, 4)[tile].T
+    m1, m2 = np.divmod(order - coeffs.offsets[tile], P2)
+    rows = zip(j.tolist(), ell.tolist(), m1.tolist(), m2.tolist(), coeffs.values[order].tolist())
+    json_path = _atomic_write(stem + ".json", [json.dumps(header, indent=2)])
+    return json_path, _atomic_write(stem + ".csv", _table(["j", "ell", "m1", "m2", "re"], rows))
+
+
+def write_pgm(grid: np.ndarray, path: str) -> str:
+    """Plain (ASCII) PGM dump, rescaled to 0..255, for quick inspection."""
+    grid = np.asarray(grid, dtype=float)
+    lo, hi = float(grid.min()), float(grid.max())
+    scale = 255.0 / (hi - lo) if hi > lo else 0.0
+    pix = np.round((grid - lo) * scale).astype(int).tolist()
+    header = f"P2\n{grid.shape[1]} {grid.shape[0]}\n255\n"
+    return _atomic_write(path, [header, *(" ".join(map(str, row)) + "\n" for row in pix)])
+
+
 def run_verify_frame(cfg: dict) -> tuple[bool, dict, list[dict]]:
-    rng = np.random.default_rng(cfg["seed"])
-    grid = int(cfg["grid"])
+    grid = cfg["grid"]
+    every = [_checked(FrameParams, cfg["s"], alpha, grid) for alpha in cfg["alphas"]]
+    n_images = _index(cfg, "n_random_images", 1)
+    rng = np.random.default_rng(_index(cfg, "seed", 0))
     tight_grid = max(32, grid // 2)
     oracle_grid = min(64, max(32, grid // 8))
     rows = []
     ok = True
-    every = [_params(cfg["s"], alpha, grid) for alpha in cfg["alphas"]]
     for alpha, params in zip(cfg["alphas"], every):
         layout = build_layout(params)
         pdev = verify_partition(layout)
         frame = DigitalCurveletFrame.build(FrameParams(cfg["s"], alpha, tight_grid))
         par_dev = rec_err = 0.0
-        for _ in range(int(cfg["n_random_images"])):
+        for _ in range(n_images):
             f = rng.standard_normal((tight_grid, tight_grid))
             coeffs = analyze(f, frame)
             _, e2 = grid_norms(f, tight_grid)
@@ -246,11 +300,18 @@ def run_wedge_energy(cfg: dict) -> tuple[bool, dict, list[dict]]:
     ok = True
     rows = []
     summaries = []
-    grid = int(cfg["grid"])
-    every = [_params(cfg["s"], alpha, grid) for alpha in cfg["alphas"]]
+    grid = cfg["grid"]
+    every = [_checked(FrameParams, cfg["s"], alpha, grid) for alpha in cfg["alphas"]]
+    for alpha, p in zip(cfg["alphas"], every):
+        if p.j_max < appr.ONSET_MIN_POINTS:  # the analytic fit runs over the scales 1..j_max
+            raise ConfigError(
+                f"alpha={alpha} has j_max={p.j_max} at grid {grid}, s {p.s}; "
+                f"the analytic slope fit needs at least {appr.ONSET_MIN_POINTS} scales"
+            )
     d_alpha = float(cfg["digital_alpha"])
-    params = _params(cfg["s"], d_alpha, grid)
+    params = _checked(FrameParams, cfg["s"], d_alpha, grid)
     lo_m, hi_m = _scale_window(cfg, "digital_mid_scales", params.j_max, 1)
+    spec = _checked(CartoonSpec, kind="disc", antialias=cfg["antialias"])
     for alpha, p in zip(cfg["alphas"], every):
         scales = range(1, p.j_max + 1)
         energies = [bessel.wedge_energy_quadrature(p, j) for j in scales]
@@ -264,8 +325,7 @@ def run_wedge_energy(cfg: dict) -> tuple[bool, dict, list[dict]]:
         for j, e in zip(scales, energies):
             rows.append({"alpha": alpha, "j": j, "core_energy": e})
     frame = DigitalCurveletFrame.build(params)
-    disc = render(CartoonSpec(kind="disc", antialias=int(cfg["antialias"])), grid)
-    coeffs = analyze(disc, frame)
+    coeffs = analyze(render(spec, grid), frame)
     per_scale = {}
     for (j, _ell, _p1, _p2), b in zip(coeffs.wedge_table, coeffs.blocks):
         per_scale[j] = per_scale.get(j, 0.0) + float(np.sum(np.abs(b) ** 2))
@@ -290,7 +350,7 @@ def _threshold_rate(
     the configured ``level_hi`` and ``level_lo``.
     """
     coeffs = analyze(img, frame)
-    schedule = appr.geometric_schedule(int(cfg["schedule_start"]), max(coeffs.total_count // 4, 64))
+    schedule = appr.geometric_schedule(cfg["schedule_start"], max(coeffs.total_count // 4, 64))
     curve = appr.error_curve(img, frame, schedule, coeffs=coeffs)
     if window is None:
         window = appr.level_window(curve, float(cfg["level_hi"]), float(cfg["level_lo"]))
@@ -299,16 +359,17 @@ def _threshold_rate(
 
 def run_disc_rate(cfg: dict) -> tuple[bool, dict, list[dict]]:
     alpha = float(cfg["alpha"])
-    grid = int(cfg["grid"])
+    grid = cfg["grid"]
     band = None
     for key, val in cfg["bands"].items():
         if abs(float(key) - alpha) < 1e-9:
             band = val
     if band is None:
         raise ConfigError(f"no acceptance band configured for alpha={alpha}")
-    frame = DigitalCurveletFrame.build(_params(cfg["s"], alpha, grid, snapped=True))
-    disc = render(CartoonSpec(kind="disc", antialias=int(cfg["antialias"])), grid)
-    curve, fit = _threshold_rate(cfg, frame, disc)
+    params = _checked(FrameParams, cfg["s"], alpha, grid, snapped=True)
+    spec = _checked(CartoonSpec, kind="disc", antialias=cfg["antialias"])
+    _index(cfg, "schedule_start", 1)
+    curve, fit = _threshold_rate(cfg, DigitalCurveletFrame.build(params), render(spec, grid))
     ok = band[0] <= fit.slope <= band[1]
     rows = [{"N": n, "err2": e} for n, e in zip(curve.n_terms, curve.err2)]
     results = {"alpha": alpha, "slope": fit.slope, "band": band, "fit": fit.__dict__}
@@ -319,7 +380,7 @@ def run_disc_lower_bound(cfg: dict) -> tuple[bool, dict, list[dict]]:
     ok = True
     rows = []
     summaries = []
-    every = [_params(cfg["s"], float(alpha), int(cfg["grid"])) for alpha in cfg["alphas"]]
+    every = [_checked(FrameParams, cfg["s"], float(alpha), cfg["grid"]) for alpha in cfg["alphas"]]
     for alpha, params in zip(cfg["alphas"], every):
         curve = appr.bound1_tail_estimator(params)
         counts = curve.metadata["scale_tile_counts"]
@@ -338,7 +399,7 @@ def run_disc_lower_bound(cfg: dict) -> tuple[bool, dict, list[dict]]:
 
 
 def run_straight_edge_rate(cfg: dict) -> tuple[bool, dict, list[dict]]:
-    grid = int(cfg["grid"])
+    grid = cfg["grid"]
     rows = []
 
     def one(frame, spec: CartoonSpec, img: np.ndarray, window: tuple[int, int] | None = None):
@@ -347,21 +408,25 @@ def run_straight_edge_rate(cfg: dict) -> tuple[bool, dict, list[dict]]:
             rows.append({"run": f"{spec.kind}-alpha{frame.params.alpha}", "N": n, "err2": e})
         return fit
 
-    edge = CartoonSpec(
+    edge = _checked(
+        CartoonSpec,
         kind="half_space",
         phi=float(cfg["edge_phi"]),
         c=float(cfg["edge_c"]),
-        beta=int(cfg["beta"]),
+        beta=cfg["beta"],
         nu=float(cfg["nu"]),
-        antialias=int(cfg["antialias"]),
+        antialias=cfg["antialias"],
     )
-    bump = CartoonSpec(
-        kind="smooth_bump", beta=int(cfg["beta"]), nu=float(cfg["nu"]), antialias=int(cfg["antialias"])
+    bump = _checked(
+        CartoonSpec, kind="smooth_bump", beta=cfg["beta"], nu=float(cfg["nu"]), antialias=cfg["antialias"]
     )
-    half = DigitalCurveletFrame.build(_params(cfg["s"], 0.5, grid, snapped=True))  # edge and bump
+    _index(cfg, "schedule_start", 1)
+    # one alpha=1/2 frame serves the edge and the bump
+    half = DigitalCurveletFrame.build(_checked(FrameParams, cfg["s"], 0.5, grid, snapped=True))
     img = render(edge, grid)
     fit_half = one(half, edge, img)
-    fit_quarter = one(DigitalCurveletFrame.build(_params(cfg["s"], 0.25, grid, snapped=True)), edge, img)
+    quarter = _checked(FrameParams, cfg["s"], 0.25, grid, snapped=True)
+    fit_quarter = one(DigitalCurveletFrame.build(quarter), edge, img)  # freed before the bump
     img = render(bump, grid)
     fit_bump = one(half, bump, img, window=tuple(cfg["bump_window"]))
     band = cfg["band_alpha_half"]
@@ -380,13 +445,13 @@ def run_straight_edge_rate(cfg: dict) -> tuple[bool, dict, list[dict]]:
 
 
 def run_apriori_decay(cfg: dict) -> tuple[bool, dict, list[dict]]:
-    grid = int(cfg["grid"])
+    grid = cfg["grid"]
     ok = True
     rows = []
     summaries = []
-    every = [_params(cfg["s"], float(alpha), grid, snapped=True) for alpha in cfg["alphas"]]
+    every = [_checked(FrameParams, cfg["s"], float(alpha), grid, snapped=True) for alpha in cfg["alphas"]]
     windows = [_scale_window(cfg, "fit_scales", params.j_max, 3) for params in every]
-    disc = render(CartoonSpec(kind="disc", antialias=int(cfg["antialias"])), grid)
+    disc = render(_checked(CartoonSpec, kind="disc", antialias=cfg["antialias"]), grid)
     for alpha, params, window in zip(cfg["alphas"], every, windows):
         frame = DigitalCurveletFrame.build(params)
         coeffs = analyze(disc, frame)
@@ -455,8 +520,8 @@ def run_bessel_check(cfg: dict) -> tuple[bool, dict, list[dict]]:
 
 
 def run_molecule_distance(cfg: dict) -> tuple[bool, dict, list[dict]]:
-    pa = _params(float(cfg["s_a"]), float(cfg["alpha"]), 64)
-    pb = _params(float(cfg["s_b"]), float(cfg["alpha"]), 64)
+    pa = _checked(FrameParams, float(cfg["s_a"]), float(cfg["alpha"]), 64)
+    pb = _checked(FrameParams, float(cfg["s_b"]), float(cfg["alpha"]), 64)
     p = molecules.curvelet_parametrization((2, 1, (3.0, -2.0)), pa)
     self_dist = molecules.index_distance(p, p, float(cfg["alpha"]))
     rows = []
@@ -495,7 +560,7 @@ def run_molecule_distance(cfg: dict) -> tuple[bool, dict, list[dict]]:
 def run_generator_decay(cfg: dict) -> tuple[bool, dict, list[dict]]:
     ok = True
     rows = []
-    every = [_params(cfg["s"], float(alpha), int(cfg["grid"])) for alpha in cfg["alphas"]]
+    every = [_checked(FrameParams, cfg["s"], float(alpha), cfg["grid"]) for alpha in cfg["alphas"]]
     for alpha, params in zip(cfg["alphas"], every):
         table = appr.generator_decay_check(params, probe_step=float(cfg["probe_step"]))
         for entry in table:
@@ -590,13 +655,13 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(str(exc)) from None
         if args.dump_pgm or args.dump_coeffs is not None:
             grid, alpha, s = (cfg.get(key, base[key]) for key in ("grid", "alpha", "s"))
-            spec = CartoonSpec(kind="disc", antialias=int(cfg.get("antialias", 4)))
-            img = render(spec, int(grid))
+            params = _checked(FrameParams, s, float(alpha), grid)
+            img = render(_checked(CartoonSpec, kind="disc", antialias=cfg.get("antialias", 4)), grid)
             if args.dump_pgm:
                 write_pgm(img, args.dump_pgm)
                 _say(f"wrote {args.dump_pgm}")
             if args.dump_coeffs is not None:
-                frame = DigitalCurveletFrame.build(_params(s, float(alpha), int(grid)))
+                frame = DigitalCurveletFrame.build(params)
                 coeffs = analyze(img, frame)
                 top = None if args.dump_coeffs == 0 else args.dump_coeffs
                 paths = dump_coefficients(coeffs, frame, os.path.join(out_dir, "coefficients"), top)

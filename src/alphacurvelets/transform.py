@@ -36,8 +36,6 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import csv
-import json
 import math
 import operator
 import os
@@ -46,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tiling import FrameParams, TilingLayout, as_index, build_layout, verify_partition
+from .tiling import FrameParams, TilingLayout, build_layout, verify_partition
 
 __all__ = [
     "DigitalCurveletFrame",
@@ -55,7 +53,6 @@ __all__ = [
     "synthesize",
     "analyze_direct",
     "curvelet_atom",
-    "dump_coefficients",
 ]
 
 DIRECT_GRID_LIMIT = 128
@@ -380,43 +377,3 @@ def grid_norms(image: np.ndarray, grid_n: int) -> tuple[float, float]:
     a = np.abs(image)
     return float(a.sum() * cell), float((a**2).sum() * cell)
 
-
-def dump_coefficients(
-    coeffs: CoefficientSet,
-    frame: DigitalCurveletFrame,
-    stem: str,
-    top_k: int | None = None,
-) -> tuple[str, str]:
-    """Portable dump: ``<stem>.json`` header plus ``<stem>.csv`` body.
-
-    CSV columns are ``j, ell, m1, m2, re``; with ``top_k`` only the K
-    largest-magnitude coefficients are written, by descending magnitude
-    (stable order on ties), or all of them when K exceeds the count.
-    """
-    if top_k is not None and as_index(top_k, "top_k") < 1:
-        raise ValueError(f"top_k must be at least 1, got {top_k}")
-    header = {
-        "params": frame.params.as_dict(),
-        "wedge_table": [list(t) for t in coeffs.wedge_table],
-        "total_coefficients": coeffs.total_count,
-        "rows": "j,ell,m1,m2,re",
-    }
-    json_path, csv_path = stem + ".json", stem + ".csv"
-    with open(json_path, "w") as fh:
-        json.dump(header, fh, indent=2)
-    if top_k is None:
-        order = np.arange(coeffs.total_count)
-    else:
-        from .approximation import _largest_mask  # approximation imports this module
-
-        top = np.flatnonzero(_largest_mask(coeffs.values, min(top_k, coeffs.total_count)))
-        order = top[np.lexsort((top, -np.abs(coeffs.values[top])))]
-    tile = coeffs._tile_of(order)
-    j, ell, _P1, P2 = np.array(coeffs.wedge_table, dtype=np.int64).reshape(-1, 4)[tile].T
-    m1, m2 = np.divmod(order - coeffs.offsets[tile], P2)
-    rows = zip(j.tolist(), ell.tolist(), m1.tolist(), m2.tolist(), coeffs.values[order].tolist())
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "ell", "m1", "m2", "re"])
-        writer.writerows(rows)
-    return json_path, csv_path

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from alphacurvelets.cartoons import (
     SmoothFactor,
     _evaluate,
     render,
-    write_pgm,
 )
 
 
@@ -199,16 +197,6 @@ def test_spec_takes_numpy_integer_antialias():
     assert type(spec.antialias) is int
     assert spec == CartoonSpec(kind="disc", antialias=3)
     assert np.array_equal(render(spec, 32), render(CartoonSpec(kind="disc", antialias=3), 32))
-
-
-def test_pgm_dump(tmp_path):
-    img = render(CartoonSpec(kind="disc"), 32)
-    path = write_pgm(img, os.fspath(tmp_path / "disc.pgm"))
-    lines = open(path).read().split("\n")
-    assert lines[0] == "P2"
-    assert lines[1] == "32 32"
-    assert lines[2] == "255"
-    assert len(lines[3].split()) == 32
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -9,6 +10,15 @@ import numpy as np
 import pytest
 
 from alphacurvelets import cli
+from alphacurvelets.cartoons import CartoonSpec, render
+from alphacurvelets.cli import dump_coefficients, write_pgm
+from alphacurvelets.tiling import FrameParams
+from alphacurvelets.transform import DigitalCurveletFrame, analyze
+
+
+@pytest.fixture(scope="module")
+def frame64():
+    return DigitalCurveletFrame.build(FrameParams(s=1.0, alpha=0.5, grid_n=64))
 
 
 def test_list_prints_every_experiment(capsys):
@@ -101,6 +111,88 @@ def test_atomic_write_removes_its_temp_file_when_the_write_fails(tmp_path, monke
     assert target.read_text() == "old"
 
 
+def test_dump_coefficients(tmp_path, frame64):
+    rng = np.random.default_rng(12)
+    coeffs = analyze(rng.standard_normal((64, 64)), frame64)
+    stem = os.fspath(tmp_path / "coeffs")
+    jpath, cpath = dump_coefficients(coeffs, frame64, stem, top_k=10)
+    lines = open(cpath).read().strip().split("\n")
+    assert lines[0] == "j,ell,m1,m2,re"
+    assert len(lines) == 11
+    mags = [abs(float(r.split(",")[4])) for r in lines[1:]]
+    assert mags == sorted(mags, reverse=True)
+    header = json.load(open(jpath))
+    assert header["params"]["grid_n"] == 64
+    assert header["total_coefficients"] == coeffs.total_count
+    # the full dump lists every coefficient in the stable flat order
+    _, cpath = dump_coefficients(coeffs, frame64, stem)
+    rows = [r.split(",") for r in open(cpath).read().strip().split("\n")[1:]]
+    assert len(rows) == coeffs.total_count
+    for flat in (0, 1, 777, coeffs.total_count - 1):
+        j, ell, (m1, m2) = coeffs.index_of_flat(flat)
+        assert rows[flat][:4] == [str(j), str(ell), str(m1), str(m2)]
+        assert float(rows[flat][4]) == coeffs.values[flat]
+
+
+def test_dump_coefficients_top_k_order_with_ties(tmp_path, frame64):
+    rng = np.random.default_rng(14)
+    coeffs = analyze(rng.standard_normal((64, 64)), frame64)
+    step = coeffs.flat_magnitudes().max() / 8
+    coeffs = dataclasses.replace(coeffs, values=np.round(coeffs.values / step) * step)  # many tied magnitudes
+    mags = coeffs.flat_magnitudes()
+    for k in (1, 37, 500):
+        _, cpath = dump_coefficients(coeffs, frame64, os.fspath(tmp_path / f"top{k}"), top_k=k)
+        rows = [tuple(int(v) for v in r.split(",")[:4]) for r in open(cpath).read().strip().split("\n")[1:]]
+        want = []
+        for flat in np.argsort(-mags, kind="stable")[:k]:
+            j, ell, (m1, m2) = coeffs.index_of_flat(int(flat))
+            want.append((j, ell, m1, m2))
+        assert rows == want
+    with pytest.raises(ValueError):
+        dump_coefficients(coeffs, frame64, os.fspath(tmp_path / "none"), top_k=0)
+    with pytest.raises(ValueError, match="top_k must be an integer, got 2.5"):
+        dump_coefficients(coeffs, frame64, os.fspath(tmp_path / "half"), top_k=2.5)
+    _, cpath = dump_coefficients(coeffs, frame64, os.fspath(tmp_path / "np"), top_k=np.int64(37))
+    assert open(cpath).read() == open(tmp_path / "top37.csv").read()
+
+
+def test_dump_csv_has_lf_line_ends(tmp_path, frame64):
+    coeffs = analyze(np.random.default_rng(12).standard_normal((64, 64)), frame64)
+    _, cpath = dump_coefficients(coeffs, frame64, os.fspath(tmp_path / "coeffs"), top_k=10)
+    raw = open(cpath, "rb").read()
+    assert b"\r" not in raw and raw.count(b"\n") == 11 and raw.endswith(b"\n")
+
+
+def test_pgm_dump(tmp_path):
+    img = render(CartoonSpec(kind="disc"), 32)
+    path = write_pgm(img, os.fspath(tmp_path / "disc.pgm"))
+    lines = open(path).read().split("\n")
+    assert lines[0] == "P2"
+    assert lines[1] == "32 32"
+    assert lines[2] == "255"
+    assert len(lines[3].split()) == 32
+
+
+@pytest.mark.parametrize("dump", ["coefficients", "pgm"])
+def test_a_dump_whose_replace_fails_keeps_the_old_file(dump, tmp_path, monkeypatch, frame64):
+    img = render(CartoonSpec(kind="disc"), 64)
+    names = ["disc.json", "disc.csv"] if dump == "coefficients" else ["disc.pgm"]
+    for name in names:
+        (tmp_path / name).write_text("old")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        if dump == "coefficients":
+            dump_coefficients(analyze(img, frame64), frame64, os.fspath(tmp_path / "disc"))
+        else:
+            write_pgm(img, os.fspath(tmp_path / "disc.pgm"))
+    assert sorted(os.listdir(tmp_path)) == sorted(names)
+    assert all((tmp_path / name).read_text() == "old" for name in names)
+
+
 def test_config_hash_is_stable():
     cfg = cli.resolve_config("bessel-check", None, {})
     assert cli.config_hash(cfg) == cli.config_hash(dict(reversed(list(cfg.items()))))
@@ -158,7 +250,7 @@ def test_plot_columns_follow_the_documented_csv_headers():
     for line in doc.splitlines():
         cells = [c.strip() for c in line.split("|")]
         if len(cells) > 3 and cells[1] in cli.RUNNERS:
-            headers[cells[1]] = cells[2].strip("`").split(", ")
+            headers[cells[1]] = cells[2].split("`")[1].split(", ")
     expected = {
         "verify-frame": ("alpha", "partition_dev"),
         "wedge-energy": ("j", "core_energy"),
@@ -366,13 +458,32 @@ def test_the_verdict_names_the_applied_bands(monkeypatch, tmp_path, capsys):
         (["disc-lower-bound"], {"grid": 12}, "grid_n must be even and >= 16, got 12"),
         (["wedge-energy", "--grid", "64"], None, "digital_mid_scales [5, -2] selects scales 5..4 of 0..6"),
         (["apriori-decay", "--grid", "32"], None, "fit_scales [2, -1] selects scales 2..2 of 0..3"),
+        (["generator-decay"], {"grid": 64.9}, "grid_n must be an integer, got 64.9"),
+        (["generator-decay", "--dump-coeffs", "5"], {"grid": 64.9}, "grid_n must be an integer, got 64.9"),
+        (["disc-rate"], {"grid": 128, "antialias": 2.7}, "antialias must be an integer, got 2.7"),
+        (["disc-rate", "--dump-coeffs", "5"], {"antialias": 2.7}, "antialias must be an integer, got 2.7"),
+        (["straight-edge-rate"], {"grid": 256, "beta": 2.5}, "beta must be a non-negative integer, got 2.5"),
+        (["straight-edge-rate"], {"schedule_start": 32.5}, "schedule_start must be an integer, got 32.5"),
+        (["disc-rate"], {"schedule_start": 0}, "schedule_start must be >= 1, got 0"),
+        (["verify-frame"], {"n_random_images": 2.5}, "n_random_images must be an integer, got 2.5"),
+        (["verify-frame"], {"n_random_images": 0}, "n_random_images must be >= 1, got 0"),
+        (["verify-frame"], {"seed": 7.5}, "seed must be an integer, got 7.5"),
+        (["verify-frame", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+        (
+            ["wedge-energy"],
+            {"digital_mid_scales": [1, 1], "grid": 64, "s": 2.0},
+            "alpha=0.0 has j_max=2 at grid 64, s 2.0; the analytic slope fit needs at least 4 scales",
+        ),
     ],
 )
 def test_an_out_of_range_value_is_a_usage_error(args, config, message, monkeypatch, tmp_path, capsys):
-    def build(params):
-        raise AssertionError("frame built before its values were checked")
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the values were checked")
 
-    monkeypatch.setattr(cli.DigitalCurveletFrame, "build", build)
+    monkeypatch.setattr(cli.DigitalCurveletFrame, "build", work)
+    for name in ("build_layout", "render"):
+        monkeypatch.setattr(cli, name, work)
+    monkeypatch.setattr(cli.bessel, "wedge_energy_quadrature", work)
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         args = [*args, "--config", os.fspath(tmp_path / "cfg.json")]
@@ -383,3 +494,13 @@ def test_an_out_of_range_value_is_a_usage_error(args, config, message, monkeypat
     err = capsys.readouterr().err
     assert err.startswith("usage: alphacurvelets run") and message in err
     assert "Traceback" not in err and not any(out.iterdir())
+
+
+@pytest.mark.parametrize("window,scales", [([2, 50], [2, 3, 4, 5, 6, 7, 8]), ([-3, 4], [0, 1, 2, 3, 4])])
+def test_a_scale_window_is_clipped_to_the_frame_scales(window, scales, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"grid": 256, "digital_mid_scales": window}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "wedge-energy", "--config", os.fspath(config), "--out", os.fspath(out)]) in (0, 1)
+    ratios = json.load(open(out / "wedge-energy.json"))["results"]["digital"]["ratios"]
+    assert [r["j"] for r in ratios] == scales

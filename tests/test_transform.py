@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import math
 import os
 import signal
@@ -21,7 +20,6 @@ from alphacurvelets.transform import (
     analyze,
     analyze_direct,
     curvelet_atom,
-    dump_coefficients,
     grid_norms,
     synthesize,
 )
@@ -624,53 +622,6 @@ def test_blocks_are_disjoint_views_of_the_flat_values_in_order(frame64):
     # a write to a block is a write to the flat array
     coeffs.blocks[3][0, 1] = 7.0
     assert coeffs.values[coeffs.flat_index(*coeffs.wedge_table[3][:2], (0, 1))] == 7.0
-
-
-def test_dump_coefficients(tmp_path, frame64):
-    rng = np.random.default_rng(12)
-    coeffs = analyze(rng.standard_normal((64, 64)), frame64)
-    stem = os.fspath(tmp_path / "coeffs")
-    jpath, cpath = dump_coefficients(coeffs, frame64, stem, top_k=10)
-    lines = open(cpath).read().strip().split("\n")
-    assert lines[0] == "j,ell,m1,m2,re"
-    assert len(lines) == 11
-    mags = [abs(float(r.split(",")[4])) for r in lines[1:]]
-    assert mags == sorted(mags, reverse=True)
-    import json
-
-    header = json.load(open(jpath))
-    assert header["params"]["grid_n"] == 64
-    assert header["total_coefficients"] == coeffs.total_count
-    # the full dump lists every coefficient in the stable flat order
-    _, cpath = dump_coefficients(coeffs, frame64, stem)
-    rows = [r.split(",") for r in open(cpath).read().strip().split("\n")[1:]]
-    assert len(rows) == coeffs.total_count
-    for flat in (0, 1, 777, coeffs.total_count - 1):
-        j, ell, (m1, m2) = coeffs.index_of_flat(flat)
-        assert rows[flat][:4] == [str(j), str(ell), str(m1), str(m2)]
-        assert float(rows[flat][4]) == coeffs.values[flat]
-
-
-def test_dump_coefficients_top_k_order_with_ties(tmp_path, frame64):
-    rng = np.random.default_rng(14)
-    coeffs = analyze(rng.standard_normal((64, 64)), frame64)
-    step = coeffs.flat_magnitudes().max() / 8
-    coeffs = dataclasses.replace(coeffs, values=np.round(coeffs.values / step) * step)  # many tied magnitudes
-    mags = coeffs.flat_magnitudes()
-    for k in (1, 37, 500):
-        _, cpath = dump_coefficients(coeffs, frame64, os.fspath(tmp_path / f"top{k}"), top_k=k)
-        rows = [tuple(int(v) for v in r.split(",")[:4]) for r in open(cpath).read().strip().split("\n")[1:]]
-        want = []
-        for flat in np.argsort(-mags, kind="stable")[:k]:
-            j, ell, (m1, m2) = coeffs.index_of_flat(int(flat))
-            want.append((j, ell, m1, m2))
-        assert rows == want
-    with pytest.raises(ValueError):
-        dump_coefficients(coeffs, frame64, os.fspath(tmp_path / "none"), top_k=0)
-    with pytest.raises(ValueError, match="top_k must be an integer, got 2.5"):
-        dump_coefficients(coeffs, frame64, os.fspath(tmp_path / "half"), top_k=2.5)
-    _, cpath = dump_coefficients(coeffs, frame64, os.fspath(tmp_path / "np"), top_k=np.int64(37))
-    assert open(cpath).read() == open(tmp_path / "top37.csv").read()
 
 
 def test_flat_index_round_trip(frame64):
