@@ -13,7 +13,7 @@ keeps.  Dropped tails are accumulated from the small end: the squared
 magnitudes below the largest requested N are summed once, and only the
 N largest are sorted and added smallest first, so a tail far below the
 signal energy is summed exactly instead of cancelling in
-``energy - cumsum``.  ``error_curve`` sums the tails on the transform's
+``energy - cumsum``.  ``error_curve`` sums the tails on the package's
 worker thread while the calling thread thresholds and synthesizes.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import bessel, transform
+from . import _worker, bessel
 from .tiling import FrameParams, as_index
 from .transform import (
     CoefficientSet,
@@ -184,7 +184,7 @@ def error_curve(
     # the tails reorder their squares in place, and the selections use the
     # magnitudes, because squaring can merge distinct magnitudes into ties
     n_max = checked[-1] if checked else 0
-    with transform._beside(_smallest_first_tails, np.square(coeffs.values), n_max) as pending:
+    with _worker._beside(_smallest_first_tails, np.square(coeffs.values), n_max) as pending:
         synthesis = {
             n: grid_norms(image - synthesize(threshold(coeffs, n), frame), frame.params.grid_n)[1]
             for n in verify_at

@@ -10,16 +10,23 @@ the tests compare ``render`` with.  ``render`` computes the terms of the
 separable kinds (disc, half-space, smooth bump) once per row and once
 per column of each sub-offset and combines them by broadcasting, which
 gives the same image bit for bit; stars are evaluated per sample.
+
+``render`` splits the image into blocks of rows and shares them with the
+package's worker thread (:mod:`alphacurvelets._worker`): each block
+writes only its own rows of the image, with scratch of its thread's own,
+so the image does not depend on which thread rendered a block.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _worker
 from .tiling import as_index
 
 __all__ = [
@@ -237,7 +244,9 @@ def render(spec: CartoonSpec, grid_n: int) -> np.ndarray:
     row and once per column of each sub-offset and meet by broadcasting,
     with the floating-point operations of ``_evaluate`` in the same order,
     so the image equals the per-sample accumulation of ``_evaluate`` bit
-    for bit.  ``star`` is evaluated per sample.
+    for bit.  ``star`` is evaluated per sample.  The row blocks are shared
+    with the package's worker thread: this thread takes them from the
+    back, the worker from the front, and each block writes only its rows.
     """
     n, a = _grid_size(grid_n), spec.antialias
     h = 2.0 / n
@@ -249,12 +258,28 @@ def render(spec: CartoonSpec, grid_n: int) -> np.ndarray:
     # and page-faulted afresh, whatever large arrays the process freed before
     block = max(1, (1 << 13) // n if spec.kind == "star" else (1 << 22) // (n * a * a))
     offsets = h * (np.arange(a) + 0.5) / a
-    if spec.kind != "star":
-        g = _smooth(spec)
-        cols = [_axis_terms(spec, g, base + o2, 1) for o2 in offsets]
-        value = np.empty((min(block, n), n))
-        inside = np.empty(value.shape, dtype=bool)
-    for r0 in range(0, n, block):
+    g = _smooth(spec)
+    cols = None if spec.kind == "star" else [_axis_terms(spec, g, base + o2, 1) for o2 in offsets]
+    starts = collections.deque(range(0, n, block))
+    args = (spec, g, base, offsets, cols, out, block)
+    # each thread's scratch is made here, so the worker's heap keeps none of it
+    with _worker._beside(_render_rows, *args, *_scratch(spec, block, n), _worker._taking(starts.popleft)):
+        _render_rows(*args, *_scratch(spec, block, n), _worker._taking(starts.pop))
+    return out
+
+
+def _scratch(spec: CartoonSpec, block: int, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """``value`` and ``inside`` buffers for one thread's row blocks; a star needs none."""
+    if spec.kind == "star":
+        return None, None
+    value = np.empty((min(block, n), n))
+    return value, np.empty(value.shape, dtype=bool)
+
+
+def _render_rows(spec, g, base, offsets, cols, out, block, value, inside, starts) -> None:
+    """Write the row blocks of ``out`` that begin at ``starts``, staging in ``value`` and ``inside``."""
+    a = spec.antialias
+    for r0 in starts:
         rows = base[r0 : r0 + block]
         acc = out[r0 : r0 + block]
         k = len(rows)
@@ -267,5 +292,3 @@ def render(spec: CartoonSpec, grid_n: int) -> np.ndarray:
                 X1, X2 = np.broadcast_arrays((rows + o1)[:, None], (base + o2)[None, :])
                 acc += _evaluate(spec, X1, X2)
         acc /= a * a
-    return out
-

@@ -52,6 +52,9 @@ BAND_NOTES = {
 }
 
 
+DUMP_CHUNK_ROWS = 1 << 16
+
+
 class ConfigError(ValueError):
     """Input refused before any work; :func:`main` reports it as a usage error."""
 
@@ -84,6 +87,17 @@ def _index(cfg: dict, key: str, least: int) -> int:
     if value < least:
         raise ConfigError(f"{key} must be >= {least}, got {value}")
     return value
+
+
+def _entries(cfg: dict, key: str, least: int) -> list:
+    """``cfg[key]``, a list of at least ``least`` entries, or a :class:`ConfigError` naming it.
+
+    An empty list would leave a check with nothing to check, and its verdict a vacuous PASS.
+    """
+    values = cfg[key]
+    if not isinstance(values, list) or len(values) < least:
+        raise ConfigError(f"{key} must be a list of at least {least} entries, got {values!r}")
+    return values
 
 
 def _scale_window(cfg: dict, key: str, j_max: int, least: int) -> tuple[int, int]:
@@ -226,12 +240,24 @@ def dump_coefficients(
     else:
         top = np.flatnonzero(appr._largest_mask(coeffs.values, min(top_k, coeffs.total_count)))
         order = top[np.lexsort((top, -np.abs(coeffs.values[top])))]
-    tile = coeffs._tile_of(order)
-    j, ell, _P1, P2 = np.array(coeffs.wedge_table, dtype=np.int64).reshape(-1, 4)[tile].T
-    m1, m2 = np.divmod(order - coeffs.offsets[tile], P2)
-    rows = zip(j.tolist(), ell.tolist(), m1.tolist(), m2.tolist(), coeffs.values[order].tolist())
     json_path = _atomic_write(stem + ".json", [json.dumps(header, indent=2)])
+    rows = _coefficient_rows(coeffs, order)
     return json_path, _atomic_write(stem + ".csv", _table(["j", "ell", "m1", "m2", "re"], rows))
+
+
+def _coefficient_rows(coeffs: CoefficientSet, order: np.ndarray):
+    """The rows ``(j, ell, m1, m2, re)`` of the flat positions ``order``.
+
+    They are made ``DUMP_CHUNK_ROWS`` at a time, so at most that many rows
+    are Python objects at once.
+    """
+    table = np.array(coeffs.wedge_table, dtype=np.int64).reshape(-1, 4)
+    for lo in range(0, len(order), DUMP_CHUNK_ROWS):
+        part = order[lo : lo + DUMP_CHUNK_ROWS]
+        tile = coeffs._tile_of(part)
+        j, ell, _P1, P2 = table[tile].T
+        m1, m2 = np.divmod(part - coeffs.offsets[tile], P2)
+        yield from zip(j.tolist(), ell.tolist(), m1.tolist(), m2.tolist(), coeffs.values[part].tolist())
 
 
 def write_pgm(grid: np.ndarray, path: str) -> str:
@@ -245,15 +271,16 @@ def write_pgm(grid: np.ndarray, path: str) -> str:
 
 
 def run_verify_frame(cfg: dict) -> tuple[bool, dict, list[dict]]:
+    alphas = _entries(cfg, "alphas", 1)
     grid = cfg["grid"]
-    every = [_checked(FrameParams, cfg["s"], alpha, grid) for alpha in cfg["alphas"]]
+    every = [_checked(FrameParams, cfg["s"], alpha, grid) for alpha in alphas]
     n_images = _index(cfg, "n_random_images", 1)
     rng = np.random.default_rng(_index(cfg, "seed", 0))
     tight_grid = max(32, grid // 2)
     oracle_grid = min(64, max(32, grid // 8))
     rows = []
     ok = True
-    for alpha, params in zip(cfg["alphas"], every):
+    for alpha, params in zip(alphas, every):
         layout = build_layout(params)
         pdev = verify_partition(layout)
         frame = DigitalCurveletFrame.build(FrameParams(cfg["s"], alpha, tight_grid))
@@ -297,12 +324,13 @@ def run_verify_frame(cfg: dict) -> tuple[bool, dict, list[dict]]:
 
 
 def run_wedge_energy(cfg: dict) -> tuple[bool, dict, list[dict]]:
+    alphas = _entries(cfg, "alphas", 1)
     ok = True
     rows = []
     summaries = []
     grid = cfg["grid"]
-    every = [_checked(FrameParams, cfg["s"], alpha, grid) for alpha in cfg["alphas"]]
-    for alpha, p in zip(cfg["alphas"], every):
+    every = [_checked(FrameParams, cfg["s"], alpha, grid) for alpha in alphas]
+    for alpha, p in zip(alphas, every):
         if p.j_max < appr.ONSET_MIN_POINTS:  # the analytic fit runs over the scales 1..j_max
             raise ConfigError(
                 f"alpha={alpha} has j_max={p.j_max} at grid {grid}, s {p.s}; "
@@ -312,7 +340,7 @@ def run_wedge_energy(cfg: dict) -> tuple[bool, dict, list[dict]]:
     params = _checked(FrameParams, cfg["s"], d_alpha, grid)
     lo_m, hi_m = _scale_window(cfg, "digital_mid_scales", params.j_max, 1)
     spec = _checked(CartoonSpec, kind="disc", antialias=cfg["antialias"])
-    for alpha, p in zip(cfg["alphas"], every):
+    for alpha, p in zip(alphas, every):
         scales = range(1, p.j_max + 1)
         energies = [bessel.wedge_energy_quadrature(p, j) for j in scales]
         fit = appr.fit_scale_slope(scales, energies)
@@ -377,11 +405,12 @@ def run_disc_rate(cfg: dict) -> tuple[bool, dict, list[dict]]:
 
 
 def run_disc_lower_bound(cfg: dict) -> tuple[bool, dict, list[dict]]:
+    alphas = _entries(cfg, "alphas", 1)
     ok = True
     rows = []
     summaries = []
-    every = [_checked(FrameParams, cfg["s"], float(alpha), cfg["grid"]) for alpha in cfg["alphas"]]
-    for alpha, params in zip(cfg["alphas"], every):
+    every = [_checked(FrameParams, cfg["s"], float(alpha), cfg["grid"]) for alpha in alphas]
+    for alpha, params in zip(alphas, every):
         curve = appr.bound1_tail_estimator(params)
         counts = curve.metadata["scale_tile_counts"]
         lo = sum(counts[:3])
@@ -449,10 +478,11 @@ def run_apriori_decay(cfg: dict) -> tuple[bool, dict, list[dict]]:
     ok = True
     rows = []
     summaries = []
-    every = [_checked(FrameParams, cfg["s"], float(alpha), grid, snapped=True) for alpha in cfg["alphas"]]
+    alphas = _entries(cfg, "alphas", 1)
+    every = [_checked(FrameParams, cfg["s"], float(alpha), grid, snapped=True) for alpha in alphas]
     windows = [_scale_window(cfg, "fit_scales", params.j_max, 3) for params in every]
     disc = render(_checked(CartoonSpec, kind="disc", antialias=cfg["antialias"]), grid)
-    for alpha, params, window in zip(cfg["alphas"], every, windows):
+    for alpha, params, window in zip(alphas, every, windows):
         frame = DigitalCurveletFrame.build(params)
         coeffs = analyze(disc, frame)
         table = appr.apriori_decay_check(coeffs, params, f_sup=1.0, fit_scales=window)
@@ -520,13 +550,14 @@ def run_bessel_check(cfg: dict) -> tuple[bool, dict, list[dict]]:
 
 
 def run_molecule_distance(cfg: dict) -> tuple[bool, dict, list[dict]]:
+    caps = _entries(cfg, "spatial_caps", 2)  # the growth compares the last two
     pa = _checked(FrameParams, float(cfg["s_a"]), float(cfg["alpha"]), 64)
     pb = _checked(FrameParams, float(cfg["s_b"]), float(cfg["alpha"]), 64)
     p = molecules.curvelet_parametrization((2, 1, (3.0, -2.0)), pa)
     self_dist = molecules.index_distance(p, p, float(cfg["alpha"]))
     rows = []
     sups = []
-    for cap in cfg["spatial_caps"]:
+    for cap in caps:
         res = molecules.consistency_sum(
             pa, pb, float(cfg["alpha"]), float(cfg["k_exp"]), float(cfg["scale_cap"]), float(cap)
         )
@@ -558,10 +589,11 @@ def run_molecule_distance(cfg: dict) -> tuple[bool, dict, list[dict]]:
 
 
 def run_generator_decay(cfg: dict) -> tuple[bool, dict, list[dict]]:
+    alphas = _entries(cfg, "alphas", 1)
     ok = True
     rows = []
-    every = [_checked(FrameParams, cfg["s"], float(alpha), cfg["grid"]) for alpha in cfg["alphas"]]
-    for alpha, params in zip(cfg["alphas"], every):
+    every = [_checked(FrameParams, cfg["s"], float(alpha), cfg["grid"]) for alpha in alphas]
+    for alpha, params in zip(alphas, every):
         table = appr.generator_decay_check(params, probe_step=float(cfg["probe_step"]))
         for entry in table:
             ok = ok and entry["support_ok"] and entry["inner_zero_ok"] and entry["sup"] <= 1.0 + 1e-12

@@ -8,16 +8,23 @@ mutually consistent.  The sums are diagnostic (finite truncations cannot
 certify the full suprema) and are reported together with their growth
 under truncation doubling.  ``index_distance`` evaluates the distance term
 by term; ``consistency_sum`` evaluates it one run of equal (scale,
-orientation) at a time, where most of its terms depend on the column alone.
+orientation) at a time, where most of its terms depend on the column alone,
+in blocks of rows that it shares with the package's worker thread
+(:mod:`alphacurvelets._worker`).  Each block writes its own row sums and
+the column sums are added in block order, so no sum depends on which
+thread took a block.
 """
 
 from __future__ import annotations
 
+import collections
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _worker
 from .tiling import FrameParams
 
 __all__ = [
@@ -149,10 +156,10 @@ def _runs(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.flatnonzero(change) + 1, [len(s)]))
 
 
-def _pairwise_sups(sa, ta, xa, sb, tb, xb, alpha, k, block=1 << 17):
-    """Row and column sups of the sums of ``index_distance(a, b)**-k``, for
-    ``a`` in set A (rows) and ``b`` in set B (columns), with the terms
-    ``ratio``, ``s0``, ``t1`` named as there.
+def _pairwise_sums(sa, ta, xa, sb, tb, xb, alpha, k, block=1 << 17):
+    """Row and column sums of ``index_distance(a, b)**-k``, for ``a`` in set
+    A (rows) and ``b`` in set B (columns), with the terms ``ratio``,
+    ``s0``, ``t1`` named as there.
 
     Rows go one run of equal scale ``s`` and orientation ``theta`` at a
     time.  Within a run, ``ratio``, ``s0`` and ``1 + t1`` depend on the
@@ -166,45 +173,89 @@ def _pairwise_sups(sa, ta, xa, sb, tb, xb, alpha, k, block=1 << 17):
     ``wq = wr + ratio s0**2 / (1 + t1)``: three passes of length ``len(sb)``
     per run, and per entry two differences, the combination and the power,
     on two row-block buffers of about ``block`` entries each (1 MB).
+
+    The row blocks go out in order, run by run, to this thread and the
+    package's worker thread, each with buffers of its own.  A block writes
+    its own row sums; its column sum joins the total in block order
+    (:class:`_InOrder`), so every sum is the same whichever thread took a block.
     """
     n = len(sb)
-    row = np.empty(len(sa))
-    col = np.zeros(n)
     rows = max(1, block // n)
-    buf_w = np.empty(rows * n)
-    buf_p = np.empty(rows * n)
     bounds = _runs(sa, ta)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        s, theta = sa[lo], ta[lo]
-        ratio = np.maximum(s / sb, sb / s)
-        s0 = np.minimum(s, sb)
-        dt = np.abs(theta - tb) % math.pi
-        dt = np.minimum(dt, math.pi - dt)
-        head = 1.0 + s0 ** (2.0 * (1.0 - alpha)) * dt**2
-        wr = ratio * s0 ** (2.0 * alpha)
-        wq = wr + ratio * s0**2 / head
-        w0 = ratio * head
-        c, sn = math.cos(theta), math.sin(theta)
-        qa = c * xa[lo:hi, 0] - sn * xa[lo:hi, 1]
-        ra = sn * xa[lo:hi, 0] + c * xa[lo:hi, 1]
-        qb = c * xb[:, 0] - sn * xb[:, 1]
-        rb = sn * xb[:, 0] + c * xb[:, 1]
-        for r0 in range(0, hi - lo, rows):
-            r1 = min(hi - lo, r0 + rows)
-            w = buf_w[: (r1 - r0) * n].reshape(r1 - r0, n)
-            p = buf_p[: (r1 - r0) * n].reshape(r1 - r0, n)
-            np.subtract(qa[r0:r1, None], qb, out=w)
-            np.square(w, out=w)
-            w *= wq
-            np.subtract(ra[r0:r1, None], rb, out=p)
-            np.square(p, out=p)
-            p *= wr
-            w += p
-            w += w0
-            np.power(w, -k, out=w)
-            row[lo + r0 : lo + r1] = w.sum(axis=1)
-            col += w.sum(axis=0)
-    return float(row.max()), float(col.max())
+    starts = ((lo, hi, r0) for lo, hi in zip(bounds[:-1], bounds[1:]) for r0 in range(lo, hi, rows))
+    blocks = collections.deque(enumerate(starts))
+    row = np.empty(len(sa))
+    col = _InOrder(n)
+    args = (sa, ta, xa, sb, tb, xb, alpha, k, rows, row, col)
+    # each thread's buffers are made here, so the worker's heap keeps neither
+    with _worker._beside(_sum_blocks, *args, *_buffers(rows, n), _worker._taking(blocks.popleft)):
+        _sum_blocks(*args, *_buffers(rows, n), _worker._taking(blocks.popleft))
+    return row, col.total
+
+
+def _buffers(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.empty(rows * n), np.empty(rows * n)
+
+
+class _InOrder:
+    """A running sum of numbered vectors, added in number order as they arrive.
+
+    ``add`` may come from either thread and in any order: a vector waits
+    until every lower number has been added, so ``total`` is
+    ``((0 + v_0) + v_1) + ...`` whichever thread finished first.
+    """
+
+    def __init__(self, n: int):
+        self.total = np.zeros(n)
+        self._next = 0
+        self._pending = {}
+        self._lock = threading.Lock()
+
+    def add(self, number: int, v: np.ndarray) -> None:
+        with self._lock:
+            self._pending[number] = v
+            while self._next in self._pending:
+                self.total += self._pending.pop(self._next)
+                self._next += 1
+
+
+def _sum_blocks(sa, ta, xa, sb, tb, xb, alpha, k, rows, row, col, buf_w, buf_p, blocks) -> None:
+    """Sum the numbered row blocks ``(lo, hi, r0)`` of ``blocks``: rows
+    ``r0`` up to ``rows`` of the run ``lo:hi``, staged in ``buf_w`` and ``buf_p``.
+    """
+    n = len(sb)
+    run = None
+    for number, (lo, hi, r0) in blocks:
+        if run != lo:
+            run = lo
+            s, theta = sa[lo], ta[lo]
+            ratio = np.maximum(s / sb, sb / s)
+            s0 = np.minimum(s, sb)
+            dt = np.abs(theta - tb) % math.pi
+            dt = np.minimum(dt, math.pi - dt)
+            head = 1.0 + s0 ** (2.0 * (1.0 - alpha)) * dt**2
+            wr = ratio * s0 ** (2.0 * alpha)
+            wq = wr + ratio * s0**2 / head
+            w0 = ratio * head
+            c, sn = math.cos(theta), math.sin(theta)
+            qa = c * xa[lo:hi, 0] - sn * xa[lo:hi, 1]
+            ra = sn * xa[lo:hi, 0] + c * xa[lo:hi, 1]
+            qb = c * xb[:, 0] - sn * xb[:, 1]
+            rb = sn * xb[:, 0] + c * xb[:, 1]
+        r1 = min(hi, r0 + rows)
+        w = buf_w[: (r1 - r0) * n].reshape(r1 - r0, n)
+        p = buf_p[: (r1 - r0) * n].reshape(r1 - r0, n)
+        np.subtract(qa[r0 - lo : r1 - lo, None], qb, out=w)
+        np.square(w, out=w)
+        w *= wq
+        np.subtract(ra[r0 - lo : r1 - lo, None], rb, out=p)
+        np.square(p, out=p)
+        p *= wr
+        w += p
+        w += w0
+        np.power(w, -k, out=w)
+        row[r0:r1] = w.sum(axis=1)
+        col.add(number, w.sum(axis=0))
 
 
 def consistency_sum(
@@ -221,7 +272,7 @@ def consistency_sum(
     vice versa.  ``k_exp`` must be finite and positive, ``scale_cap``
     finite and >= 1, ``spatial_cap`` finite and >= 0.  The phase points
     come in runs of equal (scale, orientation), and the sums are taken one
-    run at a time (see ``_pairwise_sups``); they agree with sums of
+    run at a time (see ``_pairwise_sums``); they agree with sums of
     ``index_distance`` to rounding.
     """
     if not (math.isfinite(k_exp) and k_exp > 0):
@@ -230,10 +281,10 @@ def consistency_sum(
         raise ValueError("alpha must lie in [0, 1]")
     sa, ta, xa = enumerate_phase_points(params_a, scale_cap, spatial_cap)
     sb, tb, xb = enumerate_phase_points(params_b, scale_cap, spatial_cap)
-    sup_a, sup_b = _pairwise_sups(sa, ta, xa, sb, tb, xb, float(alpha), float(k_exp))
+    row, col = _pairwise_sums(sa, ta, xa, sb, tb, xb, float(alpha), float(k_exp))
     return ConsistencyResult(
-        sup_over_a=sup_a,
-        sup_over_b=sup_b,
+        sup_over_a=float(row.max()),
+        sup_over_b=float(col.max()),
         count_a=len(sa),
         count_b=len(sb),
         scale_cap=scale_cap,

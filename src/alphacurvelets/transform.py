@@ -19,12 +19,13 @@ support, as an oracle for both.
 The coefficients of one analysis are one flat real array; each tile's
 block is a view of it (:class:`CoefficientSet`).
 
-The tile FFTs run on the calling thread and one worker thread shared by
-the whole module, both fed by one routine, ``_shared``.  The caller takes
-tiles from the back of the layout, starting with the closure, the
-largest; the worker takes them from the front; each claims the next as
-it finishes one, so the split follows how fast each thread runs.  A frame
-with fewer than ``THREAD_MIN_COEFFICIENTS`` coefficients, or fewer than
+The tile FFTs run on the calling thread and the package's one worker
+thread (:mod:`alphacurvelets._worker`), both fed by one routine,
+``_shared``.  The caller takes tiles from the back of the layout,
+starting with the closure, the largest; the worker takes them from the
+front; each claims the next as it finishes one, so the split follows how
+fast each thread runs.  A frame with fewer than
+``THREAD_MIN_COEFFICIENTS`` coefficients, or fewer than
 ``THREAD_MIN_MEAN_BOX`` per tile, leaves all its tiles to the caller.
 In synthesis the worker adds the spectra of its tiles into the half
 spectrum in tile order while the caller holds those of its own, to add
@@ -38,12 +39,11 @@ import collections
 import contextlib
 import math
 import operator
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _worker
 from .tiling import FrameParams, TilingLayout, build_layout, verify_partition
 
 __all__ = [
@@ -66,45 +66,6 @@ THREAD_MIN_COEFFICIENTS = 2**17
 THREAD_MIN_MEAN_BOX = 2**11
 
 
-def _start_worker() -> None:
-    global _WORKER
-    _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="alphacurvelets")
-
-
-_start_worker()
-os.register_at_fork(after_in_child=_start_worker)  # a forked child has no worker thread
-
-
-@contextlib.contextmanager
-def _beside(fn, *args):
-    """Run ``fn(*args)`` on the worker thread while the ``with`` body runs.
-
-    Yields the future.  Leaving the body, by a return or a raise, waits
-    for ``fn`` to finish, so no task outlives the call that started it; a
-    normal exit raises what ``fn`` raised.  ``fn`` must not wait for the
-    worker itself.
-    """
-    future = _WORKER.submit(fn, *args)
-    try:
-        yield future
-    finally:
-        wait((future,))
-    future.result()
-
-
-def _taking(take):
-    """The items ``take()`` pops off a deque, until it is empty.
-
-    Two threads share one deque's tiles this way: a deque's pops from
-    either end are thread-safe, so each tile goes to exactly one of them.
-    """
-    while True:
-        try:
-            yield take()
-        except IndexError:
-            return
-
-
 def _worth_two_threads(caches) -> bool:
     """Whether tiles with these boxes are worth sharing with the worker thread."""
     cost = sum(c.P1 * c.P2 for c in caches)
@@ -122,9 +83,9 @@ def _shared(frame, tiles, fn, *args):
     """
     shared = collections.deque(tiles)
     two = _worth_two_threads([frame._caches[i] for i in tiles])
-    theirs = (i for _, i in zip(range(len(shared) - 1), _taking(shared.popleft)))
-    with _beside(fn, *args, theirs) if two else contextlib.nullcontext():
-        yield _taking(shared.pop)
+    theirs = (i for _, i in zip(range(len(shared) - 1), _worker._taking(shared.popleft)))
+    with _worker._beside(fn, *args, theirs) if two else contextlib.nullcontext():
+        yield _worker._taking(shared.pop)
 
 
 class DigitalCurveletFrame:

@@ -148,11 +148,14 @@ ORACLE_SPECS = [
 
 
 @pytest.mark.parametrize("kw", ORACLE_SPECS, ids=lambda kw: kw["kind"] + str(kw.get("beta", "")))
-@pytest.mark.parametrize("n, antialias", [(37, 1), (37, 2), (37, 3), (64, 8), (300, 8)])
-def test_render_matches_per_sample_oracle(kw, n, antialias):
-    # n=300 at antialias 8 spans two row blocks of 218 rows
+@pytest.mark.parametrize("n, antialias", [(37, 1), (37, 2), (37, 3), (64, 8), (300, 8), (400, 8)])
+def test_render_matches_per_sample_oracle(kw, n, antialias, each_worker):
+    # at antialias 8, n=300 spans two row blocks of 218 rows and n=400
+    # three of 163, the last partial; a star's blocks are 8192 // n rows
     spec = CartoonSpec(antialias=antialias, **kw)
-    assert render(spec, n).tobytes() == per_sample_render(spec, n).tobytes()
+    want = per_sample_render(spec, n).tobytes()
+    # the worker takes every block it can, none, and as many as it gets to
+    assert [img.tobytes() == want for img in each_worker(lambda: render(spec, n))] == [True] * 3
 
 
 def test_render_rejects_non_integral_grid():

@@ -496,6 +496,54 @@ def test_an_out_of_range_value_is_a_usage_error(args, config, message, monkeypat
     assert "Traceback" not in err and not any(out.iterdir())
 
 
+# each would check nothing, or fail after the sums, if it ran
+BY_ALPHA = ("verify-frame", "disc-lower-bound", "wedge-energy", "apriori-decay", "generator-decay")
+SHORT_LISTS = [
+    *((experiment, "alphas", [], 1) for experiment in BY_ALPHA),
+    ("molecule-distance", "spatial_caps", [1.0], 2),
+    ("molecule-distance", "spatial_caps", [], 2),
+]
+
+
+@pytest.mark.parametrize("experiment,key,value,least", SHORT_LISTS)
+def test_a_list_too_short_to_check_is_refused_before_any_work(
+    experiment, key, value, least, monkeypatch, tmp_path, capsys
+):
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the list was checked")
+
+    monkeypatch.setattr(cli.DigitalCurveletFrame, "build", work)
+    for name in ("build_layout", "render"):
+        monkeypatch.setattr(cli, name, work)
+    monkeypatch.setattr(cli.bessel, "wedge_energy_quadrature", work)
+    for name in ("bound1_tail_estimator", "generator_decay_check"):
+        monkeypatch.setattr(cli.appr, name, work)
+    for name in ("curvelet_parametrization", "consistency_sum"):
+        monkeypatch.setattr(cli.molecules, name, work)
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", experiment, "--config", os.fspath(tmp_path / "cfg.json"), "--out", os.fspath(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    message = f"{key} must be a list of at least {least} entries, got {value}"
+    assert err.startswith("usage: alphacurvelets run") and message in err
+    assert "Traceback" not in err and not any(out.iterdir())
+
+
+def test_a_dump_made_in_chunks_is_the_one_chunk_dump(tmp_path, frame64, monkeypatch):
+    coeffs = analyze(np.random.default_rng(19).standard_normal((64, 64)), frame64)
+    dumps = {}
+    for rows in (coeffs.total_count, 7):  # one chunk, then many ending in a partial one
+        monkeypatch.setattr(cli, "DUMP_CHUNK_ROWS", rows)
+        for top_k in (None, 1000):
+            _, cpath = dump_coefficients(coeffs, frame64, os.fspath(tmp_path / f"c{rows}-{top_k}"), top_k)
+            dumps[rows, top_k] = open(cpath, "rb").read()
+    for top_k in (None, 1000):
+        assert dumps[7, top_k] == dumps[coeffs.total_count, top_k]
+    assert dumps[7, None].count(b"\n") == coeffs.total_count + 1
+
+
 @pytest.mark.parametrize("window,scales", [([2, 50], [2, 3, 4, 5, 6, 7, 8]), ([-3, 4], [0, 1, 2, 3, 4])])
 def test_a_scale_window_is_clipped_to_the_frame_scales(window, scales, tmp_path):
     config = tmp_path / "cfg.json"

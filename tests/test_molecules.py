@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +9,9 @@ from hypothesis import strategies as st
 
 from alphacurvelets.molecules import (
     PhasePoint,
+    _InOrder,
+    _pairwise_sums,
+    _runs,
     consistency_sum,
     curvelet_parametrization,
     enumerate_phase_points,
@@ -172,18 +177,21 @@ def test_zero_spatial_cap_keeps_the_origin():
     assert len(s) == sum(len(PARAMS.ell_range(j)) for j in (0, 1))
 
 
-def _brute_force_sups(a, b, alpha, k):
-    """Row and column sups of ``index_distance**-k`` sums, one pair at a time."""
+def _brute_force_sums(a, b, alpha, k):
+    """Row and column sums of ``index_distance**-k``, one pair at a time."""
     pa = [PhasePoint(s=s, theta=t, x=tuple(x)) for s, t, x in zip(*a)]
     pb = [PhasePoint(s=s, theta=t, x=tuple(x)) for s, t, x in zip(*b)]
     w = np.array([[index_distance(p, q, alpha) ** -k for q in pb] for p in pa])
-    return w.sum(axis=1).max(), w.sum(axis=0).max()
+    return w.sum(axis=1), w.sum(axis=0)
+
+
+def assert_close_sums(got, want):
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0 / 3.0, 1.0])
 def test_group_kernel_matches_brute_force_index_distance(alpha):
-    from alphacurvelets.molecules import _pairwise_sups, _runs
-
     grouped = (
         enumerate_phase_points(PARAMS, 4.0, 0.5),
         enumerate_phase_points(PARAMS_HALF, 4.0, 0.5),
@@ -198,13 +206,104 @@ def test_group_kernel_matches_brute_force_index_distance(alpha):
     assert len(_runs(*grouped[0][:2])) - 1 < len(grouped[0][0]) / 4
     assert len(_runs(*unsorted[0][:2])) - 1 == m
     for (a, b), k in ((grouped, 3.0), (unsorted, 2.5)):
-        want = pytest.approx(_brute_force_sups(a, b, alpha, k), rel=1e-12, abs=0)
-        assert _pairwise_sups(*a, *b, alpha, k) == want
+        want = _brute_force_sums(a, b, alpha, k)
+        assert_close_sums(_pairwise_sums(*a, *b, alpha, k), want)
         # two rows a block: runs of five rows end in a partial block
-        assert _pairwise_sups(*a, *b, alpha, k, block=2 * len(b[0])) == want
+        assert_close_sums(_pairwise_sums(*a, *b, alpha, k, block=2 * len(b[0])), want)
         # sorted by orientation, runs of one orientation at two scales meet
         by_angle = np.argsort(a[1], kind="stable")
-        assert _pairwise_sups(*(v[by_angle] for v in a), *b, alpha, k) == want
+        row, col = _pairwise_sums(*(v[by_angle] for v in a), *b, alpha, k)
+        assert_close_sums((row, col), (want[0][by_angle], want[1]))
+
+
+def _one_thread_sums(sa, ta, xa, sb, tb, xb, alpha, k, block):
+    """Oracle: the row and column sums of ``_pairwise_sums`` by one loop on
+    one thread, run by run and block by block, adding each block's column
+    sum as it goes.
+    """
+    n = len(sb)
+    row = np.empty(len(sa))
+    col = np.zeros(n)
+    rows = max(1, block // n)
+    bounds = _runs(sa, ta)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        s, theta = sa[lo], ta[lo]
+        ratio = np.maximum(s / sb, sb / s)
+        s0 = np.minimum(s, sb)
+        dt = np.abs(theta - tb) % math.pi
+        dt = np.minimum(dt, math.pi - dt)
+        head = 1.0 + s0 ** (2.0 * (1.0 - alpha)) * dt**2
+        wr = ratio * s0 ** (2.0 * alpha)
+        wq = wr + ratio * s0**2 / head
+        w0 = ratio * head
+        c, sn = math.cos(theta), math.sin(theta)
+        qa = c * xa[lo:hi, 0] - sn * xa[lo:hi, 1]
+        ra = sn * xa[lo:hi, 0] + c * xa[lo:hi, 1]
+        qb = c * xb[:, 0] - sn * xb[:, 1]
+        rb = sn * xb[:, 0] + c * xb[:, 1]
+        for r0 in range(0, hi - lo, rows):
+            r1 = min(hi - lo, r0 + rows)
+            w = (qa[r0:r1, None] - qb) ** 2 * wq
+            w += (ra[r0:r1, None] - rb) ** 2 * wr
+            w += w0
+            w **= -k
+            row[lo + r0 : lo + r1] = w.sum(axis=1)
+            col += w.sum(axis=0)
+    return row, col
+
+
+def test_consistency_sums_are_the_one_thread_loop_bit_for_bit(each_worker):
+    a = enumerate_phase_points(PARAMS, 4.0, 1.0)
+    b = enumerate_phase_points(PARAMS_HALF, 4.0, 1.0)
+    block = 3 * len(b[0])  # three rows a block
+    runs = np.diff(_runs(*a[:2]))
+    assert np.sum(-(-runs // 3)) > 40 and np.any(runs % 3)  # many blocks, some runs end in a partial one
+    want = _one_thread_sums(*a, *b, 0.5, 3.0, block)
+    # the worker takes every block it can, none, and as many as it gets to
+    for row, col in each_worker(lambda: _pairwise_sums(*a, *b, 0.5, 3.0, block=block)):
+        assert row.tobytes() == want[0].tobytes() and col.tobytes() == want[1].tobytes()
+    row, col = _one_thread_sums(*a, *b, 0.5, 3.0, 1 << 17)
+    for res in each_worker(lambda: consistency_sum(PARAMS, PARAMS_HALF, 0.5, 3.0, 4.0, 1.0)):
+        assert (res.sup_over_a, res.sup_over_b) == (row.max(), col.max())
+
+
+def test_block_column_sums_join_the_total_in_block_order():
+    rng = np.random.default_rng(22)
+    vs = [rng.standard_normal(7) * 10.0**e for e in rng.integers(-8, 8, size=40)]
+    want = np.zeros(7)
+    for v in vs:
+        want += v
+    total = _InOrder(7)
+    for i in rng.permutation(len(vs)):
+        total.add(int(i), vs[i])
+    assert total.total.tobytes() == want.tobytes()
+
+
+def test_consistency_sums_hold_with_two_callers_sharing_the_worker():
+    a = enumerate_phase_points(PARAMS, 4.0, 1.0)
+    b = enumerate_phase_points(PARAMS_HALF, 4.0, 1.0)
+    block = 2 * len(b[0])
+    want = _one_thread_sums(*a, *b, 0.5, 3.0, block)
+    same = [[], [], []]
+
+    def run(k):
+        for _ in range(5):
+            row, col = _pairwise_sums(*a, *b, 0.5, 3.0, block=block)
+            same[k].append(row.tobytes() == want[0].tobytes() and col.tobytes() == want[1].tobytes())
+
+    # three callers and the worker on two cores, switching often
+    callers = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert same == [[True] * 5] * 3
 
 
 def _omega_reference(sa, ta, xa, sb, tb, xb, alpha):

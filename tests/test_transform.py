@@ -5,13 +5,12 @@ import signal
 import sys
 import threading
 import time
-from concurrent.futures import Future
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from alphacurvelets import tiling, transform
+from alphacurvelets import _worker, tiling, transform
 from alphacurvelets.approximation import atom_l1_decay
 from alphacurvelets.tiling import FrameParams, verify_partition
 from alphacurvelets.transform import (
@@ -64,44 +63,6 @@ def one_thread(fn, *args):
     with pytest.MonkeyPatch.context() as mp:
         force_threads(mp, False)
         return fn(*args)
-
-
-class InlineWorker:
-    """Runs each task when it is submitted: the worker takes every tile it can."""
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_running_or_notify_cancel()
-        future.set_result(fn(*args))
-        return future
-
-
-class LateWorker:
-    """Starts each task half a second late: the caller takes every tile."""
-
-    def submit(self, fn, *args):
-        future = Future()
-
-        def run():
-            future.set_running_or_notify_cancel()
-            future.set_result(fn(*args))
-
-        threading.Timer(0.5, run).start()
-        return future
-
-
-class RecordingWorker:
-    """Records each task and finishes it at once without running it: the caller takes every tile."""
-
-    def __init__(self):
-        self.tasks = []
-
-    def submit(self, fn, *args):
-        self.tasks.append(fn)
-        future = Future()
-        future.set_running_or_notify_cancel()
-        future.set_result(None)
-        return future
 
 
 def quad_inner(a, b, n):
@@ -440,11 +401,11 @@ def test_synthesize_is_the_per_tile_formula_bit_for_bit(fixture, request):
     assert np.array_equal(synthesize(coeffs, frame), want)
 
 
-@pytest.mark.parametrize("worker", [InlineWorker, LateWorker])
-def test_transforms_are_the_same_whichever_thread_takes_the_tiles(frame256s, worker, monkeypatch):
+@pytest.mark.parametrize("worker", ["InlineWorker", "LateWorker"])
+def test_transforms_are_the_same_whichever_thread_takes_the_tiles(frame256s, worker, stand_in):
     f = np.random.default_rng(23).standard_normal((256, 256))
     want = one_thread(analyze, f, frame256s)
-    monkeypatch.setattr(transform, "_WORKER", worker())
+    stand_in(worker)
     coeffs = analyze(f, frame256s)
     assert np.array_equal(coeffs.values, want.values)
     assert np.array_equal(synthesize(coeffs, frame256s), one_thread(synthesize, want, frame256s))
@@ -452,7 +413,7 @@ def test_transforms_are_the_same_whichever_thread_takes_the_tiles(frame256s, wor
 
 def callers_tiles(monkeypatch):
     """The list that records each tile the calling thread takes, in order."""
-    taking, taken = transform._taking, []
+    taking, taken = _worker._taking, []
 
     def recording(take):
         for i in taking(take):
@@ -460,17 +421,16 @@ def callers_tiles(monkeypatch):
                 taken.append(i)
             yield i
 
-    monkeypatch.setattr(transform, "_taking", recording)
+    monkeypatch.setattr(_worker, "_taking", recording)
     return taken
 
 
 @pytest.mark.parametrize("fixture", ["frame256s", "frame256s_one_thread"])
-def test_the_calling_thread_takes_the_last_tile_first(fixture, request, monkeypatch):
+def test_the_calling_thread_takes_the_last_tile_first(fixture, request, monkeypatch, stand_in):
     frame = frame_named(request, fixture)
     f = np.random.default_rng(24).standard_normal((256, 256))
     want = one_thread(analyze, f, frame)
-    worker = RecordingWorker()
-    monkeypatch.setattr(transform, "_WORKER", worker)
+    worker = stand_in("RecordingWorker")
     taken = callers_tiles(monkeypatch)
     coeffs = analyze(f, frame)
     assert taken == list(range(len(frame._caches)))[::-1]
@@ -484,11 +444,11 @@ def test_the_calling_thread_takes_the_last_tile_first(fixture, request, monkeypa
     assert worker.tasks == two * [transform._analyze_tiles, transform._add_spectra]
 
 
-def test_the_worker_never_takes_the_last_tile(frame256s, monkeypatch):
+def test_the_worker_never_takes_the_last_tile(frame256s, monkeypatch, stand_in):
     # the worker's scratch in analyze need not fit the last tile, the largest
     f = np.random.default_rng(25).standard_normal((256, 256))
     want = one_thread(analyze, f, frame256s)
-    monkeypatch.setattr(transform, "_WORKER", InlineWorker())
+    stand_in("InlineWorker")
     taken = callers_tiles(monkeypatch)
     coeffs = analyze(f, frame256s)
     assert taken == [len(frame256s._caches) - 1]
@@ -524,7 +484,7 @@ def test_two_threads_taking_from_both_ends_get_each_tile_once():
     taken = [[], []]
 
     def take(k, pop):
-        taken[k].extend(transform._taking(pop))
+        taken[k].extend(_worker._taking(pop))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
