@@ -1,10 +1,11 @@
 """Reproduction harness: named experiments with PASS/FAIL verdicts.
 
 Each experiment resolves its configuration from the packaged defaults,
-an optional user JSON file, and command-line overrides, runs the
-corresponding library routines, writes a CSV, a JSON report (with a
-content hash of the resolved config), and a gnuplot script, and prints
-one PASS/FAIL line.  Exit status is 0 iff the verdict is PASS.
+an optional user JSON file, and command-line overrides; its plan checks
+every value before any work, then its run calls the library routines.
+It writes a CSV, a JSON report (with a content hash of the resolved
+config), and a gnuplot script, and prints one PASS/FAIL line.  Exit
+status is 0 iff the verdict is PASS.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import tempfile
+from collections.abc import Callable
 from importlib import resources
 
 import numpy as np
@@ -53,6 +56,8 @@ BAND_NOTES = {
 
 
 DUMP_CHUNK_ROWS = 1 << 16
+ALPHA_KEY = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")  # a key of a table by alpha
+Run = Callable[[], tuple[bool, dict, list[dict]]]  # a planned experiment; run() gives (ok, results, rows)
 
 
 class ConfigError(ValueError):
@@ -95,9 +100,21 @@ def _entries(cfg: dict, key: str, least: int) -> list:
     An empty list would leave a check with nothing to check, and its verdict a vacuous PASS.
     """
     values = cfg[key]
-    if not isinstance(values, list) or len(values) < least:
+    if len(values) < least:
         raise ConfigError(f"{key} must be a list of at least {least} entries, got {values!r}")
     return values
+
+
+def _pair(values: list, name: str) -> list:
+    """``values``, a band or a window of two entries, or a :class:`ConfigError` naming it ``name``."""
+    if len(values) != 2:
+        raise ConfigError(f"{name} must hold two entries, got {values!r}")
+    return values
+
+
+def _window(cfg: dict, key: str) -> tuple[int, int]:
+    """``cfg[key]``, a window of two integers, or a :class:`ConfigError` naming it."""
+    return tuple(_checked(as_index, end, key) for end in _pair(cfg[key], key))
 
 
 def _scale_window(cfg: dict, key: str, j_max: int, least: int) -> tuple[int, int]:
@@ -106,13 +123,32 @@ def _scale_window(cfg: dict, key: str, j_max: int, least: int) -> tuple[int, int
     The window is clipped to the frame's scales ``0..j_max``; a
     :class:`ConfigError` refuses one that keeps fewer than ``least`` of them.
     """
-    lo, hi = cfg[key]
+    lo, hi = _window(cfg, key)
     hi = j_max + hi if hi < 0 else hi
     if len(range(max(lo, 0), min(hi, j_max) + 1)) < least:
         raise ConfigError(
             f"{key} {cfg[key]} selects scales {lo}..{hi} of 0..{j_max}; the check needs at least {least}"
         )
     return max(lo, 0), min(hi, j_max)
+
+
+def _frames(cfg: dict, snapped: bool = False) -> list[FrameParams]:
+    """A frame's parameters per entry of ``cfg["alphas"]`` (at least one) at ``cfg``'s ``s`` and ``grid``."""
+    alphas = _entries(cfg, "alphas", 1)
+    return [_checked(FrameParams, cfg["s"], float(alpha), cfg["grid"], snapped=snapped) for alpha in alphas]
+
+
+def _kind(value) -> str | None:
+    """What a config value is: a number, a list of numbers, or number lists keyed by alpha; else None."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "a number"
+    if isinstance(value, list) and all(_kind(v) == "a number" for v in value):
+        return "a list of numbers"
+    if isinstance(value, dict) and all(
+        ALPHA_KEY.fullmatch(k) and _kind(v) == "a list of numbers" for k, v in value.items()
+    ):
+        return "an object of number lists keyed by alpha"
+    return None
 
 
 def load_defaults() -> dict:
@@ -123,7 +159,8 @@ def load_defaults() -> dict:
 def resolve_config(experiment: str, config_path: str | None, overrides: dict) -> dict:
     """The experiment's packaged block, updated by a JSON file, then by the non-None overrides.
 
-    A key the block lacks is refused: its runner would not read it.
+    A key the block lacks is refused: its runner would not read it.  So is a
+    value of another :func:`_kind` than the packaged one, so no run meets a value it cannot read.
     """
     cfg = dict(load_defaults()["experiments"][experiment])
     changes = {}
@@ -136,6 +173,9 @@ def resolve_config(experiment: str, config_path: str | None, overrides: dict) ->
     unknown = sorted(set(changes) - set(cfg))
     if unknown:
         raise ConfigError(f"{experiment} does not read {', '.join(unknown)}; its keys are {sorted(cfg)}")
+    for key, val in changes.items():
+        if _kind(val) != _kind(cfg[key]):
+            raise ConfigError(f"{key} must be {_kind(cfg[key])}, got {val!r}")
     cfg.update(changes)
     return cfg
 
@@ -270,173 +310,189 @@ def write_pgm(grid: np.ndarray, path: str) -> str:
     return _atomic_write(path, [header, *(" ".join(map(str, row)) + "\n" for row in pix)])
 
 
-def run_verify_frame(cfg: dict) -> tuple[bool, dict, list[dict]]:
-    alphas = _entries(cfg, "alphas", 1)
-    grid = cfg["grid"]
-    every = [_checked(FrameParams, cfg["s"], alpha, grid) for alpha in alphas]
+def run_verify_frame(cfg: dict) -> Run:
+    every = _frames(cfg)
     n_images = _index(cfg, "n_random_images", 1)
-    rng = np.random.default_rng(_index(cfg, "seed", 0))
-    tight_grid = max(32, grid // 2)
-    oracle_grid = min(64, max(32, grid // 8))
-    rows = []
-    ok = True
-    for alpha, params in zip(alphas, every):
-        layout = build_layout(params)
-        pdev = verify_partition(layout)
-        frame = DigitalCurveletFrame.build(FrameParams(cfg["s"], alpha, tight_grid))
-        par_dev = rec_err = 0.0
-        for _ in range(n_images):
-            f = rng.standard_normal((tight_grid, tight_grid))
-            coeffs = analyze(f, frame)
-            _, e2 = grid_norms(f, tight_grid)
-            par_dev = max(par_dev, abs(coeffs.total_energy - e2) / e2)
-            rec = synthesize(coeffs, frame)
-            _, d2 = grid_norms(f - rec, tight_grid)
-            rec_err = max(rec_err, math.sqrt(d2 / e2))
-        oframe = DigitalCurveletFrame.build(FrameParams(cfg["s"], alpha, oracle_grid))
-        g = rng.standard_normal((oracle_grid, oracle_grid))
-        ocoeffs = analyze(g, oframe)
-        odev = 0.0
-        for i in range(len(oframe._caches)):
-            direct = analyze_direct(g, oframe, i)
-            ref = np.linalg.norm(direct)
-            diff = np.linalg.norm(ocoeffs.blocks[i] - direct)
-            odev = max(odev, diff / max(ref, 1e-300))
-        row_ok = (
-            pdev <= cfg["partition_tol"]
-            and par_dev <= cfg["parseval_tol"]
-            and rec_err <= cfg["reconstruction_tol"]
-            and odev <= cfg["oracle_tol"]
-        )
-        ok = ok and row_ok
-        rows.append(
-            {
-                "alpha": alpha,
-                "partition_dev": pdev,
-                "parseval_dev": par_dev,
-                "reconstruction_err": rec_err,
-                "oracle_dev": odev,
-                "ok": row_ok,
-            }
-        )
-    results = {"rows": rows, "grids": [grid, tight_grid, oracle_grid]}
-    return ok, results, rows
-
-
-def run_wedge_energy(cfg: dict) -> tuple[bool, dict, list[dict]]:
-    alphas = _entries(cfg, "alphas", 1)
-    ok = True
-    rows = []
-    summaries = []
+    seed = _index(cfg, "seed", 0)
     grid = cfg["grid"]
-    every = [_checked(FrameParams, cfg["s"], alpha, grid) for alpha in alphas]
-    for alpha, p in zip(alphas, every):
+    # the tight-frame and oracle grids, rounded down to even as FrameParams needs
+    tight_grid, oracle_grid = max(32, grid // 4 * 2), min(64, max(32, grid // 16 * 2))
+    sized = [(p, *(_checked(FrameParams, p.s, p.alpha, n) for n in (tight_grid, oracle_grid))) for p in every]
+
+    def run():
+        rng = np.random.default_rng(seed)
+        rows = []
+        ok = True
+        for params, tight, oracle in sized:
+            layout = build_layout(params)
+            pdev = verify_partition(layout)
+            frame = DigitalCurveletFrame.build(tight)
+            par_dev = rec_err = 0.0
+            for _ in range(n_images):
+                f = rng.standard_normal((tight_grid, tight_grid))
+                coeffs = analyze(f, frame)
+                _, e2 = grid_norms(f, tight_grid)
+                par_dev = max(par_dev, abs(coeffs.total_energy - e2) / e2)
+                rec = synthesize(coeffs, frame)
+                _, d2 = grid_norms(f - rec, tight_grid)
+                rec_err = max(rec_err, math.sqrt(d2 / e2))
+            oframe = DigitalCurveletFrame.build(oracle)
+            g = rng.standard_normal((oracle_grid, oracle_grid))
+            ocoeffs = analyze(g, oframe)
+            odev = 0.0
+            for i in range(len(oframe._caches)):
+                direct = analyze_direct(g, oframe, i)
+                ref = np.linalg.norm(direct)
+                diff = np.linalg.norm(ocoeffs.blocks[i] - direct)
+                odev = max(odev, diff / max(ref, 1e-300))
+            row_ok = (
+                pdev <= cfg["partition_tol"]
+                and par_dev <= cfg["parseval_tol"]
+                and rec_err <= cfg["reconstruction_tol"]
+                and odev <= cfg["oracle_tol"]
+            )
+            ok = ok and row_ok
+            rows.append(
+                {
+                    "alpha": params.alpha,
+                    "partition_dev": pdev,
+                    "parseval_dev": par_dev,
+                    "reconstruction_err": rec_err,
+                    "oracle_dev": odev,
+                    "ok": row_ok,
+                }
+            )
+        results = {"rows": rows, "grids": [grid, tight_grid, oracle_grid]}
+        return ok, results, rows
+
+    return run
+
+
+def run_wedge_energy(cfg: dict) -> Run:
+    grid = cfg["grid"]
+    every = _frames(cfg)
+    for p in every:
         if p.j_max < appr.ONSET_MIN_POINTS:  # the analytic fit runs over the scales 1..j_max
             raise ConfigError(
-                f"alpha={alpha} has j_max={p.j_max} at grid {grid}, s {p.s}; "
+                f"alpha={p.alpha} has j_max={p.j_max} at grid {grid}, s {p.s}; "
                 f"the analytic slope fit needs at least {appr.ONSET_MIN_POINTS} scales"
             )
     d_alpha = float(cfg["digital_alpha"])
     params = _checked(FrameParams, cfg["s"], d_alpha, grid)
     lo_m, hi_m = _scale_window(cfg, "digital_mid_scales", params.j_max, 1)
     spec = _checked(CartoonSpec, kind="disc", antialias=cfg["antialias"])
-    for alpha, p in zip(alphas, every):
-        scales = range(1, p.j_max + 1)
-        energies = [bessel.wedge_energy_quadrature(p, j) for j in scales]
-        fit = appr.fit_scale_slope(scales, energies)
-        target = -p.s * (2.0 - alpha)
-        ok_a = abs(fit["slope"] - target) <= cfg["slope_tol"]
-        ok = ok and ok_a
-        summaries.append(
-            {"alpha": alpha, "slope": fit["slope"], "target": target, "onset": fit["onset"], "ok": ok_a}
-        )
-        for j, e in zip(scales, energies):
-            rows.append({"alpha": alpha, "j": j, "core_energy": e})
-    frame = DigitalCurveletFrame.build(params)
-    coeffs = analyze(render(spec, grid), frame)
-    per_scale = {}
-    for (j, _ell, _p1, _p2), b in zip(coeffs.wedge_table, coeffs.blocks):
-        per_scale[j] = per_scale.get(j, 0.0) + float(np.sum(np.abs(b) ** 2))
-    band = cfg["digital_ratio_band"]
-    ratios = []
-    for j in range(lo_m, hi_m + 1):
-        analytic = bessel.wedge_energy_quadrature(params, j, "window") * params.tile_count(j)
-        ratio = per_scale[j] / analytic
-        ratios.append({"j": j, "ratio": ratio, "digital": per_scale[j], "analytic": analytic})
-        ok = ok and band[0] <= ratio <= band[1]
-    digital = {"alpha": d_alpha, "ratios": ratios, "band": band}
-    results = {"summaries": summaries, "digital": digital}
-    return ok, results, rows
+    band = _pair(cfg["digital_ratio_band"], "digital_ratio_band")
+
+    def run():
+        ok = True
+        rows = []
+        summaries = []
+        for p in every:
+            scales = range(1, p.j_max + 1)
+            energies = [bessel.wedge_energy_quadrature(p, j) for j in scales]
+            fit = appr.fit_scale_slope(scales, energies)
+            target = -p.s * (2.0 - p.alpha)
+            ok_a = abs(fit["slope"] - target) <= cfg["slope_tol"]
+            ok = ok and ok_a
+            summaries.append(
+                {"alpha": p.alpha, "slope": fit["slope"], "target": target, "onset": fit["onset"], "ok": ok_a}
+            )
+            for j, e in zip(scales, energies):
+                rows.append({"alpha": p.alpha, "j": j, "core_energy": e})
+        frame = DigitalCurveletFrame.build(params)
+        coeffs = analyze(render(spec, grid), frame)
+        per_scale = {}
+        for (j, _ell, _p1, _p2), b in zip(coeffs.wedge_table, coeffs.blocks):
+            per_scale[j] = per_scale.get(j, 0.0) + float(np.sum(np.abs(b) ** 2))
+        ratios = []
+        for j in range(lo_m, hi_m + 1):
+            analytic = bessel.wedge_energy_quadrature(params, j, "window") * params.tile_count(j)
+            ratio = per_scale[j] / analytic
+            ratios.append({"j": j, "ratio": ratio, "digital": per_scale[j], "analytic": analytic})
+            ok = ok and band[0] <= ratio <= band[1]
+        digital = {"alpha": d_alpha, "ratios": ratios, "band": band}
+        results = {"summaries": summaries, "digital": digital}
+        return ok, results, rows
+
+    return run
 
 
-def _threshold_rate(
-    cfg: dict, frame: DigitalCurveletFrame, img: np.ndarray, window: tuple[int, int] | None = None
-) -> tuple[appr.ErrorCurve, appr.RateReport]:
-    """N-term error curve of ``img`` over the full schedule and its fitted rate.
+def _rate_plan(cfg: dict) -> Callable[..., tuple[appr.ErrorCurve, appr.RateReport]]:
+    """``rate(frame, img, window=None)``: the N-term error curve of ``img`` and its fitted rate.
 
-    The fit runs over ``window``, or else over the level window between
-    the configured ``level_hi`` and ``level_lo``.
+    The curve runs over the full schedule from ``schedule_start``; the fit
+    runs over ``window``, or else over the level window between the
+    configured ``level_hi`` and ``level_lo``.  Both are checked here.
     """
-    coeffs = analyze(img, frame)
-    schedule = appr.geometric_schedule(cfg["schedule_start"], max(coeffs.total_count // 4, 64))
-    curve = appr.error_curve(img, frame, schedule, coeffs=coeffs)
-    if window is None:
-        window = appr.level_window(curve, float(cfg["level_hi"]), float(cfg["level_lo"]))
-    return curve, appr.fit_rate(curve, window=window)
+    start = _index(cfg, "schedule_start", 1)
+    hi, lo = float(cfg["level_hi"]), float(cfg["level_lo"])
+    if lo >= hi:
+        raise ConfigError(f"level_lo must be below level_hi, got level_lo={lo} and level_hi={hi}")
+
+    def rate(frame: DigitalCurveletFrame, img: np.ndarray, window: tuple[int, int] | None = None):
+        coeffs = analyze(img, frame)
+        schedule = appr.geometric_schedule(start, max(coeffs.total_count // 4, 64))
+        curve = appr.error_curve(img, frame, schedule, coeffs=coeffs)
+        if window is None:
+            window = appr.level_window(curve, hi, lo)
+        return curve, appr.fit_rate(curve, window=window)
+
+    return rate
 
 
-def run_disc_rate(cfg: dict) -> tuple[bool, dict, list[dict]]:
+def run_disc_rate(cfg: dict) -> Run:
     alpha = float(cfg["alpha"])
     grid = cfg["grid"]
     band = None
     for key, val in cfg["bands"].items():
         if abs(float(key) - alpha) < 1e-9:
-            band = val
+            band = _pair(val, f"the band for alpha={key}")
     if band is None:
         raise ConfigError(f"no acceptance band configured for alpha={alpha}")
     params = _checked(FrameParams, cfg["s"], alpha, grid, snapped=True)
     spec = _checked(CartoonSpec, kind="disc", antialias=cfg["antialias"])
-    _index(cfg, "schedule_start", 1)
-    curve, fit = _threshold_rate(cfg, DigitalCurveletFrame.build(params), render(spec, grid))
-    ok = band[0] <= fit.slope <= band[1]
-    rows = [{"N": n, "err2": e} for n, e in zip(curve.n_terms, curve.err2)]
-    results = {"alpha": alpha, "slope": fit.slope, "band": band, "fit": fit.__dict__}
-    return ok, results, rows
+    rate = _rate_plan(cfg)
+
+    def run():
+        curve, fit = rate(DigitalCurveletFrame.build(params), render(spec, grid))
+        ok = band[0] <= fit.slope <= band[1]
+        rows = [{"N": n, "err2": e} for n, e in zip(curve.n_terms, curve.err2)]
+        results = {"alpha": alpha, "slope": fit.slope, "band": band, "fit": fit.__dict__}
+        return ok, results, rows
+
+    return run
 
 
-def run_disc_lower_bound(cfg: dict) -> tuple[bool, dict, list[dict]]:
-    alphas = _entries(cfg, "alphas", 1)
-    ok = True
-    rows = []
-    summaries = []
-    every = [_checked(FrameParams, cfg["s"], float(alpha), cfg["grid"]) for alpha in alphas]
-    for alpha, params in zip(alphas, every):
-        curve = appr.bound1_tail_estimator(params)
-        counts = curve.metadata["scale_tile_counts"]
-        lo = sum(counts[:3])
-        hi = sum(counts[:-1])
-        fit = appr.fit_rate(curve, window=(max(4, lo), hi))
-        target = -1.0 / (1.0 - float(alpha))
-        ok_a = abs(fit.slope - target) <= cfg["slope_tol"]
-        ok = ok and ok_a
-        summaries.append({"alpha": alpha, "slope": fit.slope, "target": target, "ok": ok_a})
-        rows += [
-            {"alpha": alpha, "N": n, "err2_lower_bound": e}
-            for n, e in zip(curve.n_terms, curve.err2)
-        ]
-    return ok, {"summaries": summaries}, rows
+def run_disc_lower_bound(cfg: dict) -> Run:
+    every = _frames(cfg)
+    if any(params.alpha == 1.0 for params in every):  # the target slope is -1/(1-alpha)
+        raise ConfigError(f"disc-lower-bound needs every alpha below 1, got alphas {cfg['alphas']}")
+
+    def run():
+        ok = True
+        rows = []
+        summaries = []
+        for params in every:
+            curve = appr.bound1_tail_estimator(params)
+            counts = curve.metadata["scale_tile_counts"]
+            lo = sum(counts[:3])
+            hi = sum(counts[:-1])
+            fit = appr.fit_rate(curve, window=(max(4, lo), hi))
+            target = -1.0 / (1.0 - params.alpha)
+            ok_a = abs(fit.slope - target) <= cfg["slope_tol"]
+            ok = ok and ok_a
+            summaries.append({"alpha": params.alpha, "slope": fit.slope, "target": target, "ok": ok_a})
+            rows += [
+                {"alpha": params.alpha, "N": n, "err2_lower_bound": e}
+                for n, e in zip(curve.n_terms, curve.err2)
+            ]
+        return ok, {"summaries": summaries}, rows
+
+    return run
 
 
-def run_straight_edge_rate(cfg: dict) -> tuple[bool, dict, list[dict]]:
+def run_straight_edge_rate(cfg: dict) -> Run:
     grid = cfg["grid"]
-    rows = []
-
-    def one(frame, spec: CartoonSpec, img: np.ndarray, window: tuple[int, int] | None = None):
-        curve, fit = _threshold_rate(cfg, frame, img, window)
-        for n, e in zip(curve.n_terms, curve.err2):
-            rows.append({"run": f"{spec.kind}-alpha{frame.params.alpha}", "N": n, "err2": e})
-        return fit
-
     edge = _checked(
         CartoonSpec,
         kind="half_space",
@@ -449,158 +505,187 @@ def run_straight_edge_rate(cfg: dict) -> tuple[bool, dict, list[dict]]:
     bump = _checked(
         CartoonSpec, kind="smooth_bump", beta=cfg["beta"], nu=float(cfg["nu"]), antialias=cfg["antialias"]
     )
-    _index(cfg, "schedule_start", 1)
-    # one alpha=1/2 frame serves the edge and the bump
-    half = DigitalCurveletFrame.build(_checked(FrameParams, cfg["s"], 0.5, grid, snapped=True))
-    img = render(edge, grid)
-    fit_half = one(half, edge, img)
+    rate = _rate_plan(cfg)
+    half_params = _checked(FrameParams, cfg["s"], 0.5, grid, snapped=True)
     quarter = _checked(FrameParams, cfg["s"], 0.25, grid, snapped=True)
-    fit_quarter = one(DigitalCurveletFrame.build(quarter), edge, img)  # freed before the bump
-    img = render(bump, grid)
-    fit_bump = one(half, bump, img, window=tuple(cfg["bump_window"]))
-    band = cfg["band_alpha_half"]
-    ok = (
-        band[0] <= fit_half.slope <= band[1]
-        and fit_quarter.slope <= cfg["max_slope_alpha_quarter"]
-        and fit_bump.slope <= cfg["max_slope_bump"]
-    )
-    results = {
-        "edge_alpha_half": fit_half.__dict__,
-        "edge_alpha_quarter": fit_quarter.__dict__,
-        "bump_alpha_half": fit_bump.__dict__,
-        "band_alpha_half": band,
-    }
-    return ok, results, rows
+    bump_window = _window(cfg, "bump_window")
+    band = _pair(cfg["band_alpha_half"], "band_alpha_half")
 
+    def run():
+        rows = []
 
-def run_apriori_decay(cfg: dict) -> tuple[bool, dict, list[dict]]:
-    grid = cfg["grid"]
-    ok = True
-    rows = []
-    summaries = []
-    alphas = _entries(cfg, "alphas", 1)
-    every = [_checked(FrameParams, cfg["s"], float(alpha), grid, snapped=True) for alpha in alphas]
-    windows = [_scale_window(cfg, "fit_scales", params.j_max, 3) for params in every]
-    disc = render(_checked(CartoonSpec, kind="disc", antialias=cfg["antialias"]), grid)
-    for alpha, params, window in zip(alphas, every, windows):
-        frame = DigitalCurveletFrame.build(params)
-        coeffs = analyze(disc, frame)
-        table = appr.apriori_decay_check(coeffs, params, f_sup=1.0, fit_scales=window)
-        target = table["target"]
-        # the size bound is one-sided: curved edges cannot saturate it for
-        # strongly directional tiles, so only slopes above target+tol fail
-        ok_c = table["slope"] <= target + cfg["max_coeff_tol"]
-        atoms = appr.atom_l1_decay(frame)
-        ok_a = atoms["l1_slope"] is not None and abs(atoms["l1_slope"] - target) <= cfg["atom_l1_tol"]
-        ok = ok and ok_c and ok_a
-        summaries.append(
-            {
-                "alpha": alpha,
-                "max_coeff_slope": table["slope"],
-                "atom_l1_slope": atoms["l1_slope"],
-                "target": target,
-                "saturates_two_sided": abs(table["slope"] - target) <= cfg["max_coeff_tol"],
-                "ok": ok_c and ok_a,
-            }
+        def one(frame, spec: CartoonSpec, img: np.ndarray, window: tuple[int, int] | None = None):
+            curve, fit = rate(frame, img, window)
+            for n, e in zip(curve.n_terms, curve.err2):
+                rows.append({"run": f"{spec.kind}-alpha{frame.params.alpha}", "N": n, "err2": e})
+            return fit
+
+        # one alpha=1/2 frame serves the edge and the bump
+        half = DigitalCurveletFrame.build(half_params)
+        img = render(edge, grid)
+        fit_half = one(half, edge, img)
+        fit_quarter = one(DigitalCurveletFrame.build(quarter), edge, img)  # freed before the bump
+        img = render(bump, grid)
+        fit_bump = one(half, bump, img, window=bump_window)
+        ok = (
+            band[0] <= fit_half.slope <= band[1]
+            and fit_quarter.slope <= cfg["max_slope_alpha_quarter"]
+            and fit_bump.slope <= cfg["max_slope_bump"]
         )
-        for j, m in table["rows"]:
-            rows.append({"alpha": alpha, "j": j, "max_coeff": m})
-    return ok, {"summaries": summaries}, rows
+        results = {
+            "edge_alpha_half": fit_half.__dict__,
+            "edge_alpha_quarter": fit_quarter.__dict__,
+            "bump_alpha_half": fit_bump.__dict__,
+            "band_alpha_half": band,
+        }
+        return ok, results, rows
+
+    return run
 
 
-def run_bessel_check(cfg: dict) -> tuple[bool, dict, list[dict]]:
-    tol = float(cfg["closed_form_tol"])
-    rows = []
-    max_closed = 0.0
-    for r in np.linspace(0.05, 50.0, 250):
-        plus = bessel.bessel_j_series(0.5, float(r))
-        minus = bessel.bessel_j_series(-0.5, float(r))
-        c_plus = math.sqrt(2.0 / (math.pi * r)) * math.sin(r)
-        c_minus = math.sqrt(2.0 / (math.pi * r)) * math.cos(r)
-        max_closed = max(max_closed, abs(plus - c_plus), abs(minus - c_minus))
-        rows.append({"r": float(r), "dev_plus": abs(plus - c_plus), "dev_minus": abs(minus - c_minus)})
-    cross = 0.0
-    for nu in bessel.SUPPORTED_ORDERS:
-        r = bessel.CROSSOVER_RADIUS
-        a = bessel._series_smallr(nu, np.array([r]))[0]
-        b = bessel._asymptotic_larger(nu, np.array([r]))[0]
-        cross = max(cross, abs(a - b))
-    sup1 = bessel.remainder_bound_check(1.0, float(cfg["remainder_r_max"]))
-    sup1_fine = bessel.remainder_bound_check(
-        1.0, float(cfg["remainder_r_max"]), points_per_log=8192
-    )
-    sup_half = bessel.remainder_bound_check(1.0, 100.0, order=-0.5)
-    stability = abs(sup1_fine - sup1) / sup1
-    ok = (
-        max_closed <= tol
-        and cross <= float(cfg["crossover_tol"])
-        and math.isfinite(sup1)
-        and stability <= float(cfg["remainder_stability_tol"])
-        and sup_half <= 1e-12
-    )
-    results = {
-        "closed_form_max_dev": max_closed,
-        "crossover_max_dev": cross,
-        "remainder_sup": sup1,
-        "remainder_sup_fine": sup1_fine,
-        "remainder_stability": stability,
-        "remainder_sup_minus_half": sup_half,
-    }
-    return ok, results, rows
+def run_apriori_decay(cfg: dict) -> Run:
+    grid = cfg["grid"]
+    every = _frames(cfg, snapped=True)
+    windows = [_scale_window(cfg, "fit_scales", params.j_max, 3) for params in every]
+    spec = _checked(CartoonSpec, kind="disc", antialias=cfg["antialias"])
+
+    def run():
+        ok = True
+        rows = []
+        summaries = []
+        disc = render(spec, grid)
+        for params, window in zip(every, windows):
+            frame = DigitalCurveletFrame.build(params)
+            coeffs = analyze(disc, frame)
+            table = appr.apriori_decay_check(coeffs, params, f_sup=1.0, fit_scales=window)
+            target = table["target"]
+            # the size bound is one-sided: curved edges cannot saturate it for
+            # strongly directional tiles, so only slopes above target+tol fail
+            ok_c = table["slope"] <= target + cfg["max_coeff_tol"]
+            atoms = appr.atom_l1_decay(frame)
+            ok_a = atoms["l1_slope"] is not None and abs(atoms["l1_slope"] - target) <= cfg["atom_l1_tol"]
+            ok = ok and ok_c and ok_a
+            summaries.append(
+                {
+                    "alpha": params.alpha,
+                    "max_coeff_slope": table["slope"],
+                    "atom_l1_slope": atoms["l1_slope"],
+                    "target": target,
+                    "saturates_two_sided": abs(table["slope"] - target) <= cfg["max_coeff_tol"],
+                    "ok": ok_c and ok_a,
+                }
+            )
+            for j, m in table["rows"]:
+                rows.append({"alpha": params.alpha, "j": j, "max_coeff": m})
+        return ok, {"summaries": summaries}, rows
+
+    return run
 
 
-def run_molecule_distance(cfg: dict) -> tuple[bool, dict, list[dict]]:
+def run_bessel_check(cfg: dict) -> Run:
+    def run():
+        tol = float(cfg["closed_form_tol"])
+        rows = []
+        max_closed = 0.0
+        for r in np.linspace(0.05, 50.0, 250):
+            plus = bessel.bessel_j_series(0.5, float(r))
+            minus = bessel.bessel_j_series(-0.5, float(r))
+            c_plus = math.sqrt(2.0 / (math.pi * r)) * math.sin(r)
+            c_minus = math.sqrt(2.0 / (math.pi * r)) * math.cos(r)
+            max_closed = max(max_closed, abs(plus - c_plus), abs(minus - c_minus))
+            rows.append({"r": float(r), "dev_plus": abs(plus - c_plus), "dev_minus": abs(minus - c_minus)})
+        cross = 0.0
+        for nu in bessel.SUPPORTED_ORDERS:
+            r = bessel.CROSSOVER_RADIUS
+            a = bessel._series_smallr(nu, np.array([r]))[0]
+            b = bessel._asymptotic_larger(nu, np.array([r]))[0]
+            cross = max(cross, abs(a - b))
+        sup1 = bessel.remainder_bound_check(1.0, float(cfg["remainder_r_max"]))
+        sup1_fine = bessel.remainder_bound_check(
+            1.0, float(cfg["remainder_r_max"]), points_per_log=8192
+        )
+        sup_half = bessel.remainder_bound_check(1.0, 100.0, order=-0.5)
+        stability = abs(sup1_fine - sup1) / sup1
+        ok = (
+            max_closed <= tol
+            and cross <= float(cfg["crossover_tol"])
+            and math.isfinite(sup1)
+            and stability <= float(cfg["remainder_stability_tol"])
+            and sup_half <= 1e-12
+        )
+        results = {
+            "closed_form_max_dev": max_closed,
+            "crossover_max_dev": cross,
+            "remainder_sup": sup1,
+            "remainder_sup_fine": sup1_fine,
+            "remainder_stability": stability,
+            "remainder_sup_minus_half": sup_half,
+        }
+        return ok, results, rows
+
+    return run
+
+
+def run_molecule_distance(cfg: dict) -> Run:
     caps = _entries(cfg, "spatial_caps", 2)  # the growth compares the last two
     pa = _checked(FrameParams, float(cfg["s_a"]), float(cfg["alpha"]), 64)
     pb = _checked(FrameParams, float(cfg["s_b"]), float(cfg["alpha"]), 64)
-    p = molecules.curvelet_parametrization((2, 1, (3.0, -2.0)), pa)
-    self_dist = molecules.index_distance(p, p, float(cfg["alpha"]))
-    rows = []
-    sups = []
-    for cap in caps:
-        res = molecules.consistency_sum(
-            pa, pb, float(cfg["alpha"]), float(cfg["k_exp"]), float(cfg["scale_cap"]), float(cap)
+
+    def run():
+        p = molecules.curvelet_parametrization((2, 1, (3.0, -2.0)), pa)
+        self_dist = molecules.index_distance(p, p, float(cfg["alpha"]))
+        rows = []
+        sups = []
+        for cap in caps:
+            res = molecules.consistency_sum(
+                pa, pb, float(cfg["alpha"]), float(cfg["k_exp"]), float(cfg["scale_cap"]), float(cap)
+            )
+            sups.append(res)
+            rows.append(
+                {
+                    "spatial_cap": cap,
+                    "sup_a": res.sup_over_a,
+                    "sup_b": res.sup_over_b,
+                    "count_a": res.count_a,
+                    "count_b": res.count_b,
+                }
+            )
+        growth_a = sups[-1].sup_over_a / sups[-2].sup_over_a - 1.0
+        growth_b = sups[-1].sup_over_b / sups[-2].sup_over_b - 1.0
+        ok = (
+            self_dist == 1.0
+            and growth_a < float(cfg["growth_tol"])
+            and growth_b < float(cfg["growth_tol"])
         )
-        sups.append(res)
-        rows.append(
-            {
-                "spatial_cap": cap,
-                "sup_a": res.sup_over_a,
-                "sup_b": res.sup_over_b,
-                "count_a": res.count_a,
-                "count_b": res.count_b,
-            }
-        )
-    growth_a = sups[-1].sup_over_a / sups[-2].sup_over_a - 1.0
-    growth_b = sups[-1].sup_over_b / sups[-2].sup_over_b - 1.0
-    ok = (
-        self_dist == 1.0
-        and growth_a < float(cfg["growth_tol"])
-        and growth_b < float(cfg["growth_tol"])
-    )
-    results = {
-        "self_distance": self_dist,
-        "growth_a": growth_a,
-        "growth_b": growth_b,
-        "final_sup_a": sups[-1].sup_over_a,
-        "final_sup_b": sups[-1].sup_over_b,
-    }
-    return ok, results, rows
+        results = {
+            "self_distance": self_dist,
+            "growth_a": growth_a,
+            "growth_b": growth_b,
+            "final_sup_a": sups[-1].sup_over_a,
+            "final_sup_b": sups[-1].sup_over_b,
+        }
+        return ok, results, rows
+
+    return run
 
 
-def run_generator_decay(cfg: dict) -> tuple[bool, dict, list[dict]]:
-    alphas = _entries(cfg, "alphas", 1)
-    ok = True
-    rows = []
-    every = [_checked(FrameParams, cfg["s"], float(alpha), cfg["grid"]) for alpha in alphas]
-    for alpha, params in zip(alphas, every):
-        table = appr.generator_decay_check(params, probe_step=float(cfg["probe_step"]))
-        for entry in table:
-            ok = ok and entry["support_ok"] and entry["inner_zero_ok"] and entry["sup"] <= 1.0 + 1e-12
-            rows.append({"alpha": alpha, **entry})
-    return ok, {"rows": rows}, rows
+def run_generator_decay(cfg: dict) -> Run:
+    every = _frames(cfg)
+
+    def run():
+        ok = True
+        rows = []
+        for params in every:
+            table = appr.generator_decay_check(params, probe_step=float(cfg["probe_step"]))
+            for entry in table:
+                ok = ok and entry["support_ok"] and entry["inner_zero_ok"] and entry["sup"] <= 1.0 + 1e-12
+                rows.append({"alpha": params.alpha, **entry})
+        return ok, {"rows": rows}, rows
+
+    return run
 
 
+# each runner is its experiment's plan: it refuses a config before any work, else returns the Run
 RUNNERS = {
     "verify-frame": run_verify_frame,
     "wedge-energy": run_wedge_energy,
@@ -631,7 +716,12 @@ def _say(line: str) -> None:
 
 
 def run_experiment(experiment: str, cfg: dict, out_dir: str) -> int:
-    ok, results, rows = RUNNERS[experiment](cfg)
+    return _verdict(experiment, cfg, RUNNERS[experiment](cfg)(), out_dir)
+
+
+def _verdict(experiment: str, cfg: dict, outcome: tuple[bool, dict, list[dict]], out_dir: str) -> int:
+    """Write the reports of a run's ``(ok, results, rows)`` and print its verdict; 0 iff PASS."""
+    ok, results, rows = outcome
     ok = bool(ok)
     files = emit_report(experiment, cfg, {**results, "pass": ok}, rows, out_dir)
     verdict = "PASS" if ok else "FAIL"
@@ -677,6 +767,7 @@ def main(argv: list[str] | None = None) -> int:
         runp.error(f"--dump-coeffs K must be >= 0, got {args.dump_coeffs}")
 
     overrides = {"grid": args.grid, "alpha": args.alpha, "s": args.s, "seed": args.seed}
+    dumps = args.dump_pgm or args.dump_coeffs is not None
     try:
         cfg = resolve_config(args.experiment, args.config, overrides)
         base = load_defaults()
@@ -685,22 +776,25 @@ def main(argv: list[str] | None = None) -> int:
             _check_out_dir(out_dir)  # before the run, not after it
         except OSError as exc:
             raise ConfigError(str(exc)) from None
-        if args.dump_pgm or args.dump_coeffs is not None:
+        run = RUNNERS[args.experiment](cfg)
+        if dumps:
             grid, alpha, s = (cfg.get(key, base[key]) for key in ("grid", "alpha", "s"))
             params = _checked(FrameParams, s, float(alpha), grid)
-            img = render(_checked(CartoonSpec, kind="disc", antialias=cfg.get("antialias", 4)), grid)
-            if args.dump_pgm:
-                write_pgm(img, args.dump_pgm)
-                _say(f"wrote {args.dump_pgm}")
-            if args.dump_coeffs is not None:
-                frame = DigitalCurveletFrame.build(params)
-                coeffs = analyze(img, frame)
-                top = None if args.dump_coeffs == 0 else args.dump_coeffs
-                paths = dump_coefficients(coeffs, frame, os.path.join(out_dir, "coefficients"), top)
-                _say(f"wrote {paths[0]} and {paths[1]}")
-        return run_experiment(args.experiment, cfg, out_dir)
+            spec = _checked(CartoonSpec, kind="disc", antialias=cfg.get("antialias", 4))
     except ConfigError as exc:
         runp.error(str(exc))
+    if dumps:
+        img = render(spec, grid)
+        if args.dump_pgm:
+            write_pgm(img, args.dump_pgm)
+            _say(f"wrote {args.dump_pgm}")
+        if args.dump_coeffs is not None:
+            frame = DigitalCurveletFrame.build(params)
+            coeffs = analyze(img, frame)
+            top = None if args.dump_coeffs == 0 else args.dump_coeffs
+            paths = dump_coefficients(coeffs, frame, os.path.join(out_dir, "coefficients"), top)
+            _say(f"wrote {paths[0]} and {paths[1]}")
+    return _verdict(args.experiment, cfg, run(), out_dir)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ def run_cached(experiment: str, overrides: dict | None = None):
     if key not in _CACHE:
         cfg = cli.resolve_config(experiment, None, overrides or {})
         t0 = time.time()
-        ok, results, rows = cli.RUNNERS[experiment](cfg)
+        ok, results, rows = cli.RUNNERS[experiment](cfg)()
         _CACHE[key] = (ok, results, rows, time.time() - t0)
     return _CACHE[key]
 

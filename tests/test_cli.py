@@ -332,7 +332,10 @@ def test_negative_dump_coeffs_is_a_usage_error(monkeypatch, tmp_path, capsys):
 
 def test_errors_inside_a_run_are_not_usage_errors(monkeypatch, tmp_path):
     def broken(cfg):
-        raise ValueError("inside the run")
+        def run():
+            raise ValueError("inside the run")
+
+        return run
 
     monkeypatch.setitem(cli.RUNNERS, "bessel-check", broken)
     with pytest.raises(ValueError, match="inside the run"):
@@ -351,7 +354,7 @@ def test_rate_params_snap_to_nyquist(monkeypatch):
 
     monkeypatch.setattr(cli.DigitalCurveletFrame, "build", build)
     with pytest.raises(Built):
-        cli.run_disc_rate(cli.resolve_config("disc-rate", None, {"grid": 128}))
+        cli.run_disc_rate(cli.resolve_config("disc-rate", None, {"grid": 128}))()
     assert asked == [cli.FrameParams.nyquist_snapped(1.0, 0.5, 128)]
 
 
@@ -440,13 +443,42 @@ def test_disc_rate_note_names_every_configured_band():
 
 
 def test_the_verdict_names_the_applied_bands(monkeypatch, tmp_path, capsys):
-    monkeypatch.setitem(cli.RUNNERS, "disc-rate", lambda cfg: (False, {}, []))
+    monkeypatch.setitem(cli.RUNNERS, "disc-rate", lambda cfg: lambda: (False, {}, []))
     config = tmp_path / "bands.json"
     config.write_text(json.dumps({"bands": {"0.5": [-1.0, 0.0]}}))
     out = os.fspath(tmp_path / "r")
     assert cli.main(["run", "disc-rate", "--config", os.fspath(config), "--out", out]) == 1
     verdict = capsys.readouterr().out.splitlines()[0]
     assert verdict == "disc-rate: FAIL  (disc threshold slope: alpha=0.5 in [-1.0,0.0])"
+
+
+# what the package's work starts from; a plan reaches none of them
+WORK = {
+    cli.DigitalCurveletFrame: ("build",),
+    cli: ("build_layout", "render", "analyze"),
+    cli.bessel: ("wedge_energy_quadrature", "bessel_j_series"),
+    cli.appr: ("error_curve", "bound1_tail_estimator", "generator_decay_check"),
+    cli.molecules: ("consistency_sum", "curvelet_parametrization"),
+}
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    def work(*args, **kwargs):
+        raise AssertionError("work started before every value was checked")
+
+    for owner, names in WORK.items():
+        for name in names:
+            monkeypatch.setattr(owner, name, work)
+
+
+def _dumps(tmp_path) -> list[str]:
+    return ["--dump-pgm", os.fspath(tmp_path / "x.pgm"), "--dump-coeffs", "5"]
+
+
+def _assert_no_dumps(tmp_path) -> None:
+    assert not (tmp_path / "x.pgm").exists()
+    assert not list(tmp_path.rglob("coefficients.*"))
 
 
 @pytest.mark.parametrize(
@@ -474,26 +506,65 @@ def test_the_verdict_names_the_applied_bands(monkeypatch, tmp_path, capsys):
             {"digital_mid_scales": [1, 1], "grid": 64, "s": 2.0},
             "alpha=0.0 has j_max=2 at grid 64, s 2.0; the analytic slope fit needs at least 4 scales",
         ),
+        # each of these failed after its work began, ended in a traceback, or was taken as given
+        (
+            ["disc-rate"],
+            {"grid": 64, "level_hi": 1e-9, "level_lo": 1e-3},
+            "level_lo must be below level_hi, got level_lo=0.001 and level_hi=1e-09",
+        ),
+        (["disc-rate"], {"level_hi": "x"}, "level_hi must be a number, got 'x'"),
+        (
+            ["straight-edge-rate"],
+            {"grid": 64, "bump_window": [32]},
+            "bump_window must hold two entries, got [32]",
+        ),
+        (["verify-frame"], {"partition_tol": "x"}, "partition_tol must be a number, got 'x'"),
+        (["bessel-check"], {"remainder_r_max": "abc"}, "remainder_r_max must be a number, got 'abc'"),
+        (["molecule-distance"], {"growth_tol": "x"}, "growth_tol must be a number, got 'x'"),
+        (["verify-frame"], {"alphas": ["x"]}, "alphas must be a list of numbers, got ['x']"),
+        (["disc-rate"], {"s": "1"}, "s must be a number, got '1'"),
+        (
+            ["wedge-energy"],
+            {"digital_mid_scales": [2.5, -2]},
+            "digital_mid_scales must be an integer, got 2.5",
+        ),
+        (
+            ["disc-rate"],
+            {"bands": {"half": [-2, -1]}},
+            "bands must be an object of number lists keyed by alpha, got {'half': [-2, -1]}",
+        ),
+        (
+            ["disc-rate"],
+            {"bands": {"0.5": [-2.4]}},
+            "the band for alpha=0.5 must hold two entries, got [-2.4]",
+        ),
+        (
+            ["wedge-energy"],
+            {"digital_ratio_band": [0.9]},
+            "digital_ratio_band must hold two entries, got [0.9]",
+        ),
+        (["verify-frame"], {"seed": True}, "seed must be a number, got True"),
+        pytest.param(
+            ["disc-lower-bound"],
+            {"alphas": [0.5, 1]},
+            "disc-lower-bound needs every alpha below 1, got alphas [0.5, 1]",
+            marks=pytest.mark.filterwarnings("ignore:alpha = 1 collapses"),
+        ),
     ],
 )
-def test_an_out_of_range_value_is_a_usage_error(args, config, message, monkeypatch, tmp_path, capsys):
-    def work(*args, **kwargs):
-        raise AssertionError("work started before the values were checked")
-
-    monkeypatch.setattr(cli.DigitalCurveletFrame, "build", work)
-    for name in ("build_layout", "render"):
-        monkeypatch.setattr(cli, name, work)
-    monkeypatch.setattr(cli.bessel, "wedge_energy_quadrature", work)
+def test_an_out_of_range_value_is_a_usage_error(args, config, message, no_work, tmp_path, capsys):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         args = [*args, "--config", os.fspath(tmp_path / "cfg.json")]
     out = tmp_path / "out"
+    out.mkdir()  # some values are refused before the run makes it
     with pytest.raises(SystemExit) as exit_info:
-        cli.main(["run", *args, "--out", os.fspath(out)])
+        cli.main(["run", *args, "--out", os.fspath(out), *_dumps(tmp_path)])
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: alphacurvelets run") and message in err
     assert "Traceback" not in err and not any(out.iterdir())
+    _assert_no_dumps(tmp_path)
 
 
 # each would check nothing, or fail after the sums, if it ran
@@ -507,28 +578,40 @@ SHORT_LISTS = [
 
 @pytest.mark.parametrize("experiment,key,value,least", SHORT_LISTS)
 def test_a_list_too_short_to_check_is_refused_before_any_work(
-    experiment, key, value, least, monkeypatch, tmp_path, capsys
+    experiment, key, value, least, no_work, tmp_path, capsys
 ):
-    def work(*args, **kwargs):
-        raise AssertionError("work started before the list was checked")
-
-    monkeypatch.setattr(cli.DigitalCurveletFrame, "build", work)
-    for name in ("build_layout", "render"):
-        monkeypatch.setattr(cli, name, work)
-    monkeypatch.setattr(cli.bessel, "wedge_energy_quadrature", work)
-    for name in ("bound1_tail_estimator", "generator_decay_check"):
-        monkeypatch.setattr(cli.appr, name, work)
-    for name in ("curvelet_parametrization", "consistency_sum"):
-        monkeypatch.setattr(cli.molecules, name, work)
     (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
     out = tmp_path / "out"
+    config = ["--config", os.fspath(tmp_path / "cfg.json")]
     with pytest.raises(SystemExit) as exit_info:
-        cli.main(["run", experiment, "--config", os.fspath(tmp_path / "cfg.json"), "--out", os.fspath(out)])
+        cli.main(["run", experiment, *config, "--out", os.fspath(out), *_dumps(tmp_path)])
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     message = f"{key} must be a list of at least {least} entries, got {value}"
     assert err.startswith("usage: alphacurvelets run") and message in err
     assert "Traceback" not in err and not any(out.iterdir())
+    _assert_no_dumps(tmp_path)
+
+
+@pytest.mark.parametrize("experiment", list(cli.RUNNERS))
+def test_a_plan_does_no_work(experiment, no_work):
+    assert callable(cli.RUNNERS[experiment](cli.resolve_config(experiment, None, {})))
+
+
+def test_every_packaged_value_has_a_kind(no_work):
+    for experiment, block in cli.load_defaults()["experiments"].items():
+        for key, value in block.items():
+            assert cli._kind(value) is not None, (experiment, key, value)
+    # a whole number written as a float is still a number, and CartoonSpec takes it as beta
+    assert callable(cli.run_straight_edge_rate(cli.resolve_config("straight-edge-rate", None, {"beta": 2.0})))
+
+
+@pytest.mark.parametrize("grid,grids", [(66, [66, 32, 32]), (264, [264, 132, 32])])
+def test_verify_frame_rounds_its_tight_and_oracle_grids_down_to_even(grid, grids):
+    # grid // 2 is odd at 66 and grid // 8 at 264, and FrameParams refuses an odd grid
+    cfg = cli.resolve_config("verify-frame", None, {"grid": grid, "alphas": [0.5], "n_random_images": 1})
+    ok, results, _ = cli.run_verify_frame(cfg)()
+    assert ok and results["grids"] == grids
 
 
 def test_a_dump_made_in_chunks_is_the_one_chunk_dump(tmp_path, frame64, monkeypatch):
