@@ -266,7 +266,6 @@ def level_window(curve: ErrorCurve, rel_hi: float, rel_lo: float) -> tuple[int, 
 def apriori_decay_check(
     coeffs: CoefficientSet,
     params: FrameParams,
-    f_sup: float,
     fit_scales: tuple[int, int],
 ) -> dict:
     """Per-scale max-coefficient table and its log2 regression slope.
@@ -274,7 +273,7 @@ def apriori_decay_check(
     ``coeffs`` is an analysis by the frame of ``params``, whose ``s`` and
     ``alpha`` set the decay.  Reports, per corona scale, the largest
     coefficient magnitude and the implied constant
-    ``max / (f_sup * 2**(-j*s*(1+alpha)/2))``; the slope of ``log2 max``
+    ``max / 2**(-j*s*(1+alpha)/2)``; the slope of ``log2 max``
     against ``j`` over the scales ``fit_scales`` (inclusive) is reported
     with its target ``-s*(1+alpha)/2``.
     """
@@ -285,12 +284,10 @@ def apriori_decay_check(
             maxima[j] = max(maxima[j], float(np.abs(block).max()))
     closure_scale = max(scales)
     rows = [(j, maxima[j]) for j in scales if j != closure_scale]
-    if all(m == 0.0 for _, m in rows) or f_sup == 0.0:
+    if all(m == 0.0 for _, m in rows):
         return {"rows": rows, "slope": None, "verdict": "vacuous", "constants": []}
     decay = params.s * (1.0 + params.alpha) / 2.0
-    constants = [
-        (j, m / (f_sup * 2.0 ** (-j * decay))) for j, m in rows if m > 0
-    ]
+    constants = [(j, m / 2.0 ** (-j * decay)) for j, m in rows if m > 0]
     lo, hi = fit_scales
     pts = [(j, m) for j, m in rows if lo <= j <= hi and m > 0]
     if len(pts) < 3:
@@ -343,6 +340,11 @@ def bound1_tail_estimator(params: FrameParams) -> ErrorCurve:
     )
 
 
+def _check_probe_step(probe_step: float) -> None:
+    if not (math.isfinite(probe_step) and probe_step > 0):
+        raise ValueError(f"probe_step must be positive and finite, got {probe_step!r}")
+
+
 def generator_decay_check(params: FrameParams, probe_step: float) -> list[dict]:
     """Probe the rescaled scale generators on a dense frequency grid.
 
@@ -353,8 +355,10 @@ def generator_decay_check(params: FrameParams, probe_step: float) -> list[dict]:
     the window peak, and exact vanishing on the inner rectangle
     ``|xi_1| <= 2**(-2s-5)``, ``|xi_2| <= 2**(j*s*(1-alpha)) * 2**(-2s-5)``
     for ``j >= 1``.  The probe grid has spacing ``probe_step`` on
-    ``[-PROBE_EXTENT, PROBE_EXTENT]^2``, a margin around the unit box.
+    ``[-PROBE_EXTENT, PROBE_EXTENT]^2``, a margin around the unit box; a
+    ``probe_step`` that is not positive and finite raises ``ValueError``.
     """
+    _check_probe_step(probe_step)
     ax = np.arange(-PROBE_EXTENT, PROBE_EXTENT + probe_step / 2, probe_step)
     X1, X2 = np.meshgrid(ax, ax, indexing="ij")
     out = []

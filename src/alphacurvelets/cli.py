@@ -3,9 +3,10 @@
 Each experiment resolves its configuration from the packaged defaults,
 an optional user JSON file, and command-line overrides; its plan checks
 every value before any work, then its run calls the library routines.
-It writes a CSV, a JSON report (with a content hash of the resolved
-config), and a gnuplot script, and prints one PASS/FAIL line.  Exit
-status is 0 iff the verdict is PASS.
+Whatever resolution or planning raises is a usage error (exit 2), since
+neither has done any work.  A run writes a CSV, a JSON report (with a
+content hash of the resolved config), and a gnuplot script, and prints
+one PASS/FAIL line.  Exit status is 0 iff the verdict is PASS.
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ ALPHA_KEY = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")  # a key of a t
 Run = Callable[[], tuple[bool, dict, list[dict]]]  # a planned experiment; run() gives (ok, results, rows)
 
 
-class ConfigError(ValueError):
-    """Input refused before any work; :func:`main` reports it as a usage error."""
-
-
 def band_note(experiment: str, cfg: dict) -> str:
     """``BAND_NOTES[experiment]`` with the bounds of the resolved ``cfg``."""
     return BAND_NOTES[experiment].format(**{key: _brief(val) for key, val in cfg.items()})
@@ -78,55 +75,47 @@ def _brief(val) -> str:
     return str(val)
 
 
-def _checked(make, *args, **kwargs):
-    """``make(*args, **kwargs)``; a value it refuses is a :class:`ConfigError`."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _index(cfg: dict, key: str, least: int) -> int:
-    """``cfg[key]``, an integer of at least ``least``, or a :class:`ConfigError` naming it."""
-    value = _checked(as_index, cfg[key], key)
+    """``cfg[key]``, an integer of at least ``least``, or a ``ValueError`` naming it."""
+    value = as_index(cfg[key], key)
     if value < least:
-        raise ConfigError(f"{key} must be >= {least}, got {value}")
+        raise ValueError(f"{key} must be >= {least}, got {value}")
     return value
 
 
 def _entries(cfg: dict, key: str, least: int) -> list:
-    """``cfg[key]``, a list of at least ``least`` entries, or a :class:`ConfigError` naming it.
+    """``cfg[key]``, a list of at least ``least`` entries, or a ``ValueError`` naming it.
 
     An empty list would leave a check with nothing to check, and its verdict a vacuous PASS.
     """
     values = cfg[key]
     if len(values) < least:
-        raise ConfigError(f"{key} must be a list of at least {least} entries, got {values!r}")
+        raise ValueError(f"{key} must be a list of at least {least} entries, got {values!r}")
     return values
 
 
 def _pair(values: list, name: str) -> list:
-    """``values``, a band or a window of two entries, or a :class:`ConfigError` naming it ``name``."""
+    """``values``, a band or a window of two entries, or a ``ValueError`` naming it ``name``."""
     if len(values) != 2:
-        raise ConfigError(f"{name} must hold two entries, got {values!r}")
+        raise ValueError(f"{name} must hold two entries, got {values!r}")
     return values
 
 
 def _window(cfg: dict, key: str) -> tuple[int, int]:
-    """``cfg[key]``, a window of two integers, or a :class:`ConfigError` naming it."""
-    return tuple(_checked(as_index, end, key) for end in _pair(cfg[key], key))
+    """``cfg[key]``, a window of two integers, or a ``ValueError`` naming it."""
+    return tuple(as_index(end, key) for end in _pair(cfg[key], key))
 
 
 def _scale_window(cfg: dict, key: str, j_max: int, least: int) -> tuple[int, int]:
     """The scales ``(lo, hi)`` of ``cfg[key]``, a negative ``hi`` counting back from ``j_max``.
 
     The window is clipped to the frame's scales ``0..j_max``; a
-    :class:`ConfigError` refuses one that keeps fewer than ``least`` of them.
+    ``ValueError`` refuses one that keeps fewer than ``least`` of them.
     """
     lo, hi = _window(cfg, key)
     hi = j_max + hi if hi < 0 else hi
     if len(range(max(lo, 0), min(hi, j_max) + 1)) < least:
-        raise ConfigError(
+        raise ValueError(
             f"{key} {cfg[key]} selects scales {lo}..{hi} of 0..{j_max}; the check needs at least {least}"
         )
     return max(lo, 0), min(hi, j_max)
@@ -135,7 +124,7 @@ def _scale_window(cfg: dict, key: str, j_max: int, least: int) -> tuple[int, int
 def _frames(cfg: dict, snapped: bool = False) -> list[FrameParams]:
     """A frame's parameters per entry of ``cfg["alphas"]`` (at least one) at ``cfg``'s ``s`` and ``grid``."""
     alphas = _entries(cfg, "alphas", 1)
-    return [_checked(FrameParams, cfg["s"], float(alpha), cfg["grid"], snapped=snapped) for alpha in alphas]
+    return [FrameParams(cfg["s"], float(alpha), cfg["grid"], snapped=snapped) for alpha in alphas]
 
 
 def _kind(value) -> str | None:
@@ -168,14 +157,14 @@ def resolve_config(experiment: str, config_path: str | None, overrides: dict) ->
         with open(config_path) as fh:
             changes = json.load(fh)
         if not isinstance(changes, dict):
-            raise ConfigError(f"config file {config_path!r} must hold a JSON object")
+            raise ValueError(f"config file {config_path!r} must hold a JSON object")
     changes.update((key, val) for key, val in overrides.items() if val is not None)
     unknown = sorted(set(changes) - set(cfg))
     if unknown:
-        raise ConfigError(f"{experiment} does not read {', '.join(unknown)}; its keys are {sorted(cfg)}")
+        raise ValueError(f"{experiment} does not read {', '.join(unknown)}; its keys are {sorted(cfg)}")
     for key, val in changes.items():
         if _kind(val) != _kind(cfg[key]):
-            raise ConfigError(f"{key} must be {_kind(cfg[key])}, got {val!r}")
+            raise ValueError(f"{key} must be {_kind(cfg[key])}, got {val!r}")
     cfg.update(changes)
     return cfg
 
@@ -317,7 +306,7 @@ def run_verify_frame(cfg: dict) -> Run:
     grid = cfg["grid"]
     # the tight-frame and oracle grids, rounded down to even as FrameParams needs
     tight_grid, oracle_grid = max(32, grid // 4 * 2), min(64, max(32, grid // 16 * 2))
-    sized = [(p, *(_checked(FrameParams, p.s, p.alpha, n) for n in (tight_grid, oracle_grid))) for p in every]
+    sized = [(p, *(FrameParams(p.s, p.alpha, n) for n in (tight_grid, oracle_grid))) for p in every]
 
     def run():
         rng = np.random.default_rng(seed)
@@ -373,14 +362,14 @@ def run_wedge_energy(cfg: dict) -> Run:
     every = _frames(cfg)
     for p in every:
         if p.j_max < appr.ONSET_MIN_POINTS:  # the analytic fit runs over the scales 1..j_max
-            raise ConfigError(
+            raise ValueError(
                 f"alpha={p.alpha} has j_max={p.j_max} at grid {grid}, s {p.s}; "
                 f"the analytic slope fit needs at least {appr.ONSET_MIN_POINTS} scales"
             )
     d_alpha = float(cfg["digital_alpha"])
-    params = _checked(FrameParams, cfg["s"], d_alpha, grid)
+    params = FrameParams(cfg["s"], d_alpha, grid)
     lo_m, hi_m = _scale_window(cfg, "digital_mid_scales", params.j_max, 1)
-    spec = _checked(CartoonSpec, kind="disc", antialias=cfg["antialias"])
+    spec = CartoonSpec(kind="disc", antialias=cfg["antialias"])
     band = _pair(cfg["digital_ratio_band"], "digital_ratio_band")
 
     def run():
@@ -427,7 +416,7 @@ def _rate_plan(cfg: dict) -> Callable[..., tuple[appr.ErrorCurve, appr.RateRepor
     start = _index(cfg, "schedule_start", 1)
     hi, lo = float(cfg["level_hi"]), float(cfg["level_lo"])
     if lo >= hi:
-        raise ConfigError(f"level_lo must be below level_hi, got level_lo={lo} and level_hi={hi}")
+        raise ValueError(f"level_lo must be below level_hi, got level_lo={lo} and level_hi={hi}")
 
     def rate(frame: DigitalCurveletFrame, img: np.ndarray, window: tuple[int, int] | None = None):
         coeffs = analyze(img, frame)
@@ -448,9 +437,9 @@ def run_disc_rate(cfg: dict) -> Run:
         if abs(float(key) - alpha) < 1e-9:
             band = _pair(val, f"the band for alpha={key}")
     if band is None:
-        raise ConfigError(f"no acceptance band configured for alpha={alpha}")
-    params = _checked(FrameParams, cfg["s"], alpha, grid, snapped=True)
-    spec = _checked(CartoonSpec, kind="disc", antialias=cfg["antialias"])
+        raise ValueError(f"no acceptance band configured for alpha={alpha}")
+    params = FrameParams(cfg["s"], alpha, grid, snapped=True)
+    spec = CartoonSpec(kind="disc", antialias=cfg["antialias"])
     rate = _rate_plan(cfg)
 
     def run():
@@ -466,7 +455,7 @@ def run_disc_rate(cfg: dict) -> Run:
 def run_disc_lower_bound(cfg: dict) -> Run:
     every = _frames(cfg)
     if any(params.alpha == 1.0 for params in every):  # the target slope is -1/(1-alpha)
-        raise ConfigError(f"disc-lower-bound needs every alpha below 1, got alphas {cfg['alphas']}")
+        raise ValueError(f"disc-lower-bound needs every alpha below 1, got alphas {cfg['alphas']}")
 
     def run():
         ok = True
@@ -493,8 +482,7 @@ def run_disc_lower_bound(cfg: dict) -> Run:
 
 def run_straight_edge_rate(cfg: dict) -> Run:
     grid = cfg["grid"]
-    edge = _checked(
-        CartoonSpec,
+    edge = CartoonSpec(
         kind="half_space",
         phi=float(cfg["edge_phi"]),
         c=float(cfg["edge_c"]),
@@ -502,12 +490,10 @@ def run_straight_edge_rate(cfg: dict) -> Run:
         nu=float(cfg["nu"]),
         antialias=cfg["antialias"],
     )
-    bump = _checked(
-        CartoonSpec, kind="smooth_bump", beta=cfg["beta"], nu=float(cfg["nu"]), antialias=cfg["antialias"]
-    )
+    bump = CartoonSpec(kind="smooth_bump", beta=cfg["beta"], nu=float(cfg["nu"]), antialias=cfg["antialias"])
     rate = _rate_plan(cfg)
-    half_params = _checked(FrameParams, cfg["s"], 0.5, grid, snapped=True)
-    quarter = _checked(FrameParams, cfg["s"], 0.25, grid, snapped=True)
+    half_params = FrameParams(cfg["s"], 0.5, grid, snapped=True)
+    quarter = FrameParams(cfg["s"], 0.25, grid, snapped=True)
     bump_window = _window(cfg, "bump_window")
     band = _pair(cfg["band_alpha_half"], "band_alpha_half")
 
@@ -547,7 +533,7 @@ def run_apriori_decay(cfg: dict) -> Run:
     grid = cfg["grid"]
     every = _frames(cfg, snapped=True)
     windows = [_scale_window(cfg, "fit_scales", params.j_max, 3) for params in every]
-    spec = _checked(CartoonSpec, kind="disc", antialias=cfg["antialias"])
+    spec = CartoonSpec(kind="disc", antialias=cfg["antialias"])
 
     def run():
         ok = True
@@ -557,7 +543,7 @@ def run_apriori_decay(cfg: dict) -> Run:
         for params, window in zip(every, windows):
             frame = DigitalCurveletFrame.build(params)
             coeffs = analyze(disc, frame)
-            table = appr.apriori_decay_check(coeffs, params, f_sup=1.0, fit_scales=window)
+            table = appr.apriori_decay_check(coeffs, params, fit_scales=window)
             target = table["target"]
             # the size bound is one-sided: curved edges cannot saturate it for
             # strongly directional tiles, so only slopes above target+tol fail
@@ -583,6 +569,10 @@ def run_apriori_decay(cfg: dict) -> Run:
 
 
 def run_bessel_check(cfg: dict) -> Run:
+    r_max = float(cfg["remainder_r_max"])
+    if not 1.0 < r_max < math.inf:  # the remainder sup runs over [1, r_max]
+        raise ValueError(f"remainder_r_max must be finite and above 1, got {r_max}")
+
     def run():
         tol = float(cfg["closed_form_tol"])
         rows = []
@@ -600,10 +590,8 @@ def run_bessel_check(cfg: dict) -> Run:
             a = bessel._series_smallr(nu, np.array([r]))[0]
             b = bessel._asymptotic_larger(nu, np.array([r]))[0]
             cross = max(cross, abs(a - b))
-        sup1 = bessel.remainder_bound_check(1.0, float(cfg["remainder_r_max"]))
-        sup1_fine = bessel.remainder_bound_check(
-            1.0, float(cfg["remainder_r_max"]), points_per_log=8192
-        )
+        sup1 = bessel.remainder_bound_check(1.0, r_max)
+        sup1_fine = bessel.remainder_bound_check(1.0, r_max, points_per_log=8192)
         sup_half = bessel.remainder_bound_check(1.0, 100.0, order=-0.5)
         stability = abs(sup1_fine - sup1) / sup1
         ok = (
@@ -628,18 +616,19 @@ def run_bessel_check(cfg: dict) -> Run:
 
 def run_molecule_distance(cfg: dict) -> Run:
     caps = _entries(cfg, "spatial_caps", 2)  # the growth compares the last two
-    pa = _checked(FrameParams, float(cfg["s_a"]), float(cfg["alpha"]), 64)
-    pb = _checked(FrameParams, float(cfg["s_b"]), float(cfg["alpha"]), 64)
+    alpha, k_exp, scale_cap = float(cfg["alpha"]), float(cfg["k_exp"]), float(cfg["scale_cap"])
+    pa = FrameParams(float(cfg["s_a"]), alpha, 64)
+    pb = FrameParams(float(cfg["s_b"]), alpha, 64)
+    for cap in caps:
+        molecules._check_sum_args(alpha, k_exp, scale_cap, float(cap))
 
     def run():
         p = molecules.curvelet_parametrization((2, 1, (3.0, -2.0)), pa)
-        self_dist = molecules.index_distance(p, p, float(cfg["alpha"]))
+        self_dist = molecules.index_distance(p, p, alpha)
         rows = []
         sups = []
         for cap in caps:
-            res = molecules.consistency_sum(
-                pa, pb, float(cfg["alpha"]), float(cfg["k_exp"]), float(cfg["scale_cap"]), float(cap)
-            )
+            res = molecules.consistency_sum(pa, pb, alpha, k_exp, scale_cap, float(cap))
             sups.append(res)
             rows.append(
                 {
@@ -671,12 +660,14 @@ def run_molecule_distance(cfg: dict) -> Run:
 
 def run_generator_decay(cfg: dict) -> Run:
     every = _frames(cfg)
+    step = float(cfg["probe_step"])
+    appr._check_probe_step(step)
 
     def run():
         ok = True
         rows = []
         for params in every:
-            table = appr.generator_decay_check(params, probe_step=float(cfg["probe_step"]))
+            table = appr.generator_decay_check(params, probe_step=step)
             for entry in table:
                 ok = ok and entry["support_ok"] and entry["inner_zero_ok"] and entry["sup"] <= 1.0 + 1e-12
                 rows.append({"alpha": params.alpha, **entry})
@@ -772,16 +763,13 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_config(args.experiment, args.config, overrides)
         base = load_defaults()
         out_dir = args.out or base["out_dir"]
-        try:
-            _check_out_dir(out_dir)  # before the run, not after it
-        except OSError as exc:
-            raise ConfigError(str(exc)) from None
+        _check_out_dir(out_dir)  # before the run, not after it
         run = RUNNERS[args.experiment](cfg)
         if dumps:
             grid, alpha, s = (cfg.get(key, base[key]) for key in ("grid", "alpha", "s"))
-            params = _checked(FrameParams, s, float(alpha), grid)
-            spec = _checked(CartoonSpec, kind="disc", antialias=cfg.get("antialias", 4))
-    except ConfigError as exc:
+            params = FrameParams(s, float(alpha), grid)
+            spec = CartoonSpec(kind="disc", antialias=cfg.get("antialias", 4))
+    except (ValueError, OSError) as exc:  # a plan does no work, so whatever it raises refuses the input
         runp.error(str(exc))
     if dumps:
         img = render(spec, grid)

@@ -258,6 +258,16 @@ def _sum_blocks(sa, ta, xa, sb, tb, xb, alpha, k, rows, row, col, buf_w, buf_p, 
         col.add(number, w.sum(axis=0))
 
 
+def _check_sum_args(alpha: float, k_exp: float, scale_cap: float, spatial_cap: float) -> None:
+    """Raise the ``ValueError`` that :func:`consistency_sum` gives these arguments, if any."""
+    if not (math.isfinite(k_exp) and k_exp > 0):
+        raise ValueError(f"k_exp must be finite and positive, got {k_exp!r}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    _require_finite("scale_cap", scale_cap, 1.0)
+    _require_finite("spatial_cap", spatial_cap, 0.0)
+
+
 def consistency_sum(
     params_a: FrameParams,
     params_b: FrameParams,
@@ -275,10 +285,7 @@ def consistency_sum(
     run at a time (see ``_pairwise_sums``); they agree with sums of
     ``index_distance`` to rounding.
     """
-    if not (math.isfinite(k_exp) and k_exp > 0):
-        raise ValueError(f"k_exp must be finite and positive, got {k_exp!r}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+    _check_sum_args(alpha, k_exp, scale_cap, spatial_cap)
     sa, ta, xa = enumerate_phase_points(params_a, scale_cap, spatial_cap)
     sb, tb, xb = enumerate_phase_points(params_b, scale_cap, spatial_cap)
     row, col = _pairwise_sums(sa, ta, xa, sb, tb, xb, float(alpha), float(k_exp))

@@ -349,7 +349,7 @@ def test_error_curve_monotonicity_validation():
 
 def test_apriori_check_vacuous_for_zero_image(frame64):
     coeffs = analyze(np.zeros((64, 64)), frame64)
-    out = appr.apriori_decay_check(coeffs, frame64.params, f_sup=0.0, fit_scales=(2, 3))
+    out = appr.apriori_decay_check(coeffs, frame64.params, fit_scales=(2, 3))
     assert out["verdict"] == "vacuous"
     assert out["slope"] is None
 
@@ -359,7 +359,7 @@ def test_apriori_check_reports_bounded_constants():
     frame = DigitalCurveletFrame.build(params)
     disc = render(CartoonSpec(kind="disc", antialias=4), 256)
     coeffs = analyze(disc, frame)
-    out = appr.apriori_decay_check(coeffs, params, f_sup=1.0, fit_scales=(2, params.j_max - 1))
+    out = appr.apriori_decay_check(coeffs, params, fit_scales=(2, params.j_max - 1))
     assert out["slope"] < -0.4
     consts = [c for _, c in out["constants"]]
     assert max(consts) / max(min(consts), 1e-12) < 50
@@ -368,7 +368,7 @@ def test_apriori_check_reports_bounded_constants():
 def test_apriori_check_needs_three_scales(frame64):
     coeffs = analyze(np.random.default_rng(5).standard_normal((64, 64)), frame64)
     with pytest.raises(ValueError, match="fewer than 3"):
-        appr.apriori_decay_check(coeffs, frame64.params, f_sup=1.0, fit_scales=(2, 3))
+        appr.apriori_decay_check(coeffs, frame64.params, fit_scales=(2, 3))
 
 
 def test_apriori_target_follows_the_given_params():
@@ -378,10 +378,10 @@ def test_apriori_target_follows_the_given_params():
     frame = DigitalCurveletFrame.build(params)
     coeffs = analyze(render(CartoonSpec(kind="disc", antialias=2), 256), frame)
     scales = (2, params.j_max - 1)
-    out = appr.apriori_decay_check(coeffs, params, f_sup=1.0, fit_scales=scales)
+    out = appr.apriori_decay_check(coeffs, params, fit_scales=scales)
     rebuilt = CoefficientSet(coeffs.wedge_table, coeffs.values)
     assert out["target"] == -0.5
-    assert appr.apriori_decay_check(rebuilt, params, f_sup=1.0, fit_scales=scales) == out
+    assert appr.apriori_decay_check(rebuilt, params, fit_scales=scales) == out
 
 
 def test_bound1_estimator_slope_and_degeneracy():
@@ -414,6 +414,12 @@ def test_generator_decay_all_flags(frame64):
         assert entry["support_ok"]
         assert entry["inner_zero_ok"]
         assert entry["sup"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
+def test_generator_decay_refuses_a_probe_step_that_is_not_positive_and_finite(frame64, step):
+    with pytest.raises(ValueError, match="probe_step must be positive and finite"):
+        appr.generator_decay_check(frame64.params, probe_step=step)
 
 
 def test_straight_edge_sorted_coefficient_decay():

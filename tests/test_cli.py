@@ -550,6 +550,14 @@ def _assert_no_dumps(tmp_path) -> None:
             "disc-lower-bound needs every alpha below 1, got alphas [0.5, 1]",
             marks=pytest.mark.filterwarnings("ignore:alpha = 1 collapses"),
         ),
+        # each of these was refused inside the run, with a traceback
+        (["molecule-distance", "--alpha", "-0.5"], None, "alpha must lie in [0, 1]"),
+        (["molecule-distance"], {"scale_cap": 0.5}, "scale_cap must be finite and >= 1, got 0.5"),
+        (["molecule-distance"], {"k_exp": -1}, "k_exp must be finite and positive, got -1.0"),
+        (["molecule-distance"], {"spatial_caps": [1.0, -2.0]}, "spatial_cap must be finite and >= 0, got -2.0"),
+        (["bessel-check"], {"remainder_r_max": 0.5}, "remainder_r_max must be finite and above 1, got 0.5"),
+        (["generator-decay"], {"probe_step": 0}, "probe_step must be positive and finite, got 0.0"),
+        (["generator-decay"], {"probe_step": -0.1}, "probe_step must be positive and finite, got -0.1"),
     ],
 )
 def test_an_out_of_range_value_is_a_usage_error(args, config, message, no_work, tmp_path, capsys):
@@ -565,6 +573,48 @@ def test_an_out_of_range_value_is_a_usage_error(args, config, message, no_work, 
     assert err.startswith("usage: alphacurvelets run") and message in err
     assert "Traceback" not in err and not any(out.iterdir())
     _assert_no_dumps(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        (None, "No such file or directory"),
+        ('{"grid": 64,', "Expecting property name enclosed in double quotes"),
+    ],
+)
+def test_a_config_file_that_cannot_be_read_is_a_usage_error(config, message, no_work, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    if config is not None:
+        path.write_text(config)
+    out = tmp_path / "out"
+    out.mkdir()
+    args = ["run", "bessel-check", "--config", os.fspath(path), "--out", os.fspath(out), *_dumps(tmp_path)]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(args)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: alphacurvelets run") and message in err
+    assert "Traceback" not in err and not any(out.iterdir())
+    _assert_no_dumps(tmp_path)
+
+
+@pytest.mark.parametrize("experiment", ["molecule-distance", "bessel-check"])
+def test_run_experiment_writes_what_run_writes(experiment, tmp_path, capsys):
+    by_main, by_call = tmp_path / "main", tmp_path / "call"
+    code = cli.main(["run", experiment, "--out", os.fspath(by_main)])
+    cfg = cli.resolve_config(experiment, None, {})
+    assert cli.run_experiment(experiment, cfg, os.fspath(by_call)) == code
+    names = [experiment + ext for ext in (".csv", ".gnuplot", ".json")]
+    assert sorted(os.listdir(by_main)) == sorted(os.listdir(by_call)) == names
+    for name in names:
+        assert (by_call / name).read_bytes() == (by_main / name).read_bytes()
+
+
+def test_run_experiment_refuses_a_config_before_writing(no_work, tmp_path):
+    cfg = cli.resolve_config("molecule-distance", None, {"alpha": -0.5})
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+        cli.run_experiment("molecule-distance", cfg, os.fspath(tmp_path / "out"))
+    assert not any(tmp_path.iterdir())
 
 
 # each would check nothing, or fail after the sums, if it ran
