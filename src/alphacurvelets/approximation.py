@@ -39,6 +39,7 @@ from .transform import (
 __all__ = [
     "ErrorCurve",
     "RateReport",
+    "FitWindowError",
     "threshold",
     "error_curve",
     "fit_rate",
@@ -55,6 +56,11 @@ PROBE_EXTENT = 0.6  # half-width of the generator probe grid; the support is [-1
 ONSET_RESID_TOL = 0.45  # log2 units: wider than the tile-count stairs, narrower than the head
 ONSET_MIN_POINTS = 4
 SCHEDULE_RATIO = math.sqrt(2.0)  # N-term schedules step by half an octave
+
+
+class FitWindowError(ValueError):
+    """A fit window the error curve cannot fill: it holds fewer of the
+    curve's points than a fit needs, or its ends meet."""
 
 
 @dataclass
@@ -215,13 +221,16 @@ def error_curve(
 
 
 def fit_rate(curve: ErrorCurve, window: tuple[int, int]) -> RateReport:
-    """Least-squares line through ``(log N, log err2)`` over ``window = (lo, hi)``, inclusive."""
+    """Least-squares line through ``(log N, log err2)`` over ``window = (lo, hi)``, inclusive.
+
+    A window holding fewer than five of the curve's points raises :class:`FitWindowError`.
+    """
     n = np.asarray(curve.n_terms, dtype=float)
     e = np.asarray(curve.err2, dtype=float)
     lo, hi = window
     sel = (n >= lo) & (n <= hi)
     if np.count_nonzero(sel) < 5:
-        raise ValueError(f"fit window {window} selects fewer than 5 points")
+        raise FitWindowError(f"fit window {window} selects fewer than 5 points")
     if np.any(e[sel] <= 0):
         raise ValueError("zero squared errors inside the fit window")
     x = np.log(n[sel])
@@ -246,6 +255,7 @@ def level_window(curve: ErrorCurve, rel_hi: float, rel_lo: float) -> tuple[int, 
     artificially steep saturation tail (the last coefficients are zeros);
     anchoring the window between fixed error levels selects the power-law
     regime between the two in a grid- and redundancy-independent way.
+    A window whose ends meet raises :class:`FitWindowError`.
     """
     if rel_lo >= rel_hi:
         raise ValueError("need rel_lo < rel_hi")
@@ -259,7 +269,7 @@ def level_window(curve: ErrorCurve, rel_hi: float, rel_lo: float) -> tuple[int, 
     lo = int(above[-1]) if len(above) else int(n[0])
     hi = int(below[-1]) if len(below) else int(n[-1])
     if hi <= lo:
-        raise ValueError(f"degenerate level window [{lo}, {hi}]")
+        raise FitWindowError(f"degenerate level window [{lo}, {hi}]")
     return lo, hi
 
 

@@ -155,7 +155,10 @@ def resolve_config(experiment: str, config_path: str | None, overrides: dict) ->
     changes = {}
     if config_path:
         with open(config_path) as fh:
-            changes = json.load(fh)
+            try:
+                changes = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"config file {config_path!r} is not valid JSON: {exc}") from None
         if not isinstance(changes, dict):
             raise ValueError(f"config file {config_path!r} must hold a JSON object")
     changes.update((key, val) for key, val in overrides.items() if val is not None)
@@ -406,12 +409,15 @@ def run_wedge_energy(cfg: dict) -> Run:
     return run
 
 
-def _rate_plan(cfg: dict) -> Callable[..., tuple[appr.ErrorCurve, appr.RateReport]]:
-    """``rate(frame, img, window=None)``: the N-term error curve of ``img`` and its fitted rate.
+def _rate_plan(cfg: dict) -> Callable[..., tuple[appr.ErrorCurve, appr.RateReport | None, str | None]]:
+    """``rate(frame, img, window=None)``: the N-term error curve of ``img``,
+    its fitted rate, and ``None``; or the curve, ``None`` and the reason
+    when the curve cannot fill the fit window (:class:`~alphacurvelets.approximation.FitWindowError`).
 
-    The curve runs over the full schedule from ``schedule_start``; the fit
-    runs over ``window``, or else over the level window between the
-    configured ``level_hi`` and ``level_lo``.  Both are checked here.
+    The curve runs over the full schedule from ``schedule_start``, or from
+    its last N if that is smaller; the fit runs over ``window``, or else
+    over the level window between the configured ``level_hi`` and
+    ``level_lo``.  Both are checked here.
     """
     start = _index(cfg, "schedule_start", 1)
     hi, lo = float(cfg["level_hi"]), float(cfg["level_lo"])
@@ -420,11 +426,14 @@ def _rate_plan(cfg: dict) -> Callable[..., tuple[appr.ErrorCurve, appr.RateRepor
 
     def rate(frame: DigitalCurveletFrame, img: np.ndarray, window: tuple[int, int] | None = None):
         coeffs = analyze(img, frame)
-        schedule = appr.geometric_schedule(start, max(coeffs.total_count // 4, 64))
-        curve = appr.error_curve(img, frame, schedule, coeffs=coeffs)
-        if window is None:
-            window = appr.level_window(curve, hi, lo)
-        return curve, appr.fit_rate(curve, window=window)
+        stop = max(coeffs.total_count // 4, 64)
+        curve = appr.error_curve(img, frame, appr.geometric_schedule(min(start, stop), stop), coeffs=coeffs)
+        try:
+            if window is None:
+                window = appr.level_window(curve, hi, lo)
+            return curve, appr.fit_rate(curve, window=window), None
+        except appr.FitWindowError as exc:
+            return curve, None, str(exc)
 
     return rate
 
@@ -443,9 +452,11 @@ def run_disc_rate(cfg: dict) -> Run:
     rate = _rate_plan(cfg)
 
     def run():
-        curve, fit = rate(DigitalCurveletFrame.build(params), render(spec, grid))
-        ok = band[0] <= fit.slope <= band[1]
+        curve, fit, reason = rate(DigitalCurveletFrame.build(params), render(spec, grid))
         rows = [{"N": n, "err2": e} for n, e in zip(curve.n_terms, curve.err2)]
+        if reason:
+            return False, {"alpha": alpha, "slope": None, "band": band, "fit": None, "fit_error": reason}, rows
+        ok = band[0] <= fit.slope <= band[1]
         results = {"alpha": alpha, "slope": fit.slope, "band": band, "fit": fit.__dict__}
         return ok, results, rows
 
@@ -499,31 +510,34 @@ def run_straight_edge_rate(cfg: dict) -> Run:
 
     def run():
         rows = []
+        results = {}
+        reasons = []
 
-        def one(frame, spec: CartoonSpec, img: np.ndarray, window: tuple[int, int] | None = None):
-            curve, fit = rate(frame, img, window)
+        def one(name, frame, spec: CartoonSpec, img: np.ndarray, window: tuple[int, int] | None = None):
+            curve, fit, reason = rate(frame, img, window)
             for n, e in zip(curve.n_terms, curve.err2):
                 rows.append({"run": f"{spec.kind}-alpha{frame.params.alpha}", "N": n, "err2": e})
+            results[name] = None if reason else fit.__dict__
+            if reason:
+                reasons.append(f"{name}: {reason}")
             return fit
 
         # one alpha=1/2 frame serves the edge and the bump
         half = DigitalCurveletFrame.build(half_params)
         img = render(edge, grid)
-        fit_half = one(half, edge, img)
-        fit_quarter = one(DigitalCurveletFrame.build(quarter), edge, img)  # freed before the bump
+        fit_half = one("edge_alpha_half", half, edge, img)
+        # the alpha=1/4 frame is freed before the bump
+        fit_quarter = one("edge_alpha_quarter", DigitalCurveletFrame.build(quarter), edge, img)
         img = render(bump, grid)
-        fit_bump = one(half, bump, img, window=bump_window)
+        fit_bump = one("bump_alpha_half", half, bump, img, window=bump_window)
+        results["band_alpha_half"] = band
+        if reasons:
+            return False, {**results, "fit_error": "; ".join(reasons)}, rows
         ok = (
             band[0] <= fit_half.slope <= band[1]
             and fit_quarter.slope <= cfg["max_slope_alpha_quarter"]
             and fit_bump.slope <= cfg["max_slope_bump"]
         )
-        results = {
-            "edge_alpha_half": fit_half.__dict__,
-            "edge_alpha_quarter": fit_quarter.__dict__,
-            "bump_alpha_half": fit_bump.__dict__,
-            "band_alpha_half": band,
-        }
         return ok, results, rows
 
     return run
@@ -621,9 +635,9 @@ def run_molecule_distance(cfg: dict) -> Run:
     pb = FrameParams(float(cfg["s_b"]), alpha, 64)
     for cap in caps:
         molecules._check_sum_args(alpha, k_exp, scale_cap, float(cap))
+    p = molecules.curvelet_parametrization((2, 1, (3.0, -2.0)), pa)  # refuses a frame without tile (2, 1)
 
     def run():
-        p = molecules.curvelet_parametrization((2, 1, (3.0, -2.0)), pa)
         self_dist = molecules.index_distance(p, p, alpha)
         rows = []
         sups = []
@@ -721,6 +735,8 @@ def _verdict(experiment: str, cfg: dict, outcome: tuple[bool, dict, list[dict]],
         for entry in results.get(key) or []:
             if isinstance(entry, dict):
                 _say("  " + ", ".join(f"{k}={v}" for k, v in entry.items()))
+    if "fit_error" in results:
+        _say(f"  fit_error: {results['fit_error']}")
     _say(f"  report: {files['json']}")
     return 0 if ok else 1
 

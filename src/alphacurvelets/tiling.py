@@ -330,23 +330,29 @@ class TileSupport:
     the window there.  Its first ``n_spectrum`` entries are the support's
     points on the half spectrum, each once.  Tile ``(j, -ell)`` is the
     image of tile ``(j, ell)`` under ``k2 -> -k2``: the same record with
-    its rows flipped, as :meth:`reflected` makes it.
+    its rows flipped, which :func:`build_layout` makes from the rows the
+    fold of tile ``(j, ell)`` holds.
 
-    The record is built complete from the scan's entries: the wrap box
-    ``P1 x P2`` is the one :func:`_find_wrap_periods` picks, checked for
-    collisions, or the whole grid when ``wrap`` is false.  ``box_flat`` is
-    each entry's flat index on the half box ``P1 x (P2/2 + 1)``.  Entries
-    from ``n_direct`` on are mirrored: the box position is that of ``-k``,
+    The record is built complete from the scan's entries, in one fold: the
+    wrap box ``P1 x P2`` is the one :func:`_find_wrap_periods` picks, or
+    the whole grid when ``wrap`` is false.  ``box_flat`` is each entry's
+    flat index on the half box ``P1 x (P2/2 + 1)``.  Entries from
+    ``n_direct`` on are mirrored: the box position is that of ``-k``,
     which takes the conjugate value.  Entries past ``n_spectrum`` serve
     analysis only; they fill box columns 0 and ``P2/2``, where both a
     point's fold and its mirror's lie in the half box, for points whose
     mirror the half spectrum omits.  ``support_cardinality`` is the size
-    of the full support.
+    of the full support.  On the whole grid the half spectrum folds onto
+    itself, so the closure's ``box_flat`` is its ``grid_flat``.
 
     Only a tile reaching the Nyquist edge (the points ``(0, -n/2)`` and
     ``(-n/2, 0)``, which a snapped top corona can touch) may have a period
-    widened to ``n``.  Raises ``RuntimeError`` if two support points share
-    a wrapped box position.
+    widened to ``n``.  Once it is, the fold of ``-k`` is minus the fold of
+    ``k``, so each point of the full support has its own fold in the half
+    box, or its mirror does, and ``box_flat`` holds exactly those folds:
+    two support points share a wrapped box position if and only if two
+    entries of ``box_flat`` share a cell.  The collision check is that
+    scatter; it raises ``RuntimeError`` on a shared cell.
     """
 
     __slots__ = (
@@ -355,54 +361,77 @@ class TileSupport:
     )
 
     def __init__(self, j, ell, grid_n, grid_flat, window, wrap):
+        self._fold(j, ell, grid_n, grid_flat, window, wrap)
+
+    def _fold(self, j, ell, grid_n, grid_flat, window, wrap):
+        """Fill every slot; returns each entry's signed grid row ``k1`` and its
+        box row, which :meth:`_with_reflection` flips, or ``None`` for the closure."""
         n, half = grid_n, grid_n // 2
+        self.j, self.ell, self.grid_n = j, ell, grid_n
+        self.n_spectrum = grid_flat.size
+        if not wrap:
+            # the box is the grid: the half spectrum folds onto itself, entry by entry
+            col = grid_flat % (half + 1)
+            self.support_cardinality = grid_flat.size + int(np.count_nonzero((col != 0) & (col != half)))
+            self.grid_flat = self.box_flat = grid_flat
+            self.window, self.n_direct = window, grid_flat.size
+            self.P1 = self.P2 = n
+            return None
         k1, k2, omitted = _signed_indices(grid_flat, n)
         full1, full2 = _with_mirrors(k1, k2, omitted, half)
-        if wrap:
-            P1, P2 = _find_wrap_periods(full1, full2, n)
-            # on the Nyquist edge the mirror of k is -k + n, not -k: folding
-            # it to the mirrored box position needs a period that divides n
-            # there.  Widening that period to n keeps the box collision-free.
-            if n % P1 and k1.min() == -half:
-                P1 = n
-            if n % P2 and k2.min() == -half:
-                P2 = n
-            if not _collision_free(_fold(full1, full2, P1, P2), P1 * P2):
-                raise RuntimeError(f"wrap collision in tile ({j}, {ell})")
-        else:
-            P1 = P2 = n  # reducing modulo n is one-to-one on the lattice
+        P1, P2 = _find_wrap_periods(full1, full2, n)
+        # on the Nyquist edge the mirror of k is -k + n, not -k: folding
+        # it to the mirrored box position needs a period that divides n
+        # there.  Widening that period to n keeps the box collision-free.
+        if n % P1 and k1.min() == -half:
+            P1 = n
+        if n % P2 and k2.min() == -half:
+            P2 = n
         self.support_cardinality = full1.size
         del full1, full2
         cols = P2 // 2 + 1
         m1, m2 = k1 % P1, k2 % P2
         conj = m2 >= cols
         extra = omitted & ((m2 == 0) | (m2 == cols - 1))
-        mirrored = np.concatenate([conj.nonzero()[0], extra.nonzero()[0]])
-        direct = (~conj).nonzero()[0]
-        mm1, mm2 = -k1[mirrored] % P1, -k2[mirrored] % P2  # the fold of -k
-        order = np.concatenate([direct, mirrored])
-        self.j, self.ell, self.grid_n = j, ell, grid_n
-        self.n_spectrum = grid_flat.size
+        order = np.concatenate([(~conj).nonzero()[0], conj.nonzero()[0], extra.nonzero()[0]])
+        self.n_direct = n_direct = self.n_spectrum - int(np.count_nonzero(conj))
+        # entries from n_direct on take the fold of -k: row -m1 mod P1, and
+        # column P2 - m2, except the extra ones, whose columns are their own mirrors
+        box_row, box_col = m1[order], m2[order]
+        mirrored_row = box_row[n_direct:]
+        np.subtract(P1, mirrored_row, out=mirrored_row, where=mirrored_row != 0)
+        np.subtract(P2, box_col[n_direct : self.n_spectrum], out=box_col[n_direct : self.n_spectrum])
+        box_flat = box_row * cols + box_col
+        if not _collision_free(box_flat, P1 * cols):
+            raise RuntimeError(f"wrap collision in tile ({j}, {ell})")
         self.grid_flat = grid_flat[order]
         self.window = window[order]
-        self.box_flat = np.concatenate([m1[direct] * cols + m2[direct], mm1 * cols + mm2])
-        self.n_direct = direct.size
+        self.box_flat = box_flat
         self.P1, self.P2 = P1, P2
+        return k1[order], box_row
 
-    def reflected(self) -> TileSupport:
-        """Tile ``(j, -ell)``: with the mirror ``k -> -k``, the reflection
-        ``k2 -> -k2`` maps ``(k1, k2)`` onto ``(-k1, k2)``, so each entry keeps
-        its column and window and flips its row in the half spectrum and the
-        box.  The wrap search finds the same box for tiles off the row
-        ``k1 = -n/2``, as every tile ``0 < ell < L/2`` is."""
-        out = copy.copy(self)
-        out.ell = -self.ell
-        n, cols, box_cols = self.grid_n, self.grid_n // 2 + 1, self.P2 // 2 + 1
-        row, col = np.divmod(self.grid_flat, cols)
-        out.grid_flat = (n - row) % n * cols + col
-        row, col = np.divmod(self.box_flat, box_cols)
-        out.box_flat = (self.P1 - row) % self.P1 * box_cols + col
-        return out
+    @classmethod
+    def _with_reflection(cls, j, ell, grid_n, grid_flat, window, wrap) -> list[TileSupport]:
+        """Tile ``(j, ell)``, and for ``ell > 0`` also tile ``(j, -ell)``.
+
+        With the mirror ``k -> -k``, the reflection ``k2 -> -k2`` maps
+        ``(k1, k2)`` onto ``(-k1, k2)``, so each entry keeps its column and
+        window and flips its row in the half spectrum and the box, rows the
+        fold holds.  The wrap search finds the same box for tiles off the
+        row ``k1 = -n/2``, as every tile ``0 < ell < L/2`` is.
+        """
+        tile = cls.__new__(cls)
+        rows = tile._fold(j, ell, grid_n, grid_flat, window, wrap)
+        if ell <= 0:
+            return [tile]
+        k1, box_row = rows
+        out = copy.copy(tile)
+        out.ell = -ell
+        # row k1 mod n goes to -k1 mod n, a move of n sign(k1) - 2 k1 (0 on the row -n/2);
+        # box row r goes to -r mod P1, a move of P1 - 2 r unless r is 0
+        out.grid_flat = tile.grid_flat + (grid_n * np.sign(k1) - 2 * k1) * (grid_n // 2 + 1)
+        out.box_flat = tile.box_flat + (np.where(box_row != 0, tile.P1, 0) - 2 * box_row) * (tile.P2 // 2 + 1)
+        return [tile, out]
 
     def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Full lattice support: signed ``k1``, ``k2`` in ``[-n/2, n/2)`` and
@@ -494,13 +523,11 @@ def _scan_supports(params: FrameParams) -> list[tuple[int, int, np.ndarray, np.n
     return out
 
 
-def _fold(k1: np.ndarray, k2: np.ndarray, P1: int, P2: int) -> np.ndarray:
-    """Flat index of each lattice point on the ``P1 x P2`` wrap box."""
-    return (k1 % P1) * P2 + (k2 % P2)
-
-
 def _collision_free(keys: np.ndarray, size: int) -> bool:
-    return np.bincount(keys, minlength=size).max() <= 1
+    """Whether the ``keys``, each in ``[0, size)``, are pairwise distinct."""
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    return np.count_nonzero(seen) == keys.size
 
 
 def _even_up(x: float) -> int:
@@ -525,15 +552,17 @@ def _find_wrap_periods(k1: np.ndarray, k2: np.ndarray, grid_n: int) -> tuple[int
     cands = []
     lo1, lo2 = k1.min(), k2.min()
     span1, span2 = int(k1.max() - lo1) + 1, int(k2.max() - lo2) + 1
-    for ka, kb, lo_a, span_a, span_b, swap in (
-        (k1, k2, lo1, span1, span2, False),
-        (k2, k1, lo2, span2, span1, True),
+    for ka, kb, lo_a, lo_b, span_a, span_b, swap in (
+        (k1, k2, lo1, lo2, span1, span2, False),
+        (k2, k1, lo2, lo1, span2, span1, True),
     ):
         Pa = min(_even_up(span_a), grid_n)
-        Pb = max(2, _even_up(np.bincount(ka - lo_a).max()), _even_up(m / Pa))
-        rows = ka % Pa  # fixed within the family
+        # Pa covers the span, so ka - lo_a numbers the rows ka mod Pa one to
+        # one; shifting kb shifts its residues, which moves no collision
+        rows, kb = ka - lo_a, kb - lo_b
+        Pb = max(2, _even_up(np.bincount(rows).max()), _even_up(m / Pa))
         tries = 0
-        while Pb < min(span_b, grid_n) and not _collision_free(rows * Pb + kb % Pb, Pa * Pb):
+        while Pb < min(span_b, grid_n) and not _collision_free(rows * Pb + kb % Pb, span_a * Pb):
             tries += 1
             Pb = Pb + 2 if tries <= 8 else _even_up(Pb * 1.25)
         Pb = min(Pb, grid_n)
@@ -549,15 +578,13 @@ def build_layout(params: FrameParams) -> TilingLayout:
     ascending within each scale, closure last); this ordering is the
     stable flat order used for coefficient tie-breaking downstream.
     :class:`TileSupport` folds the scanned tiles ``0 <= ell < L/2`` and
-    ``ell = -L/2`` of each scale; each tile ``-L/2 < ell < 0`` is
-    :meth:`TileSupport.reflected` of tile ``-ell``.
+    ``ell = -L/2`` of each scale; each tile ``-L/2 < ell < 0`` is tile
+    ``-ell`` with its rows flipped, made in the same call.
     """
     closure = params.scale_of_closure()
     wedges = []
     for j, ell, grid_flat, window in _scan_supports(params):
-        wedges.append(TileSupport(j, ell, params.grid_n, grid_flat, window, wrap=j != closure))
-        if ell > 0:
-            wedges.append(wedges[-1].reflected())
+        wedges += TileSupport._with_reflection(j, ell, params.grid_n, grid_flat, window, wrap=j != closure)
     wedges.sort(key=lambda t: (t.j, t.ell))
     return TilingLayout(params=params, wedges=wedges)
 

@@ -10,11 +10,16 @@ exact adjoint.
 
 Every window is exactly symmetric under ``k -> -k``, so the folded tile
 of a real image is Hermitian and its coefficients are real.  Analysis
-therefore takes one ``rfft2`` of the image, fills each tile's half box
-``P1 x (P2/2 + 1)`` and applies ``irfft2``; synthesis takes the ``rfft2``
-of each block, scatters it into the half spectrum and applies one
-``irfft2``.  :func:`analyze_direct` sums the complex formula over the full
-support, as an oracle for both.
+therefore takes the real FFT of the image, fills each tile's half box
+``P1 x (P2/2 + 1)`` and applies the inverse real FFT; synthesis takes the
+real FFT of each block, scatters it into the half spectrum and applies one
+inverse real FFT.  Each of these 2-D transforms is numpy's two 1-D passes
+(``rfft`` then ``fft``; ``ifft`` then ``irfft``) written with ``out=``
+into an array the call already holds: the image's half spectrum, the
+tile's half box or coefficient block, the output image.  That gives the
+bits of ``rfft2`` and ``irfft2`` without the full-size array they make
+between the passes.  :func:`analyze_direct` sums the complex formula over
+the full support, as an oracle for both.
 
 The coefficients of one analysis are one flat real array; each tile's
 block is a view of it (:class:`CoefficientSet`).
@@ -215,7 +220,8 @@ def analyze(image: np.ndarray, frame: DigitalCurveletFrame) -> CoefficientSet:
     array, by this thread and the worker.
     """
     image = _check_image(image, frame)
-    F = np.fft.rfft2(image).ravel()
+    n = frame.params.grid_n
+    F = _rfft2(image, np.empty((n, n // 2 + 1), dtype=complex)).ravel()
     coeffs = CoefficientSet(frame.wedge_table(), np.empty(frame.total_coefficients))
     tiles, args = range(len(frame._caches)), (F, frame, coeffs.blocks)
     # made here, so the worker's heap keeps neither pair; the worker never takes the last tile
@@ -224,11 +230,28 @@ def analyze(image: np.ndarray, frame: DigitalCurveletFrame) -> CoefficientSet:
     return coeffs
 
 
+def _rfft2(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.fft.rfft2(x)``, bit for bit, written into ``out``: the 2-D
+    wrapper's two 1-D passes, without the full-size array it makes between them."""
+    np.fft.rfft(x, axis=1, out=out)
+    return np.fft.fft(out, axis=0, out=out)
+
+
+def _irfft2(H: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.fft.irfft2(H, s=out.shape)``, bit for bit, written into ``out``;
+    ``H`` is overwritten.  ``irfft2`` itself ignores an ``out`` argument."""
+    np.fft.ifft(H, axis=0, out=H)
+    return np.fft.irfft(H, n=out.shape[1], axis=1, out=out)
+
+
+def _box(caches) -> np.ndarray:
+    """A half box ``P1 x (P2/2 + 1)`` sized for the largest of the tiles ``caches``."""
+    return np.empty(max((c.P1 * (c.P2 // 2 + 1) for c in caches), default=0), dtype=complex)
+
+
 def _scratch(caches) -> tuple[np.ndarray, np.ndarray]:
     """Half box and windowed-support arrays sized for the largest of the tiles ``caches``."""
-    box = np.empty(max(c.P1 * (c.P2 // 2 + 1) for c in caches), dtype=complex)
-    vals = np.empty(max(c.grid_flat.size for c in caches), dtype=complex)
-    return box, vals
+    return _box(caches), np.empty(max(c.grid_flat.size for c in caches), dtype=complex)
 
 
 def _analyze_tiles(F, frame, blocks, box, vals, tiles) -> None:
@@ -242,13 +265,8 @@ def _analyze_tiles(F, frame, blocks, box, vals, tiles) -> None:
         v *= c.window
         np.conjugate(v[c.n_direct :], out=v[c.n_direct :])
         H[c.box_flat] = v
-        # irfft2 ignores an out= argument, so the block is written by the
-        # multiply; the unnamed result is freed at once
-        np.multiply(
-            np.fft.irfft2(H.reshape(c.P1, c.P2 // 2 + 1), s=(c.P1, c.P2)),
-            frame.sigma * math.sqrt(c.P1 * c.P2),
-            out=blocks[i],
-        )
+        _irfft2(H.reshape(c.P1, c.P2 // 2 + 1), blocks[i])
+        blocks[i] *= frame.sigma * math.sqrt(c.P1 * c.P2)
 
 
 def synthesize(coeffs: CoefficientSet, frame: DigitalCurveletFrame) -> np.ndarray:
@@ -258,30 +276,37 @@ def synthesize(coeffs: CoefficientSet, frame: DigitalCurveletFrame) -> np.ndarra
     n = frame.params.grid_n
     Facc = np.zeros(n * (n // 2 + 1), dtype=complex)
     live = [i for i, block in enumerate(coeffs.blocks) if np.any(block)]
-    with _shared(frame, live, _add_spectra, Facc, frame, coeffs.blocks) as mine:
-        held = [(i, _spectrum(frame._caches[i], coeffs.blocks[i])) for i in mine]
+    caches = [frame._caches[i] for i in live]
+    # made here, so the worker's heap keeps no box; the worker never takes the last tile
+    with _shared(frame, live, _add_spectra, Facc, frame, coeffs.blocks, _box(caches[:-1])) as mine:
+        box = _box(caches)
+        held = [(i, _spectrum(frame._caches[i], coeffs.blocks[i], box)) for i in mine]
     # the worker has added every tile before these: each sum rounds as in tile order
     for i, v in reversed(held):
         Facc[frame._caches[i].grid_flat[: v.size]] += v
-    return (n * n / 2.0) * np.fft.irfft2(Facc.reshape(n, n // 2 + 1), s=(n, n))
+    out = _irfft2(Facc.reshape(n, n // 2 + 1), np.empty((n, n)))
+    out *= n * n / 2.0
+    return out
 
 
-def _spectrum(c, block: np.ndarray) -> np.ndarray:
-    """Windowed half-spectrum values of one tile's block, at ``c.grid_flat[:c.n_spectrum]``."""
+def _spectrum(c, block: np.ndarray, box: np.ndarray) -> np.ndarray:
+    """Windowed half-spectrum values of one tile's block, at ``c.grid_flat[:c.n_spectrum]``;
+    the block's transform is staged in ``box``."""
     ns = c.n_spectrum
-    v = np.fft.rfft2(block).ravel()[c.box_flat[:ns]]
+    H = box[: c.P1 * (c.P2 // 2 + 1)].reshape(c.P1, c.P2 // 2 + 1)
+    v = _rfft2(block, H).ravel()[c.box_flat[:ns]]
     v /= math.sqrt(c.P1 * c.P2)
     np.conjugate(v[c.n_direct :], out=v[c.n_direct :])
     v *= c.window[:ns]
     return v
 
 
-def _add_spectra(Facc, frame, blocks, tiles) -> None:
-    """Add the spectra of the blocks of ``tiles`` into ``Facc``, in the order given."""
+def _add_spectra(Facc, frame, blocks, box, tiles) -> None:
+    """Add the spectra of the blocks of ``tiles`` into ``Facc``, in the order given, staging in ``box``."""
     for i in tiles:
         c = frame._caches[i]
         # the half-spectrum indices of one tile are unique, so += is collision-free
-        Facc[c.grid_flat[: c.n_spectrum]] += _spectrum(c, blocks[i])
+        Facc[c.grid_flat[: c.n_spectrum]] += _spectrum(c, blocks[i], box)
 
 
 def analyze_direct(image: np.ndarray, frame: DigitalCurveletFrame, tile: int) -> np.ndarray:

@@ -458,7 +458,7 @@ WORK = {
     cli: ("build_layout", "render", "analyze"),
     cli.bessel: ("wedge_energy_quadrature", "bessel_j_series"),
     cli.appr: ("error_curve", "bound1_tail_estimator", "generator_decay_check"),
-    cli.molecules: ("consistency_sum", "curvelet_parametrization"),
+    cli.molecules: ("consistency_sum",),
 }
 
 
@@ -558,6 +558,14 @@ def _assert_no_dumps(tmp_path) -> None:
         (["bessel-check"], {"remainder_r_max": 0.5}, "remainder_r_max must be finite and above 1, got 0.5"),
         (["generator-decay"], {"probe_step": 0}, "probe_step must be positive and finite, got 0.0"),
         (["generator-decay"], {"probe_step": -0.1}, "probe_step must be positive and finite, got -0.1"),
+        # each of these frames lacks the probe tile (2, 1), which the run looked up after its plan
+        pytest.param(
+            ["molecule-distance"],
+            {"alpha": 1.0},
+            "ell=1 invalid at scale 2",
+            marks=pytest.mark.filterwarnings("ignore:alpha = 1 collapses"),
+        ),
+        (["molecule-distance"], {"s_a": 0.1}, "ell=1 invalid at scale 2"),
     ],
 )
 def test_an_out_of_range_value_is_a_usage_error(args, config, message, no_work, tmp_path, capsys):
@@ -595,7 +603,34 @@ def test_a_config_file_that_cannot_be_read_is_a_usage_error(config, message, no_
     err = capsys.readouterr().err
     assert err.startswith("usage: alphacurvelets run") and message in err
     assert "Traceback" not in err and not any(out.iterdir())
+    assert os.fspath(path) in err
     _assert_no_dumps(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "experiment,args,config,reason",
+    [
+        ("disc-rate", ["--grid", "64"], None, "fit window (2048, 3800) selects fewer than 5 points"),
+        ("disc-rate", [], {"schedule_start": 100000, "grid": 64}, "degenerate level window [3800, 3800]"),
+        (
+            "straight-edge-rate",
+            [],
+            {"schedule_start": 100000, "grid": 64},
+            "bump_alpha_half: fit window (32, 512) selects fewer than 5 points",
+        ),
+    ],
+)
+def test_a_rate_curve_too_short_for_its_fit_window_fails(experiment, args, config, reason, tmp_path, capsys):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        args = [*args, "--config", os.fspath(tmp_path / "cfg.json")]
+    out = tmp_path / "out"
+    assert cli.main(["run", experiment, *args, "--out", os.fspath(out)]) == 1
+    stdout = capsys.readouterr().out
+    assert stdout.startswith(f"{experiment}: FAIL") and "fit_error: " in stdout and reason in stdout
+    results = json.loads((out / f"{experiment}.json").read_text())["results"]
+    assert results["pass"] is False and reason in results["fit_error"]
+    assert (out / f"{experiment}.csv").read_text().count("\n") > 1  # the curve is kept
 
 
 @pytest.mark.parametrize("experiment", ["molecule-distance", "bessel-check"])

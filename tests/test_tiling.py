@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphacurvelets import tiling
 from alphacurvelets.tiling import (
     FrameParams,
     TileSupport,
@@ -354,7 +355,7 @@ def test_negative_alpha_and_fractional_s_build():
     )
 )
 def test_wrap_period_search_on_arbitrary_point_sets(points):
-    from alphacurvelets.tiling import _collision_free, _find_wrap_periods, _fold
+    from alphacurvelets.tiling import _collision_free, _find_wrap_periods
 
     k1 = np.array([p[0] for p in points], dtype=np.int64)
     k2 = np.array([p[1] for p in points], dtype=np.int64)
@@ -479,3 +480,112 @@ def test_nyquist_edge_is_carried_by_the_closure_window(s):
     if s == 0.75:
         assert reached  # this ladder's top corona rounds up to the edge
     assert verify_partition(layout) <= 1e-12
+
+
+# the slow oracle of the fold: the wrap search, the collision check and the
+# box positions computed from the full support.  The search refolds the full
+# support modulo both periods and counts each cell with bincount; the check
+# refolds the full support once more.
+
+
+def _fold(k1, k2, P1, P2):
+    """Flat index of each lattice point on the ``P1 x P2`` wrap box."""
+    return (k1 % P1) * P2 + (k2 % P2)
+
+
+def _oracle_collision_free(keys, size):
+    return np.bincount(keys, minlength=size).max() <= 1
+
+
+def _oracle_wrap_periods(k1, k2, grid_n):
+    m = len(k1)
+    if m == 0:
+        return 2, 2
+    cands = []
+    lo1, lo2 = k1.min(), k2.min()
+    span1, span2 = int(k1.max() - lo1) + 1, int(k2.max() - lo2) + 1
+    for ka, kb, lo_a, span_a, span_b, swap in (
+        (k1, k2, lo1, span1, span2, False),
+        (k2, k1, lo2, span2, span1, True),
+    ):
+        Pa = min(tiling._even_up(span_a), grid_n)
+        Pb = max(2, tiling._even_up(np.bincount(ka - lo_a).max()), tiling._even_up(m / Pa))
+        rows = ka % Pa
+        tries = 0
+        while Pb < min(span_b, grid_n) and not _oracle_collision_free(rows * Pb + kb % Pb, Pa * Pb):
+            tries += 1
+            Pb = Pb + 2 if tries <= 8 else tiling._even_up(Pb * 1.25)
+        Pb = min(Pb, grid_n)
+        cands.append((Pb, Pa) if swap else (Pa, Pb))
+    return min(cands, key=lambda P: P[0] * P[1])
+
+
+def _oracle_fold(grid_flat, n, wrap, periods=_oracle_wrap_periods):
+    """``(P1, P2, grid_flat, box_flat)`` of a tile, or ``None`` on a collision."""
+    half = n // 2
+    k1, k2, omitted = tiling._signed_indices(grid_flat, n)
+    full1, full2 = tiling._with_mirrors(k1, k2, omitted, half)
+    P1 = P2 = n
+    if wrap:
+        P1, P2 = periods(full1, full2, n)
+        if n % P1 and k1.min() == -half:
+            P1 = n
+        if n % P2 and k2.min() == -half:
+            P2 = n
+        if not _oracle_collision_free(_fold(full1, full2, P1, P2), P1 * P2):
+            return None
+    cols = P2 // 2 + 1
+    m1, m2 = k1 % P1, k2 % P2
+    conj = m2 >= cols
+    extra = omitted & ((m2 == 0) | (m2 == cols - 1))
+    mirrored = np.concatenate([conj.nonzero()[0], extra.nonzero()[0]])
+    direct = (~conj).nonzero()[0]
+    mm1, mm2 = -k1[mirrored] % P1, -k2[mirrored] % P2
+    order = np.concatenate([direct, mirrored])
+    box_flat = np.concatenate([m1[direct] * cols + m2[direct], mm1 * cols + mm2])
+    return P1, P2, grid_flat[order], box_flat
+
+
+@pytest.mark.parametrize("grid,snapped", [(g, snapped) for g in (64, 66, 128, 130) for snapped in (False, True)])
+def test_the_fold_gives_the_boxes_of_the_full_support_oracle(grid, snapped):
+    closure_tiles = 0
+    for a in (-0.5, 0.0, 0.5, 0.9):
+        for s in (0.5, 0.75, 1.0, 1.3):
+            p = FrameParams.nyquist_snapped(s, a, grid) if snapped else FrameParams(s=s, alpha=a, grid_n=grid)
+            for sup in build_layout(p).wedges:
+                wrap = sup.j != p.scale_of_closure()
+                P1, P2, grid_flat, box_flat = _oracle_fold(sup.grid_flat[: sup.n_spectrum], grid, wrap)
+                assert (sup.P1, sup.P2) == (P1, P2), (a, s, sup.j, sup.ell)
+                assert np.array_equal(sup.grid_flat, grid_flat), (a, s, sup.j, sup.ell)
+                assert np.array_equal(sup.box_flat, box_flat), (a, s, sup.j, sup.ell)
+                if not wrap:
+                    closure_tiles += 1
+                    assert np.array_equal(sup.box_flat, sup.grid_flat)
+                    assert sup.n_direct == sup.n_spectrum
+    assert closure_tiles == 16
+
+
+@pytest.mark.parametrize("alpha,snapped", [(0.0, True), (0.5, False), (0.5, True), (0.9, True)])
+def test_the_half_box_check_agrees_with_the_full_support_count(alpha, snapped, monkeypatch):
+    # on boxes that collide and boxes that do not, the constructor refuses
+    # exactly the boxes on which two points of the full support share a cell
+    grid = 64
+    p = FrameParams.nyquist_snapped(1.0, alpha, grid) if snapped else FrameParams(s=1.0, alpha=alpha, grid_n=grid)
+    rng = np.random.default_rng(31)
+    outcomes = set()
+    for sup in build_layout(p).wedges:
+        if sup.j == p.scale_of_closure() or sup.n_spectrum == 0:  # the search gives an empty tile (2, 2)
+            continue
+        grid_flat, window = sup.grid_flat[: sup.n_spectrum], sup.window[: sup.n_spectrum]
+        for P1, P2 in 2 * rng.integers(1, grid // 2 + 1, size=(6, 2)):
+            monkeypatch.setattr(tiling, "_find_wrap_periods", lambda k1, k2, grid_n: (P1, P2))
+            want = _oracle_fold(grid_flat, grid, True, tiling._find_wrap_periods)
+            try:
+                built = TileSupport(sup.j, sup.ell, grid, grid_flat, window, wrap=True)
+            except RuntimeError:
+                built = None
+            assert (built is None) == (want is None), (sup.j, sup.ell, P1, P2)
+            if built is not None:
+                assert (built.P1, built.P2) == want[:2] and np.array_equal(built.box_flat, want[3])
+            outcomes.add(built is None)
+    assert outcomes == {True, False}

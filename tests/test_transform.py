@@ -401,6 +401,21 @@ def test_synthesize_is_the_per_tile_formula_bit_for_bit(fixture, request):
     assert np.array_equal(synthesize(coeffs, frame), want)
 
 
+def test_the_two_pass_ffts_are_the_2d_wrappers_bit_for_bit():
+    # every box shape of a grid-512 frame, and the grid itself
+    frame = DigitalCurveletFrame.build(FrameParams.nyquist_snapped(1.0, 0.5, 512))
+    shapes = sorted({(c.P1, c.P2) for c in frame._caches} | {(512, 512)})
+    assert len(shapes) > 10
+    rng = np.random.default_rng(27)
+    for P1, P2 in shapes:
+        x = rng.standard_normal((P1, P2))
+        F = transform._rfft2(x, np.empty((P1, P2 // 2 + 1), dtype=complex))
+        assert np.array_equal(F, np.fft.rfft2(x)), (P1, P2)
+        H = rng.standard_normal((P1, P2 // 2 + 1)) + 1j * rng.standard_normal((P1, P2 // 2 + 1))
+        want = np.fft.irfft2(H, s=(P1, P2))
+        assert np.array_equal(transform._irfft2(H, np.empty((P1, P2))), want), (P1, P2)
+
+
 @pytest.mark.parametrize("worker", ["InlineWorker", "LateWorker"])
 def test_transforms_are_the_same_whichever_thread_takes_the_tiles(frame256s, worker, stand_in):
     f = np.random.default_rng(23).standard_normal((256, 256))
