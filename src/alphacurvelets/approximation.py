@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 PROBE_EXTENT = 0.6  # half-width of the generator probe grid; the support is [-1/2, 1/2]^2
+# most points of the probe grid; the packaged step 0.001 gives 1201^2 = 1,442,401 and peaks at 231 MB
+PROBE_POINT_LIMIT = 2_000_000
 ONSET_RESID_TOL = 0.45  # log2 units: wider than the tile-count stairs, narrower than the head
 ONSET_MIN_POINTS = 4
 SCHEDULE_RATIO = math.sqrt(2.0)  # N-term schedules step by half an octave
@@ -353,6 +355,12 @@ def bound1_tail_estimator(params: FrameParams) -> ErrorCurve:
 def _check_probe_step(probe_step: float) -> None:
     if not (math.isfinite(probe_step) and probe_step > 0):
         raise ValueError(f"probe_step must be positive and finite, got {probe_step!r}")
+    side = 2.0 * PROBE_EXTENT / probe_step + 1.0
+    if side * side > PROBE_POINT_LIMIT:
+        raise ValueError(
+            f"probe_step {probe_step!r} gives a probe grid of {side * side:.3g} points,"
+            f" above PROBE_POINT_LIMIT = {PROBE_POINT_LIMIT}"
+        )
 
 
 def generator_decay_check(params: FrameParams, probe_step: float) -> list[dict]:
@@ -366,7 +374,9 @@ def generator_decay_check(params: FrameParams, probe_step: float) -> list[dict]:
     ``|xi_1| <= 2**(-2s-5)``, ``|xi_2| <= 2**(j*s*(1-alpha)) * 2**(-2s-5)``
     for ``j >= 1``.  The probe grid has spacing ``probe_step`` on
     ``[-PROBE_EXTENT, PROBE_EXTENT]^2``, a margin around the unit box; a
-    ``probe_step`` that is not positive and finite raises ``ValueError``.
+    ``probe_step`` that is not positive and finite, or whose grid of
+    ``(2*PROBE_EXTENT/probe_step + 1)**2`` points exceeds
+    ``PROBE_POINT_LIMIT``, raises ``ValueError``.
     """
     _check_probe_step(probe_step)
     ax = np.arange(-PROBE_EXTENT, PROBE_EXTENT + probe_step / 2, probe_step)

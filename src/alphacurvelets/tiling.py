@@ -16,6 +16,11 @@ The windows are evaluated once per lattice orbit of the mirror ``k -> -k``
 and the reflection ``k2 -> -k2``, on the quadrant ``0 <= k1, k2 <= n/2``,
 so they are exactly symmetric under both.  The reflection maps tile
 ``ell`` onto tile ``-ell``, so half the tiles are row flips of the others.
+The transpose ``(k1, k2) -> (k2, k1)`` maps tile ``ell`` onto tile
+``L/2 - ell`` up to rounding at the angular edges: the windows are not
+shared across it, but one wrap-box search serves both tiles of a pair
+unless the scan finds a lattice point within ``EDGE_TOL`` of an edge of
+their orbit.
 
 Conventions
 -----------
@@ -34,6 +39,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -335,8 +341,13 @@ class TileSupport:
 
     The record is built complete from the scan's entries, in one fold: the
     wrap box ``P1 x P2`` is the one :func:`_find_wrap_periods` picks, or
-    the whole grid when ``wrap`` is false.  ``box_flat`` is each entry's
-    flat index on the half box ``P1 x (P2/2 + 1)``.  Entries from
+    the whole grid when ``wrap`` is false.  :func:`build_layout` gives
+    tile ``(j, L/2 - ell)``, the transpose of tile ``(j, ell)``, the box
+    from that tile's search with its axes swapped (:func:`_paired_search`),
+    unless the scan flags a centre of the pair's orbit near an angular
+    edge; the record is the one the constructor builds either way.
+    ``box_flat`` is each entry's flat index on the half box
+    ``P1 x (P2/2 + 1)``.  Entries from
     ``n_direct`` on are mirrored: the box position is that of ``-k``,
     which takes the conjugate value.  Entries past ``n_spectrum`` serve
     analysis only; they fill box columns 0 and ``P2/2``, where both a
@@ -361,15 +372,18 @@ class TileSupport:
     )
 
     def __init__(self, j, ell, grid_n, grid_flat, window, wrap):
-        self._fold(j, ell, grid_n, grid_flat, window, wrap)
+        self._fold(j, ell, grid_n, grid_flat, window, _find_wrap_periods if wrap else None)
 
-    def _fold(self, j, ell, grid_n, grid_flat, window, wrap):
+    def _fold(self, j, ell, grid_n, grid_flat, window, search):
         """Fill every slot; returns each entry's signed grid row ``k1`` and its
-        box row, which :meth:`_with_reflection` flips, or ``None`` for the closure."""
+        box row, which :meth:`_with_reflection` flips, or ``None`` for the closure.
+
+        ``search(k1, k2, grid_n)`` picks the box of the full support, or is
+        ``None`` for the closure, whose box is the grid."""
         n, half = grid_n, grid_n // 2
         self.j, self.ell, self.grid_n = j, ell, grid_n
         self.n_spectrum = grid_flat.size
-        if not wrap:
+        if search is None:
             # the box is the grid: the half spectrum folds onto itself, entry by entry
             col = grid_flat % (half + 1)
             self.support_cardinality = grid_flat.size + int(np.count_nonzero((col != 0) & (col != half)))
@@ -379,7 +393,7 @@ class TileSupport:
             return None
         k1, k2, omitted = _signed_indices(grid_flat, n)
         full1, full2 = _with_mirrors(k1, k2, omitted, half)
-        P1, P2 = _find_wrap_periods(full1, full2, n)
+        P1, P2 = search(full1, full2, n)
         # on the Nyquist edge the mirror of k is -k + n, not -k: folding
         # it to the mirrored box position needs a period that divides n
         # there.  Widening that period to n keeps the box collision-free.
@@ -411,7 +425,7 @@ class TileSupport:
         return k1[order], box_row
 
     @classmethod
-    def _with_reflection(cls, j, ell, grid_n, grid_flat, window, wrap) -> list[TileSupport]:
+    def _with_reflection(cls, j, ell, grid_n, grid_flat, window, search) -> list[TileSupport]:
         """Tile ``(j, ell)``, and for ``ell > 0`` also tile ``(j, -ell)``.
 
         With the mirror ``k -> -k``, the reflection ``k2 -> -k2`` maps
@@ -421,7 +435,7 @@ class TileSupport:
         row ``k1 = -n/2``, as every tile ``0 < ell < L/2`` is.
         """
         tile = cls.__new__(cls)
-        rows = tile._fold(j, ell, grid_n, grid_flat, window, wrap)
+        rows = tile._fold(j, ell, grid_n, grid_flat, window, search)
         if ell <= 0:
             return [tile]
         k1, box_row = rows
@@ -460,7 +474,39 @@ def _with_mirrors(k1, k2, omitted, half):
     return np.concatenate([k1, m1]), np.concatenate([k2, -k2[omitted]])
 
 
-def _scan_supports(params: FrameParams) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+# The transpose (k1, k2) -> (k2, k1) maps tile ell onto tile L/2 - ell, but
+# arctan2 of a swapped pair is pi/2 minus the other only up to rounding, so
+# the two sides' angular bins m differ by up to about 1e-12.  At distance d from
+# its centre the angular window is cos(pi/2 p(t)), t = 2d - 1/2, and near
+# the edge d = 3/4, with t = 1 - eps, 1 - p(1 - eps) ~ 10 eps^3.  The window
+# rounds to zero only where that is a few ulps of 1 (10 eps^3 < 1.25e-15,
+# eps < 5e-6), so a point can be in the support on one side and out on the
+# other only for 3/4 - d < 2.5e-6, or 1e-12 past the edge; the candidate
+# centres floor(m + 3/4) and ceil(m - 3/4) move only within 1e-12 of an
+# edge too.  Flagging every edge within EDGE_TOL of a point leaves a margin of 4x.
+EDGE_TOL = 1e-5
+
+
+def _candidate_centres(m: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray, set[int]]:
+    """The centres ``ceil(m - 3/4)`` and ``floor(m + 3/4)`` of the (at most
+    two) tiles each angular bin of ``m`` may fall in, and the set of centres
+    mod ``L`` with an edge ``c -+ 3/4`` within ``EDGE_TOL`` bins of a bin.
+
+    One buffer holds the offsets from both rounded edges in turn: the scan
+    sets the build's peak memory.
+    """
+    off = m + 0.75
+    c_hi = np.floor(off)
+    off -= c_hi  # past the lower edge of c_hi, in [0, 1); that of c_hi + 1 lies 1 - off ahead
+    near = [c_hi[off < EDGE_TOL], c_hi[off > 1.0 - EDGE_TOL] + 1.0]
+    np.subtract(m, 0.75, out=off)
+    c_lo = np.ceil(off)
+    off -= c_lo  # past the upper edge of c_lo, in (-1, 0]; that of c_lo - 1 lies 1 + off behind
+    near += [c_lo[off > -EDGE_TOL], c_lo[off < EDGE_TOL - 1.0] - 1.0]
+    return c_lo, c_hi, {int(c) % L for c in np.concatenate(near)}
+
+
+def _scan_supports(params: FrameParams, near_edge: set) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
     """Evaluate every window once per reflection orbit of lattice points.
 
     Returns ``(j, ell, grid_flat, window)``, the entries :class:`TileSupport`
@@ -476,6 +522,11 @@ def _scan_supports(params: FrameParams) -> list[tuple[int, int, np.ndarray, np.n
     ``k2 -> -k2`` by construction.  Points are binned per scale by radius,
     inside :meth:`FrameParams.radial_support`, and per wedge by angle, so
     each point is touched only by the (at most four) windows nonzero there.
+
+    Adds to ``near_edge`` each ``(j, c)``, ``0 <= c < L``, whose angular
+    edge ``c -+ 3/4`` lies within ``EDGE_TOL`` bins of a scanned point of
+    scale ``j``: only there can a tile's support differ from the transpose
+    of its partner's.
     """
     n = params.grid_n
     half = n // 2
@@ -499,8 +550,8 @@ def _scan_supports(params: FrameParams) -> list[tuple[int, int, np.ndarray, np.n
         if 0 < j <= params.j_max:
             L = params.tile_count(j)
             m = params.angular_bins(j, theta[pt])
-            c_hi = np.floor(m + 0.75)
-            c_lo = np.ceil(m - 0.75)
+            c_lo, c_hi, edges = _candidate_centres(m, L)
+            near_edge.update((j, c) for c in edges)
             second = c_hi != c_lo
             pt = np.concatenate([pt, pt[second]])
             centers = np.concatenate([c_lo, c_hi[second]])
@@ -535,20 +586,22 @@ def _even_up(x: float) -> int:
     return v if v % 2 == 0 else v + 1
 
 
-def _find_wrap_periods(k1: np.ndarray, k2: np.ndarray, grid_n: int) -> tuple[int, int]:
-    """Small even wrap box with pairwise-disjoint modulo translates.
+def _wrap_families(k1: np.ndarray, k2: np.ndarray, grid_n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two candidate boxes of the wrap search, each as ``(P1, P2)``.
 
-    Two families are scanned: full extent along one axis with the other
-    axis wrapped (and vice versa).  Within a family the wrapped period
+    The first family keeps the full extent along ``k1`` and wraps ``k2``,
+    the second the other way round.  Within a family the wrapped period
     starts at the densest-column count and grows (+2 first, then
     geometrically) until the collision scan passes or the period covers
     the axis's extent (capped at the grid).  The second way always passes:
     the full-extent period is at least that axis's span, so both axes then
-    reduce one-to-one.  The smaller-area box wins.
+    reduce one-to-one.  Each family depends only on the point set, so on
+    the transposed set ``(k2, k1)`` the families trade places with their
+    axes exchanged: its candidates are ``(c2[::-1], c1[::-1])``.
     """
     m = len(k1)
     if m == 0:
-        return 2, 2
+        return (2, 2), (2, 2)
     cands = []
     lo1, lo2 = k1.min(), k2.min()
     span1, span2 = int(k1.max() - lo1) + 1, int(k2.max() - lo2) + 1
@@ -568,7 +621,34 @@ def _find_wrap_periods(k1: np.ndarray, k2: np.ndarray, grid_n: int) -> tuple[int
         Pb = min(Pb, grid_n)
         # in the swapped family the check above is that of the box with its axes exchanged
         cands.append((Pb, Pa) if swap else (Pa, Pb))
-    return min(cands, key=lambda P: P[0] * P[1])
+    return cands[0], cands[1]
+
+
+def _smaller(c1: tuple[int, int], c2: tuple[int, int]) -> tuple[int, int]:
+    """The box of smaller area, ``c1`` on a tie."""
+    return c2 if c2[0] * c2[1] < c1[0] * c1[1] else c1
+
+
+def _find_wrap_periods(k1: np.ndarray, k2: np.ndarray, grid_n: int) -> tuple[int, int]:
+    """Small even wrap box with pairwise-disjoint modulo translates: the
+    smaller of the two :func:`_wrap_families` candidates, the first on a tie."""
+    return _smaller(*_wrap_families(k1, k2, grid_n))
+
+
+def _paired_search(families: dict, pair, k1: np.ndarray, k2: np.ndarray, grid_n: int) -> tuple[int, int]:
+    """The wrap search of one tile of a transpose pair.
+
+    The first tile of ``pair`` to fold searches and keeps both family
+    results; the second, whose support is the transpose of the first's,
+    takes them swapped and so needs no search.  Ties break the other way
+    there: the swapped second family comes first.
+    """
+    held = families.pop(pair, None)
+    if held is None:
+        families[pair] = held = _wrap_families(k1, k2, grid_n)
+        return _smaller(*held)
+    c1, c2 = held
+    return _smaller(c2[::-1], c1[::-1])
 
 
 def build_layout(params: FrameParams) -> TilingLayout:
@@ -580,11 +660,28 @@ def build_layout(params: FrameParams) -> TilingLayout:
     :class:`TileSupport` folds the scanned tiles ``0 <= ell < L/2`` and
     ``ell = -L/2`` of each scale; each tile ``-L/2 < ell < 0`` is tile
     ``-ell`` with its rows flipped, made in the same call.
+
+    The transpose ``(k1, k2) -> (k2, k1)`` maps tile ``ell`` onto tile
+    ``L/2 - ell``, so one wrap search serves both (:func:`_paired_search`).
+    A pair whose orbit ``{c, -c, L/2 - c, L/2 + c}`` holds a centre the scan
+    flags near an edge searches each tile, as the ball and the tile
+    ``L/4``, its own transpose, do.  The scan bins only the quadrant, so it
+    flags centres in ``[0, L/2]``, where the orbit is ``c`` and ``L/2 - c``.
+    Each tile widens its own box at the Nyquist edge and keeps its
+    collision check.
     """
     closure = params.scale_of_closure()
+    near_edge: set[tuple[int, int]] = set()
+    families: dict = {}
     wedges = []
-    for j, ell, grid_flat, window in _scan_supports(params):
-        wedges += TileSupport._with_reflection(j, ell, params.grid_n, grid_flat, window, wrap=j != closure)
+    for j, ell, grid_flat, window in _scan_supports(params, near_edge):
+        search = None if j == closure else _find_wrap_periods
+        if 0 < j < closure:
+            L = params.tile_count(j)
+            c, partner = ell % L, (L // 2 - ell) % L
+            if c != partner and near_edge.isdisjoint(((j, c), (j, partner))):
+                search = partial(_paired_search, families, (j, min(c, partner)))
+        wedges += TileSupport._with_reflection(j, ell, params.grid_n, grid_flat, window, search)
     wedges.sort(key=lambda t: (t.j, t.ell))
     return TilingLayout(params=params, wedges=wedges)
 

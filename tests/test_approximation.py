@@ -8,6 +8,7 @@ import pytest
 
 from alphacurvelets import approximation as appr
 from alphacurvelets.cartoons import CartoonSpec, render
+from alphacurvelets.cli import load_defaults
 from alphacurvelets.tiling import FrameParams
 from alphacurvelets.transform import CoefficientSet, DigitalCurveletFrame, analyze, grid_norms, synthesize
 
@@ -419,6 +420,14 @@ def test_generator_decay_all_flags(frame64):
 @pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
 def test_generator_decay_refuses_a_probe_step_that_is_not_positive_and_finite(frame64, step):
     with pytest.raises(ValueError, match="probe_step must be positive and finite"):
+        appr.generator_decay_check(frame64.params, probe_step=step)
+
+
+@pytest.mark.parametrize("step", [1e-300, 0.0008])
+def test_generator_decay_refuses_a_probe_grid_above_the_point_limit(frame64, step):
+    # the packaged step gives (1.2/0.001 + 1)^2 = 1201^2 points, below the limit
+    appr._check_probe_step(load_defaults()["experiments"]["generator-decay"]["probe_step"])
+    with pytest.raises(ValueError, match="above PROBE_POINT_LIMIT = 2000000"):
         appr.generator_decay_check(frame64.params, probe_step=step)
 
 

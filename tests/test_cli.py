@@ -566,6 +566,8 @@ def _assert_no_dumps(tmp_path) -> None:
             marks=pytest.mark.filterwarnings("ignore:alpha = 1 collapses"),
         ),
         (["molecule-distance"], {"s_a": 0.1}, "ell=1 invalid at scale 2"),
+        # numpy refused this grid inside the run, with a traceback
+        (["generator-decay"], {"probe_step": 1e-300}, "probe grid of inf points, above PROBE_POINT_LIMIT = 2000000"),
     ],
 )
 def test_an_out_of_range_value_is_a_usage_error(args, config, message, no_work, tmp_path, capsys):

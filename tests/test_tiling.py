@@ -365,6 +365,46 @@ def test_wrap_period_search_on_arbitrary_point_sets(points):
     assert _collision_free(_fold(k1, k2, P1, P2), P1 * P2)
 
 
+def _paired_boxes(k1, k2, grid_n):
+    """The boxes the build gives a transpose pair: the first tile searches,
+    the second, with the transposed support, takes the first's families."""
+    families = {}
+    first = tiling._paired_search(families, "pair", k1, k2, grid_n)
+    second = tiling._paired_search(families, "pair", k2, k1, grid_n)
+    assert not families
+    return first, second
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-64, 63), st.integers(-64, 63)),
+        min_size=1,
+        max_size=300,
+        unique=True,
+    )
+)
+def test_the_transposed_box_comes_from_the_two_family_results(points):
+    from alphacurvelets.tiling import _find_wrap_periods
+
+    k1 = np.array([p[0] for p in points], dtype=np.int64)
+    k2 = np.array([p[1] for p in points], dtype=np.int64)
+    assert _paired_boxes(k1, k2, 128) == (_find_wrap_periods(k1, k2, 128), _find_wrap_periods(k2, k1, 128))
+
+
+def test_the_transposed_box_breaks_an_equal_area_tie_the_other_way():
+    # tile (9, 14) of this frame has two candidates of equal area and
+    # different shape; its transpose partner (9, 2) takes the other one
+    p = FrameParams(s=0.8118314520104855, alpha=0.3809938040753181, grid_n=256)
+    tiles = {(sup.j, sup.ell): sup for sup in build_layout(p).wedges}
+    assert p.tile_count(9) == 32
+    k1, k2, _ = tiles[9, 14].support()
+    assert tiling._wrap_families(k1, k2, 256) == ((16, 14), (4, 56))
+    assert _paired_boxes(k1, k2, 256) == ((16, 14), (56, 4))
+    assert tiling._find_wrap_periods(k2, k1, 256) == (56, 4)  # not (14, 16), the first box swapped
+    assert [(tiles[9, ell].P1, tiles[9, ell].P2) for ell in (14, 2)] == [(16, 14), (56, 4)]
+
+
 def test_layout_matches_golden_file():
     import os
 
@@ -589,3 +629,80 @@ def test_the_half_box_check_agrees_with_the_full_support_count(alpha, snapped, m
                 assert (built.P1, built.P2) == want[:2] and np.array_equal(built.box_flat, want[3])
             outcomes.add(built is None)
     assert outcomes == {True, False}
+
+
+# the transpose pairing: tile L/2 - ell takes tile ell's wrap box with its
+# axes swapped, unless the scan flags a centre of their orbit near an edge
+
+
+def _support_keys(k1, k2, grid):
+    return np.sort((k1 % grid) * grid + k2 % grid)
+
+
+def test_hypot_is_symmetric_on_the_quadrant():
+    # the radial part of every support is the same on both sides of the transpose
+    a, b = np.divmod(np.arange(513 * 513), 513)
+    assert np.hypot(a, b).tobytes() == np.hypot(b, a).tobytes()
+
+
+def test_the_edge_flags_are_the_centres_with_an_edge_near_a_bin():
+    L = 64
+    rng = np.random.default_rng(5)
+    edges = np.arange(-3, L + 2) / 2 + 0.25  # c -+ 3/4 for every centre c
+    offsets = np.array([0.0, 1e-12, -1e-12, 3e-6, -3e-6, 2e-5, -2e-5])
+    # one bin on one side of each of 40 edges, so each flag has one source
+    m = np.concatenate([rng.uniform(0, L / 2, 2000), rng.choice(edges[4:-4], 40) + rng.choice(offsets, 40)])
+    c_lo, c_hi, flagged = tiling._candidate_centres(m, L)
+    assert np.array_equal(c_lo, np.ceil(m - 0.75)) and np.array_equal(c_hi, np.floor(m + 0.75))
+    centres = np.arange(-2, L // 2 + 3)
+    gap = np.minimum(np.abs(m[:, None] - (centres - 0.75)), np.abs(m[:, None] - (centres + 0.75)))
+    assert flagged == {int(c) % L for c in centres[(gap < tiling.EDGE_TOL).any(axis=0)]}
+    assert len(flagged) > 10
+
+
+def test_supports_off_by_rounding_at_an_edge_take_the_search(monkeypatch):
+    # at grid 1024, alpha 0, snapped, the point (507, 7) lies 3e-7 bins inside
+    # the angular edge of tile (8, 3), where its window rounds to zero, while
+    # its transpose (7, 507) is in tile (8, 253); the two boxes differ, so
+    # neither tile may take the other's
+    grid = 1024
+    searched = []
+    search = tiling._find_wrap_periods
+
+    def recorded(k1, k2, grid_n):
+        searched.append(_support_keys(k1, k2, grid_n))
+        return search(k1, k2, grid_n)
+
+    monkeypatch.setattr(tiling, "_find_wrap_periods", recorded)
+    p = FrameParams.nyquist_snapped(1.0, 0.0, grid)
+    tiles = {(sup.j, sup.ell): sup for sup in build_layout(p).wedges}
+    assert p.tile_count(8) == 512
+    k1, k2, _ = tiles[8, 3].support()
+    assert not np.array_equal(_support_keys(k2, k1, grid), _support_keys(*tiles[8, 253].support()[:2], grid))
+    for ell in (3, 253):
+        sup = tiles[8, ell]
+        keys = _support_keys(*sup.support()[:2], grid)
+        assert any(np.array_equal(keys, s) for s in searched), ell
+        P1, P2, grid_flat, box_flat = _oracle_fold(sup.grid_flat[: sup.n_spectrum], grid, True)
+        assert (sup.P1, sup.P2) == (P1, P2), ell
+        assert np.array_equal(sup.grid_flat, grid_flat) and np.array_equal(sup.box_flat, box_flat), ell
+
+
+def test_one_search_per_transpose_pair(monkeypatch):
+    p = FrameParams(s=1.0, alpha=0.0, grid_n=128)
+    near_edge = set()
+    tiling._scan_supports(p, near_edge)
+    assert not near_edge
+    calls = []
+    families = tiling._wrap_families
+
+    def counted(k1, k2, grid_n):
+        calls.append(k1.size)
+        return families(k1, k2, grid_n)
+
+    monkeypatch.setattr(tiling, "_wrap_families", counted)
+    build_layout(p)
+    # the ball, then per scale the pairs (ell, L/2 - ell) of 0 <= ell < L/4 and the tile L/4
+    counts = [p.tile_count(j) for j in range(1, p.j_max + 1)]
+    assert counts == [4, 8, 16, 32, 64, 128, 256]
+    assert len(calls) == 1 + sum(L // 4 + 1 for L in counts)
