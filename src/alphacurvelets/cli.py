@@ -634,7 +634,7 @@ def run_molecule_distance(cfg: dict) -> Run:
     pa = FrameParams(float(cfg["s_a"]), alpha, 64)
     pb = FrameParams(float(cfg["s_b"]), alpha, 64)
     for cap in caps:
-        molecules._check_sum_args(alpha, k_exp, scale_cap, float(cap))
+        molecules._check_sum_args(pa, pb, alpha, k_exp, scale_cap, float(cap))
     p = molecules.curvelet_parametrization((2, 1, (3.0, -2.0)), pa)  # refuses a frame without tile (2, 1)
 
     def run():

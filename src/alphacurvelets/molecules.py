@@ -18,6 +18,7 @@ thread took a block.
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -34,7 +35,14 @@ __all__ = [
     "enumerate_phase_points",
     "consistency_sum",
     "ConsistencyResult",
+    "PAIR_LIMIT",
 ]
+
+# A consistency sum costs a few ns a pair: the packaged caps' last sum,
+# 6,455 x 9,847 = 63.6M pairs, takes about 0.2 s.  2**31 pairs is some
+# seconds; it lets through the packaged caps (a bound of 8,679 x 12,895
+# pairs) and spatial cap 8 at the packaged scale cap (a bound of 1.7e9).
+PAIR_LIMIT = 2**31
 
 
 @dataclass(frozen=True)
@@ -56,10 +64,12 @@ def curvelet_parametrization(
 ) -> PhasePoint:
     """Phase-space address of tile index ``(j, ell, k)``.
 
-    Scale ``2**(j*s)``, orientation ``ell * phi_j`` mod pi, and position
-    obtained by undoing the anisotropic dilation and the rotation:
-    ``R(-ell*phi_j) @ diag(2**(-j*s), 2**(-j*s*alpha)) @ k``.  The map is
-    grid-free; any ``j >= 0`` with a valid angular index is accepted.
+    Scale ``2**(j*s)``, orientation ``theta = ell * phi_j`` mod pi, the
+    angle the returned point stores, and position obtained by undoing the
+    anisotropic dilation and the rotation by that ``theta``:
+    ``R(-theta) @ diag(2**(-j*s), 2**(-j*s*alpha)) @ k``, as
+    :func:`enumerate_phase_points` places it.  The map is grid-free; any
+    ``j >= 0`` with a valid angular index is accepted.
     """
     j, ell, k = mu
     if j < 0:
@@ -67,7 +77,7 @@ def curvelet_parametrization(
     if ell not in params.ell_range(j):
         raise ValueError(f"ell={ell} invalid at scale {j}")
     s2j = 2.0 ** (j * params.s)
-    theta = ell * params.tile_angle(j)
+    theta = (ell * params.tile_angle(j)) % math.pi
     u = (k[0] / s2j, k[1] / 2.0 ** (j * params.s * params.alpha))
     c, sn = math.cos(theta), math.sin(theta)
     x = (c * u[0] + sn * u[1], -sn * u[0] + c * u[1])
@@ -258,14 +268,43 @@ def _sum_blocks(sa, ta, xa, sb, tb, xb, alpha, k, rows, row, col, buf_w, buf_p, 
         col.add(number, w.sum(axis=0))
 
 
-def _check_sum_args(alpha: float, k_exp: float, scale_cap: float, spatial_cap: float) -> None:
-    """Raise the ``ValueError`` that :func:`consistency_sum` gives these arguments, if any."""
+def _lattice_sizes(params: FrameParams, scale_cap: float, spatial_cap: float):
+    """Per scale of :func:`enumerate_phase_points`, ``L_j`` times the size of
+    the rectangle of translation indices it scans: a bound on its points."""
+    j = 0
+    while 2.0 ** (j * params.s) <= scale_cap:
+        s2j = 2.0 ** (j * params.s)
+        s2ja = 2.0 ** (j * params.s * params.alpha)
+        # capped below inf, which floor refuses; a capped size alone passes the limit
+        n1, n2 = (2 * math.floor(min(r * spatial_cap, 2.0**62)) + 1 for r in (s2j, s2ja))
+        yield params.tile_count(j) * n1 * n2
+        j += 1
+
+
+def _check_sum_args(
+    params_a: FrameParams, params_b: FrameParams, alpha: float, k_exp: float, scale_cap: float, spatial_cap: float
+) -> None:
+    """Raise the ``ValueError`` that :func:`consistency_sum` gives these arguments, if any.
+
+    The pairs are bounded from the lattice sizes, summed scale by scale over
+    both frames at once and cut short above :data:`PAIR_LIMIT`, so nothing
+    is enumerated.
+    """
     if not (math.isfinite(k_exp) and k_exp > 0):
         raise ValueError(f"k_exp must be finite and positive, got {k_exp!r}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     _require_finite("scale_cap", scale_cap, 1.0)
     _require_finite("spatial_cap", spatial_cap, 0.0)
+    count_a = count_b = 0
+    sizes = (_lattice_sizes(params, scale_cap, spatial_cap) for params in (params_a, params_b))
+    for size_a, size_b in itertools.zip_longest(*sizes, fillvalue=0):
+        count_a, count_b = count_a + size_a, count_b + size_b
+        if count_a * count_b > PAIR_LIMIT:
+            raise ValueError(
+                f"the sums at scale_cap={scale_cap:g}, spatial_cap={spatial_cap:g} have a pair bound of "
+                f"{count_a * count_b:.2e} or more, above PAIR_LIMIT = {PAIR_LIMIT:,}"
+            )
 
 
 def consistency_sum(
@@ -280,12 +319,13 @@ def consistency_sum(
 
     Returns the sup over the first system of sums across the second and
     vice versa.  ``k_exp`` must be finite and positive, ``scale_cap``
-    finite and >= 1, ``spatial_cap`` finite and >= 0.  The phase points
+    finite and >= 1, ``spatial_cap`` finite and >= 0, and the pair bound
+    of :func:`_check_sum_args` at most :data:`PAIR_LIMIT`.  The phase points
     come in runs of equal (scale, orientation), and the sums are taken one
     run at a time (see ``_pairwise_sums``); they agree with sums of
     ``index_distance`` to rounding.
     """
-    _check_sum_args(alpha, k_exp, scale_cap, spatial_cap)
+    _check_sum_args(params_a, params_b, alpha, k_exp, scale_cap, spatial_cap)
     sa, ta, xa = enumerate_phase_points(params_a, scale_cap, spatial_cap)
     sb, tb, xb = enumerate_phase_points(params_b, scale_cap, spatial_cap)
     row, col = _pairwise_sums(sa, ta, xa, sb, tb, xb, float(alpha), float(k_exp))

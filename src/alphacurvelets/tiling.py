@@ -17,10 +17,12 @@ and the reflection ``k2 -> -k2``, on the quadrant ``0 <= k1, k2 <= n/2``,
 so they are exactly symmetric under both.  The reflection maps tile
 ``ell`` onto tile ``-ell``, so half the tiles are row flips of the others.
 The transpose ``(k1, k2) -> (k2, k1)`` maps tile ``ell`` onto tile
-``L/2 - ell`` up to rounding at the angular edges: the windows are not
-shared across it, but one wrap-box search serves both tiles of a pair
-unless the scan finds a lattice point within ``EDGE_TOL`` of an edge of
-their orbit.
+``L/2 - ell`` up to rounding at the angular edges.  The windows are not
+shared across it, but the wrap search is: it runs one family routine on
+``(k1, k2)`` and on ``(k2, k1)``, so the two tiles' candidate boxes are
+each other's swapped, and one search serves both tiles of a pair unless
+the scan finds a lattice point within ``EDGE_TOL`` of an edge of their
+orbit.
 
 Conventions
 -----------
@@ -45,6 +47,7 @@ import numpy as np
 
 __all__ = [
     "FrameParams",
+    "TILE_LIMIT",
     "TilingLayout",
     "TileSupport",
     "smooth_step",
@@ -95,6 +98,14 @@ def _co_step(t):
     return np.where(t >= 1.0, 0.0, np.maximum(np.cos(0.5 * np.pi * _poly_ramp(t)), 0.0))
 
 
+# A build makes one record per tile, at about 16 us even for an empty one
+# (599,186 tiles at grid 64, alpha -2, took 9.7 s), and a scale holds
+# 2**(floor(j*s*(1-alpha)) + 1) tiles, so a negative alpha or a small s asks
+# for millions.  The largest frame tested or packaged has 93,622 tiles
+# (grid 1024, alpha -0.5, default ladder); 2**17 lets it through with room.
+TILE_LIMIT = 2**17
+
+
 @dataclass(frozen=True)
 class FrameParams:
     """Geometry of one frame: scale counts, angles, radial intervals and windows.
@@ -117,6 +128,9 @@ class FrameParams:
         below the grid Nyquist frequency with margin.  The snapped ladder
         (:meth:`nyquist_snapped`) ends the top corona's support exactly at
         ``grid_n / 4``.
+
+    A frame of more than :data:`TILE_LIMIT` tiles (ball, wedges and
+    closure) raises ``ValueError`` before any per-scale work.
 
     The radial transition knots are fixed by ``s``: ``tau1 = 2**(s/3)`` and
     ``tau2 = 2**(2*s/3)``, evenly log-spaced in ``(1, 2**s)``.  Radial
@@ -153,17 +167,36 @@ class FrameParams:
             raise ValueError(f"grid_n must be even and >= 16, got {self.grid_n}")
         s, top = self.s, self.grid_n / 4.0
         if self.snapped:
-            j_max = math.floor(math.log2(top * 2.0**s / self.tau2) / s)
-            C = top / (2.0 ** (j_max * s) * self.tau2)
+            scales = math.log2(top * 2.0**s / self.tau2) / s  # j_max is its floor
         else:
             C = 2.0 ** (-s) / (3.0 * math.pi)
             if C * 2.0**s * self.tau2 > top:
                 raise ValueError(f"grid_n={self.grid_n} too small for even one corona")
-            j_max = 0
+            scales = math.log2(top / (C * self.tau2)) / s - 1.0  # j_max is its floor, up to rounding
+        if scales > TILE_LIMIT:  # each wedge scale holds two tiles or more
+            self._refuse(2 * TILE_LIMIT)
+        j_max = max(0, math.floor(scales))
+        if self.snapped:
+            C = top / (2.0 ** (j_max * s) * self.tau2)
+        else:
+            # the largest j with C * 2**(s*(j+1)) * tau2 <= top, by the test itself
+            while j_max > 0 and C * 2.0 ** (s * (j_max + 1)) * self.tau2 > top:
+                j_max -= 1
             while C * 2.0 ** (s * (j_max + 2)) * self.tau2 <= top:
                 j_max += 1
+        tiles = 2  # the ball and the closure, then the wedges from the top scale, the largest, down
+        for j in range(j_max, 0, -1):
+            tiles += 2 ** (math.floor(min(j * s * (1.0 - self.alpha), 64.0)) + 1)  # tile_count(j)
+            if tiles > TILE_LIMIT:
+                self._refuse(tiles)
         object.__setattr__(self, "corona_constant", C)
         object.__setattr__(self, "j_max", j_max)
+
+    def _refuse(self, tiles: int) -> None:
+        raise ValueError(
+            f"the frame at s={self.s}, alpha={self.alpha}, grid_n={self.grid_n} has at least "
+            f"{tiles:,} tiles, above TILE_LIMIT = {TILE_LIMIT:,}"
+        )
 
     @property
     def tau1(self) -> float:
@@ -340,12 +373,13 @@ class TileSupport:
     fold of tile ``(j, ell)`` holds.
 
     The record is built complete from the scan's entries, in one fold: the
-    wrap box ``P1 x P2`` is the one :func:`_find_wrap_periods` picks, or
-    the whole grid when ``wrap`` is false.  :func:`build_layout` gives
-    tile ``(j, L/2 - ell)``, the transpose of tile ``(j, ell)``, the box
-    from that tile's search with its axes swapped (:func:`_paired_search`),
-    unless the scan flags a centre of the pair's orbit near an angular
-    edge; the record is the one the constructor builds either way.
+    wrap box ``P1 x P2`` is the smaller of the two candidates
+    :func:`_wrap_families` gives, the first on a tie, or the whole grid
+    when ``wrap`` is false.  :func:`build_layout` gives tile
+    ``(j, L/2 - ell)``, the transpose of tile ``(j, ell)``, the candidates
+    of that tile's search swapped (:func:`_paired_search`), unless the
+    scan flags a centre of the pair's orbit near an angular edge; the
+    record is the one the constructor builds either way.
     ``box_flat`` is each entry's flat index on the half box
     ``P1 x (P2/2 + 1)``.  Entries from
     ``n_direct`` on are mirrored: the box position is that of ``-k``,
@@ -372,14 +406,14 @@ class TileSupport:
     )
 
     def __init__(self, j, ell, grid_n, grid_flat, window, wrap):
-        self._fold(j, ell, grid_n, grid_flat, window, _find_wrap_periods if wrap else None)
+        self._fold(j, ell, grid_n, grid_flat, window, _wrap_families if wrap else None)
 
     def _fold(self, j, ell, grid_n, grid_flat, window, search):
         """Fill every slot; returns each entry's signed grid row ``k1`` and its
         box row, which :meth:`_with_reflection` flips, or ``None`` for the closure.
 
-        ``search(k1, k2, grid_n)`` picks the box of the full support, or is
-        ``None`` for the closure, whose box is the grid."""
+        ``search(k1, k2, grid_n)`` gives the two candidate boxes of the full
+        support, or is ``None`` for the closure, whose box is the grid."""
         n, half = grid_n, grid_n // 2
         self.j, self.ell, self.grid_n = j, ell, grid_n
         self.n_spectrum = grid_flat.size
@@ -391,9 +425,8 @@ class TileSupport:
             self.window, self.n_direct = window, grid_flat.size
             self.P1 = self.P2 = n
             return None
-        k1, k2, omitted = _signed_indices(grid_flat, n)
-        full1, full2 = _with_mirrors(k1, k2, omitted, half)
-        P1, P2 = search(full1, full2, n)
+        k1, k2, omitted, full1, full2 = _signed_support(grid_flat, n)
+        P1, P2 = _smaller(*search(full1, full2, n))
         # on the Nyquist edge the mirror of k is -k + n, not -k: folding
         # it to the mirrored box position needs a period that divides n
         # there.  Widening that period to n keeps the box collision-free.
@@ -451,27 +484,24 @@ class TileSupport:
         """Full lattice support: signed ``k1``, ``k2`` in ``[-n/2, n/2)`` and
         window samples; the half-spectrum points first, then the mirrors it
         omits."""
-        k1, k2, omitted = _signed_indices(self.grid_flat[: self.n_spectrum], self.grid_n)
+        _, _, omitted, full1, full2 = _signed_support(self.grid_flat[: self.n_spectrum], self.grid_n)
         w = self.window[: self.n_spectrum]
-        return (*_with_mirrors(k1, k2, omitted, self.grid_n // 2), np.concatenate([w, w[omitted]]))
+        return full1, full2, np.concatenate([w, w[omitted]])
 
 
-def _signed_indices(grid_flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signed ``k1``, ``k2`` in ``[-n/2, n/2)`` of half-spectrum indices, and
+def _signed_support(grid_flat: np.ndarray, n: int):
+    """Decode half-spectrum indices: signed ``k1``, ``k2`` in ``[-n/2, n/2)``,
     the mask of the points whose mirror the half spectrum omits (columns
-    other than 0 and ``n/2``)."""
+    other than 0 and ``n/2``), and the full support's ``k1`` and ``k2``: the
+    points, then those mirrors."""
     half = n // 2
     row, col = np.divmod(grid_flat, half + 1)
     k1 = np.where(row >= half, row - n, row)
     k2 = np.where(col == half, -half, col)
-    return k1, k2, (col != 0) & (col != half)
-
-
-def _with_mirrors(k1, k2, omitted, half):
-    """Points plus the mirrors of the ``omitted`` ones, signed in ``[-n/2, n/2)``."""
+    omitted = (col != 0) & (col != half)
     m1 = -k1[omitted]
     m1[m1 == half] = -half  # the row k1 = -n/2 is its own mirror modulo n
-    return np.concatenate([k1, m1]), np.concatenate([k2, -k2[omitted]])
+    return k1, k2, omitted, np.concatenate([k1, m1]), np.concatenate([k2, -k2[omitted]])
 
 
 # The transpose (k1, k2) -> (k2, k1) maps tile ell onto tile L/2 - ell, but
@@ -586,42 +616,36 @@ def _even_up(x: float) -> int:
     return v if v % 2 == 0 else v + 1
 
 
-def _wrap_families(k1: np.ndarray, k2: np.ndarray, grid_n: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The two candidate boxes of the wrap search, each as ``(P1, P2)``.
-
-    The first family keeps the full extent along ``k1`` and wraps ``k2``,
-    the second the other way round.  Within a family the wrapped period
-    starts at the densest-column count and grows (+2 first, then
-    geometrically) until the collision scan passes or the period covers
-    the axis's extent (capped at the grid).  The second way always passes:
-    the full-extent period is at least that axis's span, so both axes then
-    reduce one-to-one.  Each family depends only on the point set, so on
-    the transposed set ``(k2, k1)`` the families trade places with their
-    axes exchanged: its candidates are ``(c2[::-1], c1[::-1])``.
+def _family(rows: np.ndarray, kb: np.ndarray, grid_n: int) -> tuple[int, int]:
+    """One family's box ``(Pa, Pb)`` of zero-based points: ``Pa`` covers the
+    extent of ``rows``, which so number the rows ``mod Pa`` one to one, and
+    ``Pb``, from the densest-row count, grows (+2 first, then geometrically)
+    until the collision scan passes or it covers ``kb``'s extent or the grid.
     """
-    m = len(k1)
-    if m == 0:
+    span_a, span_b = int(rows.max()) + 1, int(kb.max()) + 1
+    Pa = min(_even_up(span_a), grid_n)
+    Pb = max(2, _even_up(np.bincount(rows).max()), _even_up(rows.size / Pa))
+    tries = 0
+    while Pb < min(span_b, grid_n) and not _collision_free(rows * Pb + kb % Pb, span_a * Pb):
+        tries += 1
+        Pb = Pb + 2 if tries <= 8 else _even_up(Pb * 1.25)
+    return Pa, min(Pb, grid_n)
+
+
+def _wrap_families(k1: np.ndarray, k2: np.ndarray, grid_n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two candidate boxes of the wrap search, each as ``(P1, P2)``:
+    :func:`_family` on ``(k1, k2)`` and on ``(k2, k1)``, axes put back.
+
+    Shifting an axis shifts its residues, which moves no collision, so the
+    families run on ``k - k.min()``.  The second way always passes: the
+    full-extent period is at least that axis's span, so both axes then
+    reduce one-to-one.  On the transposed set ``(k2, k1)`` the two calls
+    trade places, so its candidates are ``(c2[::-1], c1[::-1])``.
+    """
+    if k1.size == 0:
         return (2, 2), (2, 2)
-    cands = []
-    lo1, lo2 = k1.min(), k2.min()
-    span1, span2 = int(k1.max() - lo1) + 1, int(k2.max() - lo2) + 1
-    for ka, kb, lo_a, lo_b, span_a, span_b, swap in (
-        (k1, k2, lo1, lo2, span1, span2, False),
-        (k2, k1, lo2, lo1, span2, span1, True),
-    ):
-        Pa = min(_even_up(span_a), grid_n)
-        # Pa covers the span, so ka - lo_a numbers the rows ka mod Pa one to
-        # one; shifting kb shifts its residues, which moves no collision
-        rows, kb = ka - lo_a, kb - lo_b
-        Pb = max(2, _even_up(np.bincount(rows).max()), _even_up(m / Pa))
-        tries = 0
-        while Pb < min(span_b, grid_n) and not _collision_free(rows * Pb + kb % Pb, span_a * Pb):
-            tries += 1
-            Pb = Pb + 2 if tries <= 8 else _even_up(Pb * 1.25)
-        Pb = min(Pb, grid_n)
-        # in the swapped family the check above is that of the box with its axes exchanged
-        cands.append((Pb, Pa) if swap else (Pa, Pb))
-    return cands[0], cands[1]
+    r1, r2 = k1 - k1.min(), k2 - k2.min()
+    return _family(r1, r2, grid_n), _family(r2, r1, grid_n)[::-1]
 
 
 def _smaller(c1: tuple[int, int], c2: tuple[int, int]) -> tuple[int, int]:
@@ -629,26 +653,20 @@ def _smaller(c1: tuple[int, int], c2: tuple[int, int]) -> tuple[int, int]:
     return c2 if c2[0] * c2[1] < c1[0] * c1[1] else c1
 
 
-def _find_wrap_periods(k1: np.ndarray, k2: np.ndarray, grid_n: int) -> tuple[int, int]:
-    """Small even wrap box with pairwise-disjoint modulo translates: the
-    smaller of the two :func:`_wrap_families` candidates, the first on a tie."""
-    return _smaller(*_wrap_families(k1, k2, grid_n))
+def _paired_search(families: dict, pair, k1: np.ndarray, k2: np.ndarray, grid_n: int):
+    """The wrap candidates of one tile of a transpose pair.
 
-
-def _paired_search(families: dict, pair, k1: np.ndarray, k2: np.ndarray, grid_n: int) -> tuple[int, int]:
-    """The wrap search of one tile of a transpose pair.
-
-    The first tile of ``pair`` to fold searches and keeps both family
-    results; the second, whose support is the transpose of the first's,
-    takes them swapped and so needs no search.  Ties break the other way
-    there: the swapped second family comes first.
+    The first tile of ``pair`` to fold searches and keeps its two
+    :func:`_wrap_families` candidates; the second, whose support is the
+    transpose of the first's, takes them swapped, so it needs no search
+    and breaks an equal-area tie the other way, as its own search would.
     """
     held = families.pop(pair, None)
     if held is None:
         families[pair] = held = _wrap_families(k1, k2, grid_n)
-        return _smaller(*held)
+        return held
     c1, c2 = held
-    return _smaller(c2[::-1], c1[::-1])
+    return c2[::-1], c1[::-1]
 
 
 def build_layout(params: FrameParams) -> TilingLayout:
@@ -662,7 +680,9 @@ def build_layout(params: FrameParams) -> TilingLayout:
     ``-ell`` with its rows flipped, made in the same call.
 
     The transpose ``(k1, k2) -> (k2, k1)`` maps tile ``ell`` onto tile
-    ``L/2 - ell``, so one wrap search serves both (:func:`_paired_search`).
+    ``L/2 - ell``, so one wrap search serves both (:func:`_paired_search`):
+    the partner takes the two candidate boxes swapped, and each tile's
+    fold takes the smaller.
     A pair whose orbit ``{c, -c, L/2 - c, L/2 + c}`` holds a centre the scan
     flags near an edge searches each tile, as the ball and the tile
     ``L/4``, its own transpose, do.  The scan bins only the quadrant, so it
@@ -675,7 +695,7 @@ def build_layout(params: FrameParams) -> TilingLayout:
     families: dict = {}
     wedges = []
     for j, ell, grid_flat, window in _scan_supports(params, near_edge):
-        search = None if j == closure else _find_wrap_periods
+        search = None if j == closure else _wrap_families
         if 0 < j < closure:
             L = params.tile_count(j)
             c, partner = ell % L, (L // 2 - ell) % L

@@ -568,6 +568,10 @@ def _assert_no_dumps(tmp_path) -> None:
         (["molecule-distance"], {"s_a": 0.1}, "ell=1 invalid at scale 2"),
         # numpy refused this grid inside the run, with a traceback
         (["generator-decay"], {"probe_step": 1e-300}, "probe grid of inf points, above PROBE_POINT_LIMIT = 2000000"),
+        # each of these passed its plan, then built or summed for minutes or more
+        (["verify-frame"], {"alphas": [-2]}, "tiles, above TILE_LIMIT = 131,072"),
+        (["disc-rate", "--s", "1e-5"], None, "s=1e-05, alpha=0.5, grid_n=1024 has at least 262,144 tiles"),
+        (["molecule-distance"], {"scale_cap": 64}, "or more, above PAIR_LIMIT = 2,147,483,648"),
     ],
 )
 def test_an_out_of_range_value_is_a_usage_error(args, config, message, no_work, tmp_path, capsys):

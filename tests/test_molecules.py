@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphacurvelets import molecules
 from alphacurvelets.molecules import (
     PhasePoint,
     _InOrder,
@@ -169,6 +170,39 @@ def test_enumeration_and_sums_reject_bad_caps(field, caps):
         enumerate_phase_points(PARAMS, *caps)
     with pytest.raises(ValueError, match=field):
         consistency_sum(PARAMS, PARAMS_HALF, 0.5, 3.0, *caps)
+
+
+def test_each_enumerated_block_is_the_parametrization_of_its_lattice_indices():
+    # both rotate by the stored orientation ell * phi_j mod pi, so they agree at ell < 0 too
+    p = curvelet_parametrization((2, -1, (3.0, -2.0)), PARAMS)
+    assert p.x == pytest.approx((-1.2374, 0.1768), abs=1e-4)
+    cap = 1.5
+    for params in (PARAMS, PARAMS_HALF):
+        s, t, x = enumerate_phase_points(params, 4.0, cap)
+        at, j = 0, 0
+        while 2.0 ** (j * params.s) <= 4.0:
+            s2j, s2ja = 2.0 ** (j * params.s), 2.0 ** (j * params.s * params.alpha)
+            r1, r2 = math.floor(s2j * cap), math.floor(s2ja * cap)
+            ks = [(k1, k2) for k1 in range(-r1, r1 + 1) for k2 in range(-r2, r2 + 1)]
+            ks = [k for k in ks if (k[0] / s2j) ** 2 + (k[1] / s2ja) ** 2 <= cap**2]
+            for ell in params.ell_range(j):
+                for k in ks:
+                    p = curvelet_parametrization((j, ell, k), params)
+                    assert (s[at], t[at], tuple(x[at])) == (p.s, p.theta, p.x), (j, ell, k)
+                    at += 1
+            j += 1
+        assert at == len(s) and min(params.ell_range(j - 1)) < 0
+
+
+def test_the_pair_bound_is_the_lattice_sizes_and_refuses_above_the_limit():
+    # the packaged caps pass; the bound is the rectangles' sizes, which hold the enumerated points
+    sizes = [sum(molecules._lattice_sizes(p, 8.0, 4.0)) for p in (PARAMS, PARAMS_HALF)]
+    assert sizes == [8_679, 12_895]
+    assert [len(enumerate_phase_points(p, 8.0, 4.0)[0]) for p in (PARAMS, PARAMS_HALF)] == [6_455, 9_847]
+    molecules._check_sum_args(PARAMS, PARAMS_HALF, 0.5, 3.0, 8.0, 8.0)  # a bound of 1.7e9
+    for caps in ((8.0, 16.0), (64.0, 4.0), (1e300, 1e300)):
+        with pytest.raises(ValueError, match=r"pair bound of [\d.e+]+ or more, above PAIR_LIMIT = 2,147,483,648$"):
+            consistency_sum(PARAMS, PARAMS_HALF, 0.5, 3.0, *caps)
 
 
 def test_zero_spatial_cap_keeps_the_origin():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,37 @@ def test_tile_counts_and_angles():
         assert p.tile_count(j) == 2 ** (math.floor(j * 0.5) + 1)
     q = FrameParams(s=1.0, alpha=0.0, grid_n=256)
     assert [q.tile_count(j) for j in (1, 2, 3)] == [4, 8, 16]
+
+
+def _scale_by_scale_ladder(p):
+    """The default ladder's ``j_max`` by its definition, one scale at a time."""
+    j = 0
+    while p.corona_constant * 2.0 ** (p.s * (j + 2)) * p.tau2 <= p.grid_n / 4.0:
+        j += 1
+    return j
+
+
+@pytest.mark.parametrize("grid", [16, 66, 1024])
+def test_the_closed_form_ladder_is_the_scale_by_scale_one(grid):
+    for s in np.linspace(0.05, 3.0, 60):
+        p = FrameParams(s=float(s), alpha=0.5, grid_n=grid)
+        assert p.j_max == _scale_by_scale_ladder(p), s
+
+
+@pytest.mark.parametrize(
+    "s,alpha,grid,snapped",
+    [(1.0, -2.0, 512, False), (1.0, -2.0, 512, True), (1.0, -5.0, 64, False), (1e-5, 0.5, 1024, False)]
+    + [(1e-5, 0.5, 1024, True), (1e-300, 0.5, 64, False), (1.0, -1e300, 64, False)],
+)
+def test_a_frame_above_the_tile_limit_is_refused(s, alpha, grid, snapped):
+    frame = re.escape(f"the frame at s={s}, alpha={alpha}, grid_n={grid}")
+    with pytest.raises(ValueError, match=rf"^{frame} has at least [\d,]+ tiles, above TILE_LIMIT = 131,072$"):
+        FrameParams(s, alpha, grid, snapped=snapped)
+
+
+def test_the_largest_tested_frame_is_within_the_tile_limit():
+    p = FrameParams(s=1.0, alpha=-0.5, grid_n=1024)
+    assert 2 + sum(p.tile_count(j) for j in range(1, p.j_max + 1)) == 93_622 <= tiling.TILE_LIMIT
 
 
 def test_scale_geometry_rejects_negative_scales_only():
@@ -355,22 +387,27 @@ def test_negative_alpha_and_fractional_s_build():
     )
 )
 def test_wrap_period_search_on_arbitrary_point_sets(points):
-    from alphacurvelets.tiling import _collision_free, _find_wrap_periods
+    from alphacurvelets.tiling import _collision_free
 
     k1 = np.array([p[0] for p in points], dtype=np.int64)
     k2 = np.array([p[1] for p in points], dtype=np.int64)
-    P1, P2 = _find_wrap_periods(k1, k2, 128)
+    P1, P2 = _searched_box(k1, k2, 128)
     assert P1 % 2 == 0 and P2 % 2 == 0
     assert 2 <= P1 <= 128 and 2 <= P2 <= 128
     assert _collision_free(_fold(k1, k2, P1, P2), P1 * P2)
+
+
+def _searched_box(k1, k2, grid_n):
+    """The box a tile that searches its own candidates takes."""
+    return tiling._smaller(*tiling._wrap_families(k1, k2, grid_n))
 
 
 def _paired_boxes(k1, k2, grid_n):
     """The boxes the build gives a transpose pair: the first tile searches,
     the second, with the transposed support, takes the first's families."""
     families = {}
-    first = tiling._paired_search(families, "pair", k1, k2, grid_n)
-    second = tiling._paired_search(families, "pair", k2, k1, grid_n)
+    first = tiling._smaller(*tiling._paired_search(families, "pair", k1, k2, grid_n))
+    second = tiling._smaller(*tiling._paired_search(families, "pair", k2, k1, grid_n))
     assert not families
     return first, second
 
@@ -385,11 +422,9 @@ def _paired_boxes(k1, k2, grid_n):
     )
 )
 def test_the_transposed_box_comes_from_the_two_family_results(points):
-    from alphacurvelets.tiling import _find_wrap_periods
-
     k1 = np.array([p[0] for p in points], dtype=np.int64)
     k2 = np.array([p[1] for p in points], dtype=np.int64)
-    assert _paired_boxes(k1, k2, 128) == (_find_wrap_periods(k1, k2, 128), _find_wrap_periods(k2, k1, 128))
+    assert _paired_boxes(k1, k2, 128) == (_searched_box(k1, k2, 128), _searched_box(k2, k1, 128))
 
 
 def test_the_transposed_box_breaks_an_equal_area_tie_the_other_way():
@@ -401,7 +436,7 @@ def test_the_transposed_box_breaks_an_equal_area_tie_the_other_way():
     k1, k2, _ = tiles[9, 14].support()
     assert tiling._wrap_families(k1, k2, 256) == ((16, 14), (4, 56))
     assert _paired_boxes(k1, k2, 256) == ((16, 14), (56, 4))
-    assert tiling._find_wrap_periods(k2, k1, 256) == (56, 4)  # not (14, 16), the first box swapped
+    assert _searched_box(k2, k1, 256) == (56, 4)  # not (14, 16), the first box swapped
     assert [(tiles[9, ell].P1, tiles[9, ell].P2) for ell in (14, 2)] == [(16, 14), (56, 4)]
 
 
@@ -563,8 +598,7 @@ def _oracle_wrap_periods(k1, k2, grid_n):
 def _oracle_fold(grid_flat, n, wrap, periods=_oracle_wrap_periods):
     """``(P1, P2, grid_flat, box_flat)`` of a tile, or ``None`` on a collision."""
     half = n // 2
-    k1, k2, omitted = tiling._signed_indices(grid_flat, n)
-    full1, full2 = tiling._with_mirrors(k1, k2, omitted, half)
+    k1, k2, omitted, full1, full2 = tiling._signed_support(grid_flat, n)
     P1 = P2 = n
     if wrap:
         P1, P2 = periods(full1, full2, n)
@@ -618,8 +652,8 @@ def test_the_half_box_check_agrees_with_the_full_support_count(alpha, snapped, m
             continue
         grid_flat, window = sup.grid_flat[: sup.n_spectrum], sup.window[: sup.n_spectrum]
         for P1, P2 in 2 * rng.integers(1, grid // 2 + 1, size=(6, 2)):
-            monkeypatch.setattr(tiling, "_find_wrap_periods", lambda k1, k2, grid_n: (P1, P2))
-            want = _oracle_fold(grid_flat, grid, True, tiling._find_wrap_periods)
+            monkeypatch.setattr(tiling, "_wrap_families", lambda k1, k2, grid_n: ((P1, P2), (P1, P2)))
+            want = _oracle_fold(grid_flat, grid, True, lambda k1, k2, grid_n: (P1, P2))
             try:
                 built = TileSupport(sup.j, sup.ell, grid, grid_flat, window, wrap=True)
             except RuntimeError:
@@ -667,13 +701,13 @@ def test_supports_off_by_rounding_at_an_edge_take_the_search(monkeypatch):
     # neither tile may take the other's
     grid = 1024
     searched = []
-    search = tiling._find_wrap_periods
+    search = tiling._wrap_families
 
     def recorded(k1, k2, grid_n):
         searched.append(_support_keys(k1, k2, grid_n))
         return search(k1, k2, grid_n)
 
-    monkeypatch.setattr(tiling, "_find_wrap_periods", recorded)
+    monkeypatch.setattr(tiling, "_wrap_families", recorded)
     p = FrameParams.nyquist_snapped(1.0, 0.0, grid)
     tiles = {(sup.j, sup.ell): sup for sup in build_layout(p).wedges}
     assert p.tile_count(8) == 512

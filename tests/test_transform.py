@@ -111,7 +111,7 @@ def test_supports_are_scanned_once_and_shared(monkeypatch):
 
 
 def test_build_rejects_a_colliding_wrap_box(monkeypatch):
-    monkeypatch.setattr(tiling, "_find_wrap_periods", lambda k1, k2, grid_n: (2, 2))
+    monkeypatch.setattr(tiling, "_wrap_families", lambda k1, k2, grid_n: ((2, 2), (2, 2)))
     with pytest.raises(RuntimeError, match="wrap collision"):
         DigitalCurveletFrame.build(FrameParams(s=1.0, alpha=0.5, grid_n=64))
 
