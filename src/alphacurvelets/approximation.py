@@ -57,6 +57,7 @@ PROBE_EXTENT = 0.6  # half-width of the generator probe grid; the support is [-1
 PROBE_POINT_LIMIT = 2_000_000
 ONSET_RESID_TOL = 0.45  # log2 units: wider than the tile-count stairs, narrower than the head
 ONSET_MIN_POINTS = 4
+FIT_MIN_POINTS = 5  # fewest curve points fit_rate fits a line through
 SCHEDULE_RATIO = math.sqrt(2.0)  # N-term schedules step by half an octave
 
 
@@ -225,14 +226,15 @@ def error_curve(
 def fit_rate(curve: ErrorCurve, window: tuple[int, int]) -> RateReport:
     """Least-squares line through ``(log N, log err2)`` over ``window = (lo, hi)``, inclusive.
 
-    A window holding fewer than five of the curve's points raises :class:`FitWindowError`.
+    A window holding fewer than ``FIT_MIN_POINTS`` (five) of the curve's points raises
+    :class:`FitWindowError`.
     """
     n = np.asarray(curve.n_terms, dtype=float)
     e = np.asarray(curve.err2, dtype=float)
     lo, hi = window
     sel = (n >= lo) & (n <= hi)
-    if np.count_nonzero(sel) < 5:
-        raise FitWindowError(f"fit window {window} selects fewer than 5 points")
+    if np.count_nonzero(sel) < FIT_MIN_POINTS:
+        raise FitWindowError(f"fit window {window} selects fewer than {FIT_MIN_POINTS} points")
     if np.any(e[sel] <= 0):
         raise ValueError("zero squared errors inside the fit window")
     x = np.log(n[sel])

@@ -467,17 +467,26 @@ def run_disc_lower_bound(cfg: dict) -> Run:
     every = _frames(cfg)
     if any(params.alpha == 1.0 for params in every):  # the target slope is -1/(1-alpha)
         raise ValueError(f"disc-lower-bound needs every alpha below 1, got alphas {cfg['alphas']}")
+    windows = []
+    for params in every:
+        # the tail curve has one point per tile, N = 1, 2, ...; the fit skips the
+        # first three scales' tiles and the top scale's
+        counts = [params.tile_count(j) for j in range(params.j_max + 1)]
+        window = (max(4, sum(counts[:3])), sum(counts[:-1]))
+        if window[1] - window[0] + 1 < appr.FIT_MIN_POINTS:
+            raise ValueError(
+                f"alpha={params.alpha} at grid {params.grid_n}, s {params.s} has the tile-count fit "
+                f"window {window}, which holds fewer than {appr.FIT_MIN_POINTS} of the tail curve's points"
+            )
+        windows.append(window)
 
     def run():
         ok = True
         rows = []
         summaries = []
-        for params in every:
+        for params, window in zip(every, windows):
             curve = appr.bound1_tail_estimator(params)
-            counts = curve.metadata["scale_tile_counts"]
-            lo = sum(counts[:3])
-            hi = sum(counts[:-1])
-            fit = appr.fit_rate(curve, window=(max(4, lo), hi))
+            fit = appr.fit_rate(curve, window=window)
             target = -1.0 / (1.0 - params.alpha)
             ok_a = abs(fit.slope - target) <= cfg["slope_tol"]
             ok = ok and ok_a
@@ -779,12 +788,12 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_config(args.experiment, args.config, overrides)
         base = load_defaults()
         out_dir = args.out or base["out_dir"]
-        _check_out_dir(out_dir)  # before the run, not after it
         run = RUNNERS[args.experiment](cfg)
         if dumps:
             grid, alpha, s = (cfg.get(key, base[key]) for key in ("grid", "alpha", "s"))
             params = FrameParams(s, float(alpha), grid)
             spec = CartoonSpec(kind="disc", antialias=cfg.get("antialias", 4))
+        _check_out_dir(out_dir)  # after the plans, which may refuse, and before any work
     except (ValueError, OSError) as exc:  # a plan does no work, so whatever it raises refuses the input
         runp.error(str(exc))
     if dumps:

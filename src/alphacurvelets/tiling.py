@@ -47,6 +47,7 @@ import numpy as np
 
 __all__ = [
     "FrameParams",
+    "S_LIMIT",
     "TILE_LIMIT",
     "TilingLayout",
     "TileSupport",
@@ -105,6 +106,15 @@ def _co_step(t):
 # (grid 1024, alpha -0.5, default ladder); 2**17 lets it through with room.
 TILE_LIMIT = 2**17
 
+# The ladder takes powers of two up to about (grid_n/4) * 2**(4s/3), and a
+# double overflows past 2**1024: 2**s raises from s = 1024, and the snapped
+# ladder's (grid_n/4) * 2**s is inf near s = 1017 at grid 256.  512 keeps every
+# such power below (grid_n/4) * 2**683.  No frame loses a wedge scale by it:
+# above s = 1.5 log2(grid_n/4), about 20 at grid 2**16, the snapped ladder is
+# the ball and the closure and the default ladder refuses.  The largest s
+# tested or packaged is 8.
+S_LIMIT = 512
+
 
 @dataclass(frozen=True)
 class FrameParams:
@@ -130,7 +140,8 @@ class FrameParams:
         ``grid_n / 4``.
 
     A frame of more than :data:`TILE_LIMIT` tiles (ball, wedges and
-    closure) raises ``ValueError`` before any per-scale work.
+    closure), or with ``s`` above :data:`S_LIMIT`, raises ``ValueError``
+    before any per-scale work.
 
     The radial transition knots are fixed by ``s``: ``tau1 = 2**(s/3)`` and
     ``tau2 = 2**(2*s/3)``, evenly log-spaced in ``(1, 2**s)``.  Radial
@@ -154,6 +165,8 @@ class FrameParams:
     def __post_init__(self) -> None:
         if not (self.s > 0 and math.isfinite(self.s)):
             raise ValueError(f"s must be positive and finite, got {self.s}")
+        if self.s > S_LIMIT:  # before any power of two is taken
+            raise ValueError(f"s must be at most S_LIMIT = {S_LIMIT}, got {self.s}")
         if not (math.isfinite(self.alpha) and self.alpha <= 1.0):
             raise ValueError(f"alpha must be finite and <= 1, got {self.alpha}")
         if self.alpha == 1.0:
@@ -543,13 +556,16 @@ def _scan_supports(params: FrameParams, near_edge: set) -> list[tuple[int, int, 
     folds, for the tiles ``0 <= ell < L/2`` and ``ell = -L/2`` of each
     scale (``ell = 0`` for the ball and the closure), scale-major.  The
     scanned points are the quadrant ``(a, b)``, ``0 <= a, b <= n/2``, with
-    radius and angle computed once; a tile ``ell`` binned at ``(a, b)``
-    takes that half-spectrum point.  For ``0 < a < n/2`` the row mirror
-    ``(-a, b)`` takes the same value: on the columns 0 and ``n/2`` it is
-    the mirror of ``(a, -b) = (a, b)`` and goes to tile ``ell``; elsewhere
-    it is the mirror of the reflection ``(a, -b)`` and goes to tile
-    ``-ell``.  So every window is exactly symmetric under ``k -> -k`` and
-    ``k2 -> -k2`` by construction.  Points are binned per scale by radius,
+    radius and angle computed once; a point's quadrant index
+    ``a * (n/2 + 1) + b`` is its half-spectrum index, and a tile ``ell``
+    binned at ``(a, b)`` takes that point.  For ``0 < a < n/2`` the row
+    mirror ``(-a, b)`` takes the same value: on the columns 0 and ``n/2``
+    it is the mirror of ``(a, -b) = (a, b)`` and goes to tile ``ell``;
+    elsewhere it is the mirror of the reflection ``(a, -b)`` and goes to
+    tile ``-ell``, which is scanned only for ``ell`` 0 or ``L/2``.  The
+    scan makes just those mirrors, the ones a scanned tile takes.  So
+    every window is exactly symmetric under ``k -> -k`` and ``k2 -> -k2``
+    by construction.  Points are binned per scale by radius,
     inside :meth:`FrameParams.radial_support`, and per wedge by angle, so
     each point is touched only by the (at most four) windows nonzero there.
 
@@ -561,12 +577,9 @@ def _scan_supports(params: FrameParams, near_edge: set) -> list[tuple[int, int, 
     n = params.grid_n
     half = n // 2
     cols = half + 1
-    a, b = np.divmod(np.arange(cols * cols), cols)
-    r = 0.5 * np.hypot(a, b)
-    theta = np.arctan2(b, a)
-    flat, row_mirror = a * cols + b, (n - a) * cols + b
-    inner = (a > 0) & (a < half)
-    same_tile = (b == 0) | (b == half)
+    k = np.arange(cols)
+    r = 0.5 * np.hypot(k[:, None], k).ravel()
+    theta = np.arctan2(k, k[:, None]).ravel()
 
     out: list[tuple[int, int, np.ndarray, np.ndarray]] = []
     for j in range(params.j_max + 2):
@@ -589,13 +602,15 @@ def _scan_supports(params: FrameParams, near_edge: set) -> list[tuple[int, int, 
             keep = V > 0
             pt, W = pt[keep], (np.concatenate([W, W[second]]) * V)[keep]
             cbin = centers[keep].astype(np.int64) % L
-        mirrored = inner[pt]
-        pm, cm = pt[mirrored], cbin[mirrored]
-        tile = np.concatenate([cbin, np.where(same_tile[pm], cm, -cm % L)])
-        scanned = tile <= L // 2
-        f = np.concatenate([flat[pt], row_mirror[pm]])[scanned]
-        W = np.concatenate([W, W[mirrored]])[scanned]
-        tile = tile[scanned]
+        # the row mirror (-a, b) of an inner row 0 < a < n/2 goes to tile c on the
+        # columns 0 and n/2 and to tile -c elsewhere, so it is scanned, in tile c,
+        # only for c = -c mod L, that is c in {0, L/2}: column 0 (angle 0) lies in
+        # tile 0, and column n/2 (radius n/4 and more) in the ball or closure, L = 1
+        a = pt // cols
+        mirrored = (a > 0) & (a < half) & ((cbin == 0) | (cbin == L // 2))
+        f = np.concatenate([pt, pt[mirrored] + (n - 2 * a[mirrored]) * cols])
+        W = np.concatenate([W, W[mirrored]])
+        tile = np.concatenate([cbin, cbin[mirrored]])
         order = np.argsort(tile, kind="stable")
         bounds = np.searchsorted(tile[order], np.arange(L // 2 + 2))
         for c in range(L // 2 + 1):

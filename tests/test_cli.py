@@ -359,10 +359,13 @@ def test_rate_params_snap_to_nyquist(monkeypatch):
 
 
 def test_unusable_out_is_refused_before_the_run(monkeypatch, tmp_path, capsys):
-    def run(cfg):
-        raise AssertionError("experiment ran before --out was checked")
+    def plan(cfg):  # the plan comes before the --out check, its run after it
+        def run():
+            raise AssertionError("experiment ran before --out was checked")
 
-    monkeypatch.setitem(cli.RUNNERS, "bessel-check", run)
+        return run
+
+    monkeypatch.setitem(cli.RUNNERS, "bessel-check", plan)
     blocker = tmp_path / "blocked"
     blocker.write_text("")
     with pytest.raises(SystemExit) as exit_info:
@@ -481,6 +484,24 @@ def _assert_no_dumps(tmp_path) -> None:
     assert not list(tmp_path.rglob("coefficients.*"))
 
 
+def _refused_with_either_out(args, message, tmp_path, capsys) -> str:
+    """Run ``args`` with an ``--out`` that exists and with one that does not;
+    each must be a usage error naming ``message`` that writes nothing and makes
+    no directory.  Returns the second run's stderr."""
+    made, absent = tmp_path / "made", tmp_path / "absent"
+    made.mkdir()
+    for out in (made, absent):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", *args, "--out", os.fspath(out), *_dumps(tmp_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: alphacurvelets run") and message in err
+        assert "Traceback" not in err
+    assert not any(made.iterdir()) and not absent.exists()
+    _assert_no_dumps(tmp_path)
+    return err
+
+
 @pytest.mark.parametrize(
     "args,config,message",
     [
@@ -572,21 +593,21 @@ def _assert_no_dumps(tmp_path) -> None:
         (["verify-frame"], {"alphas": [-2]}, "tiles, above TILE_LIMIT = 131,072"),
         (["disc-rate", "--s", "1e-5"], None, "s=1e-05, alpha=0.5, grid_n=1024 has at least 262,144 tiles"),
         (["molecule-distance"], {"scale_cap": 64}, "or more, above PAIR_LIMIT = 2,147,483,648"),
+        # 2**s overflowed, with a traceback
+        (["disc-rate", "--s", "1e300"], None, "s must be at most S_LIMIT = 512, got 1e+300"),
+        # the tail curve could not fill the fit window, with a traceback after the quadratures
+        (
+            ["disc-lower-bound", "--grid", "64", "--s", "2"],
+            None,
+            "alpha=0.25 at grid 64, s 2.0 has the tile-count fit window (21, 5), which holds fewer than 5",
+        ),
     ],
 )
 def test_an_out_of_range_value_is_a_usage_error(args, config, message, no_work, tmp_path, capsys):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         args = [*args, "--config", os.fspath(tmp_path / "cfg.json")]
-    out = tmp_path / "out"
-    out.mkdir()  # some values are refused before the run makes it
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main(["run", *args, "--out", os.fspath(out), *_dumps(tmp_path)])
-    assert exit_info.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: alphacurvelets run") and message in err
-    assert "Traceback" not in err and not any(out.iterdir())
-    _assert_no_dumps(tmp_path)
+    _refused_with_either_out(args, message, tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
@@ -600,17 +621,8 @@ def test_a_config_file_that_cannot_be_read_is_a_usage_error(config, message, no_
     path = tmp_path / "cfg.json"
     if config is not None:
         path.write_text(config)
-    out = tmp_path / "out"
-    out.mkdir()
-    args = ["run", "bessel-check", "--config", os.fspath(path), "--out", os.fspath(out), *_dumps(tmp_path)]
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main(args)
-    assert exit_info.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: alphacurvelets run") and message in err
-    assert "Traceback" not in err and not any(out.iterdir())
+    err = _refused_with_either_out(["bessel-check", "--config", os.fspath(path)], message, tmp_path, capsys)
     assert os.fspath(path) in err
-    _assert_no_dumps(tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -680,7 +692,7 @@ def test_a_list_too_short_to_check_is_refused_before_any_work(
     err = capsys.readouterr().err
     message = f"{key} must be a list of at least {least} entries, got {value}"
     assert err.startswith("usage: alphacurvelets run") and message in err
-    assert "Traceback" not in err and not any(out.iterdir())
+    assert "Traceback" not in err and not out.exists()
     _assert_no_dumps(tmp_path)
 
 

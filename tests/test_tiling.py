@@ -90,11 +90,29 @@ def _scale_by_scale_ladder(p):
     return j
 
 
-@pytest.mark.parametrize("grid", [16, 66, 1024])
+# per grid, an s whose closed-form floor the ladder's rounding corrections move, and the floor and j_max
+ROUNDED_LADDERS = {16: (1.4281250809618569, 3, 2), 128: (0.2776334369728138, 28, 29)}
+
+
+@pytest.mark.parametrize("grid", [16, 66, 128, 1024])
 def test_the_closed_form_ladder_is_the_scale_by_scale_one(grid):
     for s in np.linspace(0.05, 3.0, 60):
         p = FrameParams(s=float(s), alpha=0.5, grid_n=grid)
         assert p.j_max == _scale_by_scale_ladder(p), s
+    if grid in ROUNDED_LADDERS:
+        s, floor, j_max = ROUNDED_LADDERS[grid]
+        p = FrameParams(s=s, alpha=0.5, grid_n=grid)
+        assert math.floor(math.log2(grid / 4.0 / (p.corona_constant * p.tau2)) / s - 1.0) == floor
+        assert p.j_max == _scale_by_scale_ladder(p) == j_max
+
+
+@pytest.mark.parametrize("snapped", [False, True])
+@pytest.mark.parametrize("s", [1e300, 1024.0, 1020.0])
+def test_an_s_whose_powers_of_two_overflow_is_refused(s, snapped):
+    # 2**s overflows from s = 1024, and the snapped ladder's (grid_n/4) * 2**s near s = 1017
+    with pytest.raises(ValueError, match=re.escape(f"s must be at most S_LIMIT = 512, got {s}")):
+        FrameParams(s, 0.5, 256, snapped=snapped)
+    assert FrameParams(tiling.S_LIMIT, 0.5, 256, snapped=True).j_max == 0
 
 
 @pytest.mark.parametrize(
@@ -527,6 +545,69 @@ def test_reflected_tiles_are_row_flips_equal_to_the_constructor(grid, alpha, sna
             a, b = getattr(built, name), getattr(sup, name)
             assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype, (j, ell, name)
     assert derived == sum(L // 2 - 1 for L in map(layout.params.tile_count, range(1, layout.params.j_max + 1)))
+
+
+def _oracle_scan(params, near_edge):
+    """The lattice scan with full-quadrant lookups: every inner point's row
+    mirror is made, then those binned in an unscanned tile are dropped."""
+    n = params.grid_n
+    half = n // 2
+    cols = half + 1
+    a, b = np.divmod(np.arange(cols * cols), cols)
+    r = 0.5 * np.hypot(a, b)
+    theta = np.arctan2(b, a)
+    flat, row_mirror = a * cols + b, (n - a) * cols + b
+    inner = (a > 0) & (a < half)
+    same_tile = (b == 0) | (b == half)
+
+    out = []
+    for j in range(params.j_max + 2):
+        lo, hi = params.radial_support(j)
+        inside = r < hi
+        if j > 0:
+            inside &= r > lo
+        pt = np.flatnonzero(inside)
+        W = params.radial(j, r[pt])
+        L, cbin = 1, np.zeros(pt.size, dtype=np.int64)
+        if 0 < j <= params.j_max:
+            L = params.tile_count(j)
+            m = params.angular_bins(j, theta[pt])
+            c_lo, c_hi, edges = tiling._candidate_centres(m, L)
+            near_edge.update((j, c) for c in edges)
+            second = c_hi != c_lo
+            pt = np.concatenate([pt, pt[second]])
+            centers = np.concatenate([c_lo, c_hi[second]])
+            V = params.angular_from_bins(j, np.concatenate([m, m[second]]), centers)
+            keep = V > 0
+            pt, W = pt[keep], (np.concatenate([W, W[second]]) * V)[keep]
+            cbin = centers[keep].astype(np.int64) % L
+        mirrored = inner[pt]
+        pm, cm = pt[mirrored], cbin[mirrored]
+        tile = np.concatenate([cbin, np.where(same_tile[pm], cm, -cm % L)])
+        scanned = tile <= L // 2
+        f = np.concatenate([flat[pt], row_mirror[pm]])[scanned]
+        W = np.concatenate([W, W[mirrored]])[scanned]
+        tile = tile[scanned]
+        order = np.argsort(tile, kind="stable")
+        bounds = np.searchsorted(tile[order], np.arange(L // 2 + 2))
+        for c in range(L // 2 + 1):
+            sl = order[bounds[c] : bounds[c + 1]]
+            out.append((j, c if 2 * c < L else c - L, f[sl], W[sl]))
+    return out
+
+
+@pytest.mark.parametrize("snapped", [False, True])
+@pytest.mark.parametrize("grid", [64, 66, 130])
+def test_the_scan_gives_the_entries_of_the_full_quadrant_oracle(grid, snapped):
+    for alpha in (-0.5, 0.0, 0.5):
+        for s in (0.75, 1.3):
+            params = FrameParams(s, alpha, grid, snapped=snapped)
+            edges, oracle_edges = set(), set()
+            scan, oracle = tiling._scan_supports(params, edges), _oracle_scan(params, oracle_edges)
+            assert [e[:2] for e in scan] == [e[:2] for e in oracle] and edges == oracle_edges
+            for (j, ell, grid_flat, window), (_, _, oracle_flat, oracle_window) in zip(scan, oracle):
+                for got, want in ((grid_flat, oracle_flat), (window, oracle_window)):
+                    assert np.array_equal(got, want) and got.dtype == want.dtype, (alpha, s, j, ell)
 
 
 @pytest.mark.parametrize("s", [0.75, 1.0, 1.3])
