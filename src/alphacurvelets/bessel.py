@@ -3,10 +3,11 @@
 ``bessel_j`` is the production evaluator for orders ``{-1/2, 0, 1/2, 1}``:
 a power series summed in 80-bit extended precision below the crossover
 radius and an adaptive large-argument cosine expansion above it, the two
-paths agreeing to ~1e-13 absolute at the crossover.  ``bessel_j_series``
-is the slow scalar oracle: mpmath's ``besselj``, an implementation
-independent of the recurrence ``bessel_j`` sums; tests freeze expected
-values from it.
+paths agreeing to ~1e-13 absolute at the crossover.  The experiment
+``bessel-check`` checks ``bessel_j`` on both paths against the closed
+forms of ``J_{+-1/2}``.  ``bessel_j_series`` is the slow scalar oracle:
+mpmath's ``besselj``, an implementation independent of the recurrence
+``bessel_j`` sums; tests freeze expected values from it.
 
 The spectrum of the indicator of the radius-1/2 disc is
 ``J_1(pi*|xi|) / (2*|xi|)``; its energy over a tile reduces to a 1-D
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 
-import mpmath as mp
 import numpy as np
 
 from .tiling import FrameParams
@@ -143,10 +143,12 @@ def bessel_j_series(order: float, r: float) -> float:
     """mpmath's ``besselj`` at 30 digits: the slow scalar oracle.
 
     The name is kept from when the oracle summed the defining power
-    series; the benchmark tracer and :mod:`alphacurvelets.cli` call it by
-    this name.  The working precision is pinned locally, so a caller's
-    global ``mp.dps`` does not move the value.
+    series; tests call it and the benchmark tracer patches it by this
+    name.  Only a call imports mpmath.  The working precision is pinned
+    locally, so a caller's global ``mp.dps`` does not move the value.
     """
+    import mpmath as mp
+
     nu = _check_order(order)
     if not (math.isfinite(r) and r >= 0):
         raise ValueError("radii must be finite and nonnegative")

@@ -188,6 +188,8 @@ def _atomic_write(path: str, lines) -> str:
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
+        os.umask(umask := os.umask(0o077))  # reads the umask: only the calling thread writes files
+        os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") gives a new file, not mkstemp's 0600
         with os.fdopen(fd, "w") as fh:
             fh.writelines(lines)
         os.replace(tmp, path)
@@ -218,6 +220,16 @@ def _check_out_dir(out_dir: str) -> None:
         os.remove(_atomic_write(os.path.join(out_dir, ".write-probe"), []))
     except OSError as exc:
         raise OSError(f"output directory {out_dir!r} is not writable: {exc}") from exc
+
+
+def _check_pgm_path(path: str, out_dir: str) -> None:
+    """Prove, making nothing, that ``path`` can be written, or raise ``OSError`` naming it.
+    ``out_dir`` may be its directory: :func:`_check_out_dir` makes and proves that one."""
+    if os.path.isdir(path):
+        raise OSError(f"--dump-pgm {path!r} is a directory")
+    d = os.path.dirname(os.path.abspath(path))
+    if d != os.path.abspath(out_dir) and not (os.path.isdir(d) and os.access(d, os.W_OK | os.X_OK)):
+        raise OSError(f"--dump-pgm {path!r} cannot be written: {d!r} is not a writable directory")
 
 
 def emit_report(
@@ -598,15 +610,14 @@ def run_bessel_check(cfg: dict) -> Run:
 
     def run():
         tol = float(cfg["closed_form_tol"])
-        rows = []
-        max_closed = 0.0
-        for r in np.linspace(0.05, 50.0, 250):
-            plus = bessel.bessel_j_series(0.5, float(r))
-            minus = bessel.bessel_j_series(-0.5, float(r))
-            c_plus = math.sqrt(2.0 / (math.pi * r)) * math.sin(r)
-            c_minus = math.sqrt(2.0 / (math.pi * r)) * math.cos(r)
-            max_closed = max(max_closed, abs(plus - c_plus), abs(minus - c_minus))
-            rows.append({"r": float(r), "dev_plus": abs(plus - c_plus), "dev_minus": abs(minus - c_minus)})
+        # the closed forms of J_{+-1/2} check bessel_j on both of its branches
+        r = np.linspace(0.05, 50.0, 250)
+        dev_plus = np.abs(bessel.bessel_j(0.5, r) - np.sqrt(2.0 / (math.pi * r)) * np.sin(r))
+        dev_minus = np.abs(bessel.bessel_j(-0.5, r) - np.sqrt(2.0 / (math.pi * r)) * np.cos(r))
+        max_closed = float(max(dev_plus.max(), dev_minus.max()))
+        rows = [
+            {"r": float(a), "dev_plus": float(b), "dev_minus": float(c)} for a, b, c in zip(r, dev_plus, dev_minus)
+        ]
         cross = 0.0
         for nu in bessel.SUPPORTED_ORDERS:
             r = bessel.CROSSOVER_RADIUS
@@ -769,7 +780,10 @@ def main(argv: list[str] | None = None) -> int:
         help="also dump disc coefficients at the experiment grid (K largest; 0 = all)",
     )
     runp.add_argument(
-        "--dump-pgm", default=None, metavar="PATH", help="dump the experiment cartoon as plain PGM"
+        "--dump-pgm",
+        default=None,
+        metavar="PATH",
+        help="dump the disc cartoon as plain PGM: the experiment's grid, else the default; its antialias, else 4",
     )
     sub.add_parser("list", help="list experiments and their acceptance bands")
     args = parser.parse_args(argv)
@@ -793,6 +807,8 @@ def main(argv: list[str] | None = None) -> int:
             grid, alpha, s = (cfg.get(key, base[key]) for key in ("grid", "alpha", "s"))
             params = FrameParams(s, float(alpha), grid)
             spec = CartoonSpec(kind="disc", antialias=cfg.get("antialias", 4))
+        if args.dump_pgm:
+            _check_pgm_path(args.dump_pgm, out_dir)
         _check_out_dir(out_dir)  # after the plans, which may refuse, and before any work
     except (ValueError, OSError) as exc:  # a plan does no work, so whatever it raises refuses the input
         runp.error(str(exc))

@@ -387,8 +387,8 @@ class TileSupport:
 
     The record is built complete from the scan's entries, in one fold: the
     wrap box ``P1 x P2`` is the smaller of the two candidates
-    :func:`_wrap_families` gives, the first on a tie, or the whole grid
-    when ``wrap`` is false.  :func:`build_layout` gives tile
+    :func:`_wrap_families` gives, the first on a tie.  :func:`build_layout`
+    makes the closure, whose box is the whole grid, and gives tile
     ``(j, L/2 - ell)``, the transpose of tile ``(j, ell)``, the candidates
     of that tile's search swapped (:func:`_paired_search`), unless the
     scan flags a centre of the pair's orbit near an angular edge; the
@@ -418,8 +418,8 @@ class TileSupport:
         "support_cardinality",
     )
 
-    def __init__(self, j, ell, grid_n, grid_flat, window, wrap):
-        self._fold(j, ell, grid_n, grid_flat, window, _wrap_families if wrap else None)
+    def __init__(self, j, ell, grid_n, grid_flat, window):
+        self._fold(j, ell, grid_n, grid_flat, window, _wrap_families)
 
     def _fold(self, j, ell, grid_n, grid_flat, window, search):
         """Fill every slot; returns each entry's signed grid row ``k1`` and its

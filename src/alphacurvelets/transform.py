@@ -180,25 +180,6 @@ class CoefficientSet:
         """``|c|`` of every coefficient in flat order."""
         return np.abs(self.values)
 
-    def flat_index(self, j: int, ell: int, m: tuple[int, int]) -> int:
-        """Flat position of coefficient ``(j, ell, m)`` in the stable order."""
-        for i, (jj, ee, P1, P2) in enumerate(self.wedge_table):
-            if (jj, ee) == (j, ell):
-                m1, m2 = int(m[0]), int(m[1])
-                if not (0 <= m1 < P1 and 0 <= m2 < P2):
-                    raise ValueError(f"box index {m} outside {P1}x{P2}")
-                return int(self.offsets[i]) + m1 * P2 + m2
-        raise KeyError(f"no tile ({j}, {ell})")
-
-    def index_of_flat(self, flat: int) -> tuple[int, int, tuple[int, int]]:
-        """Inverse of :meth:`flat_index`."""
-        if not 0 <= flat < self.total_count:
-            raise ValueError(f"flat index {flat} outside [0, {self.total_count})")
-        i = int(self._tile_of(flat))
-        j, ell, _P1, P2 = self.wedge_table[i]
-        m1, m2 = divmod(int(flat - self.offsets[i]), P2)
-        return j, ell, (m1, m2)
-
 
 def _check_image(image: np.ndarray, frame: DigitalCurveletFrame) -> np.ndarray:
     image = np.asarray(image)

@@ -111,6 +111,14 @@ def test_atomic_write_removes_its_temp_file_when_the_write_fails(tmp_path, monke
     assert target.read_text() == "old"
 
 
+def _decoded(coeffs, flat) -> tuple[int, int, int, int]:
+    """``(j, ell, m1, m2)`` of flat position ``flat``, found by a walk over the tiles."""
+    for (j, ell, _P1, P2), lo, hi in zip(coeffs.wedge_table, coeffs.offsets[:-1], coeffs.offsets[1:]):
+        if lo <= flat < hi:
+            return (j, ell, *divmod(int(flat - lo), P2))
+    raise AssertionError(f"flat position {flat} outside the set")
+
+
 def test_dump_coefficients(tmp_path, frame64):
     rng = np.random.default_rng(12)
     coeffs = analyze(rng.standard_normal((64, 64)), frame64)
@@ -129,8 +137,7 @@ def test_dump_coefficients(tmp_path, frame64):
     rows = [r.split(",") for r in open(cpath).read().strip().split("\n")[1:]]
     assert len(rows) == coeffs.total_count
     for flat in (0, 1, 777, coeffs.total_count - 1):
-        j, ell, (m1, m2) = coeffs.index_of_flat(flat)
-        assert rows[flat][:4] == [str(j), str(ell), str(m1), str(m2)]
+        assert rows[flat][:4] == [str(v) for v in _decoded(coeffs, flat)]
         assert float(rows[flat][4]) == coeffs.values[flat]
 
 
@@ -143,11 +150,7 @@ def test_dump_coefficients_top_k_order_with_ties(tmp_path, frame64):
     for k in (1, 37, 500):
         _, cpath = dump_coefficients(coeffs, frame64, os.fspath(tmp_path / f"top{k}"), top_k=k)
         rows = [tuple(int(v) for v in r.split(",")[:4]) for r in open(cpath).read().strip().split("\n")[1:]]
-        want = []
-        for flat in np.argsort(-mags, kind="stable")[:k]:
-            j, ell, (m1, m2) = coeffs.index_of_flat(int(flat))
-            want.append((j, ell, m1, m2))
-        assert rows == want
+        assert rows == [_decoded(coeffs, flat) for flat in np.argsort(-mags, kind="stable")[:k]]
     with pytest.raises(ValueError):
         dump_coefficients(coeffs, frame64, os.fspath(tmp_path / "none"), top_k=0)
     with pytest.raises(ValueError, match="top_k must be an integer, got 2.5"):
@@ -459,7 +462,7 @@ def test_the_verdict_names_the_applied_bands(monkeypatch, tmp_path, capsys):
 WORK = {
     cli.DigitalCurveletFrame: ("build",),
     cli: ("build_layout", "render", "analyze"),
-    cli.bessel: ("wedge_energy_quadrature", "bessel_j_series"),
+    cli.bessel: ("wedge_energy_quadrature", "bessel_j"),
     cli.appr: ("error_curve", "bound1_tail_estimator", "generator_decay_check"),
     cli.molecules: ("consistency_sum",),
 }
@@ -475,8 +478,8 @@ def no_work(monkeypatch):
             monkeypatch.setattr(owner, name, work)
 
 
-def _dumps(tmp_path) -> list[str]:
-    return ["--dump-pgm", os.fspath(tmp_path / "x.pgm"), "--dump-coeffs", "5"]
+def _dumps(tmp_path, pgm=None) -> list[str]:
+    return ["--dump-pgm", os.fspath(pgm or tmp_path / "x.pgm"), "--dump-coeffs", "5"]
 
 
 def _assert_no_dumps(tmp_path) -> None:
@@ -484,15 +487,16 @@ def _assert_no_dumps(tmp_path) -> None:
     assert not list(tmp_path.rglob("coefficients.*"))
 
 
-def _refused_with_either_out(args, message, tmp_path, capsys) -> str:
-    """Run ``args`` with an ``--out`` that exists and with one that does not;
-    each must be a usage error naming ``message`` that writes nothing and makes
-    no directory.  Returns the second run's stderr."""
+def _refused_with_either_out(args, message, tmp_path, capsys, pgm=None) -> str:
+    """Run ``args`` with an ``--out`` that exists and with one that does not,
+    and the dumps, the PGM to ``pgm`` if given; each run must be a usage error
+    naming ``message`` that writes nothing and makes no directory.  Returns the
+    second run's stderr."""
     made, absent = tmp_path / "made", tmp_path / "absent"
     made.mkdir()
     for out in (made, absent):
         with pytest.raises(SystemExit) as exit_info:
-            cli.main(["run", *args, "--out", os.fspath(out), *_dumps(tmp_path)])
+            cli.main(["run", *args, "--out", os.fspath(out), *_dumps(tmp_path, pgm)])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: alphacurvelets run") and message in err
@@ -623,6 +627,63 @@ def test_a_config_file_that_cannot_be_read_is_a_usage_error(config, message, no_
         path.write_text(config)
     err = _refused_with_either_out(["bessel-check", "--config", os.fspath(path)], message, tmp_path, capsys)
     assert os.fspath(path) in err
+
+
+@pytest.mark.parametrize("pgm", ["nodir/x.pgm", "."])
+def test_a_pgm_path_that_cannot_be_written_is_a_usage_error(pgm, no_work, tmp_path, capsys):
+    # a PGM in a missing directory was written after the render, ending in a traceback
+    path = tmp_path / pgm
+    message = "is a directory" if path.is_dir() else "is not a writable directory"
+    err = _refused_with_either_out(["bessel-check"], message, tmp_path, capsys, pgm=path)
+    assert os.fspath(path) in err and not (tmp_path / "nodir").exists()
+
+
+def test_a_pgm_in_the_out_directory_it_makes_is_written(tmp_path, capsys):
+    out = tmp_path / "new"
+    assert cli.main(["run", "bessel-check", "--out", os.fspath(out), "--dump-pgm", os.fspath(out / "x.pgm")]) == 0
+    assert sorted(os.listdir(out)) == ["bessel-check.csv", "bessel-check.gnuplot", "bessel-check.json", "x.pgm"]
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+def test_written_files_take_the_mode_of_a_new_file(umask, mode, monkeypatch, tmp_path, capsys):
+    # the temp file's 0600 was kept by the rename
+    monkeypatch.setitem(cli.RUNNERS, "disc-rate", lambda cfg: lambda: (True, {}, []))
+    out, pgm = tmp_path / "out", tmp_path / "x.pgm"
+    old = os.umask(umask)
+    try:
+        args = ["run", "disc-rate", "--grid", "64", "--out", os.fspath(out), "--dump-pgm", os.fspath(pgm)]
+        assert cli.main([*args, "--dump-coeffs", "5"]) == 0
+    finally:
+        os.umask(old)
+    written = [pgm, *out.iterdir()]
+    assert sorted(p.name for p in written) == [
+        "coefficients.csv", "coefficients.json", "disc-rate.csv", "disc-rate.gnuplot", "disc-rate.json", "x.pgm"
+    ]
+    assert {stat.S_IMODE(p.stat().st_mode) for p in written} == {mode}
+
+
+def test_bessel_check_checks_bessel_j(monkeypatch):
+    # it compared mpmath's besselj with the closed forms, so an error in bessel_j went unseen
+    exact = cli.bessel.bessel_j
+
+    def off(order, r):
+        return exact(order, r) + (1e-9 if abs(order) == 0.5 else 0.0)
+
+    monkeypatch.setattr(cli.bessel, "bessel_j", off)
+    _ok, results, _rows = cli.RUNNERS["bessel-check"](cli.resolve_config("bessel-check", None, {}))()
+    assert results["closed_form_max_dev"] >= 1e-9
+
+
+def test_bessel_check_does_not_load_mpmath():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import sys, alphacurvelets.cli as cli\n"
+        "ok, results, rows = cli.RUNNERS['bessel-check'](cli.resolve_config('bessel-check', None, {}))()\n"
+        "assert ok, results\n"
+        "assert 'mpmath' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 @pytest.mark.parametrize(

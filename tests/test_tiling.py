@@ -540,7 +540,7 @@ def test_reflected_tiles_are_row_flips_equal_to_the_constructor(grid, alpha, sna
         assert np.array_equal(sup.box_flat, (src.P1 - row) % src.P1 * box_cols + col)
         assert np.array_equal(sup.window, src.window)
         ns = sup.n_spectrum
-        built = TileSupport(j, ell, grid, sup.grid_flat[:ns], sup.window[:ns], wrap=True)
+        built = TileSupport(j, ell, grid, sup.grid_flat[:ns], sup.window[:ns])
         for name in TileSupport.__slots__:
             a, b = getattr(built, name), getattr(sup, name)
             assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype, (j, ell, name)
@@ -736,7 +736,7 @@ def test_the_half_box_check_agrees_with_the_full_support_count(alpha, snapped, m
             monkeypatch.setattr(tiling, "_wrap_families", lambda k1, k2, grid_n: ((P1, P2), (P1, P2)))
             want = _oracle_fold(grid_flat, grid, True, lambda k1, k2, grid_n: (P1, P2))
             try:
-                built = TileSupport(sup.j, sup.ell, grid, grid_flat, window, wrap=True)
+                built = TileSupport(sup.j, sup.ell, grid, grid_flat, window)
             except RuntimeError:
                 built = None
             assert (built is None) == (want is None), (sup.j, sup.ell, P1, P2)

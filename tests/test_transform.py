@@ -605,29 +605,14 @@ def test_blocks_are_disjoint_views_of_the_flat_values_in_order(frame64):
     coeffs = analyze(np.random.default_rng(13).standard_normal((64, 64)), frame64)
     assert coeffs.values.dtype == np.float64 and coeffs.values.ndim == 1
     assert coeffs.offsets[0] == 0 and coeffs.offsets[-1] == coeffs.total_count
-    for i, ((j, ell, P1, P2), block) in enumerate(zip(coeffs.wedge_table, coeffs.blocks)):
+    for i, ((_j, _ell, P1, P2), block) in enumerate(zip(coeffs.wedge_table, coeffs.blocks)):
         assert block.shape == (P1, P2)
         assert block.base is coeffs.values
-        assert coeffs.flat_index(j, ell, (0, 0)) == coeffs.offsets[i]
+        assert coeffs.offsets[i + 1] - coeffs.offsets[i] == P1 * P2
         assert np.array_equal(block.ravel(), coeffs.values[coeffs.offsets[i] : coeffs.offsets[i + 1]])
     for a, b in zip(coeffs.blocks, coeffs.blocks[1:]):
         assert not np.shares_memory(a, b)
     # a write to a block is a write to the flat array
     coeffs.blocks[3][0, 1] = 7.0
-    assert coeffs.values[coeffs.flat_index(*coeffs.wedge_table[3][:2], (0, 1))] == 7.0
+    assert coeffs.values[coeffs.offsets[3] + 1] == 7.0
 
-
-def test_flat_index_round_trip(frame64):
-    rng = np.random.default_rng(13)
-    coeffs = analyze(rng.standard_normal((64, 64)), frame64)
-    for flat in (0, 5, coeffs.total_count - 1, 1234):
-        j, ell, m = coeffs.index_of_flat(flat)
-        assert coeffs.flat_index(j, ell, m) == flat
-    with pytest.raises(ValueError):
-        coeffs.index_of_flat(coeffs.total_count)
-    with pytest.raises(KeyError):
-        coeffs.flat_index(2, 99, (0, 0))
-    j, ell, P1, P2 = coeffs.wedge_table[3]
-    for m in ((P1, 0), (0, P2), (-1, 0)):
-        with pytest.raises(ValueError, match="outside"):
-            coeffs.flat_index(j, ell, m)
