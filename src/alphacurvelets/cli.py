@@ -222,11 +222,15 @@ def _check_out_dir(out_dir: str) -> None:
         raise OSError(f"output directory {out_dir!r} is not writable: {exc}") from exc
 
 
-def _check_pgm_path(path: str, out_dir: str) -> None:
+def _check_pgm_path(path: str, out_dir: str, written: list[str]) -> None:
     """Prove, making nothing, that ``path`` can be written, or raise ``OSError`` naming it.
-    ``out_dir`` may be its directory: :func:`_check_out_dir` makes and proves that one."""
+    ``out_dir`` may be its directory: :func:`_check_out_dir` makes and proves that one.
+    A path that resolves to one of the ``written`` names in ``out_dir``, files the run
+    writes after the image, raises ``ValueError``."""
     if os.path.isdir(path):
         raise OSError(f"--dump-pgm {path!r} is a directory")
+    if os.path.realpath(path) in {os.path.realpath(os.path.join(out_dir, name)) for name in written}:
+        raise ValueError(f"--dump-pgm {path!r} is a file this run writes in {out_dir!r}")
     d = os.path.dirname(os.path.abspath(path))
     if d != os.path.abspath(out_dir) and not (os.path.isdir(d) and os.access(d, os.W_OK | os.X_OK)):
         raise OSError(f"--dump-pgm {path!r} cannot be written: {d!r} is not a writable directory")
@@ -655,6 +659,8 @@ def run_molecule_distance(cfg: dict) -> Run:
     pb = FrameParams(float(cfg["s_b"]), alpha, 64)
     for cap in caps:
         molecules._check_sum_args(pa, pb, alpha, k_exp, scale_cap, float(cap))
+    if any(a >= b for a, b in zip(caps, caps[1:])):  # else the growth measures no larger sum
+        raise ValueError(f"spatial_caps must strictly increase, got {caps!r}")
     p = molecules.curvelet_parametrization((2, 1, (3.0, -2.0)), pa)  # refuses a frame without tile (2, 1)
 
     def run():
@@ -808,7 +814,10 @@ def main(argv: list[str] | None = None) -> int:
             params = FrameParams(s, float(alpha), grid)
             spec = CartoonSpec(kind="disc", antialias=cfg.get("antialias", 4))
         if args.dump_pgm:
-            _check_pgm_path(args.dump_pgm, out_dir)
+            written = [f"{args.experiment}.{ext}" for ext in ("csv", "json", "gnuplot")]
+            if args.dump_coeffs is not None:
+                written += ["coefficients.json", "coefficients.csv"]
+            _check_pgm_path(args.dump_pgm, out_dir, written)
         _check_out_dir(out_dir)  # after the plans, which may refuse, and before any work
     except (ValueError, OSError) as exc:  # a plan does no work, so whatever it raises refuses the input
         runp.error(str(exc))

@@ -41,7 +41,6 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -380,22 +379,17 @@ class TileSupport:
     ``k2 mod n`` in ``[0, n/2]`` is kept.  ``grid_flat`` indexes that half
     spectrum, ``(k1 mod n) * (n/2 + 1) + (k2 mod n)``, and ``window`` holds
     the window there.  Its first ``n_spectrum`` entries are the support's
-    points on the half spectrum, each once.  Tile ``(j, -ell)`` is the
-    image of tile ``(j, ell)`` under ``k2 -> -k2``: the same record with
-    its rows flipped, which :func:`build_layout` makes from the rows the
-    fold of tile ``(j, ell)`` holds.
+    points on the half spectrum, each once.
 
-    The record is built complete from the scan's entries, in one fold: the
-    wrap box ``P1 x P2`` is the smaller of the two candidates
-    :func:`_wrap_families` gives, the first on a tie.  :func:`build_layout`
-    makes the closure, whose box is the whole grid, and gives tile
-    ``(j, L/2 - ell)``, the transpose of tile ``(j, ell)``, the candidates
-    of that tile's search swapped (:func:`_paired_search`), unless the
-    scan flags a centre of the pair's orbit near an angular edge; the
-    record is the one the constructor builds either way.
-    ``box_flat`` is each entry's flat index on the half box
-    ``P1 x (P2/2 + 1)``.  Entries from
-    ``n_direct`` on are mirrored: the box position is that of ``-k``,
+    :meth:`_fold` builds the records complete from the scan's entries, and
+    tile ``(j, -ell)``, the image of tile ``(j, ell)`` under ``k2 -> -k2``,
+    as that tile's rows flipped.  The wrap box ``P1 x P2`` is the smaller
+    of two candidate boxes, the first on a tie: those :func:`_wrap_families`
+    gives, or those the caller passes (:func:`build_layout` gives a
+    transpose partner the first tile's swapped, which equal its own).  The
+    closure's box is the whole grid (:meth:`_closure`).  ``box_flat`` is
+    each entry's flat index on the half box ``P1 x (P2/2 + 1)``.  Entries
+    from ``n_direct`` on are mirrored: the box position is that of ``-k``,
     which takes the conjugate value.  Entries past ``n_spectrum`` serve
     analysis only; they fill box columns 0 and ``P2/2``, where both a
     point's fold and its mirror's lie in the half box, for points whose
@@ -418,28 +412,35 @@ class TileSupport:
         "support_cardinality",
     )
 
-    def __init__(self, j, ell, grid_n, grid_flat, window):
-        self._fold(j, ell, grid_n, grid_flat, window, _wrap_families)
+    @classmethod
+    def _closure(cls, j, grid_n, grid_flat, window) -> TileSupport:
+        """The closure: its box is the grid, onto which the half spectrum folds entry by entry."""
+        half, tile = grid_n // 2, cls.__new__(cls)
+        col = grid_flat % (half + 1)
+        tile.support_cardinality = grid_flat.size + int(np.count_nonzero((col != 0) & (col != half)))
+        tile.j, tile.ell, tile.grid_n, tile.P1, tile.P2 = j, 0, grid_n, grid_n, grid_n
+        tile.grid_flat = tile.box_flat = grid_flat
+        tile.window, tile.n_spectrum, tile.n_direct = window, grid_flat.size, grid_flat.size
+        return tile
 
-    def _fold(self, j, ell, grid_n, grid_flat, window, search):
-        """Fill every slot; returns each entry's signed grid row ``k1`` and its
-        box row, which :meth:`_with_reflection` flips, or ``None`` for the closure.
+    @classmethod
+    def _fold(cls, j, ell, grid_n, grid_flat, window, boxes=None) -> tuple[list[TileSupport], tuple]:
+        """Tile ``(j, ell)``, and for ``ell > 0`` also tile ``(j, -ell)``, with
+        the two candidate boxes of the full support it took the smaller of:
+        ``boxes`` if given, else those :func:`_wrap_families` finds.
 
-        ``search(k1, k2, grid_n)`` gives the two candidate boxes of the full
-        support, or is ``None`` for the closure, whose box is the grid."""
+        With the mirror ``k -> -k``, the reflection ``k2 -> -k2`` maps
+        ``(k1, k2)`` onto ``(-k1, k2)``, so tile ``(j, -ell)`` is tile
+        ``(j, ell)`` with each entry's column and window kept and its row
+        flipped in the half spectrum and the box.  The wrap search finds the
+        same box for tiles off the row ``k1 = -n/2``, as every tile
+        ``0 < ell < L/2`` is.
+        """
         n, half = grid_n, grid_n // 2
-        self.j, self.ell, self.grid_n = j, ell, grid_n
-        self.n_spectrum = grid_flat.size
-        if search is None:
-            # the box is the grid: the half spectrum folds onto itself, entry by entry
-            col = grid_flat % (half + 1)
-            self.support_cardinality = grid_flat.size + int(np.count_nonzero((col != 0) & (col != half)))
-            self.grid_flat = self.box_flat = grid_flat
-            self.window, self.n_direct = window, grid_flat.size
-            self.P1 = self.P2 = n
-            return None
         k1, k2, omitted, full1, full2 = _signed_support(grid_flat, n)
-        P1, P2 = _smaller(*search(full1, full2, n))
+        if boxes is None:
+            boxes = _wrap_families(full1, full2, n)
+        P1, P2 = _smaller(*boxes)
         # on the Nyquist edge the mirror of k is -k + n, not -k: folding
         # it to the mirrored box position needs a period that divides n
         # there.  Widening that period to n keeps the box collision-free.
@@ -447,51 +448,37 @@ class TileSupport:
             P1 = n
         if n % P2 and k2.min() == -half:
             P2 = n
-        self.support_cardinality = full1.size
+        ns, tile = grid_flat.size, cls.__new__(cls)
+        tile.support_cardinality = full1.size
         del full1, full2
         cols = P2 // 2 + 1
         m1, m2 = k1 % P1, k2 % P2
         conj = m2 >= cols
         extra = omitted & ((m2 == 0) | (m2 == cols - 1))
         order = np.concatenate([(~conj).nonzero()[0], conj.nonzero()[0], extra.nonzero()[0]])
-        self.n_direct = n_direct = self.n_spectrum - int(np.count_nonzero(conj))
+        n_direct = ns - int(np.count_nonzero(conj))
         # entries from n_direct on take the fold of -k: row -m1 mod P1, and
         # column P2 - m2, except the extra ones, whose columns are their own mirrors
         box_row, box_col = m1[order], m2[order]
         mirrored_row = box_row[n_direct:]
         np.subtract(P1, mirrored_row, out=mirrored_row, where=mirrored_row != 0)
-        np.subtract(P2, box_col[n_direct : self.n_spectrum], out=box_col[n_direct : self.n_spectrum])
+        np.subtract(P2, box_col[n_direct:ns], out=box_col[n_direct:ns])
         box_flat = box_row * cols + box_col
         if not _collision_free(box_flat, P1 * cols):
             raise RuntimeError(f"wrap collision in tile ({j}, {ell})")
-        self.grid_flat = grid_flat[order]
-        self.window = window[order]
-        self.box_flat = box_flat
-        self.P1, self.P2 = P1, P2
-        return k1[order], box_row
-
-    @classmethod
-    def _with_reflection(cls, j, ell, grid_n, grid_flat, window, search) -> list[TileSupport]:
-        """Tile ``(j, ell)``, and for ``ell > 0`` also tile ``(j, -ell)``.
-
-        With the mirror ``k -> -k``, the reflection ``k2 -> -k2`` maps
-        ``(k1, k2)`` onto ``(-k1, k2)``, so each entry keeps its column and
-        window and flips its row in the half spectrum and the box, rows the
-        fold holds.  The wrap search finds the same box for tiles off the
-        row ``k1 = -n/2``, as every tile ``0 < ell < L/2`` is.
-        """
-        tile = cls.__new__(cls)
-        rows = tile._fold(j, ell, grid_n, grid_flat, window, search)
+        tile.j, tile.ell, tile.grid_n, tile.P1, tile.P2 = j, ell, grid_n, P1, P2
+        tile.n_spectrum, tile.n_direct = ns, n_direct
+        tile.grid_flat, tile.window, tile.box_flat = grid_flat[order], window[order], box_flat
         if ell <= 0:
-            return [tile]
-        k1, box_row = rows
+            return [tile], boxes
+        k1 = k1[order]
         out = copy.copy(tile)
         out.ell = -ell
         # row k1 mod n goes to -k1 mod n, a move of n sign(k1) - 2 k1 (0 on the row -n/2);
         # box row r goes to -r mod P1, a move of P1 - 2 r unless r is 0
-        out.grid_flat = tile.grid_flat + (grid_n * np.sign(k1) - 2 * k1) * (grid_n // 2 + 1)
-        out.box_flat = tile.box_flat + (np.where(box_row != 0, tile.P1, 0) - 2 * box_row) * (tile.P2 // 2 + 1)
-        return [tile, out]
+        out.grid_flat = tile.grid_flat + (n * np.sign(k1) - 2 * k1) * (half + 1)
+        out.box_flat = box_flat + (np.where(box_row != 0, P1, 0) - 2 * box_row) * cols
+        return [tile, out], boxes
 
     def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Full lattice support: signed ``k1``, ``k2`` in ``[-n/2, n/2)`` and
@@ -668,36 +655,20 @@ def _smaller(c1: tuple[int, int], c2: tuple[int, int]) -> tuple[int, int]:
     return c2 if c2[0] * c2[1] < c1[0] * c1[1] else c1
 
 
-def _paired_search(families: dict, pair, k1: np.ndarray, k2: np.ndarray, grid_n: int):
-    """The wrap candidates of one tile of a transpose pair.
-
-    The first tile of ``pair`` to fold searches and keeps its two
-    :func:`_wrap_families` candidates; the second, whose support is the
-    transpose of the first's, takes them swapped, so it needs no search
-    and breaks an equal-area tie the other way, as its own search would.
-    """
-    held = families.pop(pair, None)
-    if held is None:
-        families[pair] = held = _wrap_families(k1, k2, grid_n)
-        return held
-    c1, c2 = held
-    return c2[::-1], c1[::-1]
-
-
 def build_layout(params: FrameParams) -> TilingLayout:
     """Construct the full tiling: one folded lattice support per tile.
 
     The tile list is ordered scale-major (ball first, angular index
     ascending within each scale, closure last); this ordering is the
     stable flat order used for coefficient tie-breaking downstream.
-    :class:`TileSupport` folds the scanned tiles ``0 <= ell < L/2`` and
+    :meth:`TileSupport._fold` folds the scanned tiles ``0 <= ell < L/2`` and
     ``ell = -L/2`` of each scale; each tile ``-L/2 < ell < 0`` is tile
     ``-ell`` with its rows flipped, made in the same call.
 
     The transpose ``(k1, k2) -> (k2, k1)`` maps tile ``ell`` onto tile
-    ``L/2 - ell``, so one wrap search serves both (:func:`_paired_search`):
-    the partner takes the two candidate boxes swapped, and each tile's
-    fold takes the smaller.
+    ``L/2 - ell``, so one wrap search serves both: the first tile of a
+    pair to fold keeps the two candidate boxes it found, the partner takes
+    them swapped, and each tile's fold takes the smaller.
     A pair whose orbit ``{c, -c, L/2 - c, L/2 + c}`` holds a centre the scan
     flags near an edge searches each tile, as the ball and the tile
     ``L/4``, its own transpose, do.  The scan bins only the quadrant, so it
@@ -707,16 +678,23 @@ def build_layout(params: FrameParams) -> TilingLayout:
     """
     closure = params.scale_of_closure()
     near_edge: set[tuple[int, int]] = set()
-    families: dict = {}
+    found: dict[tuple[int, int], tuple] = {}  # the boxes of each pair's first tile, c < partner
     wedges = []
     for j, ell, grid_flat, window in _scan_supports(params, near_edge):
-        search = None if j == closure else _wrap_families
-        if 0 < j < closure:
-            L = params.tile_count(j)
-            c, partner = ell % L, (L // 2 - ell) % L
-            if c != partner and near_edge.isdisjoint(((j, c), (j, partner))):
-                search = partial(_paired_search, families, (j, min(c, partner)))
-        wedges += TileSupport._with_reflection(j, ell, params.grid_n, grid_flat, window, search)
+        if j == closure:
+            wedges.append(TileSupport._closure(j, params.grid_n, grid_flat, window))
+            continue
+        L = params.tile_count(j)
+        c, partner = ell % L, (L // 2 - ell) % L
+        paired = c != partner and near_edge.isdisjoint(((j, c), (j, partner)))
+        boxes = None
+        if paired and c > partner:
+            c1, c2 = found.pop((j, partner))
+            boxes = c2[::-1], c1[::-1]
+        tiles, boxes = TileSupport._fold(j, ell, params.grid_n, grid_flat, window, boxes)
+        if paired and c < partner:
+            found[j, c] = boxes
+        wedges += tiles
     wedges.sort(key=lambda t: (t.j, t.ell))
     return TilingLayout(params=params, wedges=wedges)
 

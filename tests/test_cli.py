@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,8 +92,8 @@ def test_json_default_converts_numpy_scalars():
 
 def test_emit_report_without_rows_writes_an_empty_table(tmp_path):
     files = cli.emit_report("bessel-check", {"seed": 1}, {"pass": True}, [], os.fspath(tmp_path))
-    assert open(files["csv"]).read() == "\n"
-    report = json.load(open(files["json"]))
+    assert Path(files["csv"]).read_text() == "\n"
+    report = json.loads(Path(files["json"]).read_text())
     assert report["results"] == {"pass": True}
     assert sorted(os.listdir(tmp_path)) == ["bessel-check.csv", "bessel-check.gnuplot", "bessel-check.json"]
 
@@ -124,17 +125,17 @@ def test_dump_coefficients(tmp_path, frame64):
     coeffs = analyze(rng.standard_normal((64, 64)), frame64)
     stem = os.fspath(tmp_path / "coeffs")
     jpath, cpath = dump_coefficients(coeffs, frame64, stem, top_k=10)
-    lines = open(cpath).read().strip().split("\n")
+    lines = Path(cpath).read_text().strip().split("\n")
     assert lines[0] == "j,ell,m1,m2,re"
     assert len(lines) == 11
     mags = [abs(float(r.split(",")[4])) for r in lines[1:]]
     assert mags == sorted(mags, reverse=True)
-    header = json.load(open(jpath))
+    header = json.loads(Path(jpath).read_text())
     assert header["params"]["grid_n"] == 64
     assert header["total_coefficients"] == coeffs.total_count
     # the full dump lists every coefficient in the stable flat order
     _, cpath = dump_coefficients(coeffs, frame64, stem)
-    rows = [r.split(",") for r in open(cpath).read().strip().split("\n")[1:]]
+    rows = [r.split(",") for r in Path(cpath).read_text().strip().split("\n")[1:]]
     assert len(rows) == coeffs.total_count
     for flat in (0, 1, 777, coeffs.total_count - 1):
         assert rows[flat][:4] == [str(v) for v in _decoded(coeffs, flat)]
@@ -149,27 +150,27 @@ def test_dump_coefficients_top_k_order_with_ties(tmp_path, frame64):
     mags = coeffs.flat_magnitudes()
     for k in (1, 37, 500):
         _, cpath = dump_coefficients(coeffs, frame64, os.fspath(tmp_path / f"top{k}"), top_k=k)
-        rows = [tuple(int(v) for v in r.split(",")[:4]) for r in open(cpath).read().strip().split("\n")[1:]]
+        rows = [tuple(int(v) for v in r.split(",")[:4]) for r in Path(cpath).read_text().strip().split("\n")[1:]]
         assert rows == [_decoded(coeffs, flat) for flat in np.argsort(-mags, kind="stable")[:k]]
     with pytest.raises(ValueError):
         dump_coefficients(coeffs, frame64, os.fspath(tmp_path / "none"), top_k=0)
     with pytest.raises(ValueError, match="top_k must be an integer, got 2.5"):
         dump_coefficients(coeffs, frame64, os.fspath(tmp_path / "half"), top_k=2.5)
     _, cpath = dump_coefficients(coeffs, frame64, os.fspath(tmp_path / "np"), top_k=np.int64(37))
-    assert open(cpath).read() == open(tmp_path / "top37.csv").read()
+    assert Path(cpath).read_text() == (tmp_path / "top37.csv").read_text()
 
 
 def test_dump_csv_has_lf_line_ends(tmp_path, frame64):
     coeffs = analyze(np.random.default_rng(12).standard_normal((64, 64)), frame64)
     _, cpath = dump_coefficients(coeffs, frame64, os.fspath(tmp_path / "coeffs"), top_k=10)
-    raw = open(cpath, "rb").read()
+    raw = Path(cpath).read_bytes()
     assert b"\r" not in raw and raw.count(b"\n") == 11 and raw.endswith(b"\n")
 
 
 def test_pgm_dump(tmp_path):
     img = render(CartoonSpec(kind="disc"), 32)
     path = write_pgm(img, os.fspath(tmp_path / "disc.pgm"))
-    lines = open(path).read().split("\n")
+    lines = Path(path).read_text().split("\n")
     assert lines[0] == "P2"
     assert lines[1] == "32 32"
     assert lines[2] == "255"
@@ -209,10 +210,10 @@ def test_run_verify_frame_small(tmp_path, capsys):
     assert "verify-frame: PASS" in text
     for ext in (".csv", ".json", ".gnuplot"):
         assert os.path.exists(os.path.join(out, "verify-frame" + ext))
-    report = json.load(open(os.path.join(out, "verify-frame.json")))
+    report = json.loads(Path(os.path.join(out, "verify-frame.json")).read_text())
     assert report["results"]["pass"] is True
     assert report["config_sha1"]
-    header, *lines = open(os.path.join(out, "verify-frame.csv")).read().splitlines()
+    header, *lines = Path(os.path.join(out, "verify-frame.csv")).read_text().splitlines()
     assert len(lines) == len(report["config"]["alphas"])
     for line in lines:
         *numbers, ok = line.split(",")
@@ -227,11 +228,11 @@ def test_rerun_is_byte_identical(tmp_path):
     args = ["run", "molecule-distance"]
     assert cli.main(args + ["--out", out1]) == 0
     assert cli.main(args + ["--out", out2]) == 0
-    csv1 = open(os.path.join(out1, "molecule-distance.csv"), "rb").read()
-    csv2 = open(os.path.join(out2, "molecule-distance.csv"), "rb").read()
+    csv1 = Path(os.path.join(out1, "molecule-distance.csv")).read_bytes()
+    csv2 = Path(os.path.join(out2, "molecule-distance.csv")).read_bytes()
     assert csv1 == csv2
-    j1 = open(os.path.join(out1, "molecule-distance.json"), "rb").read()
-    j2 = open(os.path.join(out2, "molecule-distance.json"), "rb").read()
+    j1 = Path(os.path.join(out1, "molecule-distance.json")).read_bytes()
+    j2 = Path(os.path.join(out2, "molecule-distance.json")).read_bytes()
     assert j1 == j2
 
 
@@ -240,15 +241,15 @@ def test_report_config_reruns_byte_identically(tmp_path):
     out2 = os.fspath(tmp_path / "b")
     assert cli.main(["run", "bessel-check", "--out", out1]) == 0
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(json.load(open(os.path.join(out1, "bessel-check.json")))["config"]))
+    config.write_text(json.dumps(json.loads(Path(os.path.join(out1, "bessel-check.json")).read_text())["config"]))
     assert cli.main(["run", "bessel-check", "--config", os.fspath(config), "--out", out2]) == 0
     for ext in (".json", ".csv"):
-        first = open(os.path.join(out1, "bessel-check" + ext), "rb").read()
-        assert open(os.path.join(out2, "bessel-check" + ext), "rb").read() == first
+        first = Path(os.path.join(out1, "bessel-check" + ext)).read_bytes()
+        assert Path(os.path.join(out2, "bessel-check" + ext)).read_bytes() == first
 
 
 def test_plot_columns_follow_the_documented_csv_headers():
-    doc = open(os.path.join(os.path.dirname(__file__), "..", "docs", "formats.md")).read()
+    doc = Path(os.path.join(os.path.dirname(__file__), "..", "docs", "formats.md")).read_text()
     headers = {}
     for line in doc.splitlines():
         cells = [c.strip() for c in line.split("|")]
@@ -388,13 +389,13 @@ class _ClosedPipe(io.TextIOWrapper):
 
 def test_closed_stdout_keeps_the_reports_and_the_verdict(monkeypatch, tmp_path, capsys):
     out = tmp_path / "reports"
-    with open(tmp_path / "stdout", "wb") as raw:
-        monkeypatch.setattr(sys, "stdout", _ClosedPipe(raw))
+    with open(tmp_path / "stdout", "wb") as raw, _ClosedPipe(raw) as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
         assert cli.main(["run", "molecule-distance", "--out", os.fspath(out)]) == 0
         assert cli.main(["list"]) == 0
         monkeypatch.undo()
     assert sorted(os.listdir(out)) == [f"molecule-distance.{ext}" for ext in ("csv", "gnuplot", "json")]
-    assert json.load(open(out / "molecule-distance.json"))["results"]["pass"] is True
+    assert json.loads((out / "molecule-distance.json").read_text())["results"]["pass"] is True
     assert capsys.readouterr().err == ""
 
 
@@ -431,9 +432,9 @@ def test_dump_flags(tmp_path, capsys):
         ]
     )
     assert code == 0
-    assert open(pgm).readline().strip() == "P2"
+    assert Path(pgm).read_text().splitlines()[0] == "P2"
     coeffs_csv = os.path.join(out, "coefficients.csv")
-    assert len(open(coeffs_csv).read().strip().split("\n")) == 6
+    assert len(Path(coeffs_csv).read_text().strip().split("\n")) == 6
 
 
 def test_every_experiment_has_runner_and_band():
@@ -605,6 +606,9 @@ def _refused_with_either_out(args, message, tmp_path, capsys, pgm=None) -> str:
             None,
             "alpha=0.25 at grid 64, s 2.0 has the tile-count fit window (21, 5), which holds fewer than 5",
         ),
+        # each of these passed with a growth of 0 or below, with nothing to measure
+        (["molecule-distance"], {"spatial_caps": [4.0, 2.0]}, "spatial_caps must strictly increase, got [4.0, 2.0]"),
+        (["molecule-distance"], {"spatial_caps": [2.0, 2.0]}, "spatial_caps must strictly increase, got [2.0, 2.0]"),
     ],
 )
 def test_an_out_of_range_value_is_a_usage_error(args, config, message, no_work, tmp_path, capsys):
@@ -642,6 +646,35 @@ def test_a_pgm_in_the_out_directory_it_makes_is_written(tmp_path, capsys):
     out = tmp_path / "new"
     assert cli.main(["run", "bessel-check", "--out", os.fspath(out), "--dump-pgm", os.fspath(out / "x.pgm")]) == 0
     assert sorted(os.listdir(out)) == ["bessel-check.csv", "bessel-check.gnuplot", "bessel-check.json", "x.pgm"]
+
+
+@pytest.mark.parametrize(
+    "name,coeffs",
+    [
+        ("bessel-check.csv", False),
+        ("bessel-check.json", False),
+        ("bessel-check.gnuplot", True),
+        ("coefficients.json", True),
+        ("coefficients.csv", True),
+    ],
+)
+def test_a_pgm_path_to_a_file_the_run_writes_is_a_usage_error(name, coeffs, no_work, monkeypatch, tmp_path, capsys):
+    # the report or the coefficient dump replaced the image, and the run exited 0
+    monkeypatch.chdir(tmp_path)
+    pgm = tmp_path / "out" / name  # the same file as out/<name>, spelled another way
+    dumps = ["--dump-coeffs", "5"] if coeffs else []
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "bessel-check", "--out", "out", "--dump-pgm", os.fspath(pgm), *dumps])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--dump-pgm {os.fspath(pgm)!r} is a file this run writes in 'out'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_pgm_named_like_a_dump_the_run_does_not_write_is_written(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", "bessel-check", "--out", os.fspath(out), "--dump-pgm", os.fspath(out / "coefficients.csv")]) == 0
+    assert (out / "coefficients.csv").read_text().startswith("P2\n")
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
@@ -785,7 +818,7 @@ def test_a_dump_made_in_chunks_is_the_one_chunk_dump(tmp_path, frame64, monkeypa
         monkeypatch.setattr(cli, "DUMP_CHUNK_ROWS", rows)
         for top_k in (None, 1000):
             _, cpath = dump_coefficients(coeffs, frame64, os.fspath(tmp_path / f"c{rows}-{top_k}"), top_k)
-            dumps[rows, top_k] = open(cpath, "rb").read()
+            dumps[rows, top_k] = Path(cpath).read_bytes()
     for top_k in (None, 1000):
         assert dumps[7, top_k] == dumps[coeffs.total_count, top_k]
     assert dumps[7, None].count(b"\n") == coeffs.total_count + 1
@@ -797,5 +830,5 @@ def test_a_scale_window_is_clipped_to_the_frame_scales(window, scales, tmp_path)
     config.write_text(json.dumps({"grid": 256, "digital_mid_scales": window}))
     out = tmp_path / "out"
     assert cli.main(["run", "wedge-energy", "--config", os.fspath(config), "--out", os.fspath(out)]) in (0, 1)
-    ratios = json.load(open(out / "wedge-energy.json"))["results"]["digital"]["ratios"]
+    ratios = json.loads((out / "wedge-energy.json").read_text())["results"]["digital"]["ratios"]
     assert [r["j"] for r in ratios] == scales

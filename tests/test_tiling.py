@@ -420,16 +420,6 @@ def _searched_box(k1, k2, grid_n):
     return tiling._smaller(*tiling._wrap_families(k1, k2, grid_n))
 
 
-def _paired_boxes(k1, k2, grid_n):
-    """The boxes the build gives a transpose pair: the first tile searches,
-    the second, with the transposed support, takes the first's families."""
-    families = {}
-    first = tiling._smaller(*tiling._paired_search(families, "pair", k1, k2, grid_n))
-    second = tiling._smaller(*tiling._paired_search(families, "pair", k2, k1, grid_n))
-    assert not families
-    return first, second
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
@@ -440,20 +430,27 @@ def _paired_boxes(k1, k2, grid_n):
     )
 )
 def test_the_transposed_box_comes_from_the_two_family_results(points):
+    # so the build may give a transpose partner the first tile's boxes swapped
     k1 = np.array([p[0] for p in points], dtype=np.int64)
     k2 = np.array([p[1] for p in points], dtype=np.int64)
-    assert _paired_boxes(k1, k2, 128) == (_searched_box(k1, k2, 128), _searched_box(k2, k1, 128))
+    c1, c2 = tiling._wrap_families(k1, k2, 128)
+    assert tiling._wrap_families(k2, k1, 128) == (c2[::-1], c1[::-1])
 
 
 def test_the_transposed_box_breaks_an_equal_area_tie_the_other_way():
     # tile (9, 14) of this frame has two candidates of equal area and
-    # different shape; its transpose partner (9, 2) takes the other one
+    # different shape; its transpose partner (9, 2), the first of the pair
+    # to fold, takes the other one, and (9, 14) takes its boxes swapped
     p = FrameParams(s=0.8118314520104855, alpha=0.3809938040753181, grid_n=256)
+    near_edge = set()
+    tiling._scan_supports(p, near_edge)
+    assert near_edge.isdisjoint({(9, 2), (9, 14)})  # so the pair shares one search
     tiles = {(sup.j, sup.ell): sup for sup in build_layout(p).wedges}
     assert p.tile_count(9) == 32
     k1, k2, _ = tiles[9, 14].support()
+    assert np.array_equal(_support_keys(k2, k1, 256), _support_keys(*tiles[9, 2].support()[:2], 256))
     assert tiling._wrap_families(k1, k2, 256) == ((16, 14), (4, 56))
-    assert _paired_boxes(k1, k2, 256) == ((16, 14), (56, 4))
+    assert _searched_box(k1, k2, 256) == (16, 14)
     assert _searched_box(k2, k1, 256) == (56, 4)  # not (14, 16), the first box swapped
     assert [(tiles[9, ell].P1, tiles[9, ell].P2) for ell in (14, 2)] == [(16, 14), (56, 4)]
 
@@ -464,7 +461,8 @@ def test_layout_matches_golden_file():
     p = FrameParams(s=1.0, alpha=0.5, grid_n=64)
     doc = json.loads(layout_to_json(build_layout(p)))
     golden_path = os.path.join(os.path.dirname(__file__), "data", "layout_s1_a05_n64.json")
-    golden = json.load(open(golden_path))
+    with open(golden_path) as f:
+        golden = json.load(f)
     assert doc == golden
 
 
@@ -540,7 +538,7 @@ def test_reflected_tiles_are_row_flips_equal_to_the_constructor(grid, alpha, sna
         assert np.array_equal(sup.box_flat, (src.P1 - row) % src.P1 * box_cols + col)
         assert np.array_equal(sup.window, src.window)
         ns = sup.n_spectrum
-        built = TileSupport(j, ell, grid, sup.grid_flat[:ns], sup.window[:ns])
+        built = TileSupport._fold(j, ell, grid, sup.grid_flat[:ns], sup.window[:ns])[0][0]
         for name in TileSupport.__slots__:
             a, b = getattr(built, name), getattr(sup, name)
             assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype, (j, ell, name)
@@ -721,8 +719,8 @@ def test_the_fold_gives_the_boxes_of_the_full_support_oracle(grid, snapped):
 
 
 @pytest.mark.parametrize("alpha,snapped", [(0.0, True), (0.5, False), (0.5, True), (0.9, True)])
-def test_the_half_box_check_agrees_with_the_full_support_count(alpha, snapped, monkeypatch):
-    # on boxes that collide and boxes that do not, the constructor refuses
+def test_the_half_box_check_agrees_with_the_full_support_count(alpha, snapped):
+    # on boxes that collide and boxes that do not, the fold refuses
     # exactly the boxes on which two points of the full support share a cell
     grid = 64
     p = FrameParams.nyquist_snapped(1.0, alpha, grid) if snapped else FrameParams(s=1.0, alpha=alpha, grid_n=grid)
@@ -733,10 +731,9 @@ def test_the_half_box_check_agrees_with_the_full_support_count(alpha, snapped, m
             continue
         grid_flat, window = sup.grid_flat[: sup.n_spectrum], sup.window[: sup.n_spectrum]
         for P1, P2 in 2 * rng.integers(1, grid // 2 + 1, size=(6, 2)):
-            monkeypatch.setattr(tiling, "_wrap_families", lambda k1, k2, grid_n: ((P1, P2), (P1, P2)))
             want = _oracle_fold(grid_flat, grid, True, lambda k1, k2, grid_n: (P1, P2))
             try:
-                built = TileSupport(sup.j, sup.ell, grid, grid_flat, window)
+                built = TileSupport._fold(sup.j, sup.ell, grid, grid_flat, window, boxes=((P1, P2), (P1, P2)))[0][0]
             except RuntimeError:
                 built = None
             assert (built is None) == (want is None), (sup.j, sup.ell, P1, P2)
