@@ -383,6 +383,7 @@ def generator_decay_check(params: FrameParams, probe_step: float) -> list[dict]:
     _check_probe_step(probe_step)
     ax = np.arange(-PROBE_EXTENT, PROBE_EXTENT + probe_step / 2, probe_step)
     X1, X2 = np.meshgrid(ax, ax, indexing="ij")
+    outside = (np.abs(X1) > 0.5) | (np.abs(X2) > 0.5)
     out = []
     inner = 2.0 ** (-2.0 * params.s - 5.0)
     for j in range(params.j_max + 1):
@@ -390,7 +391,6 @@ def generator_decay_check(params: FrameParams, probe_step: float) -> list[dict]:
         U2 = 2.0**(j * params.s * params.alpha) * X2
         pts = np.stack([U1.ravel(), U2.ravel()], axis=-1)
         vals = params.window(j, 0, pts).reshape(X1.shape)
-        outside = (np.abs(X1) > 0.5) | (np.abs(X2) > 0.5)
         support_ok = bool(np.all(vals[outside] == 0.0))
         sup = float(vals.max())
         if j >= 1:
@@ -441,11 +441,12 @@ def fit_scale_slope(scales: list[int], values: list[float]) -> dict:
     return last
 
 
-def atom_l1_decay(frame: DigitalCurveletFrame) -> dict:
+def atom_l1_decay(frame: DigitalCurveletFrame, fit_scales: tuple[int, int]) -> dict:
     """Quadrature L1 norms of one horizontal atom per corona scale.
 
     Returns per-scale L1 and L2 norms of the atom at the center of the
-    wrap box, plus the log2 slope of the L1 norms over the mid scales.
+    wrap box, plus the log2 slope of the L1 norms over the scales
+    ``fit_scales`` (inclusive), ``None`` if fewer than 3 of them are kept.
     Scales whose tile support is empty on the lattice are skipped.
     """
     p = frame.params
@@ -458,7 +459,8 @@ def atom_l1_decay(frame: DigitalCurveletFrame) -> dict:
         atom = curvelet_atom(frame, (j, 0, (c.P1 // 2, c.P2 // 2)))
         l1, l2sq = grid_norms(atom, p.grid_n)
         rows.append({"j": j, "l1": l1, "l2": math.sqrt(l2sq)})
-    usable = [r for r in rows if 2 <= r["j"] <= p.j_max - 1]
+    lo, hi = fit_scales
+    usable = [r for r in rows if lo <= r["j"] <= hi]
     slope = None
     if len(usable) >= 3:
         x = np.array([r["j"] for r in usable], dtype=float)

@@ -31,11 +31,20 @@ from .tiling import as_index
 
 __all__ = [
     "CartoonSpec",
+    "SAMPLE_LIMIT",
     "SmoothFactor",
+    "check_render",
     "render",
 ]
 
 _KINDS = ("disc", "half_space", "smooth_bump", "star")
+
+# A render takes grid_n**2 * antialias**2 samples and holds antialias column
+# terms of grid_n floats each (two for a smooth kind), so antialias 100000
+# asks for about 0.8 GB and hours of work.  The largest render packaged has
+# 2**26 samples (grid 1024, antialias 8), and grid 4096 at antialias 8 has
+# 2**30; 2**32 lets both through with room.
+SAMPLE_LIMIT = 2**32
 
 
 def _smoothstep_poly(order: int) -> np.polynomial.Polynomial:
@@ -199,10 +208,18 @@ def _axis_terms(
     return edge, smooth
 
 
-def _grid_size(grid_n) -> int:
+def check_render(spec: CartoonSpec, grid_n) -> int:
+    """``grid_n`` as an ``int``, if :func:`render` takes ``spec`` at it:
+    at least 2, with at most :data:`SAMPLE_LIMIT` samples; else ``ValueError``."""
     n = as_index(grid_n, "grid_n")
     if n < 2:
         raise ValueError("grid_n must be >= 2")
+    samples = n * n * spec.antialias**2
+    if samples > SAMPLE_LIMIT:
+        raise ValueError(
+            f"a render at grid {n}, antialias {spec.antialias} takes {samples:,} samples, "
+            f"above SAMPLE_LIMIT = {SAMPLE_LIMIT:,}"
+        )
     return n
 
 
@@ -247,8 +264,10 @@ def render(spec: CartoonSpec, grid_n: int) -> np.ndarray:
     for bit.  ``star`` is evaluated per sample.  The row blocks are shared
     with the package's worker thread: this thread takes them from the
     back, the worker from the front, and each block writes only its rows.
+    A render of more than :data:`SAMPLE_LIMIT` samples raises ``ValueError``
+    (:func:`check_render`) before any work.
     """
-    n, a = _grid_size(grid_n), spec.antialias
+    n, a = check_render(spec, grid_n), spec.antialias
     h = 2.0 / n
     base = -1.0 + h * np.arange(n)
     out = np.zeros((n, n))

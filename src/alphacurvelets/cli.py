@@ -26,7 +26,7 @@ import numpy as np
 
 from . import approximation as appr
 from . import bessel, molecules
-from .cartoons import CartoonSpec, render
+from .cartoons import CartoonSpec, check_render, render
 from .tiling import FrameParams, as_index, build_layout, verify_partition
 from .transform import (
     CoefficientSet,
@@ -389,6 +389,7 @@ def run_wedge_energy(cfg: dict) -> Run:
     params = FrameParams(cfg["s"], d_alpha, grid)
     lo_m, hi_m = _scale_window(cfg, "digital_mid_scales", params.j_max, 1)
     spec = CartoonSpec(kind="disc", antialias=cfg["antialias"])
+    check_render(spec, grid)
     band = _pair(cfg["digital_ratio_band"], "digital_ratio_band")
 
     def run():
@@ -465,6 +466,7 @@ def run_disc_rate(cfg: dict) -> Run:
         raise ValueError(f"no acceptance band configured for alpha={alpha}")
     params = FrameParams(cfg["s"], alpha, grid, snapped=True)
     spec = CartoonSpec(kind="disc", antialias=cfg["antialias"])
+    check_render(spec, grid)
     rate = _rate_plan(cfg)
 
     def run():
@@ -530,6 +532,8 @@ def run_straight_edge_rate(cfg: dict) -> Run:
     rate = _rate_plan(cfg)
     half_params = FrameParams(cfg["s"], 0.5, grid, snapped=True)
     quarter = FrameParams(cfg["s"], 0.25, grid, snapped=True)
+    for spec in (edge, bump):
+        check_render(spec, grid)
     bump_window = _window(cfg, "bump_window")
     band = _pair(cfg["band_alpha_half"], "band_alpha_half")
 
@@ -573,6 +577,7 @@ def run_apriori_decay(cfg: dict) -> Run:
     every = _frames(cfg, snapped=True)
     windows = [_scale_window(cfg, "fit_scales", params.j_max, 3) for params in every]
     spec = CartoonSpec(kind="disc", antialias=cfg["antialias"])
+    check_render(spec, grid)
 
     def run():
         ok = True
@@ -587,7 +592,7 @@ def run_apriori_decay(cfg: dict) -> Run:
             # the size bound is one-sided: curved edges cannot saturate it for
             # strongly directional tiles, so only slopes above target+tol fail
             ok_c = table["slope"] <= target + cfg["max_coeff_tol"]
-            atoms = appr.atom_l1_decay(frame)
+            atoms = appr.atom_l1_decay(frame, window)
             ok_a = atoms["l1_slope"] is not None and abs(atoms["l1_slope"] - target) <= cfg["atom_l1_tol"]
             ok = ok and ok_c and ok_a
             summaries.append(
@@ -751,12 +756,24 @@ def run_experiment(experiment: str, cfg: dict, out_dir: str) -> int:
 
 
 def _verdict(experiment: str, cfg: dict, outcome: tuple[bool, dict, list[dict]], out_dir: str) -> int:
-    """Write the reports of a run's ``(ok, results, rows)`` and print its verdict; 0 iff PASS."""
+    """Write the reports of a run's ``(ok, results, rows)`` and print its verdict; 0 iff PASS.
+
+    Under the verdict line come the top-level numbers of ``results``, the
+    ``slope`` of each top-level fit (a dict with a ``slope``) and ``None``
+    for each value a failed fit left out, then each entry of its ``rows``
+    and ``summaries``."""
     ok, results, rows = outcome
     ok = bool(ok)
     files = emit_report(experiment, cfg, {**results, "pass": ok}, rows, out_dir)
     verdict = "PASS" if ok else "FAIL"
     _say(f"{experiment}: {verdict}  ({band_note(experiment, cfg)})")
+    measured = [
+        f"{key}.slope={val['slope']}" if isinstance(val, dict) else f"{key}={val}"
+        for key, val in results.items()
+        if val is None or _kind(val) == "a number" or (isinstance(val, dict) and "slope" in val)
+    ]
+    if measured:
+        _say("  " + ", ".join(measured))
     for key in ("rows", "summaries"):
         for entry in results.get(key) or []:
             if isinstance(entry, dict):
@@ -813,6 +830,7 @@ def main(argv: list[str] | None = None) -> int:
             grid, alpha, s = (cfg.get(key, base[key]) for key in ("grid", "alpha", "s"))
             params = FrameParams(s, float(alpha), grid)
             spec = CartoonSpec(kind="disc", antialias=cfg.get("antialias", 4))
+            check_render(spec, grid)
         if args.dump_pgm:
             written = [f"{args.experiment}.{ext}" for ext in ("csv", "json", "gnuplot")]
             if args.dump_coeffs is not None:

@@ -20,9 +20,10 @@ The transpose ``(k1, k2) -> (k2, k1)`` maps tile ``ell`` onto tile
 ``L/2 - ell`` up to rounding at the angular edges.  The windows are not
 shared across it, but the wrap search is: it runs one family routine on
 ``(k1, k2)`` and on ``(k2, k1)``, so the two tiles' candidate boxes are
-each other's swapped, and one search serves both tiles of a pair unless
-the scan finds a lattice point within ``EDGE_TOL`` of an edge of their
-orbit.
+each other's swapped.  The build walks each scale's transpose pairs
+``(c, L/2 - c)``, ``0 <= c <= L/4``: tile ``c`` searches and its partner
+takes the boxes swapped, unless the scan finds a lattice point within
+``EDGE_TOL`` of an edge of either tile.
 
 Conventions
 -----------
@@ -172,7 +173,7 @@ class FrameParams:
             warnings.warn(
                 "alpha = 1 collapses every corona to two isotropic tiles; "
                 "supported, but outside the validated sweep",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to its caller
             )
         object.__setattr__(self, "grid_n", as_index(self.grid_n, "grid_n"))
         if self.grid_n < 16 or self.grid_n % 2 != 0:
@@ -385,8 +386,8 @@ class TileSupport:
     tile ``(j, -ell)``, the image of tile ``(j, ell)`` under ``k2 -> -k2``,
     as that tile's rows flipped.  The wrap box ``P1 x P2`` is the smaller
     of two candidate boxes, the first on a tie: those :func:`_wrap_families`
-    gives, or those the caller passes (:func:`build_layout` gives a
-    transpose partner the first tile's swapped, which equal its own).  The
+    gives, or those the caller passes (:func:`build_layout` gives tile
+    ``L/2 - c`` those of tile ``c`` swapped, which equal its own).  The
     closure's box is the whole grid (:meth:`_closure`).  ``box_flat`` is
     each entry's flat index on the half box ``P1 x (P2/2 + 1)``.  Entries
     from ``n_direct`` on are mirrored: the box position is that of ``-k``,
@@ -413,18 +414,18 @@ class TileSupport:
     )
 
     @classmethod
-    def _closure(cls, j, grid_n, grid_flat, window) -> TileSupport:
+    def _closure(cls, j, grid_n, ell, grid_flat, window) -> TileSupport:
         """The closure: its box is the grid, onto which the half spectrum folds entry by entry."""
         half, tile = grid_n // 2, cls.__new__(cls)
         col = grid_flat % (half + 1)
         tile.support_cardinality = grid_flat.size + int(np.count_nonzero((col != 0) & (col != half)))
-        tile.j, tile.ell, tile.grid_n, tile.P1, tile.P2 = j, 0, grid_n, grid_n, grid_n
+        tile.j, tile.ell, tile.grid_n, tile.P1, tile.P2 = j, ell, grid_n, grid_n, grid_n
         tile.grid_flat = tile.box_flat = grid_flat
         tile.window, tile.n_spectrum, tile.n_direct = window, grid_flat.size, grid_flat.size
         return tile
 
     @classmethod
-    def _fold(cls, j, ell, grid_n, grid_flat, window, boxes=None) -> tuple[list[TileSupport], tuple]:
+    def _fold(cls, j, grid_n, ell, grid_flat, window, boxes=None) -> tuple[list[TileSupport], tuple]:
         """Tile ``(j, ell)``, and for ``ell > 0`` also tile ``(j, -ell)``, with
         the two candidate boxes of the full support it took the smaller of:
         ``boxes`` if given, else those :func:`_wrap_families` finds.
@@ -536,14 +537,20 @@ def _candidate_centres(m: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray, s
     return c_lo, c_hi, {int(c) % L for c in np.concatenate(near)}
 
 
-def _scan_supports(params: FrameParams, near_edge: set) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+def _scan_supports(params: FrameParams) -> list[tuple[int, int, set[int], list]]:
     """Evaluate every window once per reflection orbit of lattice points.
 
-    Returns ``(j, ell, grid_flat, window)``, the entries :class:`TileSupport`
-    folds, for the tiles ``0 <= ell < L/2`` and ``ell = -L/2`` of each
-    scale (``ell = 0`` for the ball and the closure), scale-major.  The
-    scanned points are the quadrant ``(a, b)``, ``0 <= a, b <= n/2``, with
-    radius and angle computed once; a point's quadrant index
+    Returns ``(j, L, edges, entries)`` per scale, ``L = 1`` for the ball
+    and the closure.  ``entries`` are the ``(ell, grid_flat, window)``
+    :class:`TileSupport` folds, of the tiles ``0 <= ell < L/2`` and then
+    ``ell = -L/2``: entry ``c`` is tile ``c``, entry ``L/2`` tile ``-L/2``.
+    ``edges`` is the set of centres mod ``L`` whose angular edge
+    ``c -+ 3/4`` lies within ``EDGE_TOL`` bins of a scanned point of the
+    scale, empty for the ball and the closure: only there can a tile's
+    support differ from the transpose of its partner's.
+
+    The scanned points are the quadrant ``(a, b)``, ``0 <= a, b <= n/2``,
+    with radius and angle computed once; a point's quadrant index
     ``a * (n/2 + 1) + b`` is its half-spectrum index, and a tile ``ell``
     binned at ``(a, b)`` takes that point.  For ``0 < a < n/2`` the row
     mirror ``(-a, b)`` takes the same value: on the columns 0 and ``n/2``
@@ -555,11 +562,6 @@ def _scan_supports(params: FrameParams, near_edge: set) -> list[tuple[int, int, 
     by construction.  Points are binned per scale by radius,
     inside :meth:`FrameParams.radial_support`, and per wedge by angle, so
     each point is touched only by the (at most four) windows nonzero there.
-
-    Adds to ``near_edge`` each ``(j, c)``, ``0 <= c < L``, whose angular
-    edge ``c -+ 3/4`` lies within ``EDGE_TOL`` bins of a scanned point of
-    scale ``j``: only there can a tile's support differ from the transpose
-    of its partner's.
     """
     n = params.grid_n
     half = n // 2
@@ -568,7 +570,7 @@ def _scan_supports(params: FrameParams, near_edge: set) -> list[tuple[int, int, 
     r = 0.5 * np.hypot(k[:, None], k).ravel()
     theta = np.arctan2(k, k[:, None]).ravel()
 
-    out: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+    out: list[tuple[int, int, set[int], list]] = []
     for j in range(params.j_max + 2):
         lo, hi = params.radial_support(j)
         inside = r < hi
@@ -576,12 +578,11 @@ def _scan_supports(params: FrameParams, near_edge: set) -> list[tuple[int, int, 
             inside &= r > lo
         pt = np.flatnonzero(inside)
         W = params.radial(j, r[pt])
-        L, cbin = 1, np.zeros(pt.size, dtype=np.int64)
+        L, edges, cbin = 1, set(), np.zeros(pt.size, dtype=np.int64)
         if 0 < j <= params.j_max:
             L = params.tile_count(j)
             m = params.angular_bins(j, theta[pt])
             c_lo, c_hi, edges = _candidate_centres(m, L)
-            near_edge.update((j, c) for c in edges)
             second = c_hi != c_lo
             pt = np.concatenate([pt, pt[second]])
             centers = np.concatenate([c_lo, c_hi[second]])
@@ -600,9 +601,11 @@ def _scan_supports(params: FrameParams, near_edge: set) -> list[tuple[int, int, 
         tile = np.concatenate([cbin, cbin[mirrored]])
         order = np.argsort(tile, kind="stable")
         bounds = np.searchsorted(tile[order], np.arange(L // 2 + 2))
+        entries = []
         for c in range(L // 2 + 1):
             sl = order[bounds[c] : bounds[c + 1]]
-            out.append((j, c if 2 * c < L else c - L, f[sl], W[sl]))
+            entries.append((c if 2 * c < L else c - L, f[sl], W[sl]))
+        out.append((j, L, edges, entries))
     return out
 
 
@@ -665,36 +668,30 @@ def build_layout(params: FrameParams) -> TilingLayout:
     ``ell = -L/2`` of each scale; each tile ``-L/2 < ell < 0`` is tile
     ``-ell`` with its rows flipped, made in the same call.
 
-    The transpose ``(k1, k2) -> (k2, k1)`` maps tile ``ell`` onto tile
-    ``L/2 - ell``, so one wrap search serves both: the first tile of a
-    pair to fold keeps the two candidate boxes it found, the partner takes
-    them swapped, and each tile's fold takes the smaller.
-    A pair whose orbit ``{c, -c, L/2 - c, L/2 + c}`` holds a centre the scan
-    flags near an edge searches each tile, as the ball and the tile
-    ``L/4``, its own transpose, do.  The scan bins only the quadrant, so it
-    flags centres in ``[0, L/2]``, where the orbit is ``c`` and ``L/2 - c``.
+    The transpose ``(k1, k2) -> (k2, k1)`` maps tile ``c`` onto tile
+    ``p = L/2 - c``, so the build walks each scale's pairs: for
+    ``0 <= c <= L/4`` tile ``c`` searches, and a partner ``p != c`` takes
+    the two candidate boxes it found swapped; each tile's fold takes the
+    smaller.  The partner searches too if the scan flags ``c`` or ``p``
+    near an edge.  The ball and the tile ``L/4`` are their own transposes.
+    The scan bins only the quadrant, so it flags centres in ``[0, L/2]``,
+    where a pair's orbit ``{c, -c, L/2 - c, L/2 + c}`` is ``c`` and ``p``.
     Each tile widens its own box at the Nyquist edge and keeps its
     collision check.
     """
-    closure = params.scale_of_closure()
-    near_edge: set[tuple[int, int]] = set()
-    found: dict[tuple[int, int], tuple] = {}  # the boxes of each pair's first tile, c < partner
+    closure, n = params.scale_of_closure(), params.grid_n
     wedges = []
-    for j, ell, grid_flat, window in _scan_supports(params, near_edge):
+    for j, L, edges, entries in _scan_supports(params):
         if j == closure:
-            wedges.append(TileSupport._closure(j, params.grid_n, grid_flat, window))
+            wedges.append(TileSupport._closure(j, n, *entries[0]))
             continue
-        L = params.tile_count(j)
-        c, partner = ell % L, (L // 2 - ell) % L
-        paired = c != partner and near_edge.isdisjoint(((j, c), (j, partner)))
-        boxes = None
-        if paired and c > partner:
-            c1, c2 = found.pop((j, partner))
-            boxes = c2[::-1], c1[::-1]
-        tiles, boxes = TileSupport._fold(j, ell, params.grid_n, grid_flat, window, boxes)
-        if paired and c < partner:
-            found[j, c] = boxes
-        wedges += tiles
+        for c in range(L // 4 + 1):
+            tiles, (c1, c2) = TileSupport._fold(j, n, *entries[c])
+            p = L // 2 - c
+            if p != c:
+                boxes = None if edges & {c, p} else (c2[::-1], c1[::-1])
+                tiles += TileSupport._fold(j, n, *entries[p], boxes)[0]
+            wedges += tiles
     wedges.sort(key=lambda t: (t.j, t.ell))
     return TilingLayout(params=params, wedges=wedges)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from alphacurvelets import cartoons
 from alphacurvelets.bessel import disc_spectrum
 from alphacurvelets.cartoons import (
     CartoonSpec,
@@ -216,3 +217,13 @@ def test_spec_takes_numpy_integer_antialias():
 def test_spec_refuses_a_non_finite_field(kind, field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         CartoonSpec(kind=kind, **{field: value})
+
+
+def test_a_render_of_more_than_the_sample_limit_is_refused(monkeypatch):
+    # the limit is lowered so that neither side of it takes real work
+    monkeypatch.setattr(cartoons, "SAMPLE_LIMIT", 256)
+    spec = CartoonSpec(kind="disc", antialias=2)
+    assert render(spec, 8).shape == (8, 8)  # 8**2 * 2**2 = 256 samples
+    with pytest.raises(ValueError, match=r"^a render at grid 10, antialias 2 takes 400 samples, above SAMPLE_LIMIT = 256$"):
+        render(spec, 10)
+    assert cartoons.check_render(spec, np.int64(8)) == 8

@@ -450,13 +450,15 @@ def test_disc_rate_note_names_every_configured_band():
 
 
 def test_the_verdict_names_the_applied_bands(monkeypatch, tmp_path, capsys):
-    monkeypatch.setitem(cli.RUNNERS, "disc-rate", lambda cfg: lambda: (False, {}, []))
+    results = {"alpha": 0.5, "slope": -1.515, "band": [-1.0, 0.0], "fit": {"slope": -1.515, "n_points": 7}}
+    monkeypatch.setitem(cli.RUNNERS, "disc-rate", lambda cfg: lambda: (False, results, []))
     config = tmp_path / "bands.json"
     config.write_text(json.dumps({"bands": {"0.5": [-1.0, 0.0]}}))
     out = os.fspath(tmp_path / "r")
     assert cli.main(["run", "disc-rate", "--config", os.fspath(config), "--out", out]) == 1
-    verdict = capsys.readouterr().out.splitlines()[0]
+    verdict, measured, _report = capsys.readouterr().out.splitlines()
     assert verdict == "disc-rate: FAIL  (disc threshold slope: alpha=0.5 in [-1.0,0.0])"
+    assert measured == "  alpha=0.5, slope=-1.515, fit.slope=-1.515"  # the slope that failed
 
 
 # what the package's work starts from; a plan reaches none of them
@@ -609,6 +611,20 @@ def _refused_with_either_out(args, message, tmp_path, capsys, pgm=None) -> str:
         # each of these passed with a growth of 0 or below, with nothing to measure
         (["molecule-distance"], {"spatial_caps": [4.0, 2.0]}, "spatial_caps must strictly increase, got [4.0, 2.0]"),
         (["molecule-distance"], {"spatial_caps": [2.0, 2.0]}, "spatial_caps must strictly increase, got [2.0, 2.0]"),
+        # each of these rendered grid**2 * antialias**2 samples, for hours or out of memory;
+        # 1024**2 * 64**2 is the limit, 2**32
+        (
+            ["disc-rate"],
+            {"antialias": 100000},
+            "a render at grid 1024, antialias 100000 takes 10,485,760,000,000,000 samples, "
+            "above SAMPLE_LIMIT = 4,294,967,296",
+        ),
+        (["disc-rate"], {"antialias": 65}, "antialias 65 takes 4,430,233,600 samples, above SAMPLE_LIMIT"),
+        (["straight-edge-rate"], {"antialias": 65}, "antialias 65 takes 4,430,233,600 samples, above SAMPLE_LIMIT"),
+        (["wedge-energy"], {"antialias": 65}, "antialias 65 takes 4,430,233,600 samples, above SAMPLE_LIMIT"),
+        (["apriori-decay"], {"antialias": 65}, "antialias 65 takes 4,430,233,600 samples, above SAMPLE_LIMIT"),
+        # the disc of --dump-pgm and --dump-coeffs, at antialias 4
+        (["generator-decay"], {"grid": 16386}, "grid 16386, antialias 4 takes 4,296,015,936 samples, above SAMPLE_LIMIT"),
     ],
 )
 def test_an_out_of_range_value_is_a_usage_error(args, config, message, no_work, tmp_path, capsys):
@@ -742,6 +758,9 @@ def test_a_rate_curve_too_short_for_its_fit_window_fails(experiment, args, confi
     assert stdout.startswith(f"{experiment}: FAIL") and "fit_error: " in stdout and reason in stdout
     results = json.loads((out / f"{experiment}.json").read_text())["results"]
     assert results["pass"] is False and reason in results["fit_error"]
+    for key, val in results.items():  # each failed fit shows as None, each other its slope
+        if val is None or isinstance(val, dict):
+            assert (f"{key}=None" if val is None else f"{key}.slope={val['slope']}") in stdout.splitlines()[1]
     assert (out / f"{experiment}.csv").read_text().count("\n") > 1  # the curve is kept
 
 
@@ -755,6 +774,32 @@ def test_run_experiment_writes_what_run_writes(experiment, tmp_path, capsys):
     assert sorted(os.listdir(by_main)) == sorted(os.listdir(by_call)) == names
     for name in names:
         assert (by_call / name).read_bytes() == (by_main / name).read_bytes()
+    # each run prints every number its report holds at the top level, under its verdict
+    results = json.loads((by_main / f"{experiment}.json").read_text())["results"]
+    measured = "  " + ", ".join(f"{key}={val}" for key, val in results.items() if key != "pass")
+    assert capsys.readouterr().out.splitlines()[1::3] == [measured, measured]
+
+
+def test_apriori_decay_fits_the_atom_slope_over_fit_scales(monkeypatch):
+    # the packaged [2, -1] is the window the atom fit once had fixed; [3, -1] moves both fits
+    calls = []
+    atoms = cli.appr.atom_l1_decay
+
+    def recorded(frame, fit_scales):
+        calls.append((fit_scales, atoms(frame, fit_scales)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli.appr, "atom_l1_decay", recorded)
+    cfg = cli.resolve_config("apriori-decay", None, {"grid": 256, "alphas": [0.5], "fit_scales": [3, -1]})
+    _, results, _ = cli.run_apriori_decay(cfg)()
+    [(window, atom)] = calls
+    assert window == (3, 5)
+
+    def slope(lo, hi):
+        usable = [r for r in atom["rows"] if lo <= r["j"] <= hi]
+        return float(np.polyfit([r["j"] for r in usable], np.log2([r["l1"] for r in usable]), 1)[0])
+
+    assert results["summaries"][0]["atom_l1_slope"] == atom["l1_slope"] == slope(3, 5) != slope(2, 5)
 
 
 def test_run_experiment_refuses_a_config_before_writing(no_work, tmp_path):

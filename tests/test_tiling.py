@@ -383,8 +383,9 @@ def test_radial_is_the_per_kind_formula_bit_for_bit(params):
 
 
 def test_isotropic_alpha_is_supported_but_flagged():
-    with pytest.warns(UserWarning, match="alpha = 1"):
+    with pytest.warns(UserWarning, match="alpha = 1") as caught:
         p = FrameParams(s=1.0, alpha=1.0, grid_n=128)
+    assert [w.filename for w in caught] == [__file__]  # the caller's line, not the dataclass __init__
     assert all(p.tile_count(j) == 2 for j in range(1, p.j_max + 1))
     assert verify_partition(build_layout(p)) <= 1e-12
 
@@ -442,8 +443,7 @@ def test_the_transposed_box_breaks_an_equal_area_tie_the_other_way():
     # different shape; its transpose partner (9, 2), the first of the pair
     # to fold, takes the other one, and (9, 14) takes its boxes swapped
     p = FrameParams(s=0.8118314520104855, alpha=0.3809938040753181, grid_n=256)
-    near_edge = set()
-    tiling._scan_supports(p, near_edge)
+    _, near_edge = _flat_scan(p)
     assert near_edge.isdisjoint({(9, 2), (9, 14)})  # so the pair shares one search
     tiles = {(sup.j, sup.ell): sup for sup in build_layout(p).wedges}
     assert p.tile_count(9) == 32
@@ -538,11 +538,22 @@ def test_reflected_tiles_are_row_flips_equal_to_the_constructor(grid, alpha, sna
         assert np.array_equal(sup.box_flat, (src.P1 - row) % src.P1 * box_cols + col)
         assert np.array_equal(sup.window, src.window)
         ns = sup.n_spectrum
-        built = TileSupport._fold(j, ell, grid, sup.grid_flat[:ns], sup.window[:ns])[0][0]
+        built = TileSupport._fold(j, grid, ell, sup.grid_flat[:ns], sup.window[:ns])[0][0]
         for name in TileSupport.__slots__:
             a, b = getattr(built, name), getattr(sup, name)
             assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype, (j, ell, name)
     assert derived == sum(L // 2 - 1 for L in map(layout.params.tile_count, range(1, layout.params.j_max + 1)))
+
+
+def _flat_scan(params):
+    """The scan's entries as ``(j, ell, grid_flat, window)``, scale-major,
+    and its edge flags as ``(j, c)``; each scale's ``L`` is checked."""
+    flat, near_edge = [], set()
+    for j, L, edges, entries in tiling._scan_supports(params):
+        assert L == (params.tile_count(j) if 0 < j <= params.j_max else 1) and len(entries) == L // 2 + 1
+        flat += [(j, *entry) for entry in entries]
+        near_edge.update((j, c) for c in edges)
+    return flat, near_edge
 
 
 def _oracle_scan(params, near_edge):
@@ -600,8 +611,8 @@ def test_the_scan_gives_the_entries_of_the_full_quadrant_oracle(grid, snapped):
     for alpha in (-0.5, 0.0, 0.5):
         for s in (0.75, 1.3):
             params = FrameParams(s, alpha, grid, snapped=snapped)
-            edges, oracle_edges = set(), set()
-            scan, oracle = tiling._scan_supports(params, edges), _oracle_scan(params, oracle_edges)
+            oracle_edges = set()
+            (scan, edges), oracle = _flat_scan(params), _oracle_scan(params, oracle_edges)
             assert [e[:2] for e in scan] == [e[:2] for e in oracle] and edges == oracle_edges
             for (j, ell, grid_flat, window), (_, _, oracle_flat, oracle_window) in zip(scan, oracle):
                 for got, want in ((grid_flat, oracle_flat), (window, oracle_window)):
@@ -733,7 +744,7 @@ def test_the_half_box_check_agrees_with_the_full_support_count(alpha, snapped):
         for P1, P2 in 2 * rng.integers(1, grid // 2 + 1, size=(6, 2)):
             want = _oracle_fold(grid_flat, grid, True, lambda k1, k2, grid_n: (P1, P2))
             try:
-                built = TileSupport._fold(sup.j, sup.ell, grid, grid_flat, window, boxes=((P1, P2), (P1, P2)))[0][0]
+                built = TileSupport._fold(sup.j, grid, sup.ell, grid_flat, window, boxes=((P1, P2), (P1, P2)))[0][0]
             except RuntimeError:
                 built = None
             assert (built is None) == (want is None), (sup.j, sup.ell, P1, P2)
@@ -802,9 +813,7 @@ def test_supports_off_by_rounding_at_an_edge_take_the_search(monkeypatch):
 
 def test_one_search_per_transpose_pair(monkeypatch):
     p = FrameParams(s=1.0, alpha=0.0, grid_n=128)
-    near_edge = set()
-    tiling._scan_supports(p, near_edge)
-    assert not near_edge
+    assert not _flat_scan(p)[1]
     calls = []
     families = tiling._wrap_families
 

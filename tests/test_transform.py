@@ -139,8 +139,8 @@ def test_build_rejects_a_broken_partition(monkeypatch):
 
     def corrupted(*args):
         supports = scan(*args)
-        j, ell, grid_flat, window = supports[0]
-        supports[0] = (j, ell, grid_flat, 1.01 * window)
+        ell, grid_flat, window = supports[0][3][0]
+        supports[0][3][0] = (ell, grid_flat, 1.01 * window)
         return supports
 
     monkeypatch.setattr(tiling, "_scan_supports", corrupted)
@@ -343,7 +343,7 @@ def test_atom_l2_norms_bounded(frame128):
 def test_atom_l1_norm_decay_slope():
     params = FrameParams.nyquist_snapped(1.0, 0.5, 256)
     frame = DigitalCurveletFrame.build(params)
-    res = atom_l1_decay(frame)
+    res = atom_l1_decay(frame, (2, params.j_max - 1))
     target = -params.s * (1.0 + params.alpha) / 2.0
     assert res["l1_slope"] is not None
     assert abs(res["l1_slope"] - target) <= 0.25
@@ -352,7 +352,7 @@ def test_atom_l1_norm_decay_slope():
 def test_atom_l1_decay_skips_scales_with_an_empty_tile(frame64):
     # at grid 64 with the default corona unit, tiles (1, 0) and (2, 0) hold no lattice point
     assert [frame64._caches[frame64.wedge_index(j, 0)].n_spectrum for j in (1, 2)] == [0, 0]
-    assert [r["j"] for r in atom_l1_decay(frame64)["rows"]] == [0, 3, 4, 5, 6]
+    assert [r["j"] for r in atom_l1_decay(frame64, (2, frame64.params.j_max - 1))["rows"]] == [0, 3, 4, 5, 6]
 
 
 def test_atom_invalid_index(frame64):
