@@ -5,16 +5,16 @@ and every signal is rendered as the cell average over an ``antialias**2``
 sub-grid, so rasterization is deterministic and binary signals take
 values in ``[0, 1]``.
 
-``_evaluate`` is the per-sample definition of each kind and the oracle
-the tests compare ``render`` with.  ``render`` computes the terms of the
-separable kinds (disc, half-space, smooth bump) once per row and once
-per column of each sub-offset and combines them by broadcasting, which
-gives the same image bit for bit; stars are evaluated per sample.
+``_evaluate`` is the one definition of each kind.  ``render`` hands it a
+block's rows as a ``(k, 1)`` column and the columns as an ``(n,)`` row,
+so broadcasting computes each axis term once per row and once per column;
+the tests' oracle hands it full coordinate arrays, and the two images
+agree bit for bit.
 
 ``render`` splits the image into blocks of rows and shares them with the
 package's worker thread (:mod:`alphacurvelets._worker`): each block
-writes only its own rows of the image, with scratch of its thread's own,
-so the image does not depend on which thread rendered a block.
+writes only its own rows of the image, so the image does not depend on
+which thread rendered a block.  Stars take smaller blocks (see ``render``).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from . import _worker
 from .tiling import as_index
 
 __all__ = [
+    "BETA_LIMIT",
     "CartoonSpec",
     "SAMPLE_LIMIT",
     "SmoothFactor",
@@ -45,6 +46,13 @@ _KINDS = ("disc", "half_space", "smooth_bump", "star")
 # 2**26 samples (grid 1024, antialias 8), and grid 4096 at antialias 8 has
 # 2**30; 2**32 lets both through with room.
 SAMPLE_LIMIT = 2**32
+
+# The ramp polynomial's coefficients alternate in sign and grow with beta,
+# so its float evaluation cancels: on SmoothFactor's 4097-point grid it is
+# off exact rational evaluation by 1.1e-11 at beta 7, 1.2e-10 at 8, 6.1e-9
+# at 10 and more than 1 by 20, where a bump has negative samples.  The
+# limit is the largest beta within 1e-10.
+BETA_LIMIT = 7
 
 
 def _smoothstep_poly(order: int) -> np.polynomial.Polynomial:
@@ -72,6 +80,8 @@ class SmoothFactor:
     def __init__(self, beta: int, nu: float):
         if beta < 1 or beta != int(beta):
             raise ValueError("beta must be a positive integer")
+        if beta > BETA_LIMIT:
+            raise ValueError(f"beta must be at most BETA_LIMIT = {BETA_LIMIT}, got {beta!r}")
         if nu <= 0:
             raise ValueError("nu must be positive")
         self.beta = int(beta)
@@ -138,6 +148,8 @@ class CartoonSpec:
         integral = isinstance(self.beta, numbers.Real) and float(self.beta).is_integer()
         if not integral or self.beta < 0:
             raise ValueError(f"beta must be a non-negative integer, got {self.beta!r}")
+        if self.beta > BETA_LIMIT:
+            raise ValueError(f"beta must be at most BETA_LIMIT = {BETA_LIMIT}, got {self.beta!r}")
         for name in ("phi", "c", "nu", "rho0", "cos_coeffs", "sin_coeffs"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -161,19 +173,23 @@ class CartoonSpec:
         return rho
 
 
-def _evaluate(spec: CartoonSpec, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+def _evaluate(spec: CartoonSpec, x1: np.ndarray, x2: np.ndarray, smooth: np.ndarray | None = None) -> np.ndarray:
+    """``spec`` at the samples ``(x1, x2)``, arrays that broadcast together:
+    booleans for an indicator kind, else ``smooth``, the smooth factor's
+    values there, multiplied in place by a half-space's edge test."""
     if spec.kind == "disc":
-        return (x1 * x1 + x2 * x2 <= 0.25).astype(float)
+        return x1 * x1 + x2 * x2 <= 0.25
     if spec.kind == "half_space":
-        side = (x1 * math.cos(spec.phi) - x2 * math.sin(spec.phi) >= spec.c).astype(float)
-        if spec.beta >= 1:
-            return side * _smooth(spec)(np.stack([x1, x2], axis=-1))
-        return side
+        side = x1 * math.cos(spec.phi) - x2 * math.sin(spec.phi) >= spec.c
+        if smooth is None:
+            return side
+        smooth *= side
+        return smooth
     if spec.kind == "smooth_bump":
-        return _smooth(spec)(np.stack([x1, x2], axis=-1))
+        return smooth
     # star
     t = np.arctan2(x2, x1)
-    return (np.hypot(x1, x2) <= spec.radius_function(t)).astype(float)
+    return np.hypot(x1, x2) <= spec.radius_function(t)
 
 
 def _smooth(spec: CartoonSpec) -> SmoothFactor | None:
@@ -183,29 +199,6 @@ def _smooth(spec: CartoonSpec) -> SmoothFactor | None:
     if spec.kind == "half_space" and spec.beta >= 1:
         return SmoothFactor(spec.beta, spec.nu)
     return None
-
-
-def _axis_terms(
-    spec: CartoonSpec, g: SmoothFactor | None, x: np.ndarray, axis: int
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """(edge, smooth) terms of a separable kind along one axis.
-
-    ``axis`` 0 gives the row terms at ``x = x1``, 1 the column terms at
-    ``x = x2``.  The edge terms meet in the sample's edge test (``disc``:
-    ``x1*x1 + x2*x2 <= 1/4``, ``half_space``: ``x1*cos(phi) - x2*sin(phi)
-    >= c``); the smooth terms multiply to ``flat * p(x1) * p(x2)``, the
-    value of ``g`` at the sample.  Each is the operand ``_evaluate`` forms.
-    """
-    edge = smooth = None
-    if spec.kind == "disc":
-        edge = x * x
-    elif spec.kind == "half_space":
-        edge = x * (math.cos(spec.phi) if axis == 0 else math.sin(spec.phi))
-    if g is not None:
-        smooth = g.profile(x)
-        if axis == 0:
-            smooth = g.flat_value * smooth
-    return edge, smooth
 
 
 def check_render(spec: CartoonSpec, grid_n) -> int:
@@ -223,91 +216,49 @@ def check_render(spec: CartoonSpec, grid_n) -> int:
     return n
 
 
-def _accumulate(
-    spec: CartoonSpec,
-    g: SmoothFactor | None,
-    row: tuple,
-    cols: list[tuple],
-    acc: np.ndarray,
-    value: np.ndarray,
-    inside: np.ndarray,
-) -> None:
-    """Add the samples of one row offset at every column offset to ``acc``.
-
-    ``row`` and each of ``cols`` are ``_axis_terms``; ``value`` and
-    ``inside`` are scratch buffers of ``acc``'s shape.
-    """
-    row_edge, row_smooth = row
-    for col_edge, col_smooth in cols:
-        if spec.kind == "disc":
-            np.add(row_edge[:, None], col_edge, out=value)
-            np.less_equal(value, 0.25, out=inside)
-        elif spec.kind == "half_space":
-            np.subtract(row_edge[:, None], col_edge, out=value)
-            np.greater_equal(value, spec.c, out=inside)
-        if g is None:
-            acc += inside
-            continue
-        np.multiply(row_smooth[:, None], col_smooth, out=value)
-        if spec.kind == "half_space":
-            value *= inside
-        acc += value
-
-
 def render(spec: CartoonSpec, grid_n: int) -> np.ndarray:
     """Cell-averaged rasterization on the ``grid_n`` x ``grid_n`` grid.
 
-    Every kind but ``star`` is separable: its terms are computed once per
-    row and once per column of each sub-offset and meet by broadcasting,
-    with the floating-point operations of ``_evaluate`` in the same order,
-    so the image equals the per-sample accumulation of ``_evaluate`` bit
-    for bit.  ``star`` is evaluated per sample.  The row blocks are shared
-    with the package's worker thread: this thread takes them from the
-    back, the worker from the front, and each block writes only its rows.
-    A render of more than :data:`SAMPLE_LIMIT` samples raises ``ValueError``
+    Each pair of sub-offsets evaluates a block's rows, shape ``(k, 1)``,
+    against all columns, shape ``(n,)``, with the smooth factor as the
+    product of its row profile, made once per row offset, and column
+    profile, made once per render; so the image equals the per-sample
+    accumulation of ``_evaluate`` bit for bit.  A star makes a dozen
+    temporaries of a block's size per pair, the other kinds two or three,
+    so a star takes smaller blocks.  The row blocks are shared with the
+    package's worker thread: this thread takes them from the back, the
+    worker from the front, and each block writes only its rows.  A render
+    of more than :data:`SAMPLE_LIMIT` samples raises ``ValueError``
     (:func:`check_render`) before any work.
     """
     n, a = check_render(spec, grid_n), spec.antialias
     h = 2.0 / n
     base = -1.0 + h * np.arange(n)
     out = np.zeros((n, n))
-    # row blocks keep the supersampled workspace bounded.  A star's samples
-    # make a dozen temporaries per sub-offset; at 8192 samples (64 KiB)
-    # they stay below malloc's mmap threshold and are reused, not mapped
-    # and page-faulted afresh, whatever large arrays the process freed before
+    # a star's blocks of 8192 samples (64 KiB) keep its temporaries below
+    # malloc's mmap threshold, reused rather than mapped and faulted afresh;
+    # the other kinds gain more from fewer, longer numpy calls.  Either rule
+    # for all kinds made the other side about 2x slower (grids 512-1024)
     block = max(1, (1 << 13) // n if spec.kind == "star" else (1 << 22) // (n * a * a))
     offsets = h * (np.arange(a) + 0.5) / a
     g = _smooth(spec)
-    cols = None if spec.kind == "star" else [_axis_terms(spec, g, base + o2, 1) for o2 in offsets]
+    cols = [base + o2 for o2 in offsets]
+    profiles = [None if g is None else g.profile(x2) for x2 in cols]
     starts = collections.deque(range(0, n, block))
-    args = (spec, g, base, offsets, cols, out, block)
-    # each thread's scratch is made here, so the worker's heap keeps none of it
-    with _worker._beside(_render_rows, *args, *_scratch(spec, block, n), _worker._taking(starts.popleft)):
-        _render_rows(*args, *_scratch(spec, block, n), _worker._taking(starts.pop))
+    args = (spec, g, base, offsets, cols, profiles, out, block)
+    with _worker._beside(_render_rows, *args, _worker._taking(starts.popleft)):
+        _render_rows(*args, _worker._taking(starts.pop))
     return out
 
 
-def _scratch(spec: CartoonSpec, block: int, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """``value`` and ``inside`` buffers for one thread's row blocks; a star needs none."""
-    if spec.kind == "star":
-        return None, None
-    value = np.empty((min(block, n), n))
-    return value, np.empty(value.shape, dtype=bool)
-
-
-def _render_rows(spec, g, base, offsets, cols, out, block, value, inside, starts) -> None:
-    """Write the row blocks of ``out`` that begin at ``starts``, staging in ``value`` and ``inside``."""
+def _render_rows(spec, g, base, offsets, cols, profiles, out, block, starts) -> None:
+    """Write the row blocks of ``out`` that begin at ``starts``."""
     a = spec.antialias
     for r0 in starts:
-        rows = base[r0 : r0 + block]
         acc = out[r0 : r0 + block]
-        k = len(rows)
         for o1 in offsets:
-            if spec.kind != "star":
-                row = _axis_terms(spec, g, rows + o1, 0)
-                _accumulate(spec, g, row, cols, acc, value[:k], inside[:k])
-                continue
-            for o2 in offsets:
-                X1, X2 = np.broadcast_arrays((rows + o1)[:, None], (base + o2)[None, :])
-                acc += _evaluate(spec, X1, X2)
+            x1 = (base[r0 : r0 + block] + o1)[:, None]
+            p1 = None if g is None else g.flat_value * g.profile(x1)
+            for x2, p2 in zip(cols, profiles):
+                acc += _evaluate(spec, x1, x2, None if g is None else p1 * p2)
         acc /= a * a

@@ -115,6 +115,19 @@ def _require_finite(name: str, value: float, low: float) -> None:
         raise ValueError(f"{name} must be finite and >= {low:g}, got {value!r}")
 
 
+def _scales(params: FrameParams, scale_cap: float, spatial_cap: float):
+    """``(j, 2**(j s), 2**(j s alpha), m1, m2)`` for each scale ``j`` with
+    ``2**(j s) <= scale_cap``: the translation indices within ``spatial_cap``
+    lie in ``|k1| <= m1``, ``|k2| <= m2``."""
+    j = 0
+    while (s2j := 2.0 ** (j * params.s)) <= scale_cap:
+        s2ja = 2.0 ** (j * params.s * params.alpha)
+        # capped below inf, which floor refuses; a capped extent alone passes the pair limit
+        m1, m2 = (math.floor(min(r * spatial_cap, 2.0**62)) for r in (s2j, s2ja))
+        yield j, s2j, s2ja, m1, m2
+        j += 1
+
+
 def enumerate_phase_points(
     params: FrameParams, scale_cap: float, spatial_cap: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,13 +142,8 @@ def enumerate_phase_points(
     _require_finite("scale_cap", scale_cap, 1.0)
     _require_finite("spatial_cap", spatial_cap, 0.0)
     ss, ts, xs = [], [], []
-    j = 0
-    while 2.0 ** (j * params.s) <= scale_cap:
-        s2j = 2.0 ** (j * params.s)
-        s2ja = 2.0 ** (j * params.s * params.alpha)
-        k1 = np.arange(-math.floor(s2j * spatial_cap), math.floor(s2j * spatial_cap) + 1)
-        k2 = np.arange(-math.floor(s2ja * spatial_cap), math.floor(s2ja * spatial_cap) + 1)
-        K1, K2 = np.meshgrid(k1, k2, indexing="ij")
+    for j, s2j, s2ja, m1, m2 in _scales(params, scale_cap, spatial_cap):
+        K1, K2 = np.meshgrid(np.arange(-m1, m1 + 1), np.arange(-m2, m2 + 1), indexing="ij")
         U1 = K1.ravel() / s2j
         U2 = K2.ravel() / s2ja
         keep = U1**2 + U2**2 <= spatial_cap**2
@@ -146,7 +154,6 @@ def enumerate_phase_points(
             ss.append(np.full(U1.size, s2j))
             ts.append(np.full(U1.size, theta))
             xs.append(np.stack([c * U1 + sn * U2, -sn * U1 + c * U2], axis=-1))
-        j += 1
     return np.concatenate(ss), np.concatenate(ts), np.concatenate(xs)
 
 
@@ -271,14 +278,8 @@ def _sum_blocks(sa, ta, xa, sb, tb, xb, alpha, k, rows, row, col, buf_w, buf_p, 
 def _lattice_sizes(params: FrameParams, scale_cap: float, spatial_cap: float):
     """Per scale of :func:`enumerate_phase_points`, ``L_j`` times the size of
     the rectangle of translation indices it scans: a bound on its points."""
-    j = 0
-    while 2.0 ** (j * params.s) <= scale_cap:
-        s2j = 2.0 ** (j * params.s)
-        s2ja = 2.0 ** (j * params.s * params.alpha)
-        # capped below inf, which floor refuses; a capped size alone passes the limit
-        n1, n2 = (2 * math.floor(min(r * spatial_cap, 2.0**62)) + 1 for r in (s2j, s2ja))
-        yield params.tile_count(j) * n1 * n2
-        j += 1
+    for j, _, _, m1, m2 in _scales(params, scale_cap, spatial_cap):
+        yield params.tile_count(j) * (2 * m1 + 1) * (2 * m2 + 1)
 
 
 def _check_sum_args(

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import pytest
 from alphacurvelets import cartoons
 from alphacurvelets.bessel import disc_spectrum
 from alphacurvelets.cartoons import (
+    BETA_LIMIT,
     CartoonSpec,
     SmoothFactor,
     _evaluate,
+    _smooth,
     render,
 )
 
@@ -76,6 +79,31 @@ def test_smooth_factor_flat_top_for_all_orders():
     assert g3(centre)[0] == pytest.approx(g3.flat_value)
 
 
+def test_beta_limit_is_the_largest_beta_whose_ramp_evaluates_within_1e_10():
+    grid = np.linspace(0.0, 1.0, 4097)  # SmoothFactor's grid
+
+    def error(beta):
+        """The ramp's largest float error against exact rational evaluation."""
+        poly = cartoons._smoothstep_poly(beta)
+        worst = Fraction(0)
+        for x, got in zip(grid, poly(grid)):
+            exact = Fraction(0)
+            for c in poly.coef[::-1]:
+                exact = exact * Fraction(x) + Fraction(c)
+            worst = max(worst, abs(Fraction(got) - exact))
+        return worst
+
+    assert error(BETA_LIMIT) <= 1e-10 < error(BETA_LIMIT + 1)
+    assert SmoothFactor(BETA_LIMIT, nu=1.0).flat_value > 0
+    CartoonSpec(kind="smooth_bump", beta=BETA_LIMIT)
+    message = rf"^beta must be at most BETA_LIMIT = {BETA_LIMIT}, got {BETA_LIMIT + 1}$"
+    with pytest.raises(ValueError, match=message):
+        SmoothFactor(BETA_LIMIT + 1, nu=1.0)
+    for kind in ("half_space", "smooth_bump"):
+        with pytest.raises(ValueError, match=message):
+            CartoonSpec(kind=kind, beta=BETA_LIMIT + 1)
+
+
 def test_smooth_factor_rejects_bad_beta_and_nu():
     for beta in (0, -1, 1.5):
         with pytest.raises(ValueError, match="beta"):
@@ -126,16 +154,18 @@ def test_star_validation_and_render():
 
 
 def per_sample_render(spec, n):
-    """Oracle: ``_evaluate`` at every sample, accumulated over the offsets."""
+    """Oracle: ``_evaluate`` at every sample, with the smooth factor evaluated
+    per sample, accumulated over the offsets."""
     a = spec.antialias
     h = 2.0 / n
     base = -1.0 + h * np.arange(n)
     offsets = h * (np.arange(a) + 0.5) / a
+    g = _smooth(spec)
     acc = np.zeros((n, n))
     for o1 in offsets:
         for o2 in offsets:
             X1, X2 = np.broadcast_arrays((base + o1)[:, None], (base + o2)[None, :])
-            acc += _evaluate(spec, X1, X2)
+            acc += _evaluate(spec, X1, X2, None if g is None else g(np.stack([X1, X2], axis=-1)))
     return acc / (a * a)
 
 
@@ -157,6 +187,28 @@ def test_render_matches_per_sample_oracle(kw, n, antialias, each_worker):
     want = per_sample_render(spec, n).tobytes()
     # the worker takes every block it can, none, and as many as it gets to
     assert [img.tobytes() == want for img in each_worker(lambda: render(spec, n))] == [True] * 3
+
+
+@pytest.mark.parametrize("kw", ORACLE_SPECS, ids=lambda kw: kw["kind"] + str(kw.get("beta", "")))
+def test_render_broadcasts_rows_against_columns(kw, monkeypatch):
+    # the speed rests on this: _evaluate never sees a full coordinate array,
+    # so each axis term is computed once per row and once per column
+    calls = []
+    evaluate = cartoons._evaluate
+
+    def recording(spec, x1, x2, smooth=None):
+        calls.append((x1.shape, x2.shape, None if smooth is None else smooth.shape))
+        return evaluate(spec, x1, x2, smooth)
+
+    monkeypatch.setattr(cartoons, "_evaluate", recording)
+    spec = CartoonSpec(antialias=3, **kw)
+    n = 300
+    render(spec, n)
+    assert {x2 for _, x2, _ in calls} == {(n,)}
+    assert all(len(x1) == 2 and x1[1] == 1 for x1, _, _ in calls)
+    assert sum(x1[0] for x1, _, _ in calls) == n * 3 * 3  # each row once per pair of sub-offsets
+    smooth = _smooth(spec) is not None
+    assert all(p == ((x1[0], n) if smooth else None) for x1, _, p in calls)
 
 
 def test_render_rejects_non_integral_grid():

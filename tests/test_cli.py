@@ -625,6 +625,8 @@ def _refused_with_either_out(args, message, tmp_path, capsys, pgm=None) -> str:
         (["apriori-decay"], {"antialias": 65}, "antialias 65 takes 4,430,233,600 samples, above SAMPLE_LIMIT"),
         # the disc of --dump-pgm and --dump-coeffs, at antialias 4
         (["generator-decay"], {"grid": 16386}, "grid 16386, antialias 4 takes 4,296,015,936 samples, above SAMPLE_LIMIT"),
+        # the smooth factor's ramp was evaluated with an error above 1, and the run printed a FAIL
+        (["straight-edge-rate"], {"beta": 25}, "beta must be at most BETA_LIMIT = 7, got 25"),
     ],
 )
 def test_an_out_of_range_value_is_a_usage_error(args, config, message, no_work, tmp_path, capsys):
