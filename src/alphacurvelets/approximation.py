@@ -414,14 +414,18 @@ def fit_scale_slope(scales: list[int], values: list[float]) -> dict:
     floor-induced stair patterns in the tile counts stay within that band
     while the pre-asymptotic head does not.  When no onset qualifies, the
     fit over the last ``ONSET_MIN_POINTS`` scales is returned.  Fewer than
-    ``ONSET_MIN_POINTS`` scales raise ``ValueError``.
+    ``ONSET_MIN_POINTS`` scales, or a value that is not positive, raise
+    ``ValueError``.
     """
     scales = list(scales)
     if len(scales) < ONSET_MIN_POINTS:
         raise ValueError(
             f"{len(scales)} scales given; the slope fit needs at least {ONSET_MIN_POINTS}"
         )
-    y = np.log2(np.asarray(values, dtype=float))
+    values = np.asarray(values, dtype=float)
+    if not np.all(values > 0):
+        raise ValueError(f"values must be positive for the log2 fit, got {values.tolist()}")
+    y = np.log2(values)
     starts = [j for j in scales if sum(s >= j for s in scales) >= ONSET_MIN_POINTS]
     last = None
     for j0 in starts:

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .tiling import FrameParams
+from .tiling import FrameParams, as_index
 
 __all__ = [
     "SUPPORTED_ORDERS",
@@ -244,10 +244,15 @@ def remainder_bound_check(
     ``log r``, so grids of nested intervals nest and the sup is monotone
     under interval inclusion.  Finiteness and stability of the returned
     value is the check; it is the empirical constant of the remainder
-    decay.
+    decay.  A non-finite ``r_max``, or a ``points_per_log`` that is not a
+    positive integer, raises ``ValueError``.
     """
+    if not math.isfinite(r_max):
+        raise ValueError(f"r_max must be finite, got {r_max!r}")
     if not (1.0 <= r_min < r_max):
         raise ValueError("need 1 <= r_min < r_max")
+    if as_index(points_per_log, "points_per_log") <= 0:
+        raise ValueError(f"points_per_log must be positive, got {points_per_log!r}")
     nu = _check_order(order)
     step = 1.0 / points_per_log
     m_lo = math.ceil(math.log(r_min) / step)

@@ -47,7 +47,11 @@ PAIR_LIMIT = 2**31
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Scale, orientation (mod pi), and position of one atom."""
+    """Scale, orientation (mod pi), and position of one atom.
+
+    A scale that is not positive and finite, or a non-finite orientation or
+    position, raises ``ValueError``.
+    """
 
     s: float
     theta: float
@@ -56,6 +60,10 @@ class PhasePoint:
     def __post_init__(self) -> None:
         if not (self.s > 0 and math.isfinite(self.s)):
             raise ValueError("scale must be positive")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
+        if not all(map(math.isfinite, self.x)):
+            raise ValueError(f"position x must be finite, got {self.x!r}")
         object.__setattr__(self, "theta", float(self.theta) % math.pi)
 
 
@@ -295,6 +303,10 @@ def _check_sum_args(
         raise ValueError(f"k_exp must be finite and positive, got {k_exp!r}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
+    if not alpha == params_a.alpha == params_b.alpha:
+        raise ValueError(
+            f"alpha={alpha!r} must equal both frames' alpha, got {params_a.alpha!r} and {params_b.alpha!r}"
+        )
     _require_finite("scale_cap", scale_cap, 1.0)
     _require_finite("spatial_cap", spatial_cap, 0.0)
     count_a = count_b = 0
@@ -319,12 +331,13 @@ def consistency_sum(
     """Truncated mutual sums of ``distance**-k`` between two systems.
 
     Returns the sup over the first system of sums across the second and
-    vice versa.  ``k_exp`` must be finite and positive, ``scale_cap``
-    finite and >= 1, ``spatial_cap`` finite and >= 0, and the pair bound
-    of :func:`_check_sum_args` at most :data:`PAIR_LIMIT`.  The phase points
-    come in runs of equal (scale, orientation), and the sums are taken one
-    run at a time (see ``_pairwise_sums``); they agree with sums of
-    ``index_distance`` to rounding.
+    vice versa.  ``k_exp`` must be finite and positive, ``alpha`` equal
+    to both frames' alpha, ``scale_cap`` finite and >= 1, ``spatial_cap``
+    finite and >= 0, and the pair bound of :func:`_check_sum_args` at most
+    :data:`PAIR_LIMIT`.  The phase points come in runs of equal (scale,
+    orientation), and the sums are taken one run at a time (see
+    ``_pairwise_sums``); they agree with sums of ``index_distance`` to
+    rounding.
     """
     _check_sum_args(params_a, params_b, alpha, k_exp, scale_cap, spatial_cap)
     sa, ta, xa = enumerate_phase_points(params_a, scale_cap, spatial_cap)

@@ -22,8 +22,9 @@ shared across it, but the wrap search is: it runs one family routine on
 ``(k1, k2)`` and on ``(k2, k1)``, so the two tiles' candidate boxes are
 each other's swapped.  The build walks each scale's transpose pairs
 ``(c, L/2 - c)``, ``0 <= c <= L/4``: tile ``c`` searches and its partner
-takes the boxes swapped, unless the scan finds a lattice point within
-``EDGE_TOL`` of an edge of either tile.
+takes the boxes swapped, unless either tile's window holds a value below
+``WINDOW_TOL``, as it does wherever rounding at an edge can put a lattice
+point in one tile and not in the transpose of the other.
 
 Conventions
 -----------
@@ -508,46 +509,25 @@ def _signed_support(grid_flat: np.ndarray, n: int):
 # The transpose (k1, k2) -> (k2, k1) maps tile ell onto tile L/2 - ell, but
 # arctan2 of a swapped pair is pi/2 minus the other only up to rounding, so
 # the two sides' angular bins m differ by up to about 1e-12.  At distance d from
-# its centre the angular window is cos(pi/2 p(t)), t = 2d - 1/2, and near
-# the edge d = 3/4, with t = 1 - eps, 1 - p(1 - eps) ~ 10 eps^3.  The window
-# rounds to zero only where that is a few ulps of 1 (10 eps^3 < 1.25e-15,
-# eps < 5e-6), so a point can be in the support on one side and out on the
-# other only for 3/4 - d < 2.5e-6, or 1e-12 past the edge; the candidate
-# centres floor(m + 3/4) and ceil(m - 3/4) move only within 1e-12 of an
-# edge too.  Flagging every edge within EDGE_TOL of a point leaves a margin of 4x.
-EDGE_TOL = 1e-5
+# its centre the angular window is cos(pi/2 p(t)), t = 2d - 1/2, and near the
+# edge d = 3/4, with t = 1 - eps, it is about pi/2 (1 - p(1 - eps)) ~ 5 pi eps^3.
+# It rounds to zero only where the ramp p rounds to 1, so a shift of m can turn
+# a zero window nonzero only to a few ulps of pi/2: at most 5.2e-15, measured
+# for shifts of t up to 1e-9, hundreds of times the rounding.  The radial
+# window is at most 1 and the same on both sides (hypot is symmetric), and a
+# candidate centre moves only at an edge, where the window is zero.  So a point
+# is in a tile's support on one side and out on the other only where the side
+# that keeps it holds a window below WINDOW_TOL, a margin of about 20x.
+WINDOW_TOL = 1e-13
 
 
-def _candidate_centres(m: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray, set[int]]:
-    """The centres ``ceil(m - 3/4)`` and ``floor(m + 3/4)`` of the (at most
-    two) tiles each angular bin of ``m`` may fall in, and the set of centres
-    mod ``L`` with an edge ``c -+ 3/4`` within ``EDGE_TOL`` bins of a bin.
-
-    One buffer holds the offsets from both rounded edges in turn: the scan
-    sets the build's peak memory.
-    """
-    off = m + 0.75
-    c_hi = np.floor(off)
-    off -= c_hi  # past the lower edge of c_hi, in [0, 1); that of c_hi + 1 lies 1 - off ahead
-    near = [c_hi[off < EDGE_TOL], c_hi[off > 1.0 - EDGE_TOL] + 1.0]
-    np.subtract(m, 0.75, out=off)
-    c_lo = np.ceil(off)
-    off -= c_lo  # past the upper edge of c_lo, in (-1, 0]; that of c_lo - 1 lies 1 + off behind
-    near += [c_lo[off > -EDGE_TOL], c_lo[off < EDGE_TOL - 1.0] - 1.0]
-    return c_lo, c_hi, {int(c) % L for c in np.concatenate(near)}
-
-
-def _scan_supports(params: FrameParams) -> list[tuple[int, int, set[int], list]]:
+def _scan_supports(params: FrameParams) -> list[tuple[int, int, list]]:
     """Evaluate every window once per reflection orbit of lattice points.
 
-    Returns ``(j, L, edges, entries)`` per scale, ``L = 1`` for the ball
-    and the closure.  ``entries`` are the ``(ell, grid_flat, window)``
+    Returns ``(j, L, entries)`` per scale, ``L = 1`` for the ball and the
+    closure.  ``entries`` are the ``(ell, grid_flat, window)``
     :class:`TileSupport` folds, of the tiles ``0 <= ell < L/2`` and then
     ``ell = -L/2``: entry ``c`` is tile ``c``, entry ``L/2`` tile ``-L/2``.
-    ``edges`` is the set of centres mod ``L`` whose angular edge
-    ``c -+ 3/4`` lies within ``EDGE_TOL`` bins of a scanned point of the
-    scale, empty for the ball and the closure: only there can a tile's
-    support differ from the transpose of its partner's.
 
     The scanned points are the quadrant ``(a, b)``, ``0 <= a, b <= n/2``,
     with radius and angle computed once; a point's quadrant index
@@ -560,8 +540,10 @@ def _scan_supports(params: FrameParams) -> list[tuple[int, int, set[int], list]]
     scan makes just those mirrors, the ones a scanned tile takes.  So
     every window is exactly symmetric under ``k -> -k`` and ``k2 -> -k2``
     by construction.  Points are binned per scale by radius,
-    inside :meth:`FrameParams.radial_support`, and per wedge by angle, so
-    each point is touched only by the (at most four) windows nonzero there.
+    inside :meth:`FrameParams.radial_support`, and per wedge by angle into
+    the (at most two) tiles centred at ``ceil(m - 3/4)`` and
+    ``floor(m + 3/4)`` of its angular bin ``m``, so each point is touched
+    only by the (at most four) windows nonzero there.
     """
     n = params.grid_n
     half = n // 2
@@ -570,7 +552,7 @@ def _scan_supports(params: FrameParams) -> list[tuple[int, int, set[int], list]]
     r = 0.5 * np.hypot(k[:, None], k).ravel()
     theta = np.arctan2(k, k[:, None]).ravel()
 
-    out: list[tuple[int, int, set[int], list]] = []
+    out: list[tuple[int, int, list]] = []
     for j in range(params.j_max + 2):
         lo, hi = params.radial_support(j)
         inside = r < hi
@@ -578,11 +560,11 @@ def _scan_supports(params: FrameParams) -> list[tuple[int, int, set[int], list]]
             inside &= r > lo
         pt = np.flatnonzero(inside)
         W = params.radial(j, r[pt])
-        L, edges, cbin = 1, set(), np.zeros(pt.size, dtype=np.int64)
+        L, cbin = 1, np.zeros(pt.size, dtype=np.int64)
         if 0 < j <= params.j_max:
             L = params.tile_count(j)
             m = params.angular_bins(j, theta[pt])
-            c_lo, c_hi, edges = _candidate_centres(m, L)
+            c_lo, c_hi = np.ceil(m - 0.75), np.floor(m + 0.75)
             second = c_hi != c_lo
             pt = np.concatenate([pt, pt[second]])
             centers = np.concatenate([c_lo, c_hi[second]])
@@ -605,7 +587,7 @@ def _scan_supports(params: FrameParams) -> list[tuple[int, int, set[int], list]]
         for c in range(L // 2 + 1):
             sl = order[bounds[c] : bounds[c + 1]]
             entries.append((c if 2 * c < L else c - L, f[sl], W[sl]))
-        out.append((j, L, edges, entries))
+        out.append((j, L, entries))
     return out
 
 
@@ -672,16 +654,15 @@ def build_layout(params: FrameParams) -> TilingLayout:
     ``p = L/2 - c``, so the build walks each scale's pairs: for
     ``0 <= c <= L/4`` tile ``c`` searches, and a partner ``p != c`` takes
     the two candidate boxes it found swapped; each tile's fold takes the
-    smaller.  The partner searches too if the scan flags ``c`` or ``p``
-    near an edge.  The ball and the tile ``L/4`` are their own transposes.
-    The scan bins only the quadrant, so it flags centres in ``[0, L/2]``,
-    where a pair's orbit ``{c, -c, L/2 - c, L/2 + c}`` is ``c`` and ``p``.
-    Each tile widens its own box at the Nyquist edge and keeps its
-    collision check.
+    smaller.  The partner searches too if either tile's window holds a
+    value below :data:`WINDOW_TOL`: only such a pair's supports can differ
+    by more than the transpose.  The ball and the tile ``L/4`` are their
+    own transposes.  Each tile widens its own box at the Nyquist edge and
+    keeps its collision check.
     """
     closure, n = params.scale_of_closure(), params.grid_n
     wedges = []
-    for j, L, edges, entries in _scan_supports(params):
+    for j, L, entries in _scan_supports(params):
         if j == closure:
             wedges.append(TileSupport._closure(j, n, *entries[0]))
             continue
@@ -689,7 +670,8 @@ def build_layout(params: FrameParams) -> TilingLayout:
             tiles, (c1, c2) = TileSupport._fold(j, n, *entries[c])
             p = L // 2 - c
             if p != c:
-                boxes = None if edges & {c, p} else (c2[::-1], c1[::-1])
+                low = min(entries[c][2].min(initial=1.0), entries[p][2].min(initial=1.0))
+                boxes = None if low < WINDOW_TOL else (c2[::-1], c1[::-1])
                 tiles += TileSupport._fold(j, n, *entries[p], boxes)[0]
             wedges += tiles
     wedges.sort(key=lambda t: (t.j, t.ell))

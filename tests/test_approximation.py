@@ -527,3 +527,10 @@ def test_fit_scale_slope_falls_back_to_the_finest_scales():
     assert out["max_residual"] == pytest.approx(1.2)
     with pytest.raises(ValueError, match="3 scales given"):
         appr.fit_scale_slope([1, 2, 3], [1.0, 0.5, 0.25])
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5])
+def test_fit_scale_slope_refuses_a_value_that_is_not_positive(bad):
+    # log2 of it would warn and fit -inf or nan
+    with pytest.raises(ValueError, match="must be positive"):
+        appr.fit_scale_slope([1, 2, 3, 4], [1.0, 0.5, bad, 0.1])

@@ -137,6 +137,24 @@ def test_remainder_vanishes_for_minus_half():
     assert bessel.remainder_bound_check(1.0, 100.0, order=-0.5) <= 1e-12
 
 
+def test_remainder_check_refuses_an_infinite_range():
+    with pytest.raises(ValueError, match="r_max must be finite"):
+        bessel.remainder_bound_check(1.0, math.inf)
+
+
+@pytest.mark.parametrize(
+    "points_per_log, message",
+    [
+        (0, "points_per_log must be positive"),
+        (-5, "points_per_log must be positive"),
+        (2.5, "points_per_log must be an integer"),
+    ],
+)
+def test_remainder_check_refuses_a_grid_density_that_is_not_a_positive_integer(points_per_log, message):
+    with pytest.raises(ValueError, match=message):
+        bessel.remainder_bound_check(1.0, 100.0, points_per_log=points_per_log)
+
+
 def test_errors():
     with pytest.raises(ValueError):
         bessel.bessel_j(0.25, 1.0)

@@ -114,6 +114,19 @@ def test_distance_validation():
         PhasePoint(s=-1.0, theta=0.0, x=(0.0, 0.0))
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_phase_point_refuses_a_non_finite_orientation(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        PhasePoint(s=1.0, theta=theta, x=(0.0, 0.0))
+
+
+@pytest.mark.parametrize("x", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)])
+def test_phase_point_refuses_a_non_finite_position(x):
+    # so index_distance never returns nan
+    with pytest.raises(ValueError, match="position x must be finite"):
+        PhasePoint(s=1.0, theta=0.0, x=x)
+
+
 def test_enumeration_counts_scale_with_caps():
     s1, t1, x1 = enumerate_phase_points(PARAMS, 4.0, 1.0)
     s2, t2, x2 = enumerate_phase_points(PARAMS, 4.0, 2.0)
@@ -141,6 +154,14 @@ def test_consistency_rejects_alpha_outside_the_unit_interval():
     for alpha in (-0.1, 1.5):
         with pytest.raises(ValueError, match="alpha"):
             consistency_sum(PARAMS, PARAMS_HALF, alpha, 3.0, scale_cap=2.0, spatial_cap=1.0)
+
+
+def test_consistency_rejects_an_alpha_other_than_the_frames():
+    other = FrameParams(s=0.5, alpha=0.25, grid_n=64)
+    with pytest.raises(ValueError, match=r"alpha=0\.5 must equal both frames' alpha, got 0\.5 and 0\.25"):
+        consistency_sum(PARAMS, other, 0.5, 3.0, scale_cap=2.0, spatial_cap=1.0)
+    with pytest.raises(ValueError, match=r"alpha=0\.25 must equal both frames' alpha, got 0\.5 and 0\.5"):
+        consistency_sum(PARAMS, PARAMS_HALF, 0.25, 3.0, scale_cap=2.0, spatial_cap=1.0)
 
 
 def test_consistency_cross_scale_stabilizes():

@@ -139,8 +139,8 @@ def test_build_rejects_a_broken_partition(monkeypatch):
 
     def corrupted(*args):
         supports = scan(*args)
-        ell, grid_flat, window = supports[0][3][0]
-        supports[0][3][0] = (ell, grid_flat, 1.01 * window)
+        ell, grid_flat, window = supports[0][2][0]
+        supports[0][2][0] = (ell, grid_flat, 1.01 * window)
         return supports
 
     monkeypatch.setattr(tiling, "_scan_supports", corrupted)
