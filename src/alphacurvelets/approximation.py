@@ -15,6 +15,11 @@ N largest are sorted and added smallest first, so a tail far below the
 signal energy is summed exactly instead of cancelling in
 ``energy - cumsum``.  ``error_curve`` sums the tails on the package's
 worker thread while the calling thread thresholds and synthesizes.
+
+A caller's coefficients are never written.  When ``error_curve`` makes
+the coefficients itself and verifies no point, nothing reads them after
+the tails, so it squares them in place: the curve holds one coefficient
+array, not the coefficients and a copy of their squares.
 """
 
 from __future__ import annotations
@@ -176,6 +181,11 @@ def error_curve(
     synthesis error ``||f - synth(threshold(analyze(f), N))||^2`` is also
     computed, checked against the dropped tail at that N (it never exceeds
     it) and stored in ``err2_synthesis``.  Every N must be at least 1.
+
+    ``coeffs``, if given, is ``analyze(image, frame)``; it is the caller's
+    and is only read.  Without ``coeffs`` the curve analyses ``image``
+    itself, and without ``verify_at`` as well it squares that analysis in
+    place for the tails.
     """
     n_list = sorted(set(as_index(n, "n_list entry") for n in n_list))
     verify_at = [as_index(n, "verify_at entry") for n in verify_at]
@@ -184,6 +194,7 @@ def error_curve(
         raise ValueError(f"N must be at least 1, got N={checked[0]}")
     if verify_at:
         image = _check_image(image, frame)
+    owned = coeffs is None and not verify_at  # made here and read by nothing after the tails
     if coeffs is None:
         coeffs = analyze(image, frame)
     total = coeffs.total_count
@@ -193,7 +204,12 @@ def error_curve(
     # the tails reorder their squares in place, and the selections use the
     # magnitudes, because squaring can merge distinct magnitudes into ties
     n_max = checked[-1] if checked else 0
-    with _worker._beside(_smallest_first_tails, np.square(coeffs.values), n_max) as pending:
+    if owned:
+        squares = np.square(coeffs.values, out=coeffs.values)
+        del coeffs  # its values are squares now
+    else:
+        squares = np.square(coeffs.values)
+    with _worker._beside(_smallest_first_tails, squares, n_max) as pending:
         synthesis = {
             n: grid_norms(image - synthesize(threshold(coeffs, n), frame), frame.params.grid_n)[1]
             for n in verify_at

@@ -434,7 +434,10 @@ def _rate_plan(cfg: dict) -> Callable[..., tuple[appr.ErrorCurve, appr.RateRepor
     The curve runs over the full schedule from ``schedule_start``, or from
     its last N if that is smaller; the fit runs over ``window``, or else
     over the level window between the configured ``level_hi`` and
-    ``level_lo``.  Both are checked here.
+    ``level_lo``.  Both are checked here.  ``rate`` hands ``error_curve``
+    no coefficients, so the curve analyses ``img`` and squares that one
+    array in place: a rate holds the frame, the image and one coefficient
+    array at a time.
     """
     start = _index(cfg, "schedule_start", 1)
     hi, lo = float(cfg["level_hi"]), float(cfg["level_lo"])
@@ -442,9 +445,8 @@ def _rate_plan(cfg: dict) -> Callable[..., tuple[appr.ErrorCurve, appr.RateRepor
         raise ValueError(f"level_lo must be below level_hi, got level_lo={lo} and level_hi={hi}")
 
     def rate(frame: DigitalCurveletFrame, img: np.ndarray, window: tuple[int, int] | None = None):
-        coeffs = analyze(img, frame)
-        stop = max(coeffs.total_count // 4, 64)
-        curve = appr.error_curve(img, frame, appr.geometric_schedule(min(start, stop), stop), coeffs=coeffs)
+        stop = max(frame.total_coefficients // 4, 64)
+        curve = appr.error_curve(img, frame, appr.geometric_schedule(min(start, stop), stop))
         try:
             if window is None:
                 window = appr.level_window(curve, hi, lo)
@@ -536,32 +538,36 @@ def run_straight_edge_rate(cfg: dict) -> Run:
         check_render(spec, grid)
     bump_window = _window(cfg, "bump_window")
     band = _pair(cfg["band_alpha_half"], "band_alpha_half")
+    # the reports' order: results keys, CSV rows and fit errors
+    names = ("edge_alpha_half", "edge_alpha_quarter", "bump_alpha_half")
+    labels = [f"{spec.kind}-alpha{p.alpha}" for spec, p in ((edge, half_params), (edge, quarter), (bump, half_params))]
 
     def run():
-        rows = []
-        results = {}
-        reasons = []
-
-        def one(name, frame, spec: CartoonSpec, img: np.ndarray, window: tuple[int, int] | None = None):
-            curve, fit, reason = rate(frame, img, window)
-            for n, e in zip(curve.n_terms, curve.err2):
-                rows.append({"run": f"{spec.kind}-alpha{frame.params.alpha}", "N": n, "err2": e})
-            results[name] = None if reason else fit.__dict__
-            if reason:
-                reasons.append(f"{name}: {reason}")
-            return fit
-
-        # one alpha=1/2 frame serves the edge and the bump
-        half = DigitalCurveletFrame.build(half_params)
+        # one frame and one image at a time: the edge runs on a temporary
+        # alpha=1/4 frame, then on the alpha=1/2 frame, which the bump
+        # reuses once the edge image is dropped.  That frame is built before
+        # the first render: first in a fresh process, a grid-1024 render
+        # takes about twice as long, as glibc hands back its row blocks'
+        # memory until a large array has been freed
+        quarter_frame = DigitalCurveletFrame.build(quarter)
         img = render(edge, grid)
-        fit_half = one("edge_alpha_half", half, edge, img)
-        # the alpha=1/4 frame is freed before the bump
-        fit_quarter = one("edge_alpha_quarter", DigitalCurveletFrame.build(quarter), edge, img)
-        img = render(bump, grid)
-        fit_bump = one("bump_alpha_half", half, bump, img, window=bump_window)
+        edge_quarter = rate(quarter_frame, img)
+        del quarter_frame
+        half = DigitalCurveletFrame.build(half_params)
+        edge_half = rate(half, img)
+        del img
+        outcomes = (edge_half, edge_quarter, rate(half, render(bump, grid), bump_window))
+        rows = [
+            {"run": label, "N": n, "err2": e}
+            for label, (curve, _, _) in zip(labels, outcomes)
+            for n, e in zip(curve.n_terms, curve.err2)
+        ]
+        results = {name: None if reason else fit.__dict__ for name, (_, fit, reason) in zip(names, outcomes)}
         results["band_alpha_half"] = band
+        reasons = [f"{name}: {reason}" for name, (_, _, reason) in zip(names, outcomes) if reason]
         if reasons:
             return False, {**results, "fit_error": "; ".join(reasons)}, rows
+        fit_half, fit_quarter, fit_bump = (fit for _, fit, _ in outcomes)
         ok = (
             band[0] <= fit_half.slope <= band[1]
             and fit_quarter.slope <= cfg["max_slope_alpha_quarter"]
@@ -586,8 +592,8 @@ def run_apriori_decay(cfg: dict) -> Run:
         disc = render(spec, grid)
         for params, window in zip(every, windows):
             frame = DigitalCurveletFrame.build(params)
-            coeffs = analyze(disc, frame)
-            table = appr.apriori_decay_check(coeffs, params, fit_scales=window)
+            # the coefficients are freed before the atoms' syntheses
+            table = appr.apriori_decay_check(analyze(disc, frame), params, fit_scales=window)
             target = table["target"]
             # the size bound is one-sided: curved edges cannot saturate it for
             # strongly directional tiles, so only slopes above target+tol fail
@@ -607,6 +613,7 @@ def run_apriori_decay(cfg: dict) -> Run:
             )
             for j, m in table["rows"]:
                 rows.append({"alpha": params.alpha, "j": j, "max_coeff": m})
+            del frame  # freed before the next alpha's frame is built
         return ok, {"summaries": summaries}, rows
 
     return run

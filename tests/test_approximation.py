@@ -2,6 +2,7 @@ import dataclasses
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,6 +298,56 @@ def test_error_curve_selects_on_magnitudes_not_their_squares(frame64, monkeypatc
     kept = np.flatnonzero(seen[0].values)
     assert np.array_equal(seen[0].values, appr.threshold(coeffs, n).values)
     assert set(kept.tolist()) <= set(by_mags.tolist())
+
+
+def test_error_curve_analysing_itself_matches_a_given_analysis_bit_for_bit(frame64):
+    disc = render(CartoonSpec(kind="disc", antialias=2), 64)
+    noise = np.random.default_rng(23).standard_normal((64, 64))
+    for img in (disc, noise):
+        ns = appr.geometric_schedule(8, analyze(img, frame64).total_count // 4)
+        own = appr.error_curve(img, frame64, ns)
+        given = appr.error_curve(img, frame64, ns, coeffs=analyze(img, frame64))
+        assert np.array(own.err2).tobytes() == np.array(given.err2).tobytes()
+        assert own.metadata == given.metadata
+        assert own.n_terms == given.n_terms and own.err2_synthesis == given.err2_synthesis == {}
+
+
+@pytest.mark.parametrize("verify_at", [(), (40,)])
+def test_error_curve_never_writes_the_callers_coefficients(frame64, verify_at):
+    f = np.random.default_rng(24).standard_normal((64, 64))
+    coeffs = analyze(f, frame64)
+    before = coeffs.values.tobytes()
+    appr.error_curve(f, frame64, [10, 100, coeffs.total_count], coeffs=coeffs, verify_at=verify_at)
+    assert coeffs.values.tobytes() == before
+
+
+def _traced_peak(fn) -> int:
+    """Bytes ``fn()`` allocates at its peak, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_self_analysing_error_curve_holds_one_coefficient_array():
+    # the rate experiments' call: the curve analyses the image itself and
+    # squares that analysis in place, so it peaks where analyze peaks
+    cfg = load_defaults()["experiments"]["disc-rate"]
+    grid = 256
+    frame = DigitalCurveletFrame.build(FrameParams(cfg["s"], 0.5, grid, snapped=True))
+    img = render(CartoonSpec(kind="disc", antialias=cfg["antialias"]), grid)
+    stop = max(frame.total_coefficients // 4, 64)
+    ns = appr.geometric_schedule(min(cfg["schedule_start"], stop), stop)
+    coefficient_bytes = 8 * frame.total_coefficients
+    analyze_peak = _traced_peak(lambda: analyze(img, frame))
+    curve_peak = _traced_peak(lambda: appr.error_curve(img, frame, ns))
+    assert curve_peak <= analyze_peak + 0.1 * coefficient_bytes, (
+        curve_peak / coefficient_bytes,
+        analyze_peak / coefficient_bytes,
+    )
 
 
 def test_error_curve_tail_far_below_signal_energy():

@@ -5,6 +5,8 @@ import os
 import stat
 import subprocess
 import sys
+import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -764,6 +766,50 @@ def test_a_rate_curve_too_short_for_its_fit_window_fails(experiment, args, confi
         if val is None or isinstance(val, dict):
             assert (f"{key}=None" if val is None else f"{key}.slope={val['slope']}") in stdout.splitlines()[1]
     assert (out / f"{experiment}.csv").read_text().count("\n") > 1  # the curve is kept
+
+
+@pytest.mark.parametrize("config", [{"grid": 128}, {"grid": 64, "schedule_start": 100000}])
+def test_straight_edge_rate_holds_one_frame_and_one_image_at_a_time(config, monkeypatch):
+    frames, images, events = [], [], []
+
+    def alive(refs):
+        return sum(ref() is not None for ref in refs)
+
+    def build(params):
+        events.append(("build", params.alpha, alive(frames), alive(images)))
+        frames.append(weakref.ref(frame := DigitalCurveletFrame.build(params)))
+        return frame
+
+    def tracked_render(spec, grid):
+        events.append(("render", spec.kind, alive(frames), alive(images)))
+        images.append(weakref.ref(img := render(spec, grid)))
+        return img
+
+    monkeypatch.setattr(cli, "DigitalCurveletFrame", types.SimpleNamespace(build=build))
+    monkeypatch.setattr(cli, "render", tracked_render)
+    ok, results, rows = cli.RUNNERS["straight-edge-rate"](cli.resolve_config("straight-edge-rate", None, config))()
+    # (event, what, frames alive, images alive) as each frame or image is made
+    assert events == [
+        ("build", 0.25, 0, 0),
+        ("render", "half_space", 1, 0),
+        ("build", 0.5, 0, 1),
+        ("render", "smooth_bump", 1, 0),
+    ]
+    # reported in the order edge alpha=1/2, edge alpha=1/4, bump alpha=1/2
+    names = ["edge_alpha_half", "edge_alpha_quarter", "bump_alpha_half"]
+    assert list(results)[:4] == [*names, "band_alpha_half"]
+    runs = [row["run"] for row in rows]
+    assert [run for i, run in enumerate(runs) if i == 0 or run != runs[i - 1]] == [
+        "half_space-alpha0.5",
+        "half_space-alpha0.25",
+        "smooth_bump-alpha0.5",
+    ]
+    failed = [name for name in names if results[name] is None]
+    if failed:
+        assert not ok and list(results)[4:] == ["fit_error"]
+        assert [part.split(":")[0] for part in results["fit_error"].split("; ")] == failed == names
+    else:
+        assert list(results) == [*names, "band_alpha_half"]
 
 
 @pytest.mark.parametrize("experiment", ["molecule-distance", "bessel-check"])
