@@ -144,7 +144,8 @@ def bessel_j_series(order: float, r: float) -> float:
 
     The name is kept from when the oracle summed the defining power
     series; tests call it and the benchmark tracer patches it by this
-    name.  Only a call imports mpmath.  The working precision is pinned
+    name.  Only a call imports mpmath, which the package's ``test`` extra
+    installs: no run path needs it.  The working precision is pinned
     locally, so a caller's global ``mp.dps`` does not move the value.
     """
     import mpmath as mp

@@ -265,6 +265,11 @@ def synthesize(coeffs: CoefficientSet, frame: DigitalCurveletFrame) -> np.ndarra
     # the worker has added every tile before these: each sum rounds as in tile order
     for i, v in reversed(held):
         Facc[frame._caches[i].grid_flat[: v.size]] += v
+    return _image(Facc, n)
+
+
+def _image(Facc: np.ndarray, n: int) -> np.ndarray:
+    """The ``n x n`` image of the half spectrum ``Facc``, which is overwritten."""
     out = _irfft2(Facc.reshape(n, n // 2 + 1), np.empty((n, n)))
     out *= n * n / 2.0
     return out
@@ -327,15 +332,18 @@ def curvelet_atom(
 
     ``mu = (j, ell, (m1, m2))`` with ``(m1, m2)`` a position on the tile's
     wrap box.  The atom is real and its spectrum is supported exactly on
-    the tile's lattice support.
+    the tile's lattice support.  Only the tile's own block is staged, and
+    its spectrum is added into a zero half spectrum as :func:`synthesize`
+    adds it, so the atom is that of the impulse set bit for bit.
     """
     j, ell, m = mu
-    i = frame.wedge_index(j, ell)
-    c = frame._caches[i]
-    m1, m2 = int(m[0]) % c.P1, int(m[1]) % c.P2
-    coeffs = CoefficientSet(frame.wedge_table(), np.zeros(frame.total_coefficients))
-    coeffs.blocks[i][m1, m2] = 1.0
-    return synthesize(coeffs, frame)
+    c = frame._caches[frame.wedge_index(j, ell)]
+    block = np.zeros((c.P1, c.P2))
+    block[int(m[0]) % c.P1, int(m[1]) % c.P2] = 1.0
+    n = frame.params.grid_n
+    Facc = np.zeros(n * (n // 2 + 1), dtype=complex)
+    Facc[c.grid_flat[: c.n_spectrum]] += _spectrum(c, block, _box([c]))
+    return _image(Facc, n)
 
 
 def grid_norms(image: np.ndarray, grid_n: int) -> tuple[float, float]:

@@ -5,6 +5,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -358,6 +359,42 @@ def test_atom_l1_decay_skips_scales_with_an_empty_tile(frame64):
 def test_atom_invalid_index(frame64):
     with pytest.raises(KeyError):
         curvelet_atom(frame64, (2, 57, (0, 0)))
+
+
+def impulse_synthesis(frame, mu):
+    """The atom as the synthesis of a full coefficient set holding one 1."""
+    j, ell, (m1, m2) = mu
+    i = frame.wedge_index(j, ell)
+    coeffs = CoefficientSet(frame.wedge_table(), np.zeros(frame.total_coefficients))
+    coeffs.blocks[i][m1 % frame._caches[i].P1, m2 % frame._caches[i].P2] = 1.0
+    return synthesize(coeffs, frame)
+
+
+def test_atom_is_the_impulse_synthesis_bit_for_bit(frame64):
+    ball, wedge, closure = frame64._caches[0], frame64._caches[20], frame64._caches[-1]
+    empty = frame64._caches[frame64.wedge_index(2, 0)]
+    assert (ball.j, closure.j, empty.n_spectrum) == (0, frame64.params.j_max + 1, 0)
+    mus = [(c.j, c.ell, (c.P1 // 2, c.P2 // 2)) for c in (ball, wedge, closure, empty)]
+    mus.append((wedge.j, wedge.ell, (wedge.P1 - 1, 1)))  # a corner of the wrap box
+    for mu in mus:
+        assert curvelet_atom(frame64, mu).tobytes() == impulse_synthesis(frame64, mu).tobytes()
+    assert not np.any(curvelet_atom(frame64, mus[3]))
+
+
+def test_an_atom_holds_no_full_coefficient_set():
+    # the atom stages its own block only: a half spectrum and the image, not
+    # the frame's coefficients (over six times the image's bytes at this grid)
+    frame = DigitalCurveletFrame.build(FrameParams(s=1.0, alpha=0.0, grid_n=256, snapped=True))
+    c = frame._caches[frame.wedge_index(frame.params.j_max - 1, 0)]
+    mu = (c.j, c.ell, (c.P1 // 2, c.P2 // 2))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        curvelet_atom(frame, mu)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 256 * 256 * 8
 
 
 def test_analyze_input_validation(frame64):
