@@ -5,16 +5,21 @@ and every signal is rendered as the cell average over an ``antialias**2``
 sub-grid, so rasterization is deterministic and binary signals take
 values in ``[0, 1]``.
 
-``_evaluate`` is the one definition of each kind.  ``render`` hands it a
+``_evaluate`` is the one definition of each kind.  A disc, half-space or
+star is constant but for its edge, which crosses O(n) of the n^2 cells:
+``render`` bounds each cell's distance to the edge (``_cells``), gives a
+cell wholly inside or outside its value without sampling it, and hands
+``_evaluate`` the sub-samples of the other cells as gathered 1-D arrays.
+A smooth factor is sampled everywhere: ``render`` hands ``_evaluate`` a
 block's rows as a ``(k, 1)`` column and the columns as an ``(n,)`` row,
-so broadcasting computes each axis term once per row and once per column;
-the tests' oracle hands it full coordinate arrays, and the two images
-agree bit for bit.
+so broadcasting computes each axis term once per row and once per column.
+The tests' oracle hands ``_evaluate`` full coordinate arrays, and the two
+images agree bit for bit.
 
 ``render`` splits the image into blocks of rows and shares them with the
 package's worker thread (:mod:`alphacurvelets._worker`): each block
 writes only its own rows of the image, so the image does not depend on
-which thread rendered a block.  Stars take smaller blocks (see ``render``).
+which thread rendered a block.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import collections
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,11 +45,13 @@ __all__ = [
 
 _KINDS = ("disc", "half_space", "smooth_bump", "star")
 
-# A render takes grid_n**2 * antialias**2 samples and holds antialias column
-# terms of grid_n floats each (two for a smooth kind), so antialias 100000
-# asks for about 0.8 GB and hours of work.  The largest render packaged has
-# 2**26 samples (grid 1024, antialias 8), and grid 4096 at antialias 8 has
-# 2**30; 2**32 lets both through with room.
+# A render samples a smooth factor at all grid_n**2 * antialias**2 points
+# and an edge at the antialias**2 points of each cell it can cross, and it
+# holds antialias column terms of grid_n floats each (two for a smooth
+# kind), so antialias 100000 asks for about 0.8 GB and hours of work.  The
+# limit counts every point a render could sample: the largest render
+# packaged has 2**26 (grid 1024, antialias 8), and grid 4096 at antialias 8
+# has 2**30; 2**32 lets both through with room.
 SAMPLE_LIMIT = 2**32
 
 # The ramp polynomial's coefficients alternate in sign and grow with beta,
@@ -157,10 +164,13 @@ class CartoonSpec:
         if smooth and not self.nu > 0:
             raise ValueError(f"nu must be positive for a smooth factor, got {self.nu!r}")
         if self.kind == "star":
-            rho = self.radius_function(np.linspace(0.0, 2.0 * math.pi, 4096))
-            if np.min(rho) <= 0:
+            # between two check points rho moves by at most S times half their spacing
+            t = np.linspace(0.0, 2.0 * math.pi, 4096)
+            slack = _slope(self) * 0.5 * t[1]
+            rho = self.radius_function(t)
+            if np.min(rho) <= slack:
                 raise ValueError("star radius function must be positive everywhere")
-            if np.max(rho) > 1.0:
+            if np.max(rho) > 1.0 - slack:
                 raise ValueError("star must stay inside [-1, 1]^2")
 
     def radius_function(self, t: np.ndarray) -> np.ndarray:
@@ -192,6 +202,43 @@ def _evaluate(spec: CartoonSpec, x1: np.ndarray, x2: np.ndarray, smooth: np.ndar
     return np.hypot(x1, x2) <= spec.radius_function(t)
 
 
+def _slope(spec: CartoonSpec) -> float:
+    """``S = sum_k (k+1) (|a_k| + |b_k|)``, a bound on the slope of a
+    star's radius function: ``|rho(t) - rho(u)| <= S |t - u|``."""
+    return sum((k + 1) * abs(c) for coeffs in (spec.cos_coeffs, spec.sin_coeffs) for k, c in enumerate(coeffs))
+
+
+# Rounding moves a sample's coordinates, hypot, arctan2 and the radius
+# function's trig sum by about 1e-15; a cell counts as wholly inside or
+# outside only when its bound clears the edge by this much more.
+_EDGE_MARGIN = 1e-9
+
+
+def _cells(spec: CartoonSpec, c1: np.ndarray, c2: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(inside, edge)`` over the cells centred at ``(c1, c2)``, arrays
+    that broadcast together, whose sub-samples lie within ``radius`` of the
+    centre: the cells of an edged kind whose every sample is inside, and
+    those the edge may cross.  A cell in neither is wholly outside."""
+    # depth: how far inside the edge the centre lies, negative outside; the
+    # disc and the half-space make it in place, one array of the block's size
+    if spec.kind == "disc":
+        depth, slack = np.hypot(c1, c2), radius
+        np.subtract(0.5, depth, out=depth)
+    elif spec.kind == "half_space":
+        depth, slack = c1 * math.cos(spec.phi) - c2 * math.sin(spec.phi), radius
+        depth -= spec.c
+    else:  # star: over the cell, rho moves by at most S times the angle the cell subtends
+        r = np.hypot(c1, c2)
+        depth = spec.radius_function(np.arctan2(c2, c1)) - r
+        slack = radius + _slope(spec) * np.arcsin(np.minimum(0.5, radius / np.maximum(r, _EDGE_MARGIN)))
+        slack[r <= 2.0 * radius] = np.inf  # a cell this near the origin spans too wide an angle
+    slack += _EDGE_MARGIN
+    inside = depth > slack
+    edge = depth >= -slack
+    edge ^= inside
+    return inside, edge
+
+
 def _smooth(spec: CartoonSpec) -> SmoothFactor | None:
     """The spec's smooth factor, or ``None`` for a kind without one."""
     if spec.kind == "smooth_bump":
@@ -219,27 +266,32 @@ def check_render(spec: CartoonSpec, grid_n) -> int:
 def render(spec: CartoonSpec, grid_n: int) -> np.ndarray:
     """Cell-averaged rasterization on the ``grid_n`` x ``grid_n`` grid.
 
-    Each pair of sub-offsets evaluates a block's rows, shape ``(k, 1)``,
-    against all columns, shape ``(n,)``, with the smooth factor as the
-    product of its row profile, made once per row offset, and column
-    profile, made once per render; so the image equals the per-sample
-    accumulation of ``_evaluate`` bit for bit.  A star makes a dozen
-    temporaries of a block's size per pair, the other kinds two or three,
-    so a star takes smaller blocks.  The row blocks are shared with the
-    package's worker thread: this thread takes them from the back, the
-    worker from the front, and each block writes only its rows.  A render
-    of more than :data:`SAMPLE_LIMIT` samples raises ``ValueError``
+    A kind with an edge samples only the cells the edge can cross
+    (:func:`_cells`): a cell wholly inside takes 1, or for a smooth
+    half-space the smooth factor's cell average, and a cell wholly outside
+    takes 0.  The smooth factor's average, and the smooth bump, take
+    every sub-sample: each pair of sub-offsets evaluates a block's rows,
+    shape ``(k, 1)``, against all columns, shape ``(n,)``, with the
+    factor as the product of its row profile, made once per row offset,
+    and column profile, made once per render.  An edge cell goes through
+    ``_evaluate`` at each sub-sample in the same ``(o1, o2)`` order; so
+    the image equals the per-sample accumulation of ``_evaluate`` bit for
+    bit.  The row blocks, all of one size, are shared with the package's
+    worker thread: this thread takes them from the back, the worker from
+    the front, and each block writes only its rows.  A render of more than
+    :data:`SAMPLE_LIMIT` samples raises ``ValueError``
     (:func:`check_render`) before any work.
     """
     n, a = check_render(spec, grid_n), spec.antialias
     h = 2.0 / n
     base = -1.0 + h * np.arange(n)
     out = np.zeros((n, n))
-    # a star's blocks of 8192 samples (64 KiB) keep its temporaries below
-    # malloc's mmap threshold, reused rather than mapped and faulted afresh;
-    # the other kinds gain more from fewer, longer numpy calls.  Either rule
-    # for all kinds made the other side about 2x slower (grids 512-1024)
-    block = max(1, (1 << 13) // n if spec.kind == "star" else (1 << 22) // (n * a * a))
+    # blocks of 65536 cells, so a float array of a block's size is 512 KiB.
+    # A quarter of that made every kind slower, up to 2x, at grid 512,
+    # antialias 4 and grid 1024, antialias 8; four times that made the
+    # temporaries up to 4x larger and every kind slower at grid 512, where
+    # such a block is the whole image
+    block = max(1, (1 << 16) // n)
     offsets = h * (np.arange(a) + 0.5) / a
     g = _smooth(spec)
     cols = [base + o2 for o2 in offsets]
@@ -254,11 +306,32 @@ def render(spec: CartoonSpec, grid_n: int) -> np.ndarray:
 def _render_rows(spec, g, base, offsets, cols, profiles, out, block, starts) -> None:
     """Write the row blocks of ``out`` that begin at ``starts``."""
     a = spec.antialias
+    # the smooth factor alone: a smooth half-space's inside cells take its average
+    bump = None if g is None else replace(spec, kind="smooth_bump")
+    mid = 0.5 * (offsets[0] + offsets[-1])  # the centre of a cell's sub-samples
+    radius = math.sqrt(2.0) * (offsets[-1] - mid)  # their farthest from it
     for r0 in starts:
         acc = out[r0 : r0 + block]
+        rows = base[r0 : r0 + block]
+        if g is not None:
+            for o1 in offsets:
+                x1 = (rows + o1)[:, None]
+                p1 = g.flat_value * g.profile(x1)
+                for x2, p2 in zip(cols, profiles):
+                    acc += _evaluate(bump, x1, x2, p1 * p2)
+            acc /= a * a
+        if spec.kind == "smooth_bump":
+            continue
+        inside, edge = _cells(spec, (rows + mid)[:, None], base + mid, radius)
+        if g is None:
+            acc[inside] = 1.0
+        else:
+            acc[~inside] = 0.0
+        i, j = np.nonzero(edge)
+        total = np.zeros(len(i))
         for o1 in offsets:
-            x1 = (base[r0 : r0 + block] + o1)[:, None]
+            x1 = rows[i] + o1
             p1 = None if g is None else g.flat_value * g.profile(x1)
             for x2, p2 in zip(cols, profiles):
-                acc += _evaluate(spec, x1, x2, None if g is None else p1 * p2)
-        acc /= a * a
+                total += _evaluate(spec, x1, x2[j], None if g is None else p1 * p2[j])
+        acc[i, j] = total / (a * a)

@@ -545,10 +545,7 @@ def run_straight_edge_rate(cfg: dict) -> Run:
     def run():
         # one frame and one image at a time: the edge runs on a temporary
         # alpha=1/4 frame, then on the alpha=1/2 frame, which the bump
-        # reuses once the edge image is dropped.  That frame is built before
-        # the first render: first in a fresh process, a grid-1024 render
-        # takes about twice as long, as glibc hands back its row blocks'
-        # memory until a large array has been freed
+        # reuses once the edge image is dropped
         quarter_frame = DigitalCurveletFrame.build(quarter)
         img = render(edge, grid)
         edge_quarter = rate(quarter_frame, img)

@@ -1,8 +1,13 @@
+import importlib
 import math
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from alphacurvelets import cartoons
 from alphacurvelets.bessel import disc_spectrum
@@ -181,34 +186,179 @@ ORACLE_SPECS = [
 @pytest.mark.parametrize("kw", ORACLE_SPECS, ids=lambda kw: kw["kind"] + str(kw.get("beta", "")))
 @pytest.mark.parametrize("n, antialias", [(37, 1), (37, 2), (37, 3), (64, 8), (300, 8), (400, 8)])
 def test_render_matches_per_sample_oracle(kw, n, antialias, each_worker):
-    # at antialias 8, n=300 spans two row blocks of 218 rows and n=400
-    # three of 163, the last partial; a star's blocks are 8192 // n rows
+    # n=300 spans two row blocks of 218 rows and n=400 three of 163, the
+    # last partial
     spec = CartoonSpec(antialias=antialias, **kw)
     want = per_sample_render(spec, n).tobytes()
     # the worker takes every block it can, none, and as many as it gets to
     assert [img.tobytes() == want for img in each_worker(lambda: render(spec, n))] == [True] * 3
 
 
-@pytest.mark.parametrize("kw", ORACLE_SPECS, ids=lambda kw: kw["kind"] + str(kw.get("beta", "")))
-def test_render_broadcasts_rows_against_columns(kw, monkeypatch):
-    # the speed rests on this: _evaluate never sees a full coordinate array,
-    # so each axis term is computed once per row and once per column
+def record_evaluate(monkeypatch):
+    """Patch ``_evaluate`` to record each call's ``(spec, x1, x2, smooth)``."""
     calls = []
     evaluate = cartoons._evaluate
 
     def recording(spec, x1, x2, smooth=None):
-        calls.append((x1.shape, x2.shape, None if smooth is None else smooth.shape))
+        calls.append((spec, x1, x2, smooth))
         return evaluate(spec, x1, x2, smooth)
 
     monkeypatch.setattr(cartoons, "_evaluate", recording)
+    return calls
+
+
+@pytest.mark.parametrize("kw", ORACLE_SPECS, ids=lambda kw: kw["kind"] + str(kw.get("beta", "")))
+def test_render_broadcasts_rows_against_columns(kw, monkeypatch):
+    # the smooth factor's pass rests on this: _evaluate never sees a full
+    # coordinate array there, so each axis term is computed once per row and
+    # once per column.  The edge cells' samples are gathered 1-D arrays (the
+    # next test); a kind without a smooth factor makes no broadcast call
+    calls = record_evaluate(monkeypatch)
     spec = CartoonSpec(antialias=3, **kw)
     n = 300
     render(spec, n)
+    calls = [(x1.shape, x2.shape, None if p is None else p.shape) for _, x1, x2, p in calls if x1.ndim == 2]
+    if _smooth(spec) is None:
+        assert calls == []
+        return
     assert {x2 for _, x2, _ in calls} == {(n,)}
     assert all(len(x1) == 2 and x1[1] == 1 for x1, _, _ in calls)
     assert sum(x1[0] for x1, _, _ in calls) == n * 3 * 3  # each row once per pair of sub-offsets
-    smooth = _smooth(spec) is not None
-    assert all(p == ((x1[0], n) if smooth else None) for x1, _, p in calls)
+    assert all(p == (x1[0], n) for x1, _, p in calls)
+
+
+EDGED_SPECS = [kw for kw in ORACLE_SPECS if kw["kind"] != "smooth_bump"]
+
+
+@pytest.mark.parametrize("kw", EDGED_SPECS, ids=lambda kw: kw["kind"] + str(kw.get("beta", "")))
+def test_render_evaluates_only_the_cells_an_edge_can_cross(kw, monkeypatch):
+    calls = record_evaluate(monkeypatch)
+    n, a = 300, 3
+    spec = CartoonSpec(antialias=a, **kw)
+    img = render(spec, n)
+    h = 2.0 / n
+    gathered = [(x1, x2) for _, x1, x2, _ in calls if x1.ndim == 1]
+    assert all(sp is spec for sp, x1, _, _ in calls if x1.ndim == 1)
+    rows = np.floor((np.concatenate([x1 for x1, _ in gathered]) + 1.0) / h).astype(int)
+    cols = np.floor((np.concatenate([x2 for _, x2 in gathered]) + 1.0) / h).astype(int)
+    cells, counts = np.unique(rows * n + cols, return_counts=True)
+    # every sample of an edge cell once, and no other sample
+    assert len(rows) == a * a * len(cells)
+    assert set(counts) == {a * a}
+    assert len(cells) < 0.03 * n * n
+    # a cell the edge crosses is among them: its samples do not all agree
+    if _smooth(spec) is None:
+        crossed = (img > 0) & (img < 1)
+    else:
+        bump = render(CartoonSpec(kind="smooth_bump", beta=spec.beta, nu=spec.nu, antialias=a), n)
+        crossed = (img != 0) & (img != bump)
+    assert crossed.any()
+    assert np.isin(np.flatnonzero(crossed), cells).all()
+
+
+@st.composite
+def edged_specs(draw):
+    """A disc, half-space (``beta`` 0-3) or star spec, at antialias 1-8."""
+    kind, a = draw(st.sampled_from(["disc", "half_space", "star"])), draw(st.integers(1, 8))
+    if kind == "disc":
+        return CartoonSpec(kind="disc", antialias=a)
+    if kind == "half_space":
+        return CartoonSpec(
+            kind="half_space",
+            phi=draw(st.floats(-4.0, 4.0)),
+            c=draw(st.floats(-1.5, 1.5)),
+            beta=draw(st.integers(0, 3)),
+            nu=draw(st.floats(0.1, 100.0)),
+            antialias=a,
+        )
+    coeffs = st.lists(st.floats(-0.3, 0.3), max_size=6).map(tuple)
+    try:
+        return CartoonSpec(
+            kind="star", rho0=draw(st.floats(0.01, 1.0)), cos_coeffs=draw(coeffs), sin_coeffs=draw(coeffs), antialias=a
+        )
+    except ValueError:  # rho leaves (0, 1]
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edged_specs(), st.integers(2, 80))
+def test_render_matches_the_oracle_on_random_edges(spec, n):
+    assert render(spec, n).tobytes() == per_sample_render(spec, n).tobytes()
+
+
+def sample_x1(n, a, row, offset):
+    """The x1 of a sub-sample, computed as ``render`` computes it."""
+    h = 2.0 / n
+    return float((-1.0 + h * np.arange(n))[row] + (h * (np.arange(a) + 0.5) / a)[offset])
+
+
+HARD_EDGES = {
+    # an edge through sample points of grid 37, antialias 3: x1 = c there, so
+    # the test holds with equality (nearly, for phi = pi: sin(pi) = 1.2e-16)
+    "sample-points": (37, dict(kind="half_space", phi=0.0, c=sample_x1(37, 3, 10, 1))),
+    "sample-points-smooth": (37, dict(kind="half_space", phi=0.0, c=sample_x1(37, 3, 25, 0), beta=2, nu=7.0)),
+    "sample-points-flipped": (37, dict(kind="half_space", phi=math.pi, c=-sample_x1(37, 3, 30, 2))),
+    # a star whose radius has a steep slope: S = 0.02 * (51 + ... + 60) = 11.1
+    "steep-star-37": (37, dict(kind="star", rho0=0.5, cos_coeffs=(0.0,) * 50 + (0.02,) * 10)),
+    "steep-star-80": (80, dict(kind="star", rho0=0.5, cos_coeffs=(0.0,) * 50 + (0.02,) * 10)),
+    # stars whose edge passes 5e-4 from the origin, at angles pi and pi/2
+    "star-by-origin-37": (37, dict(kind="star", rho0=0.3, cos_coeffs=(0.2995,))),
+    "star-by-origin-80": (80, dict(kind="star", rho0=0.3, cos_coeffs=(0.2995,))),
+    "star-by-origin-2": (80, dict(kind="star", rho0=0.3, cos_coeffs=(0.0, 0.05), sin_coeffs=(-0.2495,))),
+}
+
+
+@pytest.mark.parametrize("n, kw", HARD_EDGES.values(), ids=HARD_EDGES.keys())
+def test_render_matches_the_oracle_on_hard_edges(n, kw):
+    spec = CartoonSpec(antialias=3, **kw)
+    assert render(spec, n).tobytes() == per_sample_render(spec, n).tobytes()
+
+
+def test_render_memory_stays_within_a_tenth_of_sampling_every_cell(stand_in):
+    # tracemalloc peaks, in bytes, of the render that evaluated every sample
+    # of every cell, taken the same way (numpy 2.4, grid 512, antialias 8,
+    # the calling thread taking every block); the image alone is 2,097,152
+    every_cell = {"disc": 2_802_096, "half_space": 3_362_728}
+    stand_in("RecordingWorker")
+    specs = [
+        CartoonSpec(kind="disc", antialias=8),
+        # straight-edge-rate's edge
+        CartoonSpec(kind="half_space", phi=0.9272952180016122, c=0.13, beta=2, nu=60.0, antialias=8),
+    ]
+    for spec in specs:
+        tracemalloc.start()
+        try:
+            render(spec, 512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * every_cell[spec.kind], spec.kind
+
+
+def test_star_validation_bounds_the_radius_between_check_points():
+    # rho(pi) = 0, and pi falls between two of the 4096 check points
+    t = np.linspace(0.0, 2.0 * math.pi, 4096)
+    assert np.min(0.1 + 0.1 * np.cos(t)) > 0
+    with pytest.raises(ValueError, match="positive"):
+        CartoonSpec(kind="star", rho0=0.1, cos_coeffs=(0.1,))
+    # rho(u) = 1 + 5e-8 at u, the midpoint of the first two check points,
+    # and at most 1 on every check point
+    u = t[1] / 2
+    rho0, b = 0.55 + 5e-8, 0.45
+    assert np.max(rho0 + b * np.cos(t - u)) <= 1.0 < rho0 + b
+    with pytest.raises(ValueError, match="inside"):
+        CartoonSpec(kind="star", rho0=rho0, cos_coeffs=(b * math.cos(u),), sin_coeffs=(b * math.sin(u),))
+    # a radius within the bound on either side is taken
+    CartoonSpec(kind="star", rho0=0.55 - 1e-3, cos_coeffs=(b * math.cos(u),), sin_coeffs=(b * math.sin(u),))
+    CartoonSpec(kind="star", rho0=1.0)
+
+
+def test_every_pool_star_of_the_benchmark_is_taken(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for seed in range(1, 51):
+        kinds = [spec.kind for spec in workloads.NTermRoundtrip.pool_specs(seed)]  # refused specs would raise
+        assert "star" in kinds
 
 
 def test_render_rejects_non_integral_grid():
