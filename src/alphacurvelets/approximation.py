@@ -13,8 +13,17 @@ keeps.  Dropped tails are accumulated from the small end: the squared
 magnitudes below the largest requested N are summed once, and only the
 N largest are sorted and added smallest first, so a tail far below the
 signal energy is summed exactly instead of cancelling in
-``energy - cumsum``.  ``error_curve`` sums the tails on the package's
-worker thread while the calling thread thresholds and synthesizes.
+``energy - cumsum``.
+
+``error_curve`` sums the tails on the package's worker thread, over a
+coefficient-size array of squares; meanwhile the calling thread makes the
+first verified selection, whose one coefficient-size array holds the
+magnitudes and then becomes the kept set.  So beside the coefficients a
+verified point holds at most the squares and that kept set.  Once the
+tails are summed the squares go, and each verified N is synthesized from
+its kept set alone: the next selection is made after the previous kept
+set is freed, and the synthesis error is taken in the synthesized image's
+own array.
 
 A caller's coefficients are never written.  When ``error_curve`` makes
 the coefficients itself and verifies no point, nothing reads them after
@@ -108,27 +117,37 @@ def threshold(coeffs: CoefficientSet, n_keep: int) -> CoefficientSet:
     """Keep exactly the ``n_keep`` largest-magnitude coefficients.
 
     Ties are broken by the stable flat order (scale-major, then angle,
-    then lattice position), so runs are bit-for-bit reproducible.
+    then lattice position), so runs are bit-for-bit reproducible.  The
+    call makes one coefficient-size array: the magnitudes the selection
+    reads, which then become the kept set, zero but where the mask keeps a
+    coefficient (a kept ``-0.0`` included).
     """
     total = coeffs.total_count
     if not 1 <= as_index(n_keep, "n_keep") <= total:
         raise ValueError(f"n_keep must be in [1, {total}], got {n_keep}")
-    return replace(coeffs, values=np.where(_largest_mask(coeffs.values, n_keep), coeffs.values, 0.0))
+    buf = np.empty_like(coeffs.values)
+    keep = _largest_mask(coeffs.values, n_keep, buf)
+    buf.fill(0.0)
+    np.copyto(buf, coeffs.values, where=keep)
+    return replace(coeffs, values=buf)
 
 
-def _largest_mask(values: np.ndarray, n: int) -> np.ndarray:
+def _largest_mask(values: np.ndarray, n: int, mags: np.ndarray | None = None) -> np.ndarray:
     """Mask of the ``n`` largest magnitudes of ``values`` (``1 <= n <= values.size``).
 
     The same set as ``np.argsort(-abs(values), kind="stable")[:n]``:
     everything above the boundary magnitude, then the lowest flat indices
-    equal to it.
+    equal to it.  ``mags``, if given, is a scratch array of the size of
+    ``values``; it ends holding ``abs(values)``.
     """
-    mags = np.abs(values)
+    mags = np.abs(values, out=mags)
     mags.partition(mags.size - n)
     v = mags[mags.size - n]
     np.abs(values, out=mags)  # back in flat order: one array serves both steps
-    keep = mags > v
-    keep[np.flatnonzero(mags == v)[: n - np.count_nonzero(keep)]] = True
+    keep = mags >= v
+    if np.count_nonzero(keep) > n:  # a tie at the boundary: its lowest indices go first
+        keep = mags > v
+        keep[np.flatnonzero(mags == v)[: n - np.count_nonzero(keep)]] = True
     if np.count_nonzero(keep) != n:
         raise ValueError("magnitudes must not be NaN")
     return keep
@@ -186,6 +205,10 @@ def error_curve(
     and is only read.  Without ``coeffs`` the curve analyses ``image``
     itself, and without ``verify_at`` as well it squares that analysis in
     place for the tails.
+
+    Beside the coefficients, the squares of the tails and the first kept
+    set are the only coefficient-size arrays alive at once; the squares go
+    before any synthesis, and each kept set goes before the next is made.
     """
     n_list = sorted(set(as_index(n, "n_list entry") for n in n_list))
     verify_at = [as_index(n, "verify_at entry") for n in verify_at]
@@ -200,7 +223,7 @@ def error_curve(
     total = coeffs.total_count
     if checked and checked[-1] > total:
         raise ValueError(f"N={checked[-1]} exceeds coefficient count {total}")
-    # the worker sums the tails while this thread thresholds and synthesizes;
+    # the worker sums the tails while this thread makes the first selection;
     # the tails reorder their squares in place, and the selections use the
     # magnitudes, because squaring can merge distinct magnitudes into ties
     n_max = checked[-1] if checked else 0
@@ -210,11 +233,15 @@ def error_curve(
     else:
         squares = np.square(coeffs.values)
     with _worker._beside(_smallest_first_tails, squares, n_max) as pending:
-        synthesis = {
-            n: grid_norms(image - synthesize(threshold(coeffs, n), frame), frame.params.grid_n)[1]
-            for n in verify_at
-        }
+        kept = threshold(coeffs, verify_at[0]) if verify_at else None
     tails = pending.result()
+    del squares  # the tails are summed: no synthesis holds the squares too
+    synthesis = {}
+    for n in verify_at:
+        # one kept set at a time: the next is selected once this one is gone
+        rec = synthesize(threshold(coeffs, n) if kept is None else kept, frame)
+        kept = None
+        synthesis[n] = grid_norms(np.subtract(image, rec, out=rec), frame.params.grid_n)[1]
     energy = float(tails[0])
     curve = ErrorCurve(
         n_terms=n_list,

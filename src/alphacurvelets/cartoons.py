@@ -222,16 +222,34 @@ def _cells(spec: CartoonSpec, c1: np.ndarray, c2: np.ndarray, radius: float) -> 
     # depth: how far inside the edge the centre lies, negative outside; the
     # disc and the half-space make it in place, one array of the block's size
     if spec.kind == "disc":
-        depth, slack = np.hypot(c1, c2), radius
+        depth = np.hypot(c1, c2)
         np.subtract(0.5, depth, out=depth)
-    elif spec.kind == "half_space":
-        depth, slack = c1 * math.cos(spec.phi) - c2 * math.sin(spec.phi), radius
+        return _split(depth, radius)
+    if spec.kind == "half_space":
+        depth = c1 * math.cos(spec.phi) - c2 * math.sin(spec.phi)
         depth -= spec.c
-    else:  # star: over the cell, rho moves by at most S times the angle the cell subtends
-        r = np.hypot(c1, c2)
-        depth = spec.radius_function(np.arctan2(c2, c1)) - r
-        slack = radius + _slope(spec) * np.arcsin(np.minimum(0.5, radius / np.maximum(r, _EDGE_MARGIN)))
-        slack[r <= 2.0 * radius] = np.inf  # a cell this near the origin spans too wide an angle
+        return _split(depth, radius)
+    # star: rho lies within spread of rho0, so a cell whose radii all lie
+    # below or above that annulus is inside or outside, whatever its angle
+    r = np.hypot(c1, c2)
+    spread = sum(abs(c) for c in spec.cos_coeffs + spec.sin_coeffs)
+    inside = r < spec.rho0 - spread - radius - _EDGE_MARGIN
+    edge = r <= spec.rho0 + spread + radius + _EDGE_MARGIN
+    edge ^= inside
+    # the cells in the annulus: over a cell, rho moves by at most S times the angle it subtends
+    near = np.nonzero(edge)
+    x1, x2 = (x[near] for x in np.broadcast_arrays(c1, c2))
+    r = r[near]
+    depth = spec.radius_function(np.arctan2(x2, x1)) - r
+    slack = radius + _slope(spec) * np.arcsin(np.minimum(0.5, radius / np.maximum(r, _EDGE_MARGIN)))
+    slack[r <= 2.0 * radius] = np.inf  # a cell this near the origin spans too wide an angle
+    inside[near], edge[near] = _split(depth, slack)
+    return inside, edge
+
+
+def _split(depth: np.ndarray, slack) -> tuple[np.ndarray, np.ndarray]:
+    """``(inside, edge)`` of cells whose centres lie ``depth`` inside the
+    edge and whose samples lie within ``slack`` of it, plus the margin."""
     slack += _EDGE_MARGIN
     inside = depth > slack
     edge = depth >= -slack

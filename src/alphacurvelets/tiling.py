@@ -37,7 +37,6 @@ Conventions
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import operator
@@ -474,7 +473,9 @@ class TileSupport:
         if ell <= 0:
             return [tile], boxes
         k1 = k1[order]
-        out = copy.copy(tile)
+        out = cls.__new__(cls)
+        for name in cls.__slots__:
+            setattr(out, name, getattr(tile, name))
         out.ell = -ell
         # row k1 mod n goes to -k1 mod n, a move of n sign(k1) - 2 k1 (0 on the row -n/2);
         # box row r goes to -r mod P1, a move of P1 - 2 r unless r is 0
@@ -580,7 +581,8 @@ def _scan_supports(params: FrameParams) -> list[tuple[int, int, list]]:
         mirrored = (a > 0) & (a < half) & ((cbin == 0) | (cbin == L // 2))
         f = np.concatenate([pt, pt[mirrored] + (n - 2 * a[mirrored]) * cols])
         W = np.concatenate([W, W[mirrored]])
-        tile = np.concatenate([cbin, cbin[mirrored]])
+        # the bins lie in [0, L/2]: a narrow dtype makes the stable sort a radix sort
+        tile = np.concatenate([cbin, cbin[mirrored]]).astype(np.min_scalar_type(L // 2 + 1))
         order = np.argsort(tile, kind="stable")
         bounds = np.searchsorted(tile[order], np.arange(L // 2 + 2))
         entries = []

@@ -347,8 +347,13 @@ def curvelet_atom(
 
 
 def grid_norms(image: np.ndarray, grid_n: int) -> tuple[float, float]:
-    """Quadrature (L1, L2-squared) norms with cell area ``(2/grid_n)**2``."""
+    """Quadrature (L1, L2-squared) norms with cell area ``(2/grid_n)**2``.
+
+    One image-size temporary: ``|f|`` is summed, then squared in place and
+    summed again.
+    """
     cell = (2.0 / grid_n) ** 2
     a = np.abs(image)
-    return float(a.sum() * cell), float((a**2).sum() * cell)
+    l1 = float(a.sum() * cell)
+    return l1, float(np.square(a, out=a).sum() * cell)
 

@@ -99,6 +99,21 @@ def test_threshold_matches_stable_argsort_oracle():
             assert np.array_equal(mask, want & (mags != 0)), (case, n)
 
 
+def test_threshold_is_the_oracle_selection_bit_for_bit():
+    # kept and dropped -0.0, and ties at the boundary magnitudes 2 and 0
+    values = np.array([3.0, -0.0, 2.0, -2.0, 0.0, -0.0, 2.0, 1.0, -0.0, -1.0])
+    coeffs = CoefficientSet([(0, 0, 1, 4), (1, 0, 2, 3)], values)
+    desc = np.sort(np.abs(values))[::-1]
+    shortcut = tie_pass = 0
+    for n in range(1, values.size + 1):
+        want = np.where(stable_argsort_mask(np.abs(values), n), values, 0.0)
+        assert appr.threshold(coeffs, n).values.tobytes() == want.tobytes(), n
+        ties = np.count_nonzero(np.abs(values) >= desc[n - 1])
+        shortcut, tie_pass = shortcut + (ties == n), tie_pass + (ties > n)
+    assert shortcut and tie_pass
+    assert np.signbit(appr.threshold(coeffs, 7).values[[1, 5, 8]]).tolist() == [True, False, False]
+
+
 def test_smallest_first_tails_match_exact_sums():
     rng = np.random.default_rng(5)
     values = rng.standard_normal(300) ** 2 * np.exp(20 * rng.standard_normal(300))
@@ -348,6 +363,18 @@ def test_a_self_analysing_error_curve_holds_one_coefficient_array():
         curve_peak / coefficient_bytes,
         analyze_peak / coefficient_bytes,
     )
+
+
+@pytest.mark.parametrize("n", [10, 1000, "quarter"])
+def test_a_verified_error_curve_holds_two_coefficient_arrays_at_most(n):
+    # beside the caller's coefficients: the squares and the kept set while
+    # the first selection is made, and the kept set alone in the synthesis
+    frame = DigitalCurveletFrame.build(FrameParams(1.0, 0.5, 256, snapped=True))
+    f = np.random.default_rng(25).standard_normal((256, 256))
+    coeffs = analyze(f, frame)
+    n = coeffs.total_count // 4 if n == "quarter" else n
+    peak = _traced_peak(lambda: appr.error_curve(f, frame, [n], coeffs=coeffs, verify_at=(n,)))
+    assert peak < 2.6 * coeffs.values.nbytes, peak / coeffs.values.nbytes
 
 
 def test_error_curve_tail_far_below_signal_energy():

@@ -653,3 +653,11 @@ def test_blocks_are_disjoint_views_of_the_flat_values_in_order(frame64):
     coeffs.blocks[3][0, 1] = 7.0
     assert coeffs.values[coeffs.offsets[3] + 1] == 7.0
 
+
+def test_grid_norms_are_the_two_temporary_sums_bit_for_bit():
+    rng = np.random.default_rng(26)
+    for n in (2, 31, 64, 256):
+        f = rng.standard_normal((n, n)) * np.exp(5 * rng.standard_normal((n, n)))
+        cell = (2.0 / n) ** 2
+        a = np.abs(f)
+        assert grid_norms(f, n) == (float(a.sum() * cell), float((a**2).sum() * cell))
