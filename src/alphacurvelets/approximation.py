@@ -77,7 +77,8 @@ SCHEDULE_RATIO = math.sqrt(2.0)  # N-term schedules step by half an octave
 
 class FitWindowError(ValueError):
     """A fit window the error curve cannot fill: it holds fewer of the
-    curve's points than a fit needs, or its ends meet."""
+    curve's points than a fit needs, its ends meet, or the image has no
+    energy."""
 
 
 @dataclass
@@ -302,13 +303,16 @@ def level_window(curve: ErrorCurve, rel_hi: float, rel_lo: float) -> tuple[int, 
     artificially steep saturation tail (the last coefficients are zeros);
     anchoring the window between fixed error levels selects the power-law
     regime between the two in a grid- and redundancy-independent way.
-    A window whose ends meet raises :class:`FitWindowError`.
+    A window whose ends meet, or a curve of an image with no energy,
+    raises :class:`FitWindowError`.
     """
     if rel_lo >= rel_hi:
         raise ValueError("need rel_lo < rel_hi")
     energy = curve.metadata.get("signal_energy")
-    if not energy:
+    if energy is None:
         raise ValueError("curve lacks signal_energy metadata")
+    if not energy > 0:
+        raise FitWindowError("the image has no energy")
     n = np.asarray(curve.n_terms)
     rel = np.asarray(curve.err2) / energy
     above = n[rel >= rel_hi]

@@ -1,4 +1,5 @@
-"""Stand-ins for the package's worker thread, for the tests of every module that shares work with it."""
+"""Fixtures shared by the test modules: a small frame, and stand-ins for the
+package's worker thread, for the tests of every module that shares work with it."""
 
 import threading
 from concurrent.futures import Future
@@ -6,6 +7,13 @@ from concurrent.futures import Future
 import pytest
 
 from alphacurvelets import _worker
+from alphacurvelets.tiling import FrameParams
+from alphacurvelets.transform import DigitalCurveletFrame
+
+
+@pytest.fixture(scope="module")
+def frame64():
+    return DigitalCurveletFrame.build(FrameParams(s=1.0, alpha=0.5, grid_n=64))
 
 
 class InlineWorker:

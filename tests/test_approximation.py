@@ -139,11 +139,6 @@ def test_smallest_first_tails_reorder_only_their_input():
         assert np.array_equal(tails, want)
 
 
-@pytest.fixture(scope="module")
-def frame64():
-    return DigitalCurveletFrame.build(FrameParams(s=1.0, alpha=0.5, grid_n=64))
-
-
 def test_error_curve_tail_sums(frame64):
     rng = np.random.default_rng(1)
     f = rng.standard_normal((64, 64))
@@ -551,6 +546,10 @@ def test_level_window():
     bare = appr.ErrorCurve(n_terms=curve.n_terms, err2=curve.err2, metadata={})
     with pytest.raises(ValueError, match="signal_energy"):
         appr.level_window(bare, rel_hi=1e-3, rel_lo=1e-7)
+    # an all-zero image's curve carries energy 0, which no level can be relative to
+    dark = appr.ErrorCurve(n_terms=curve.n_terms, err2=[0.0] * len(n), metadata={"signal_energy": 0.0})
+    with pytest.raises(appr.FitWindowError, match="the image has no energy"):
+        appr.level_window(dark, rel_hi=1e-3, rel_lo=1e-7)
 
 
 def test_error_curve_json_carries_metadata_and_verified_points(frame64):

@@ -15,13 +15,7 @@ import pytest
 from alphacurvelets import cli
 from alphacurvelets.cartoons import CartoonSpec, render
 from alphacurvelets.cli import dump_coefficients, write_pgm
-from alphacurvelets.tiling import FrameParams
 from alphacurvelets.transform import DigitalCurveletFrame, analyze
-
-
-@pytest.fixture(scope="module")
-def frame64():
-    return DigitalCurveletFrame.build(FrameParams(s=1.0, alpha=0.5, grid_n=64))
 
 
 def test_list_prints_every_experiment(capsys):
@@ -750,6 +744,12 @@ def test_bessel_check_does_not_load_mpmath():
             {"schedule_start": 100000, "grid": 64},
             "bump_alpha_half: fit window (32, 512) selects fewer than 5 points",
         ),
+        (
+            "straight-edge-rate",
+            [],
+            {"edge_c": 5.0, "grid": 64},  # the edge lies outside [-1, 1]^2: an all-zero image
+            "edge_alpha_half: the image has no energy; edge_alpha_quarter: the image has no energy",
+        ),
     ],
 )
 def test_a_rate_curve_too_short_for_its_fit_window_fails(experiment, args, config, reason, tmp_path, capsys):
@@ -758,6 +758,7 @@ def test_a_rate_curve_too_short_for_its_fit_window_fails(experiment, args, confi
         args = [*args, "--config", os.fspath(tmp_path / "cfg.json")]
     out = tmp_path / "out"
     assert cli.main(["run", experiment, *args, "--out", os.fspath(out)]) == 1
+    assert sorted(os.listdir(out)) == [experiment + ext for ext in (".csv", ".gnuplot", ".json")]
     stdout = capsys.readouterr().out
     assert stdout.startswith(f"{experiment}: FAIL") and "fit_error: " in stdout and reason in stdout
     results = json.loads((out / f"{experiment}.json").read_text())["results"]
