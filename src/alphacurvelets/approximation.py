@@ -146,10 +146,12 @@ def _largest_mask(values: np.ndarray, n: int, mags: np.ndarray | None = None) ->
     v = mags[mags.size - n]
     np.abs(values, out=mags)  # back in flat order: one array serves both steps
     keep = mags >= v
-    if np.count_nonzero(keep) > n:  # a tie at the boundary: its lowest indices go first
+    kept = np.count_nonzero(keep)
+    if kept > n:  # a tie at the boundary: its lowest indices go first
         keep = mags > v
         keep[np.flatnonzero(mags == v)[: n - np.count_nonzero(keep)]] = True
-    if np.count_nonzero(keep) != n:
+        kept = np.count_nonzero(keep)
+    if kept != n:
         raise ValueError("magnitudes must not be NaN")
     return keep
 
@@ -212,7 +214,7 @@ def error_curve(
     before any synthesis, and each kept set goes before the next is made.
     """
     n_list = sorted(set(as_index(n, "n_list entry") for n in n_list))
-    verify_at = [as_index(n, "verify_at entry") for n in verify_at]
+    verify_at = list(dict.fromkeys(as_index(n, "verify_at entry") for n in verify_at))  # each N once
     checked = sorted(set(n_list) | set(verify_at))
     if checked and checked[0] < 1:
         raise ValueError(f"N must be at least 1, got N={checked[0]}")

@@ -530,6 +530,12 @@ def run_straight_edge_rate(cfg: dict) -> Run:
         nu=float(cfg["nu"]),
         antialias=cfg["antialias"],
     )
+    # the line x1 cos(phi) - x2 sin(phi) = c meets [-1, 1]^2 only for |c| below this
+    reach = abs(math.cos(edge.phi)) + abs(math.sin(edge.phi))
+    if not abs(edge.c) < reach:
+        raise ValueError(
+            f"edge_c={edge.c} misses the grid: |edge_c| must be below |cos edge_phi| + |sin edge_phi| = {reach:.6g}"
+        )
     bump = CartoonSpec(kind="smooth_bump", beta=cfg["beta"], nu=float(cfg["nu"]), antialias=cfg["antialias"])
     rate = _rate_plan(cfg)
     half_params = FrameParams(cfg["s"], 0.5, grid, snapped=True)
@@ -537,6 +543,8 @@ def run_straight_edge_rate(cfg: dict) -> Run:
     for spec in (edge, bump):
         check_render(spec, grid)
     bump_window = _window(cfg, "bump_window")
+    if bump_window[0] >= bump_window[1]:
+        raise ValueError(f"bump_window must have its low end below its high end, got {cfg['bump_window']}")
     band = _pair(cfg["band_alpha_half"], "band_alpha_half")
     # the reports' order: results keys, CSV rows and fit errors
     names = ("edge_alpha_half", "edge_alpha_quarter", "bump_alpha_half")

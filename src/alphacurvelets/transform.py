@@ -24,18 +24,17 @@ the full support, as an oracle for both.
 The coefficients of one analysis are one flat real array; each tile's
 block is a view of it (:class:`CoefficientSet`).
 
-The tile FFTs run on the calling thread and the package's one worker
-thread (:mod:`alphacurvelets._worker`), both fed by one routine,
-``_shared``.  The caller takes tiles from the back of the layout,
-starting with the closure, the largest; the worker takes them from the
-front; each claims the next as it finishes one, so the split follows how
-fast each thread runs.  A frame with fewer than
-``THREAD_MIN_COEFFICIENTS`` coefficients, or fewer than
-``THREAD_MIN_MEAN_BOX`` per tile, leaves all its tiles to the caller.
-In synthesis the worker adds the spectra of its tiles into the half
-spectrum in tile order while the caller holds those of its own, to add
-them, in tile order, once the worker is done.  Every sum is thus taken
-in tile order, whichever thread takes a tile, and the bits never change.
+Every kernel of the package shares its units with the one worker thread
+(:mod:`alphacurvelets._worker`); the transform shares the tile FFTs of
+every frame, whatever its size, through one routine, ``_shared``.  The
+caller takes tiles from the back of the layout, starting with the
+closure, the largest; the worker takes them from the front, and never
+the last tile; each claims the next as it finishes one, so the split
+follows how fast each thread runs.  In synthesis the worker adds the
+spectra of its tiles into the half spectrum in tile order while the
+caller holds those of its own, to add them, in tile order, once the
+worker is done.  Every sum is thus taken in tile order, whichever thread
+takes a tile, and the bits never change.
 """
 
 from __future__ import annotations
@@ -64,32 +63,19 @@ DIRECT_GRID_LIMIT = 128
 PARTITION_TOL = 1e-12
 
 
-# a frame runs on the calling thread alone below either size: there the
-# per-tile Python work, which holds the interpreter lock, outweighs the
-# FFTs, and a second thread adds hand-offs but no speed
-THREAD_MIN_COEFFICIENTS = 2**17
-THREAD_MIN_MEAN_BOX = 2**11
-
-
-def _worth_two_threads(caches) -> bool:
-    """Whether tiles with these boxes are worth sharing with the worker thread."""
-    cost = sum(c.P1 * c.P2 for c in caches)
-    return cost >= max(THREAD_MIN_COEFFICIENTS, THREAD_MIN_MEAN_BOX * len(caches))
-
-
 @contextlib.contextmanager
-def _shared(frame, tiles, fn, *args):
-    """Yield the frame's ``tiles`` the calling thread takes, last first.
+def _shared(tiles, fn, *args):
+    """Yield the ``tiles`` the calling thread takes, last first.
 
-    If the tiles are worth two threads, ``fn(*args, theirs)`` runs on the
-    worker meanwhile, and leaving the body waits for it.  ``theirs`` takes
-    tiles from the front but never the last: zip asks ``range`` first, so
-    the worker pops all tiles but one at most.
+    Every call shares its tiles with the worker, whatever the frame's
+    size: ``fn(*args, theirs)`` runs there meanwhile, and leaving the
+    body waits for it.  ``theirs`` takes tiles from the front but never
+    the last: zip asks ``range`` first, so the worker pops all tiles but
+    one at most, and its scratch need not fit the last tile.
     """
     shared = collections.deque(tiles)
-    two = _worth_two_threads([frame._caches[i] for i in tiles])
     theirs = (i for _, i in zip(range(len(shared) - 1), _worker._taking(shared.popleft)))
-    with _worker._beside(fn, *args, theirs) if two else contextlib.nullcontext():
+    with _worker._beside(fn, *args, theirs):
         yield _worker._taking(shared.pop)
 
 
@@ -206,7 +192,7 @@ def analyze(image: np.ndarray, frame: DigitalCurveletFrame) -> CoefficientSet:
     coeffs = CoefficientSet(frame.wedge_table(), np.empty(frame.total_coefficients))
     tiles, args = range(len(frame._caches)), (F, frame, coeffs.blocks)
     # made here, so the worker's heap keeps neither pair; the worker never takes the last tile
-    with _shared(frame, tiles, _analyze_tiles, *args, *_scratch(frame._caches[:-1])) as mine:
+    with _shared(tiles, _analyze_tiles, *args, *_scratch(frame._caches[:-1])) as mine:
         _analyze_tiles(*args, *_scratch(frame._caches), mine)
     return coeffs
 
@@ -259,7 +245,7 @@ def synthesize(coeffs: CoefficientSet, frame: DigitalCurveletFrame) -> np.ndarra
     live = [i for i, block in enumerate(coeffs.blocks) if np.any(block)]
     caches = [frame._caches[i] for i in live]
     # made here, so the worker's heap keeps no box; the worker never takes the last tile
-    with _shared(frame, live, _add_spectra, Facc, frame, coeffs.blocks, _box(caches[:-1])) as mine:
+    with _shared(live, _add_spectra, Facc, frame, coeffs.blocks, _box(caches[:-1])) as mine:
         box = _box(caches)
         held = [(i, _spectrum(frame._caches[i], coeffs.blocks[i], box)) for i in mine]
     # the worker has added every tile before these: each sum rounds as in tile order

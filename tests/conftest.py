@@ -70,6 +70,18 @@ def stand_in(monkeypatch):
 
 
 @pytest.fixture
+def one_thread():
+    """``one_thread(fn, *args)`` is ``fn(*args)`` with the worker idle: the caller takes every unit."""
+
+    def run(fn, *args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_worker, "_WORKER", RecordingWorker())
+            return fn(*args)
+
+    return run
+
+
+@pytest.fixture
 def each_worker():
     """``each_worker(fn)`` is ``[fn(), fn(), fn()]``: with the worker taking
     every unit it can (inline), taking none (idle), and as it runs.

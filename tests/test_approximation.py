@@ -293,6 +293,19 @@ def test_error_curve_verifies_exactly_the_threshold_synthesis(frame64):
         assert curve.err2_synthesis[n] == want
 
 
+def test_error_curve_thresholds_and_synthesizes_each_n_once(frame64, monkeypatch):
+    f = np.random.default_rng(6).standard_normal((64, 64))
+    coeffs = analyze(f, frame64)
+    want = appr.error_curve(f, frame64, [20], coeffs=coeffs, verify_at=(20, 7))
+    calls = []
+    for name in ("threshold", "synthesize"):
+        fn = getattr(appr, name)
+        monkeypatch.setattr(appr, name, lambda c, x, fn=fn, name=name: calls.append(name) or fn(c, x))
+    curve = appr.error_curve(f, frame64, [20], coeffs=coeffs, verify_at=(20, 20, 7, 20))
+    assert calls == ["threshold", "synthesize"] * 2
+    assert list(curve.err2_synthesis.items()) == list(want.err2_synthesis.items())
+
+
 def test_error_curve_selects_on_magnitudes_not_their_squares(frame64, monkeypatch):
     # magnitudes of 1e-170 and below square to zero: ties the magnitudes lack
     coeffs = analyze(np.random.default_rng(7).standard_normal((64, 64)), frame64)

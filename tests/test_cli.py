@@ -623,6 +623,23 @@ def _refused_with_either_out(args, message, tmp_path, capsys, pgm=None) -> str:
         (["generator-decay"], {"grid": 16386}, "grid 16386, antialias 4 takes 4,296,015,936 samples, above SAMPLE_LIMIT"),
         # the smooth factor's ramp was evaluated with an error above 1, and the run printed a FAIL
         (["straight-edge-rate"], {"beta": 25}, "beta must be at most BETA_LIMIT = 7, got 25"),
+        # each of these ran the whole experiment, then failed its fit window
+        (
+            ["straight-edge-rate"],
+            {"grid": 64, "bump_window": [512, 32]},
+            "bump_window must have its low end below its high end, got [512, 32]",
+        ),
+        # each of these fitted an image with no edge in it: all zero at 5.0, the smooth factor alone at -5.0
+        (
+            ["straight-edge-rate"],
+            {"edge_c": 5.0, "grid": 64},
+            "edge_c=5.0 misses the grid: |edge_c| must be below |cos edge_phi| + |sin edge_phi| = 1.4",
+        ),
+        (
+            ["straight-edge-rate"],
+            {"edge_c": -5.0, "grid": 64},
+            "edge_c=-5.0 misses the grid: |edge_c| must be below |cos edge_phi| + |sin edge_phi| = 1.4",
+        ),
     ],
 )
 def test_an_out_of_range_value_is_a_usage_error(args, config, message, no_work, tmp_path, capsys):
@@ -743,12 +760,6 @@ def test_bessel_check_does_not_load_mpmath():
             [],
             {"schedule_start": 100000, "grid": 64},
             "bump_alpha_half: fit window (32, 512) selects fewer than 5 points",
-        ),
-        (
-            "straight-edge-rate",
-            [],
-            {"edge_c": 5.0, "grid": 64},  # the edge lies outside [-1, 1]^2: an all-zero image
-            "edge_alpha_half: the image has no energy; edge_alpha_quarter: the image has no energy",
         ),
     ],
 )

@@ -6,7 +6,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,32 +37,6 @@ def frame128():
 @pytest.fixture(scope="module")
 def frame256s():
     return DigitalCurveletFrame.build(FrameParams(s=1.0, alpha=0.5, grid_n=256, snapped=True))
-
-
-def force_threads(monkeypatch, threaded):
-    """Make every transform share its tiles with the worker thread, or none."""
-    least = 0 if threaded else 2**62
-    monkeypatch.setattr(transform, "THREAD_MIN_COEFFICIENTS", least)
-    monkeypatch.setattr(transform, "THREAD_MIN_MEAN_BOX", 0)
-
-
-# the frames as built (one thread below the size cutoff, two above it) and
-# with the other choice forced, so both code paths run on each side of it
-FRAMES = ["frame64", "frame128", "frame256s", "frame64_split", "frame128_split", "frame256s_one_thread"]
-
-
-def frame_named(request, name):
-    base, _, forced = name.partition("_")
-    if forced:
-        force_threads(request.getfixturevalue("monkeypatch"), forced == "split")
-    return request.getfixturevalue(base)
-
-
-def one_thread(fn, *args):
-    """``fn(*args)`` with every tile on the calling thread."""
-    with pytest.MonkeyPatch.context() as mp:
-        force_threads(mp, False)
-        return fn(*args)
 
 
 def quad_inner(a, b, n):
@@ -414,6 +387,19 @@ def test_total_energy_matches_quadrature_norm(frame64):
     assert coeffs.total_energy == pytest.approx(e2, rel=1e-10)
 
 
+# each frame with the worker thread as it runs, taking every tile it can
+# (_split), and idle (_one_thread)
+WORKERS = {"": None, "split": "InlineWorker", "one_thread": "RecordingWorker"}
+FRAMES = [base + (mode and "_" + mode) for base in ("frame64", "frame128", "frame256s") for mode in WORKERS]
+
+
+def frame_named(request, name):
+    base, _, mode = name.partition("_")
+    if WORKERS[mode]:
+        request.getfixturevalue("stand_in")(WORKERS[mode])
+    return request.getfixturevalue(base)
+
+
 @pytest.mark.parametrize("fixture", FRAMES)
 def test_analyze_is_the_per_tile_formula_bit_for_bit(fixture, request):
     frame = frame_named(request, fixture)
@@ -439,10 +425,8 @@ def test_synthesize_is_the_per_tile_formula_bit_for_bit(fixture, request):
     frame = frame_named(request, fixture)
     n = frame.params.grid_n
     coeffs = analyze(np.random.default_rng(16).standard_normal((n, n)), frame)
-    for block in coeffs.blocks[1::4]:  # some dead tiles; the live ones keep frame256s on two threads
+    for block in coeffs.blocks[1::4]:  # some dead tiles, which synthesis skips
         block[...] = 0.0
-    live = [c for c, block in zip(frame._caches, coeffs.blocks) if np.any(block)]
-    assert transform._worth_two_threads(live) == (fixture in ("frame256s", "frame64_split", "frame128_split"))
     # one thread, tile order, one += per live tile
     Facc = np.zeros(n * (n // 2 + 1), dtype=complex)
     for c, block in zip(frame._caches, coeffs.blocks):
@@ -472,13 +456,17 @@ def test_the_two_pass_ffts_are_the_2d_wrappers_bit_for_bit():
 
 
 @pytest.mark.parametrize("worker", ["InlineWorker", "LateWorker"])
-def test_transforms_are_the_same_whichever_thread_takes_the_tiles(frame256s, worker, stand_in):
-    f = np.random.default_rng(23).standard_normal((256, 256))
-    want = one_thread(analyze, f, frame256s)
+def test_transforms_are_the_same_whichever_thread_takes_the_tiles(
+    frame64, frame128, frame256s, worker, stand_in, one_thread
+):
     stand_in(worker)
-    coeffs = analyze(f, frame256s)
-    assert np.array_equal(coeffs.values, want.values)
-    assert np.array_equal(synthesize(coeffs, frame256s), one_thread(synthesize, want, frame256s))
+    for frame in (frame64, frame128, frame256s):
+        n = frame.params.grid_n
+        f = np.random.default_rng(23).standard_normal((n, n))
+        want = one_thread(analyze, f, frame)
+        coeffs = analyze(f, frame)
+        assert np.array_equal(coeffs.values, want.values)
+        assert np.array_equal(synthesize(coeffs, frame), one_thread(synthesize, want, frame))
 
 
 def callers_tiles(monkeypatch):
@@ -495,10 +483,11 @@ def callers_tiles(monkeypatch):
     return taken
 
 
-@pytest.mark.parametrize("fixture", ["frame256s", "frame256s_one_thread"])
-def test_the_calling_thread_takes_the_last_tile_first(fixture, request, monkeypatch, stand_in):
-    frame = frame_named(request, fixture)
-    f = np.random.default_rng(24).standard_normal((256, 256))
+@pytest.mark.parametrize("fixture", ["frame64", "frame128", "frame256s"])
+def test_the_calling_thread_takes_the_last_tile_first(fixture, request, monkeypatch, stand_in, one_thread):
+    frame = request.getfixturevalue(fixture)
+    n = frame.params.grid_n
+    f = np.random.default_rng(24).standard_normal((n, n))
     want = one_thread(analyze, f, frame)
     worker = stand_in("RecordingWorker")
     taken = callers_tiles(monkeypatch)
@@ -508,13 +497,13 @@ def test_the_calling_thread_takes_the_last_tile_first(fixture, request, monkeypa
     taken.clear()
     coeffs.blocks[-1][...] = 0.0  # a dead closure: the caller starts with the last live tile
     rec = synthesize(coeffs, frame)
-    assert taken == list(range(len(frame._caches) - 1))[::-1]
+    assert taken == [i for i, block in enumerate(coeffs.blocks) if np.any(block)][::-1]
+    assert taken[0] == len(frame._caches) - 2
     assert np.array_equal(rec, one_thread(synthesize, coeffs, frame))
-    two = fixture == "frame256s"
-    assert worker.tasks == two * [transform._analyze_tiles, transform._add_spectra]
+    assert worker.tasks == [transform._analyze_tiles, transform._add_spectra]
 
 
-def test_the_worker_never_takes_the_last_tile(frame256s, monkeypatch, stand_in):
+def test_the_worker_never_takes_the_last_tile(frame256s, monkeypatch, stand_in, one_thread):
     # the worker's scratch in analyze need not fit the last tile, the largest
     f = np.random.default_rng(25).standard_normal((256, 256))
     want = one_thread(analyze, f, frame256s)
@@ -528,25 +517,6 @@ def test_the_worker_never_takes_the_last_tile(frame256s, monkeypatch, stand_in):
     taken.clear()
     assert np.array_equal(synthesize(coeffs, frame256s), want)
     assert taken == [len(frame256s._caches) - 2]
-
-
-def test_small_frames_keep_one_thread_and_large_ones_take_two(frame64, frame128, frame256s):
-    assert not transform._worth_two_threads(frame64._caches)
-    assert not transform._worth_two_threads(frame128._caches)
-    assert transform._worth_two_threads(frame256s._caches)
-
-
-def test_the_thread_cutoff_sits_at_both_sizes():
-    def threaded(*boxes):
-        return transform._worth_two_threads([SimpleNamespace(P1=1, P2=b) for b in boxes])
-
-    least = transform.THREAD_MIN_COEFFICIENTS
-    assert threaded(least // 2, least // 2)
-    assert not threaded(least // 2, least // 2 - 1)
-    box = transform.THREAD_MIN_MEAN_BOX
-    many = 2 * least // box
-    assert threaded(*[box] * many)
-    assert not threaded(*[box] * (many - 1), box - 1)
 
 
 def test_two_threads_taking_from_both_ends_get_each_tile_once():
@@ -573,7 +543,7 @@ def test_two_threads_taking_from_both_ends_get_each_tile_once():
     assert back == list(range(19999, len(front) - 1, -1))
 
 
-def test_a_frame_is_safe_to_share_across_threads(frame256s):
+def test_a_frame_is_safe_to_share_across_threads(frame256s, one_thread):
     rng = np.random.default_rng(15)
     images = [rng.standard_normal((256, 256)) for _ in range(2)]
     want = []
