@@ -144,15 +144,15 @@ def _largest_mask(values: np.ndarray, n: int, mags: np.ndarray | None = None) ->
     mags = np.abs(values, out=mags)
     mags.partition(mags.size - n)
     v = mags[mags.size - n]
+    # a NaN sorts last, so if there is one it is among the n largest, and
+    # their min, v without one, is NaN
+    if not mags[mags.size - n :].min() >= v:
+        raise ValueError("magnitudes must not be NaN")
     np.abs(values, out=mags)  # back in flat order: one array serves both steps
     keep = mags >= v
-    kept = np.count_nonzero(keep)
-    if kept > n:  # a tie at the boundary: its lowest indices go first
+    if np.count_nonzero(keep) > n:  # a tie at the boundary: its lowest indices go first
         keep = mags > v
         keep[np.flatnonzero(mags == v)[: n - np.count_nonzero(keep)]] = True
-        kept = np.count_nonzero(keep)
-    if kept != n:
-        raise ValueError("magnitudes must not be NaN")
     return keep
 
 

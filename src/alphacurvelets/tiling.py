@@ -15,16 +15,14 @@ counts and angles, radial intervals and the window functions themselves.
 The windows are evaluated once per lattice orbit of the mirror ``k -> -k``
 and the reflection ``k2 -> -k2``, on the quadrant ``0 <= k1, k2 <= n/2``,
 so they are exactly symmetric under both.  The reflection maps tile
-``ell`` onto tile ``-ell``, so half the tiles are row flips of the others.
-The transpose ``(k1, k2) -> (k2, k1)`` maps tile ``ell`` onto tile
-``L/2 - ell`` up to rounding at the angular edges.  The windows are not
-shared across it, but the wrap search is: it runs one family routine on
-``(k1, k2)`` and on ``(k2, k1)``, so the two tiles' candidate boxes are
-each other's swapped.  The build walks each scale's transpose pairs
-``(c, L/2 - c)``, ``0 <= c <= L/4``: tile ``c`` searches and its partner
-takes the boxes swapped, unless either tile's window holds a value below
-``WINDOW_TOL``, as it does wherever rounding at an edge can put a lattice
-point in one tile and not in the transpose of the other.
+``ell`` onto tile ``-ell``, so half the tiles are row flips of the others,
+and each of the others folds its own support on the wrap box that its own
+search finds.
+
+The scan evaluates a ramp only where it can differ from 1: the radial
+rise below its upper knot, the radial fall above its lower knot and the
+angular ramp beyond a quarter bin from the wedge centre.  Elsewhere the
+ramp is exactly 1.0, so skipping it changes no bit.
 
 Conventions
 -----------
@@ -97,6 +95,15 @@ def _co_step(t):
     """
     t = np.asarray(t, dtype=float)
     return np.where(t >= 1.0, 0.0, np.maximum(np.cos(0.5 * np.pi * _poly_ramp(t)), 0.0))
+
+
+def _angular_profile(d: np.ndarray) -> np.ndarray:
+    """The angular window ``_co_step(2 d - 1/2)`` at bin distance ``d`` from
+    its centre; the ramp runs only beyond ``d = 1/4``, where it is below 1."""
+    out = np.ones(np.shape(d))
+    band = d > 0.25  # 2 d - 1/2 > 0, exactly
+    out[band] = _co_step(2.0 * d[band] - 0.5)
+    return out
 
 
 # A build makes one record per tile, at about 16 us even for an empty one
@@ -295,9 +302,18 @@ class FrameParams:
         y[pos] = np.log2(r[pos] / self.corona_constant)
         lt1 = math.log2(self.tau1)
         dlt = math.log2(self.tau2) - lt1
-        rise = smooth_step((y - ((j - 1) * self.s + lt1)) / dlt) if j > 0 else 1.0
-        fall = _co_step((y - (j * self.s + lt1)) / dlt) if j <= self.j_max else 1.0
-        return rise * fall
+        # smooth_step is exactly 1 from 1 on and _co_step exactly 1 up to 0,
+        # so each ramp runs only on its band and leaves the 1s elsewhere
+        out = np.ones(r.shape)
+        if j > 0:
+            t = (y - ((j - 1) * self.s + lt1)) / dlt
+            band = t < 1.0
+            out[band] = smooth_step(t[band])
+        if j <= self.j_max:
+            t = (y - (j * self.s + lt1)) / dlt
+            band = t > 0.0
+            out[band] *= _co_step(t[band])
+        return out
 
     def angular_bins(self, j: int, theta) -> np.ndarray:
         """Angle mapped to tile-index units: ``(theta mod pi) / phi_j``."""
@@ -315,8 +331,7 @@ class FrameParams:
         # abs before the modulo: reducing a small negative offset mod L would
         # absorb its low bits into the large modulus
         d = np.abs(np.asarray(m, dtype=float) - np.asarray(center)) % L
-        d = np.minimum(d, L - d)
-        return _co_step(2.0 * d - 0.5)
+        return _angular_profile(np.minimum(d, L - d))
 
     def angular(self, j: int, ell: int, theta) -> np.ndarray:
         """Angular factor ``V_{j,ell}`` on directions ``theta`` (radians)."""
@@ -385,18 +400,17 @@ class TileSupport:
     :meth:`_fold` builds the records complete from the scan's entries, and
     tile ``(j, -ell)``, the image of tile ``(j, ell)`` under ``k2 -> -k2``,
     as that tile's rows flipped.  The wrap box ``P1 x P2`` is the smaller
-    of two candidate boxes, the first on a tie: those :func:`_wrap_families`
-    gives, or those the caller passes (:func:`build_layout` gives tile
-    ``L/2 - c`` those of tile ``c`` swapped, which equal its own).  The
-    closure's box is the whole grid (:meth:`_closure`).  ``box_flat`` is
-    each entry's flat index on the half box ``P1 x (P2/2 + 1)``.  Entries
-    from ``n_direct`` on are mirrored: the box position is that of ``-k``,
-    which takes the conjugate value.  Entries past ``n_spectrum`` serve
-    analysis only; they fill box columns 0 and ``P2/2``, where both a
-    point's fold and its mirror's lie in the half box, for points whose
-    mirror the half spectrum omits.  ``support_cardinality`` is the size
-    of the full support.  On the whole grid the half spectrum folds onto
-    itself, so the closure's ``box_flat`` is its ``grid_flat``.
+    of the two candidate boxes :func:`_wrap_families` gives, the first on a
+    tie.  The closure's box is the whole grid (:meth:`_closure`).
+    ``box_flat`` is each entry's flat index on the half box
+    ``P1 x (P2/2 + 1)``.  Entries from ``n_direct`` on are mirrored: the
+    box position is that of ``-k``, which takes the conjugate value.
+    Entries past ``n_spectrum`` serve analysis only; they fill box columns
+    0 and ``P2/2``, where both a point's fold and its mirror's lie in the
+    half box, for points whose mirror the half spectrum omits.
+    ``support_cardinality`` is the size of the full support.  On the whole
+    grid the half spectrum folds onto itself, so the closure's
+    ``box_flat`` is its ``grid_flat``.
 
     Only a tile reaching the Nyquist edge (the points ``(0, -n/2)`` and
     ``(-n/2, 0)``, which a snapped top corona can touch) may have a period
@@ -414,21 +428,21 @@ class TileSupport:
     )
 
     @classmethod
-    def _closure(cls, j, grid_n, ell, grid_flat, window) -> TileSupport:
-        """The closure: its box is the grid, onto which the half spectrum folds entry by entry."""
+    def _closure(cls, j, grid_n, ell, grid_flat, window) -> list[TileSupport]:
+        """The closure, alone in a list as :meth:`_fold` returns its tiles: its
+        box is the grid, onto which the half spectrum folds entry by entry."""
         half, tile = grid_n // 2, cls.__new__(cls)
         col = grid_flat % (half + 1)
         tile.support_cardinality = grid_flat.size + int(np.count_nonzero((col != 0) & (col != half)))
         tile.j, tile.ell, tile.grid_n, tile.P1, tile.P2 = j, ell, grid_n, grid_n, grid_n
         tile.grid_flat = tile.box_flat = grid_flat
         tile.window, tile.n_spectrum, tile.n_direct = window, grid_flat.size, grid_flat.size
-        return tile
+        return [tile]
 
     @classmethod
-    def _fold(cls, j, grid_n, ell, grid_flat, window, boxes=None) -> tuple[list[TileSupport], tuple]:
-        """Tile ``(j, ell)``, and for ``ell > 0`` also tile ``(j, -ell)``, with
-        the two candidate boxes of the full support it took the smaller of:
-        ``boxes`` if given, else those :func:`_wrap_families` finds.
+    def _fold(cls, j, grid_n, ell, grid_flat, window) -> list[TileSupport]:
+        """Tile ``(j, ell)``, and for ``ell > 0`` also tile ``(j, -ell)``, on
+        the smaller of the two candidate boxes of the full support.
 
         With the mirror ``k -> -k``, the reflection ``k2 -> -k2`` maps
         ``(k1, k2)`` onto ``(-k1, k2)``, so tile ``(j, -ell)`` is tile
@@ -439,9 +453,7 @@ class TileSupport:
         """
         n, half = grid_n, grid_n // 2
         k1, k2, omitted, full1, full2 = _signed_support(grid_flat, n)
-        if boxes is None:
-            boxes = _wrap_families(full1, full2, n)
-        P1, P2 = _smaller(*boxes)
+        P1, P2 = _smaller(*_wrap_families(full1, full2, n))
         # on the Nyquist edge the mirror of k is -k + n, not -k: folding
         # it to the mirrored box position needs a period that divides n
         # there.  Widening that period to n keeps the box collision-free.
@@ -471,7 +483,7 @@ class TileSupport:
         tile.n_spectrum, tile.n_direct = ns, n_direct
         tile.grid_flat, tile.window, tile.box_flat = grid_flat[order], window[order], box_flat
         if ell <= 0:
-            return [tile], boxes
+            return [tile]
         k1 = k1[order]
         out = cls.__new__(cls)
         for name in cls.__slots__:
@@ -481,7 +493,7 @@ class TileSupport:
         # box row r goes to -r mod P1, a move of P1 - 2 r unless r is 0
         out.grid_flat = tile.grid_flat + (n * np.sign(k1) - 2 * k1) * (half + 1)
         out.box_flat = box_flat + (np.where(box_row != 0, P1, 0) - 2 * box_row) * cols
-        return [tile, out], boxes
+        return [tile, out]
 
     def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Full lattice support: signed ``k1``, ``k2`` in ``[-n/2, n/2)`` and
@@ -507,21 +519,6 @@ def _signed_support(grid_flat: np.ndarray, n: int):
     return k1, k2, omitted, np.concatenate([k1, m1]), np.concatenate([k2, -k2[omitted]])
 
 
-# The transpose (k1, k2) -> (k2, k1) maps tile ell onto tile L/2 - ell, but
-# arctan2 of a swapped pair is pi/2 minus the other only up to rounding, so
-# the two sides' angular bins m differ by up to about 1e-12.  At distance d from
-# its centre the angular window is cos(pi/2 p(t)), t = 2d - 1/2, and near the
-# edge d = 3/4, with t = 1 - eps, it is about pi/2 (1 - p(1 - eps)) ~ 5 pi eps^3.
-# It rounds to zero only where the ramp p rounds to 1, so a shift of m can turn
-# a zero window nonzero only to a few ulps of pi/2: at most 5.2e-15, measured
-# for shifts of t up to 1e-9, hundreds of times the rounding.  The radial
-# window is at most 1 and the same on both sides (hypot is symmetric), and a
-# candidate centre moves only at an edge, where the window is zero.  So a point
-# is in a tile's support on one side and out on the other only where the side
-# that keeps it holds a window below WINDOW_TOL, a margin of about 20x.
-WINDOW_TOL = 1e-13
-
-
 def _scan_supports(params: FrameParams) -> list[tuple[int, int, list]]:
     """Evaluate every window once per reflection orbit of lattice points.
 
@@ -544,7 +541,11 @@ def _scan_supports(params: FrameParams) -> list[tuple[int, int, list]]:
     inside :meth:`FrameParams.radial_support`, and per wedge by angle into
     the (at most two) tiles centred at ``ceil(m - 3/4)`` and
     ``floor(m + 3/4)`` of its angular bin ``m``, so each point is touched
-    only by the (at most four) windows nonzero there.
+    only by the (at most four) windows nonzero there.  On the quadrant
+    the reductions of :meth:`FrameParams.angular_bins` and
+    :meth:`FrameParams.angular_from_bins` are exact no-ops, so the scan
+    leaves them out: the angles lie in ``[0, pi/2]``, the centres in
+    ``[0, L/2]`` and the offsets from them are at most 3/4.
     """
     n = params.grid_n
     half = n // 2
@@ -552,6 +553,7 @@ def _scan_supports(params: FrameParams) -> list[tuple[int, int, list]]:
     k = np.arange(cols)
     r = 0.5 * np.hypot(k[:, None], k).ravel()
     theta = np.arctan2(k, k[:, None]).ravel()
+    row = np.repeat(k, cols)  # the row a of each quadrant point
 
     out: list[tuple[int, int, list]] = []
     for j in range(params.j_max + 2):
@@ -564,20 +566,20 @@ def _scan_supports(params: FrameParams) -> list[tuple[int, int, list]]:
         L, cbin = 1, np.zeros(pt.size, dtype=np.int64)
         if 0 < j <= params.j_max:
             L = params.tile_count(j)
-            m = params.angular_bins(j, theta[pt])
+            m = theta[pt] / params.tile_angle(j)
             c_lo, c_hi = np.ceil(m - 0.75), np.floor(m + 0.75)
             second = c_hi != c_lo
             pt = np.concatenate([pt, pt[second]])
             centers = np.concatenate([c_lo, c_hi[second]])
-            V = params.angular_from_bins(j, np.concatenate([m, m[second]]), centers)
+            V = _angular_profile(np.abs(np.concatenate([m, m[second]]) - centers))
             keep = V > 0
             pt, W = pt[keep], (np.concatenate([W, W[second]]) * V)[keep]
-            cbin = centers[keep].astype(np.int64) % L
+            cbin = centers[keep].astype(np.int64)
         # the row mirror (-a, b) of an inner row 0 < a < n/2 goes to tile c on the
         # columns 0 and n/2 and to tile -c elsewhere, so it is scanned, in tile c,
         # only for c = -c mod L, that is c in {0, L/2}: column 0 (angle 0) lies in
         # tile 0, and column n/2 (radius n/4 and more) in the ball or closure, L = 1
-        a = pt // cols
+        a = row[pt]
         mirrored = (a > 0) & (a < half) & ((cbin == 0) | (cbin == L // 2))
         f = np.concatenate([pt, pt[mirrored] + (n - 2 * a[mirrored]) * cols])
         W = np.concatenate([W, W[mirrored]])
@@ -605,13 +607,13 @@ def _even_up(x: float) -> int:
     return v if v % 2 == 0 else v + 1
 
 
-def _family(rows: np.ndarray, kb: np.ndarray, grid_n: int) -> tuple[int, int]:
-    """One family's box ``(Pa, Pb)`` of zero-based points: ``Pa`` covers the
-    extent of ``rows``, which so number the rows ``mod Pa`` one to one, and
-    ``Pb``, from the densest-row count, grows (+2 first, then geometrically)
-    until the collision scan passes or it covers ``kb``'s extent or the grid.
+def _family(rows: np.ndarray, kb: np.ndarray, span_a: int, span_b: int, grid_n: int) -> tuple[int, int]:
+    """One family's box ``(Pa, Pb)`` of zero-based points, ``rows`` spanning
+    ``span_a`` and ``kb`` spanning ``span_b``: ``Pa`` covers ``span_a``, so
+    the rows number ``mod Pa`` one to one, and ``Pb``, from the densest-row
+    count, grows (+2 first, then geometrically) until the collision scan
+    passes or it covers ``span_b`` or the grid.
     """
-    span_a, span_b = int(rows.max()) + 1, int(kb.max()) + 1
     Pa = min(_even_up(span_a), grid_n)
     Pb = max(2, _even_up(np.bincount(rows).max()), _even_up(rows.size / Pa))
     tries = 0
@@ -628,13 +630,13 @@ def _wrap_families(k1: np.ndarray, k2: np.ndarray, grid_n: int) -> tuple[tuple[i
     Shifting an axis shifts its residues, which moves no collision, so the
     families run on ``k - k.min()``.  The second way always passes: the
     full-extent period is at least that axis's span, so both axes then
-    reduce one-to-one.  On the transposed set ``(k2, k1)`` the two calls
-    trade places, so its candidates are ``(c2[::-1], c1[::-1])``.
+    reduce one-to-one.
     """
     if k1.size == 0:
         return (2, 2), (2, 2)
     r1, r2 = k1 - k1.min(), k2 - k2.min()
-    return _family(r1, r2, grid_n), _family(r2, r1, grid_n)[::-1]
+    s1, s2 = int(r1.max()) + 1, int(r2.max()) + 1
+    return _family(r1, r2, s1, s2, grid_n), _family(r2, r1, s2, s1, grid_n)[::-1]
 
 
 def _smaller(c1: tuple[int, int], c2: tuple[int, int]) -> tuple[int, int]:
@@ -648,34 +650,17 @@ def build_layout(params: FrameParams) -> TilingLayout:
     The tile list is ordered scale-major (ball first, angular index
     ascending within each scale, closure last); this ordering is the
     stable flat order used for coefficient tie-breaking downstream.
-    :meth:`TileSupport._fold` folds the scanned tiles ``0 <= ell < L/2`` and
-    ``ell = -L/2`` of each scale; each tile ``-L/2 < ell < 0`` is tile
-    ``-ell`` with its rows flipped, made in the same call.
-
-    The transpose ``(k1, k2) -> (k2, k1)`` maps tile ``c`` onto tile
-    ``p = L/2 - c``, so the build walks each scale's pairs: for
-    ``0 <= c <= L/4`` tile ``c`` searches, and a partner ``p != c`` takes
-    the two candidate boxes it found swapped; each tile's fold takes the
-    smaller.  The partner searches too if either tile's window holds a
-    value below :data:`WINDOW_TOL`: only such a pair's supports can differ
-    by more than the transpose.  The ball and the tile ``L/4`` are their
-    own transposes.  Each tile widens its own box at the Nyquist edge and
-    keeps its collision check.
+    :meth:`TileSupport._fold` folds each scanned tile ``0 <= ell < L/2`` and
+    ``ell = -L/2`` of each scale on the wrap box its own search finds; each
+    tile ``-L/2 < ell < 0`` is tile ``-ell`` with its rows flipped, made in
+    the same call.
     """
     closure, n = params.scale_of_closure(), params.grid_n
     wedges = []
-    for j, L, entries in _scan_supports(params):
-        if j == closure:
-            wedges.append(TileSupport._closure(j, n, *entries[0]))
-            continue
-        for c in range(L // 4 + 1):
-            tiles, (c1, c2) = TileSupport._fold(j, n, *entries[c])
-            p = L // 2 - c
-            if p != c:
-                low = min(entries[c][2].min(initial=1.0), entries[p][2].min(initial=1.0))
-                boxes = None if low < WINDOW_TOL else (c2[::-1], c1[::-1])
-                tiles += TileSupport._fold(j, n, *entries[p], boxes)[0]
-            wedges += tiles
+    for j, _, entries in _scan_supports(params):
+        fold = TileSupport._closure if j == closure else TileSupport._fold
+        for entry in entries:
+            wedges += fold(j, n, *entry)
     wedges.sort(key=lambda t: (t.j, t.ell))
     return TilingLayout(params=params, wedges=wedges)
 

@@ -47,8 +47,10 @@ def test_threshold_counts_must_be_integers():
 
 
 def test_threshold_rejects_nan_values():
-    with pytest.raises(ValueError, match="NaN"):
-        appr.threshold(toy_coeffs([1.0, np.nan, 2.0]), 2)
+    # untied and tied at the boundary: the tie pass must not fill the count past the NaN
+    for values in ([1.0, np.nan, 2.0], [np.nan, 1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="NaN"):
+            appr.threshold(toy_coeffs(values), 2)
 
 
 def test_threshold_stable_tie_break():

@@ -339,6 +339,22 @@ def test_angular_factor_is_one_off_the_wedges_and_checks_ell():
             p.angular(3, ell, theta)
 
 
+def test_angular_from_bins_is_the_unbanded_ramp_bit_for_bit():
+    # the ramp runs only at offsets above 1/4 and ends at 3/4: the offsets
+    # of both ends and their neighbours on either side of the centres, and
+    # a sweep across the whole ramp
+    p = FrameParams(s=1.0, alpha=0.5, grid_n=256)
+    j = p.j_max
+    L = p.tile_count(j)
+    for center in (0, 1, L // 4, L // 2, L - 1):
+        m = center + np.array([-0.75, -0.25, 0.25, 0.75])
+        m = np.concatenate([m, np.nextafter(m, -np.inf), np.nextafter(m, np.inf), center + np.linspace(-1, 1, 401)])
+        d = np.abs(m - center) % L
+        want = _co_step(2.0 * np.minimum(d, L - d) - 0.5)
+        assert p.angular_from_bins(j, m, center).tobytes() == want.tobytes(), center
+        assert np.count_nonzero((want > 0) & (want < 1)) > 0, center
+
+
 def test_nyquist_snapped_tops_out_at_nyquist():
     p = FrameParams.nyquist_snapped(1.0, 0.5, 256)
     top = p.corona_constant * 2.0 ** (p.s * p.j_max) * p.tau2
@@ -377,7 +393,14 @@ def _radial_per_kind(p, j, r):
     ids=["default-s1-n256", "snapped-s0.73-n512"],
 )
 def test_radial_is_the_per_kind_formula_bit_for_bit(params):
-    r = np.linspace(0.0, 0.75 * params.grid_n, 20_001)
+    # the ramps run on bands that end at the support and core ends, so
+    # those ends and their neighbours are where a band drawn wrongly shows
+    ends = np.array(
+        [e for j in range(params.j_max + 2) for e in (*params.radial_support(j), *params.radial_core(j))]
+    )
+    ends = ends[np.isfinite(ends)]
+    edges = np.concatenate([[0.0], ends, np.nextafter(ends, 0.0), np.nextafter(ends, np.inf)])
+    r = np.concatenate([np.linspace(0.0, 0.75 * params.grid_n, 20_001), edges])
     for j in (0, 1, params.j_max // 2, params.j_max, params.j_max + 1):
         assert params.radial(j, r).tobytes() == _radial_per_kind(params, j, r).tobytes(), j
 
@@ -417,7 +440,7 @@ def test_wrap_period_search_on_arbitrary_point_sets(points):
 
 
 def _searched_box(k1, k2, grid_n):
-    """The box a tile that searches its own candidates takes."""
+    """The box a tile's fold takes from its own search."""
     return tiling._smaller(*tiling._wrap_families(k1, k2, grid_n))
 
 
@@ -431,7 +454,7 @@ def _searched_box(k1, k2, grid_n):
     )
 )
 def test_the_transposed_box_comes_from_the_two_family_results(points):
-    # so the build may give a transpose partner the first tile's boxes swapped
+    # the search treats the two axes alike
     k1 = np.array([p[0] for p in points], dtype=np.int64)
     k2 = np.array([p[1] for p in points], dtype=np.int64)
     c1, c2 = tiling._wrap_families(k1, k2, 128)
@@ -440,12 +463,10 @@ def test_the_transposed_box_comes_from_the_two_family_results(points):
 
 def test_the_transposed_box_breaks_an_equal_area_tie_the_other_way():
     # tile (9, 14) of this frame has two candidates of equal area and
-    # different shape; its transpose partner (9, 2), the first of the pair
-    # to fold, takes the other one, and (9, 14) takes its boxes swapped
+    # different shape; tile (9, 2), its support transposed, has the same two
+    # swapped, so each tile's own search keeps a different one on the tie
     p = FrameParams(s=0.8118314520104855, alpha=0.3809938040753181, grid_n=256)
     tiles = {(sup.j, sup.ell): sup for sup in build_layout(p).wedges}
-    # so the pair shares one search
-    assert all(tiles[9, ell].window.min(initial=1.0) >= tiling.WINDOW_TOL for ell in (2, 14))
     assert p.tile_count(9) == 32
     k1, k2, _ = tiles[9, 14].support()
     assert np.array_equal(_support_keys(k2, k1, 256), _support_keys(*tiles[9, 2].support()[:2], 256))
@@ -538,7 +559,7 @@ def test_reflected_tiles_are_row_flips_equal_to_the_constructor(grid, alpha, sna
         assert np.array_equal(sup.box_flat, (src.P1 - row) % src.P1 * box_cols + col)
         assert np.array_equal(sup.window, src.window)
         ns = sup.n_spectrum
-        built = TileSupport._fold(j, grid, ell, sup.grid_flat[:ns], sup.window[:ns])[0][0]
+        built = TileSupport._fold(j, grid, ell, sup.grid_flat[:ns], sup.window[:ns])[0]
         for name in TileSupport.__slots__:
             a, b = getattr(built, name), getattr(sup, name)
             assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype, (j, ell, name)
@@ -727,7 +748,7 @@ def test_the_fold_gives_the_boxes_of_the_full_support_oracle(grid, snapped):
 
 
 @pytest.mark.parametrize("alpha,snapped", [(0.0, True), (0.5, False), (0.5, True), (0.9, True)])
-def test_the_half_box_check_agrees_with_the_full_support_count(alpha, snapped):
+def test_the_half_box_check_agrees_with_the_full_support_count(alpha, snapped, monkeypatch):
     # on boxes that collide and boxes that do not, the fold refuses
     # exactly the boxes on which two points of the full support share a cell
     grid = 64
@@ -740,8 +761,9 @@ def test_the_half_box_check_agrees_with_the_full_support_count(alpha, snapped):
         grid_flat, window = sup.grid_flat[: sup.n_spectrum], sup.window[: sup.n_spectrum]
         for P1, P2 in 2 * rng.integers(1, grid // 2 + 1, size=(6, 2)):
             want = _oracle_fold(grid_flat, grid, True, lambda k1, k2, grid_n: (P1, P2))
+            monkeypatch.setattr(tiling, "_wrap_families", lambda k1, k2, grid_n, box=(P1, P2): (box, box))
             try:
-                built = TileSupport._fold(sup.j, grid, sup.ell, grid_flat, window, boxes=((P1, P2), (P1, P2)))[0][0]
+                built = TileSupport._fold(sup.j, grid, sup.ell, grid_flat, window)[0]
             except RuntimeError:
                 built = None
             assert (built is None) == (want is None), (sup.j, sup.ell, P1, P2)
@@ -751,45 +773,19 @@ def test_the_half_box_check_agrees_with_the_full_support_count(alpha, snapped):
     assert outcomes == {True, False}
 
 
-# the transpose pairing: tile L/2 - ell takes tile ell's wrap box with its
-# axes swapped, unless either tile holds a window below WINDOW_TOL
+# tiles whose supports are transposes of each other, up to rounding at an
+# angular edge, each search their own box
 
 
 def _support_keys(k1, k2, grid):
     return np.sort((k1 % grid) * grid + k2 % grid)
 
 
-def test_hypot_is_symmetric_on_the_quadrant():
-    # the radial part of every support is the same on both sides of the
-    # transpose, up to grid 4096's quadrant; checked in blocks of 256 rows
-    n = 2049
-    b = np.arange(n)
-    for start in range(0, n, 256):
-        a = np.arange(start, min(start + 256, n))[:, None]
-        assert np.hypot(a, b).tobytes() == np.hypot(b, a).tobytes(), start
-
-
-def test_a_window_flips_across_a_shift_of_its_bin_only_below_the_guard():
-    # near the angular edge, t = 1 - eps, shifts of up to 1e-9 (the bins
-    # across the transpose differ by about 1e-12) turn a window between zero
-    # and nonzero only where the nonzero value is far below WINDOW_TOL
-    t = 1.0 - np.geomspace(1e-16, 1e-4, 200_001)
-    t = np.concatenate([t, np.nextafter(t, 2.0)])
-    base = _co_step(t)
-    flips = 0
-    for shift in (1e-12, 1e-11, 1e-10, 1e-9):
-        for shifted in (_co_step(t + shift), _co_step(t - shift)):
-            flip = (base == 0) != (shifted == 0)
-            flips += np.count_nonzero(flip)
-            assert np.maximum(base, shifted)[flip].max(initial=0.0) < tiling.WINDOW_TOL / 10, shift
-    assert flips > 0
-
-
 def test_supports_off_by_rounding_at_an_edge_take_the_search(monkeypatch):
     # at grid 1024, alpha 0, snapped, the point (507, 7) lies 3e-7 bins inside
     # the angular edge of tile (8, 3), where its window rounds to zero, while
-    # its transpose (7, 507) is in tile (8, 253); the two boxes differ, so
-    # neither tile may take the other's
+    # its transpose (7, 507) is in tile (8, 253); the two boxes differ, and
+    # each tile takes the one its own search finds
     grid = 1024
     searched = []
     search = tiling._wrap_families
@@ -811,21 +807,3 @@ def test_supports_off_by_rounding_at_an_edge_take_the_search(monkeypatch):
         P1, P2, grid_flat, box_flat = _oracle_fold(sup.grid_flat[: sup.n_spectrum], grid, True)
         assert (sup.P1, sup.P2) == (P1, P2), ell
         assert np.array_equal(sup.grid_flat, grid_flat) and np.array_equal(sup.box_flat, box_flat), ell
-
-
-def test_one_search_per_transpose_pair(monkeypatch):
-    p = FrameParams(s=1.0, alpha=0.0, grid_n=128)
-    assert all(sup.window.min(initial=1.0) >= tiling.WINDOW_TOL for sup in build_layout(p).wedges)
-    calls = []
-    families = tiling._wrap_families
-
-    def counted(k1, k2, grid_n):
-        calls.append(k1.size)
-        return families(k1, k2, grid_n)
-
-    monkeypatch.setattr(tiling, "_wrap_families", counted)
-    build_layout(p)
-    # the ball, then per scale the pairs (ell, L/2 - ell) of 0 <= ell < L/4 and the tile L/4
-    counts = [p.tile_count(j) for j in range(1, p.j_max + 1)]
-    assert counts == [4, 8, 16, 32, 64, 128, 256]
-    assert len(calls) == 1 + sum(L // 4 + 1 for L in counts)

@@ -90,21 +90,21 @@ def test_build_rejects_a_colliding_wrap_box(monkeypatch):
         DigitalCurveletFrame.build(FrameParams(s=1.0, alpha=0.5, grid_n=64))
 
 
-def test_build_rejects_a_colliding_box_taken_across_the_transpose(monkeypatch):
-    # the second family becomes a box two rows high of the first's area:
-    # each tile that searches keeps the first on the tie, and its transpose
-    # partner takes the other swapped, two columns wide; the partner of
-    # tile (1, 0), long along k2, collides on it
+def test_build_rejects_a_colliding_smaller_candidate(monkeypatch):
+    # the second family becomes a box two rows high of less than the first's
+    # area: each tile's fold takes it, and the ball, three rows high on its
+    # own 4 x 4 box, collides on it
+    p = FrameParams.nyquist_snapped(1.0, 0.0, 64)
+    ball = tiling.build_layout(p).wedges[0]
+    assert (ball.P1, ball.P2, ball.support_cardinality) == (4, 4, 9)
     families = tiling._wrap_families
 
     def narrow_second(k1, k2, grid_n):
         (P1, P2), _ = families(k1, k2, grid_n)
-        return (P1, P2), (2, P1 * P2 // 2)
+        return (P1, P2), (2, P1 * P2 // 2 - 2)
 
     monkeypatch.setattr(tiling, "_wrap_families", narrow_second)
-    p = FrameParams.nyquist_snapped(1.0, 0.0, 64)  # scale 1 is not empty on this ladder
-    L = p.tile_count(1)
-    with pytest.raises(RuntimeError, match=rf"^wrap collision in tile \(1, {-(L // 2)}\)$"):
+    with pytest.raises(RuntimeError, match=r"^wrap collision in tile \(0, 0\)$"):
         DigitalCurveletFrame.build(p)
 
 
