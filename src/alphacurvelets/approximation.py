@@ -20,10 +20,22 @@ coefficient-size array of squares; meanwhile the calling thread makes the
 first verified selection, whose one coefficient-size array holds the
 magnitudes and then becomes the kept set.  So beside the coefficients a
 verified point holds at most the squares and that kept set.  Once the
-tails are summed the squares go, and each verified N is synthesized from
-its kept set alone: the next selection is made after the previous kept
-set is freed, and the synthesis error is taken in the synthesized image's
-own array.
+tails are summed the squares are done with, and each verified N is
+synthesized from its kept set alone: the next selection overwrites the
+previous kept set, and the synthesis error is taken in the synthesized
+image's own array.
+
+Both arrays are the frame's, one of each per calling thread, and live as
+long as the frame and the thread.  The squares go into the frame's work
+array, which holds the half spectrum of analysis and synthesis
+(:mod:`alphacurvelets.transform`), and each kept set into a kept-set array
+that only a verified curve makes.  Each is coefficient-size, 8.1 MB at
+grid 512, alpha 1/2 snapped, so a request finds them resident instead of
+faulting fresh pages in.  A curve that finds the work array smaller than
+the coefficients, as the first curve on a frame and thread does, squares
+into an array of its own, frees it before the synthesis and grows the
+work array after it; so even that curve holds no more than two
+coefficient-size arrays at once.
 
 A caller's coefficients are never written.  When ``error_curve`` makes
 the coefficients itself and verifies no point, nothing reads them after
@@ -114,23 +126,41 @@ class RateReport:
     n_points: int
 
 
-def threshold(coeffs: CoefficientSet, n_keep: int) -> CoefficientSet:
+def threshold(coeffs: CoefficientSet, n_keep: int, out: np.ndarray | None = None) -> CoefficientSet:
     """Keep exactly the ``n_keep`` largest-magnitude coefficients.
 
     Ties are broken by the stable flat order (scale-major, then angle,
-    then lattice position), so runs are bit-for-bit reproducible.  The
-    call makes one coefficient-size array: the magnitudes the selection
-    reads, which then become the kept set, zero but where the mask keeps a
-    coefficient (a kept ``-0.0`` included).
+    then lattice position), so runs are bit-for-bit reproducible.  One
+    coefficient-size array holds the magnitudes the selection reads, which
+    then become the kept set, zero but where the mask keeps a coefficient
+    (a kept ``-0.0`` included).  The call makes that array, or uses
+    ``out``: a C-contiguous float64 array of ``coeffs.total_count``
+    entries that shares no memory with ``coeffs.values``, which the
+    returned set's values then are.  A verified ``error_curve`` passes the
+    kept-set array its frame keeps for the calling thread.
     """
     total = coeffs.total_count
     if not 1 <= as_index(n_keep, "n_keep") <= total:
         raise ValueError(f"n_keep must be in [1, {total}], got {n_keep}")
-    buf = np.empty_like(coeffs.values)
+    buf = np.empty_like(coeffs.values) if out is None else _check_out(out, coeffs)
     keep = _largest_mask(coeffs.values, n_keep, buf)
     buf.fill(0.0)
     np.copyto(buf, coeffs.values, where=keep)
     return replace(coeffs, values=buf)
+
+
+def _check_out(out, coeffs: CoefficientSet) -> np.ndarray:
+    """``out``, if the kept set of ``coeffs`` can be made in it; ``ValueError`` naming the fault if not."""
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array, got {getattr(out, 'dtype', type(out).__name__)}")
+    if out.shape != (coeffs.total_count,):
+        raise ValueError(f"out has shape {out.shape}; the kept set needs ({coeffs.total_count},)")
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    if np.shares_memory(out, coeffs.values):
+        # the magnitudes would overwrite the values the selection reads again
+        raise ValueError("out shares memory with the coefficients")
+    return out
 
 
 def _largest_mask(values: np.ndarray, n: int, mags: np.ndarray | None = None) -> np.ndarray:
@@ -210,8 +240,15 @@ def error_curve(
     place for the tails.
 
     Beside the coefficients, the squares of the tails and the first kept
-    set are the only coefficient-size arrays alive at once; the squares go
-    before any synthesis, and each kept set goes before the next is made.
+    set are the only coefficient-size arrays alive at once.  Both are the
+    frame's for the calling thread and live as long as the frame and the
+    thread: the squares are taken in its work array, where synthesis then
+    takes its half spectrum, and each kept set overwrites the last in its
+    kept-set array.  At grid 512, alpha 1/2 snapped, each is 8.1 MB.  A
+    curve that verifies no point makes no kept set, and one that squares
+    its own analysis in place leaves the work array as analysis sized it.
+    A curve that finds the work array too small squares into a fresh
+    array and grows the work array after synthesizing, for the next curve.
     """
     n_list = sorted(set(as_index(n, "n_list entry") for n in n_list))
     verify_at = list(dict.fromkeys(as_index(n, "verify_at entry") for n in verify_at))  # each N once
@@ -234,17 +271,24 @@ def error_curve(
         squares = np.square(coeffs.values, out=coeffs.values)
         del coeffs  # its values are squares now
     else:
-        squares = np.square(coeffs.values)
+        # the work array takes the squares once a curve has grown it to fit
+        # them (below); one too small for them is dropped, not held beside them
+        squares = np.square(coeffs.values, out=frame._held("work", total, make=False))
+    out = frame._held("kept", total) if verify_at else None
     with _worker._beside(_smallest_first_tails, squares, n_max) as pending:
-        kept = threshold(coeffs, verify_at[0]) if verify_at else None
+        kept = threshold(coeffs, verify_at[0], out=out) if verify_at else None
     tails = pending.result()
-    del squares  # the tails are summed: no synthesis holds the squares too
+    del squares  # the tails are summed: synthesis takes the work array now
     synthesis = {}
     for n in verify_at:
-        # one kept set at a time: the next is selected once this one is gone
-        rec = synthesize(threshold(coeffs, n) if kept is None else kept, frame)
+        # one kept set at a time: the next is selected into the array of this one
+        synthesis[n] = _synthesis_error(image, threshold(coeffs, n, out=out) if kept is None else kept, frame)
         kept = None
-        synthesis[n] = grid_norms(np.subtract(image, rec, out=rec), frame.params.grid_n)[1]
+    if not owned:
+        # grown for the next curve once the synthesis is done: a curve that
+        # found it too small freed its own squares before the synthesis, so
+        # it never holds those squares, the kept set and the grown array at once
+        frame._held("work", total)
     energy = float(tails[0])
     curve = ErrorCurve(
         n_terms=n_list,
@@ -267,6 +311,14 @@ def error_curve(
             )
         curve.err2_synthesis[n] = err
     return curve
+
+
+def _synthesis_error(image: np.ndarray, kept: CoefficientSet, frame: DigitalCurveletFrame) -> float:
+    """``grid_norms(image - synthesize(kept, frame))[1]``, bit for bit, taken in
+    the synthesized image's own array (``d * d`` is ``|d| * |d|``)."""
+    d = synthesize(kept, frame)
+    np.subtract(image, d, out=d)
+    return float(np.square(d, out=d).sum() * (2.0 / frame.params.grid_n) ** 2)
 
 
 def fit_rate(curve: ErrorCurve, window: tuple[int, int]) -> RateReport:

@@ -116,6 +116,46 @@ def test_threshold_is_the_oracle_selection_bit_for_bit():
     assert np.signbit(appr.threshold(coeffs, 7).values[[1, 5, 8]]).tolist() == [True, False, False]
 
 
+def test_threshold_into_out_is_the_threshold_bit_for_bit():
+    # a stale kept set in out: every entry is written, the dropped ones with 0.0
+    values = np.array([3.0, -0.0, 2.0, -2.0, 0.0, -0.0, 2.0, 1.0, -0.0, -1.0])
+    coeffs = CoefficientSet([(0, 0, 1, 4), (1, 0, 2, 3)], values)
+    out = np.full(values.size, np.nan)
+    for n in (7, 1, values.size):
+        kept = appr.threshold(coeffs, n, out=out)
+        assert kept.values is out
+        assert out.tobytes() == appr.threshold(coeffs, n).values.tobytes(), n
+    assert coeffs.values.tobytes() == values.tobytes()
+
+
+def test_threshold_refuses_an_out_that_is_not_float64():
+    coeffs = toy_coeffs([5.0, 3.0, 2.0])
+    with pytest.raises(ValueError, match="float64 array, got float32"):
+        appr.threshold(coeffs, 2, out=np.empty(3, dtype=np.float32))
+
+
+def test_threshold_refuses_an_out_of_another_shape():
+    coeffs = toy_coeffs([5.0, 3.0, 2.0])
+    for out in (np.empty(4), np.empty((3, 1))):
+        with pytest.raises(ValueError, match=r"shape .*; the kept set needs \(3,\)"):
+            appr.threshold(coeffs, 2, out=out)
+
+
+def test_threshold_refuses_an_out_that_is_not_c_contiguous():
+    coeffs = toy_coeffs([5.0, 3.0, 2.0])
+    with pytest.raises(ValueError, match="C-contiguous"):
+        appr.threshold(coeffs, 2, out=np.empty(6)[::2])
+
+
+def test_threshold_refuses_an_out_sharing_memory_with_the_coefficients():
+    coeffs = toy_coeffs([5.0, -3.0, 2.0, 4.0])
+    sub = CoefficientSet([(0, 0, 1, 2)], coeffs.values[:2])
+    for c, out in ((coeffs, coeffs.values), (sub, coeffs.values[1:3])):
+        with pytest.raises(ValueError, match="shares memory with the coefficients"):
+            appr.threshold(c, 1, out=out)
+    assert coeffs.values.tolist() == [5.0, -3.0, 2.0, 4.0]
+
+
 def test_smallest_first_tails_match_exact_sums():
     rng = np.random.default_rng(5)
     values = rng.standard_normal(300) ** 2 * np.exp(20 * rng.standard_normal(300))
@@ -302,7 +342,7 @@ def test_error_curve_thresholds_and_synthesizes_each_n_once(frame64, monkeypatch
     calls = []
     for name in ("threshold", "synthesize"):
         fn = getattr(appr, name)
-        monkeypatch.setattr(appr, name, lambda c, x, fn=fn, name=name: calls.append(name) or fn(c, x))
+        monkeypatch.setattr(appr, name, lambda c, x, fn=fn, name=name, **kw: calls.append(name) or fn(c, x, **kw))
     curve = appr.error_curve(f, frame64, [20], coeffs=coeffs, verify_at=(20, 20, 7, 20))
     assert calls == ["threshold", "synthesize"] * 2
     assert list(curve.err2_synthesis.items()) == list(want.err2_synthesis.items())
@@ -385,6 +425,20 @@ def test_a_verified_error_curve_holds_two_coefficient_arrays_at_most(n):
     n = coeffs.total_count // 4 if n == "quarter" else n
     peak = _traced_peak(lambda: appr.error_curve(f, frame, [n], coeffs=coeffs, verify_at=(n,)))
     assert peak < 2.6 * coeffs.values.nbytes, peak / coeffs.values.nbytes
+
+
+def test_a_second_verified_error_curve_allocates_no_coefficient_size_array():
+    # the first curve grows the frame's work array to the squares and makes
+    # its kept-set array; the second finds both and allocates only the mask
+    # of the selection and the synthesized image
+    frame = DigitalCurveletFrame.build(FrameParams(1.0, 0.5, 256, snapped=True))
+    f = np.random.default_rng(25).standard_normal((256, 256))
+    coeffs = analyze(f, frame)
+    first = appr.error_curve(f, frame, [10], coeffs=coeffs, verify_at=(10,))
+    peak = _traced_peak(lambda: appr.error_curve(f, frame, [10], coeffs=coeffs, verify_at=(10,)))
+    assert peak < 0.5 * coeffs.values.nbytes, peak / coeffs.values.nbytes
+    second = appr.error_curve(f, frame, [10], coeffs=coeffs, verify_at=(10,))
+    assert (first.err2, first.err2_synthesis) == (second.err2, second.err2_synthesis)
 
 
 def test_error_curve_tail_far_below_signal_energy():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from alphacurvelets import _worker, tiling, transform
-from alphacurvelets.approximation import atom_l1_decay
+from alphacurvelets.approximation import atom_l1_decay, error_curve
 from alphacurvelets.tiling import FrameParams, verify_partition
 from alphacurvelets.transform import (
     CoefficientSet,
@@ -544,19 +544,27 @@ def test_two_threads_taking_from_both_ends_get_each_tile_once():
 
 
 def test_a_frame_is_safe_to_share_across_threads(frame256s, one_thread):
+    # each thread stages in work and kept-set arrays of its own
     rng = np.random.default_rng(15)
     images = [rng.standard_normal((256, 256)) for _ in range(2)]
+    ns = [(300,), (40, 5000)]
     want = []
-    for f in images:
+    for f, verify in zip(images, ns):
         coeffs = one_thread(analyze, f, frame256s)
-        want.append((coeffs.values, one_thread(synthesize, coeffs, frame256s)))
+        curve = error_curve(f, frame256s, [64], coeffs=coeffs, verify_at=verify)
+        want.append((coeffs.values, one_thread(synthesize, coeffs, frame256s), curve))
     same = [[], []]
 
     def run(k):
         for _ in range(20):
             coeffs = analyze(images[k], frame256s)
             rec = synthesize(coeffs, frame256s)
-            same[k].append(np.array_equal(coeffs.values, want[k][0]) and np.array_equal(rec, want[k][1]))
+            curve = error_curve(images[k], frame256s, [64], coeffs=coeffs, verify_at=ns[k])
+            same[k].append(
+                np.array_equal(coeffs.values, want[k][0])
+                and np.array_equal(rec, want[k][1])
+                and (curve.err2, curve.err2_synthesis) == (want[k][2].err2, want[k][2].err2_synthesis)
+            )
 
     # two users and the worker on two cores, switching often
     users = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(2)]
