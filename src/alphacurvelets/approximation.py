@@ -15,15 +15,15 @@ N largest are sorted and added smallest first, so a tail far below the
 signal energy is summed exactly instead of cancelling in
 ``energy - cumsum``.
 
-``error_curve`` sums the tails on the package's worker thread, over a
-coefficient-size array of squares; meanwhile the calling thread makes the
-first verified selection, whose one coefficient-size array holds the
-magnitudes and then becomes the kept set.  So beside the coefficients a
-verified point holds at most the squares and that kept set.  Once the
-tails are summed the squares are done with, and each verified N is
-synthesized from its kept set alone: the next selection overwrites the
-previous kept set, and the synthesis error is taken in the synthesized
-image's own array.
+``error_curve`` hands the package's worker thread a coefficient-size
+array, in which the worker squares the coefficients and then sums their
+tails; meanwhile the calling thread makes the first verified selection,
+whose one coefficient-size array holds the magnitudes and then becomes
+the kept set.  So beside the coefficients a verified point holds at most
+the squares and that kept set.  Once the tails are read into floats the
+squares are done with, and each verified N is synthesized from its kept
+set alone: the next selection overwrites the previous kept set, and the
+synthesis error is taken in the synthesized image's own array.
 
 Both arrays are the frame's, one of each per calling thread, and live as
 long as the frame and the thread.  The squares go into the frame's work
@@ -36,6 +36,14 @@ the coefficients, as the first curve on a frame and thread does, squares
 into an array of its own, frees it before the synthesis and grows the
 work array after it; so even that curve holds no more than two
 coefficient-size arrays at once.
+
+``threshold`` shares the passes after its partial selection with the
+worker, each in two halves of the flat array: restore the magnitudes,
+mark and count those at the boundary magnitude or above, then zero the
+kept set and copy the kept values into it.  A tie at the boundary is
+broken in one step on the calling thread.  While the worker sums the
+tails, the first selection finds it busy and does both halves of each
+pass itself.
 
 A caller's coefficients are never written.  When ``error_curve`` makes
 the coefficients itself and verifies no point, nothing reads them after
@@ -144,9 +152,14 @@ def threshold(coeffs: CoefficientSet, n_keep: int, out: np.ndarray | None = None
         raise ValueError(f"n_keep must be in [1, {total}], got {n_keep}")
     buf = np.empty_like(coeffs.values) if out is None else _check_out(out, coeffs)
     keep = _largest_mask(coeffs.values, n_keep, buf)
-    buf.fill(0.0)
-    np.copyto(buf, coeffs.values, where=keep)
+    _worker._in_halves(total, _kept_set, coeffs.values, keep, buf)
     return replace(coeffs, values=buf)
+
+
+def _kept_set(values, keep, buf, part: slice) -> None:
+    """Write ``part`` of the kept set into ``buf``: ``values`` where ``keep`` holds, else 0."""
+    buf[part].fill(0.0)
+    np.copyto(buf[part], values[part], where=keep[part])
 
 
 def _check_out(out, coeffs: CoefficientSet) -> np.ndarray:
@@ -178,12 +191,21 @@ def _largest_mask(values: np.ndarray, n: int, mags: np.ndarray | None = None) ->
     # their min, v without one, is NaN
     if not mags[mags.size - n :].min() >= v:
         raise ValueError("magnitudes must not be NaN")
-    np.abs(values, out=mags)  # back in flat order: one array serves both steps
-    keep = mags >= v
-    if np.count_nonzero(keep) > n:  # a tie at the boundary: its lowest indices go first
-        keep = mags > v
+    keep, counts = np.empty(values.size, dtype=bool), []
+    _worker._in_halves(values.size, _at_least, values, v, mags, keep, counts)
+    if sum(counts) > n:  # a tie at the boundary: its lowest indices go first
+        np.greater(mags, v, out=keep)
         keep[np.flatnonzero(mags == v)[: n - np.count_nonzero(keep)]] = True
     return keep
+
+
+def _at_least(values, v, mags, keep, counts: list, part: slice) -> None:
+    """Put ``part`` of ``abs(values)`` back in flat order in ``mags`` (one
+    array serves the selection and the mask), mark in ``keep`` where it is
+    at least ``v``, and append the count of those to ``counts``."""
+    np.abs(values[part], out=mags[part])
+    np.greater_equal(mags[part], v, out=keep[part])
+    counts.append(np.count_nonzero(keep[part]))
 
 
 def _smallest_first_tails(values: np.ndarray, n_max: int) -> np.ndarray:
@@ -192,20 +214,28 @@ def _smallest_first_tails(values: np.ndarray, n_max: int) -> np.ndarray:
     One partial selection splits off the ``n_max`` largest values; the rest
     is summed pairwise and the split-off values are added to it smallest
     first, so no tail is a difference of large sums.  ``out[0]`` is the total.
-    The selection and the sort reorder ``values`` in place: pass a scratch array.
+    The selection, the sort and the sums overwrite ``values``: pass a
+    scratch array.  ``out`` is a view of it, but for ``n_max`` equal to
+    its size, where no value is left over to hold the total.
     """
     k = values.size - n_max
-    if 0 < k < values.size:
+    if k == 0:
+        values, k = np.concatenate(([0.0], values)), 1  # the sum of no values
+    elif k < values.size:
         values.partition(k)
     values[k:].sort()
-    out = np.empty(n_max + 1)
-    out[0] = values[:k].sum()
-    out[1:] = values[k:]
-    return np.cumsum(out, out=out)[::-1]
+    values[k - 1] = values[:k].sum()
+    return np.cumsum(values[k - 1 :], out=values[k - 1 :])[::-1]
+
+
+def _tails(values: np.ndarray, squares: np.ndarray, n_max: int) -> np.ndarray:
+    """:func:`_smallest_first_tails` of the squares of ``values``, squared into ``squares``."""
+    return _smallest_first_tails(np.square(values, out=squares), n_max)
 
 
 def geometric_schedule(start: int, stop: int) -> list[int]:
     """Strictly increasing integer schedule, geometric with ratio ``SCHEDULE_RATIO``."""
+    start, stop = as_index(start, "start"), as_index(stop, "stop")
     if start < 1 or stop < start:
         raise ValueError("need 1 <= start <= stop")
     out = []
@@ -242,8 +272,9 @@ def error_curve(
     Beside the coefficients, the squares of the tails and the first kept
     set are the only coefficient-size arrays alive at once.  Both are the
     frame's for the calling thread and live as long as the frame and the
-    thread: the squares are taken in its work array, where synthesis then
-    takes its half spectrum, and each kept set overwrites the last in its
+    thread: the squares are taken, and the tails summed, in its work
+    array, where synthesis takes its half spectrum once the tails are read
+    into floats, and each kept set overwrites the last in its
     kept-set array.  At grid 512, alpha 1/2 snapped, each is 8.1 MB.  A
     curve that verifies no point makes no kept set, and one that squares
     its own analysis in place leaves the work array as analysis sized it.
@@ -263,22 +294,27 @@ def error_curve(
     total = coeffs.total_count
     if checked and checked[-1] > total:
         raise ValueError(f"N={checked[-1]} exceeds coefficient count {total}")
-    # the worker sums the tails while this thread makes the first selection;
-    # the tails reorder their squares in place, and the selections use the
+    # the worker squares and sums the tails while this thread makes the first
+    # selection; the tails overwrite their squares, and the selections use the
     # magnitudes, because squaring can merge distinct magnitudes into ties
     n_max = checked[-1] if checked else 0
+    values = coeffs.values
     if owned:
-        squares = np.square(coeffs.values, out=coeffs.values)
-        del coeffs  # its values are squares now
+        squares = values
+        del coeffs  # its values become squares
     else:
         # the work array takes the squares once a curve has grown it to fit
         # them (below); one too small for them is dropped, not held beside them
-        squares = np.square(coeffs.values, out=frame._held("work", total, make=False))
+        squares = frame._held("work", total, make=False)
+        if squares is None:
+            squares = np.empty(total)
     out = frame._held("kept", total) if verify_at else None
-    with _worker._beside(_smallest_first_tails, squares, n_max) as pending:
+    with _worker._beside(_tails, values, squares, n_max) as pending:
         kept = threshold(coeffs, verify_at[0], out=out) if verify_at else None
     tails = pending.result()
-    del squares  # the tails are summed: synthesis takes the work array now
+    energy, err2 = float(tails[0]), {n: float(tails[n]) for n in checked}
+    # the tails are read: synthesis takes the work array they were summed in
+    del values, squares, tails, pending
     synthesis = {}
     for n in verify_at:
         # one kept set at a time: the next is selected into the array of this one
@@ -289,10 +325,9 @@ def error_curve(
         # found it too small freed its own squares before the synthesis, so
         # it never holds those squares, the kept set and the grown array at once
         frame._held("work", total)
-    energy = float(tails[0])
     curve = ErrorCurve(
         n_terms=n_list,
-        err2=[float(tails[n]) for n in n_list],
+        err2=[err2[n] for n in n_list],
         metadata={
             "grid_n": frame.params.grid_n,
             "s": frame.params.s,
@@ -302,7 +337,7 @@ def error_curve(
         },
     )
     for n, err in synthesis.items():
-        tail = float(tails[n])
+        tail = err2[n]
         if err > tail * (1.0 + 1e-9) + 1e-18 * energy:
             # synthesis of masked coefficients is a contraction; exceeding
             # the dropped tail would mean the frame lost tightness

@@ -41,23 +41,28 @@ block the size of their sum (21 MB at grid 1024) is mapped afresh where
 smaller arrays reuse the heap a frame build leaves free.  The worker
 stages only in views of the caller's arrays.
 
-Every kernel of the package shares its units with the one worker thread
-(:mod:`alphacurvelets._worker`); the transform shares the tile FFTs of
-every frame, whatever its size, through one routine, ``_shared``.  The
-caller takes tiles from the back of the layout, starting with the
-closure, the largest; the worker takes them from the front, and never
-the last tile; each claims the next as it finishes one, so the split
-follows how fast each thread runs.  In synthesis the worker adds the
-spectra of its tiles into the half spectrum in tile order while the
-caller holds those of its own, to add them, in tile order, once the
-worker is done.  Every sum is thus taken in tile order, whichever thread
-takes a tile, and the bits never change.
+The transform shares its units with the package's one worker thread
+through :func:`alphacurvelets._worker._shared`, for every frame whatever
+its size.  Each pass of the image's real FFT in analysis, and of its
+inverse in synthesis and :func:`curvelet_atom`, goes in two halves of its
+lines (pocketfft transforms each line on its own, so the halves give the
+bits of the whole pass).  The tile FFTs of analysis and of synthesis go a
+tile at a time; in synthesis the thread that takes a tile tests its block
+and skips it if it is zero.  A tile's own FFTs run on the thread that
+took it, as the worker never waits for itself.  The caller takes tiles
+from the back of the layout, starting with the closure, the largest; the
+worker takes them from the front, and never the last tile; each claims
+the next as it finishes one, so the split follows how fast each thread
+runs.  In synthesis the worker adds the spectra of its tiles into the
+half spectrum in tile order while the caller holds those of its own, to
+add them, in tile order, once the worker is done.  Every sum is thus
+taken in tile order, whichever thread takes a tile, and the bits never
+change.  A caller that finds the worker busy, or slow to start, takes
+every unit and cancels the worker's task.
 """
 
 from __future__ import annotations
 
-import collections
-import contextlib
 import math
 import operator
 import threading
@@ -79,22 +84,6 @@ __all__ = [
 
 DIRECT_GRID_LIMIT = 128
 PARTITION_TOL = 1e-12
-
-
-@contextlib.contextmanager
-def _shared(tiles, fn, *args):
-    """Yield the ``tiles`` the calling thread takes, last first.
-
-    Every call shares its tiles with the worker, whatever the frame's
-    size: ``fn(*args, theirs)`` runs there meanwhile, and leaving the
-    body waits for it.  ``theirs`` takes tiles from the front but never
-    the last: zip asks ``range`` first, so the worker pops all tiles but
-    one at most, and its scratch need not fit the last tile.
-    """
-    shared = collections.deque(tiles)
-    theirs = (i for _, i in zip(range(len(shared) - 1), _worker._taking(shared.popleft)))
-    with _worker._beside(fn, *args, theirs):
-        yield _worker._taking(shared.pop)
 
 
 class DigitalCurveletFrame:
@@ -245,10 +234,10 @@ def analyze(image: np.ndarray, frame: DigitalCurveletFrame) -> CoefficientSet:
         their_box=_half_box(caches[:-1]),
         their_support=_support(caches[:-1]),
     )
-    _rfft2(image, F.reshape(n, n // 2 + 1))
+    _shared_rfft2(image, F.reshape(n, n // 2 + 1))
     coeffs = CoefficientSet(frame.wedge_table(), np.empty(frame.total_coefficients))
     tiles, args = range(len(caches)), (F, frame, coeffs.blocks)
-    with _shared(tiles, _analyze_tiles, *args, their_box, their_vals) as mine:
+    with _worker._shared(tiles, _analyze_tiles, *args, their_box, their_vals) as mine:
         _analyze_tiles(*args, box, vals, mine)
     return coeffs
 
@@ -265,6 +254,37 @@ def _irfft2(H: np.ndarray, out: np.ndarray) -> np.ndarray:
     ``H`` is overwritten.  ``irfft2`` itself ignores an ``out`` argument."""
     np.fft.ifft(H, axis=0, out=H)
     return np.fft.irfft(H, n=out.shape[1], axis=1, out=out)
+
+
+def _shared_rfft2(x: np.ndarray, out: np.ndarray) -> None:
+    """:func:`_rfft2`, each pass split into two halves of its lines that
+    the worker shares.  pocketfft transforms each line on its own, so
+    the halves give the bits of the whole pass.  A tile's FFTs call
+    :func:`_rfft2` itself, on the thread that took the tile."""
+    _worker._in_halves(len(x), _rfft_rows, x, out)
+    _worker._in_halves(out.shape[1], _fft_columns, out)
+
+
+def _shared_irfft2(H: np.ndarray, out: np.ndarray) -> None:
+    """:func:`_irfft2`, each pass split as in :func:`_shared_rfft2`."""
+    _worker._in_halves(H.shape[1], _ifft_columns, H)
+    _worker._in_halves(len(out), _irfft_rows, H, out)
+
+
+def _rfft_rows(x, out, rows: slice) -> None:
+    np.fft.rfft(x[rows], axis=1, out=out[rows])
+
+
+def _fft_columns(out, columns: slice) -> None:
+    np.fft.fft(out[:, columns], axis=0, out=out[:, columns])
+
+
+def _ifft_columns(H, columns: slice) -> None:
+    np.fft.ifft(H[:, columns], axis=0, out=H[:, columns])
+
+
+def _irfft_rows(H, out, rows: slice) -> None:
+    np.fft.irfft(H[rows], n=out.shape[1], axis=1, out=out[rows])
 
 
 def _half_box(caches) -> int:
@@ -301,15 +321,15 @@ def synthesize(coeffs: CoefficientSet, frame: DigitalCurveletFrame) -> np.ndarra
     if coeffs.wedge_table != frame.wedge_table():
         raise ValueError("coefficient blocks do not match the frame's tile boxes")
     n = frame.params.grid_n
-    live = [i for i, block in enumerate(coeffs.blocks) if np.any(block)]
-    caches = [frame._caches[i] for i in live]
+    caches, blocks = frame._caches, coeffs.blocks
     # the worker never takes the last tile, so its box need not fit it
     Facc, box, their_box = frame._work(
         work=n * (n // 2 + 1), box=_half_box(caches), their_box=_half_box(caches[:-1])
     )
     Facc.fill(0)
-    with _shared(live, _add_spectra, Facc, frame, coeffs.blocks, their_box) as mine:
-        held = [(i, _spectrum(frame._caches[i], coeffs.blocks[i], box)) for i in mine]
+    tiles = range(len(caches))
+    with _worker._shared(tiles, _add_spectra, Facc, frame, blocks, their_box) as mine:
+        held = [(i, _spectrum(caches[i], blocks[i], box)) for i in mine if np.any(blocks[i])]
     # the worker has added every tile before these: each sum rounds as in tile order
     for i, v in reversed(held):
         Facc[frame._caches[i].grid_flat[: v.size]] += v
@@ -318,7 +338,8 @@ def synthesize(coeffs: CoefficientSet, frame: DigitalCurveletFrame) -> np.ndarra
 
 def _image(Facc: np.ndarray, n: int) -> np.ndarray:
     """The ``n x n`` image of the half spectrum ``Facc``, which is overwritten."""
-    out = _irfft2(Facc.reshape(n, n // 2 + 1), np.empty((n, n)))
+    out = np.empty((n, n))
+    _shared_irfft2(Facc.reshape(n, n // 2 + 1), out)
     out *= n * n / 2.0
     return out
 
@@ -336,8 +357,10 @@ def _spectrum(c, block: np.ndarray, box: np.ndarray) -> np.ndarray:
 
 
 def _add_spectra(Facc, frame, blocks, box, tiles) -> None:
-    """Add the spectra of the blocks of ``tiles`` into ``Facc``, in the order given, staging in ``box``."""
+    """Add the spectra of the live blocks of ``tiles`` into ``Facc``, in the order given, staging in ``box``."""
     for i in tiles:
+        if not np.any(blocks[i]):
+            continue
         c = frame._caches[i]
         # the half-spectrum indices of one tile are unique, so += is collision-free
         Facc[c.grid_flat[: c.n_spectrum]] += _spectrum(c, blocks[i], box)

@@ -27,14 +27,14 @@ class InlineWorker:
 
 
 class LateWorker:
-    """Starts each task half a second late: the caller takes every unit."""
+    """Starts each task half a second late, unless it was cancelled by then: the caller takes every unit."""
 
     def submit(self, fn, *args):
         future = Future()
 
         def run():
-            future.set_running_or_notify_cancel()
-            future.set_result(fn(*args))
+            if future.set_running_or_notify_cancel():
+                future.set_result(fn(*args))
 
         threading.Timer(0.5, run).start()
         return future
@@ -81,19 +81,28 @@ def one_thread():
     return run
 
 
+def under_each(names, fn):
+    """``[fn() for each name]``, with ``STAND_INS[name]`` in the worker thread's place, or the worker itself for ``None``."""
+    results = []
+    for name in names:
+        with pytest.MonkeyPatch.context() as mp:
+            if name:
+                mp.setattr(_worker, "_WORKER", STAND_INS[name]())
+            results.append(fn())
+    return results
+
+
 @pytest.fixture
 def each_worker():
     """``each_worker(fn)`` is ``[fn(), fn(), fn()]``: with the worker taking
     every unit it can (inline), taking none (idle), and as it runs.
     """
+    return lambda fn: under_each(("InlineWorker", "RecordingWorker", None), fn)
 
-    def run(fn):
-        results = []
-        for name in ("InlineWorker", "RecordingWorker", None):
-            with pytest.MonkeyPatch.context() as mp:
-                if name:
-                    mp.setattr(_worker, "_WORKER", STAND_INS[name]())
-                results.append(fn())
-        return results
 
-    return run
+@pytest.fixture
+def each_sharing_worker():
+    """``each_sharing_worker(fn)`` is ``each_worker(fn)`` and one more ``fn()``
+    with the worker starting late: a call shared through ``_worker._shared``
+    then takes every unit itself and cancels the worker's task."""
+    return lambda fn: under_each(("InlineWorker", "RecordingWorker", None, "LateWorker"), fn)

@@ -53,6 +53,33 @@ def test_threshold_rejects_nan_values():
             appr.threshold(toy_coeffs(values), 2)
 
 
+def test_threshold_is_the_oracle_when_a_boundary_tie_straddles_the_halves(each_sharing_worker):
+    # the passes after the selection split the flat array at size // 2 = 50
+    values = np.random.default_rng(30).uniform(-1.0, 1.0, 101)
+    values[[7, 90]] = 3.0, -4.0
+    values[44:57:2] = 2.0  # the tie at the boundary: ten entries, five each side of 50
+    values[45:57:4] = -2.0
+    coeffs = toy_coeffs(values)
+    for n in range(3, 12):
+        want = np.where(stable_argsort_mask(np.abs(values), n), values, 0.0)
+        got = each_sharing_worker(lambda: appr.threshold(coeffs, n).values.tobytes())
+        assert got == [want.tobytes()] * 4, n
+
+
+@pytest.mark.parametrize("at", [3, 80])
+def test_threshold_refuses_a_nan_in_either_half(at, each_sharing_worker):
+    values = np.random.default_rng(31).standard_normal(101)
+    values[at] = np.nan
+    coeffs = toy_coeffs(values)
+
+    def refused():
+        with pytest.raises(ValueError, match="NaN"):
+            appr.threshold(coeffs, 10)
+        return True
+
+    assert each_sharing_worker(refused) == [True] * 4
+
+
 def test_threshold_stable_tie_break():
     coeffs = toy_coeffs([1.0, 1.0, 1.0, 1.0])
     kept = appr.threshold(coeffs, 2)
@@ -161,19 +188,20 @@ def test_smallest_first_tails_match_exact_sums():
     values = rng.standard_normal(300) ** 2 * np.exp(20 * rng.standard_normal(300))
     desc = np.sort(values)[::-1]
     for n_max in (0, 1, 17, 299, 300):
-        tails = appr._smallest_first_tails(values, n_max)
+        tails = appr._smallest_first_tails(values.copy(), n_max)
         assert len(tails) == n_max + 1
         for n in range(n_max + 1):
             assert tails[n] == pytest.approx(math.fsum(desc[n:]), rel=1e-14, abs=0.0)
 
 
-def test_smallest_first_tails_reorder_only_their_input():
+def test_smallest_first_tails_are_summed_in_their_input():
     rng = np.random.default_rng(6)
     values = rng.standard_normal(300) ** 2 * np.exp(20 * rng.standard_normal(300))
     for n_max in (0, 1, 17, 299, 300):
         scratch = values.copy()
         tails = appr._smallest_first_tails(scratch, n_max)
-        assert np.array_equal(np.sort(scratch), np.sort(values))
+        # the tails are a view of the scratch, but where no value is left over to hold the total
+        assert np.shares_memory(tails, scratch) == (n_max < values.size), n_max
         # the selection in place gives what a selection on a copy gives
         k = values.size - n_max
         part = np.partition(values, k) if 0 < k < values.size else values
@@ -441,6 +469,35 @@ def test_a_second_verified_error_curve_allocates_no_coefficient_size_array():
     assert (first.err2, first.err2_synthesis) == (second.err2, second.err2_synthesis)
 
 
+def test_a_warm_verified_curve_allocates_no_array_of_the_tails_size(monkeypatch):
+    # the tails are summed in their squares, and read into floats before the synthesis
+    frame = DigitalCurveletFrame.build(FrameParams(1.0, 0.5, 128, snapped=True))
+    f = np.random.default_rng(32).standard_normal((128, 128))
+    coeffs = analyze(f, frame)
+    n = coeffs.total_count // 4
+    first = appr.error_curve(f, frame, [n], coeffs=coeffs, verify_at=(n,))  # grows the work array
+    sizes = []
+
+    def traced(fn):
+        def run(*args):
+            sizes.append({t.size for t in tracemalloc.take_snapshot().traces})
+            result = fn(*args)
+            sizes.append({t.size for t in tracemalloc.take_snapshot().traces})
+            return result
+
+        return run
+
+    monkeypatch.setattr(appr, "_smallest_first_tails", traced(appr._smallest_first_tails))
+    monkeypatch.setattr(appr, "synthesize", traced(appr.synthesize))
+    tracemalloc.start()
+    try:
+        curve = appr.error_curve(f, frame, [n], coeffs=coeffs, verify_at=(n,))
+    finally:
+        tracemalloc.stop()
+    assert len(sizes) == 4 and not any(8 * (n + 1) in s for s in sizes)
+    assert (curve.err2, curve.err2_synthesis) == (first.err2, first.err2_synthesis)
+
+
 def test_error_curve_tail_far_below_signal_energy():
     # the tail here is ~1e-13 of the signal energy: energy - cumsum cancels
     # to rounding noise there, the smallest-first sum does not
@@ -594,6 +651,10 @@ def test_geometric_schedule():
     assert appr.geometric_schedule(10, 11)[-1] == 11
     with pytest.raises(ValueError):
         appr.geometric_schedule(0, 10)
+    assert appr.geometric_schedule(np.int64(2), np.int32(10)) == [2, 3, 4, 6, 8, 10]
+    for args, name in (((2, 10.7), "stop"), ((1.5, 10), "start"), (("5", 10), "start"), ((1, "5"), "stop")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            appr.geometric_schedule(*args)
 
 
 def test_level_window():

@@ -36,7 +36,7 @@ def test_report_digest_matches_the_reports_of_an_in_process_run(tmp_path):
 
 def test_digest_prints_one_line_per_set(monkeypatch, capsys):
     tool = load_tool("digest")
-    # the layout sets on their first frame each, grids 128 and 64; the render and curve sets in full
+    # the layout sets on their first frame each, grids 128 and 64; the other sets in full
     few = {"frame-sweep": lambda: tool.frame_sweep_frames(count=1), "grids": lambda: tool.grid_frames()[:1]}
     sets = [(name, items, few.get(name, inputs), update) for name, items, inputs, update in tool.SETS]
     monkeypatch.setattr(tool, "SETS", sets)
@@ -49,6 +49,7 @@ def test_digest_prints_one_line_per_set(monkeypatch, capsys):
         "nterm-roundtrip (12 renders)",
         "oracle (30 renders)",
         "curves (8 curves)",
+        "transforms (4 images)",
     )
     assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from alphacurvelets import _worker, tiling, transform
-from alphacurvelets.approximation import atom_l1_decay, error_curve
+from alphacurvelets.approximation import atom_l1_decay, error_curve, threshold
 from alphacurvelets.tiling import FrameParams, verify_partition
 from alphacurvelets.transform import (
     CoefficientSet,
@@ -455,6 +455,36 @@ def test_the_two_pass_ffts_are_the_2d_wrappers_bit_for_bit():
         assert np.array_equal(transform._irfft2(H, np.empty((P1, P2))), want), (P1, P2)
 
 
+@pytest.mark.parametrize("n", [16, 18, 64, 130])  # 9, 10, 33 and 66 half columns
+def test_the_shared_image_ffts_are_the_2d_wrappers_bit_for_bit(n, each_sharing_worker):
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal((n, n))
+    H = rng.standard_normal((n, n // 2 + 1)) + 1j * rng.standard_normal((n, n // 2 + 1))
+    want = (np.fft.rfft2(x), np.fft.irfft2(H, s=(n, n)))
+
+    def both():
+        F, out = np.empty((n, n // 2 + 1), dtype=complex), np.empty((n, n))
+        transform._shared_rfft2(x, F)
+        transform._shared_irfft2(H.copy(), out)
+        return F, out
+
+    for F, out in each_sharing_worker(both):
+        assert np.array_equal(F, want[0]) and np.array_equal(out, want[1])
+
+
+def test_a_caller_cancels_the_tasks_of_a_worker_that_starts_late(frame64, stand_in, one_thread):
+    f = np.random.default_rng(29).standard_normal((64, 64))
+    coeffs = one_thread(analyze, f, frame64)
+    want = (coeffs.values, one_thread(synthesize, coeffs, frame64), one_thread(threshold, coeffs, 100).values)
+    stand_in("LateWorker")
+    start = time.monotonic()
+    coeffs = analyze(f, frame64)
+    got = (coeffs.values, synthesize(coeffs, frame64), threshold(coeffs, 100).values)
+    # each call shares two tasks or more, which start 0.5 s late if they are not cancelled
+    assert time.monotonic() - start < 0.5
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 @pytest.mark.parametrize("worker", ["InlineWorker", "LateWorker"])
 def test_transforms_are_the_same_whichever_thread_takes_the_tiles(
     frame64, frame128, frame256s, worker, stand_in, one_thread
@@ -470,17 +500,30 @@ def test_transforms_are_the_same_whichever_thread_takes_the_tiles(
 
 
 def callers_tiles(monkeypatch):
-    """The list that records each tile the calling thread takes, in order."""
+    """The list that records each tile the calling thread takes, in order;
+    the halves of the image FFTs, which are slices, are not recorded."""
     taking, taken = _worker._taking, []
 
     def recording(take):
         for i in taking(take):
-            if take.__name__ == "pop":  # the calling thread's end of the deque
+            if take.__name__ == "pop" and isinstance(i, int):  # the calling thread's end of the deque
                 taken.append(i)
             yield i
 
     monkeypatch.setattr(_worker, "_taking", recording)
     return taken
+
+
+def synthesized_tiles(monkeypatch, frame):
+    """The list that records the tile of each block spectrum made, in order."""
+    spectrum, made = transform._spectrum, []
+
+    def recording(c, block, box):
+        made.append(next(i for i, tile in enumerate(frame._caches) if tile is c))
+        return spectrum(c, block, box)
+
+    monkeypatch.setattr(transform, "_spectrum", recording)
+    return made
 
 
 @pytest.mark.parametrize("fixture", ["frame64", "frame128", "frame256s"])
@@ -496,11 +539,14 @@ def test_the_calling_thread_takes_the_last_tile_first(fixture, request, monkeypa
     assert np.array_equal(coeffs.values, want.values)
     taken.clear()
     coeffs.blocks[-1][...] = 0.0  # a dead closure: the caller starts with the last live tile
+    made = synthesized_tiles(monkeypatch, frame)
     rec = synthesize(coeffs, frame)
-    assert taken == [i for i, block in enumerate(coeffs.blocks) if np.any(block)][::-1]
-    assert taken[0] == len(frame._caches) - 2
+    assert taken == list(range(len(frame._caches)))[::-1]  # dead tiles are taken and skipped
+    assert made == [i for i, block in enumerate(coeffs.blocks) if np.any(block)][::-1]
+    assert made[0] == len(frame._caches) - 2
     assert np.array_equal(rec, one_thread(synthesize, coeffs, frame))
-    assert worker.tasks == [transform._analyze_tiles, transform._add_spectra]
+    halves = [_worker._each] * 2  # the image FFT's two passes
+    assert worker.tasks == [*halves, transform._analyze_tiles, transform._add_spectra, *halves]
 
 
 def test_the_worker_never_takes_the_last_tile(frame256s, monkeypatch, stand_in, one_thread):
@@ -512,11 +558,13 @@ def test_the_worker_never_takes_the_last_tile(frame256s, monkeypatch, stand_in, 
     coeffs = analyze(f, frame256s)
     assert taken == [len(frame256s._caches) - 1]
     assert np.array_equal(coeffs.values, want.values)
-    coeffs.blocks[-1][...] = 0.0
+    coeffs.blocks[-1][...] = 0.0  # dead, and still the caller's: the worker synthesizes every live tile
     want = one_thread(synthesize, coeffs, frame256s)
     taken.clear()
+    made = synthesized_tiles(monkeypatch, frame256s)
     assert np.array_equal(synthesize(coeffs, frame256s), want)
-    assert taken == [len(frame256s._caches) - 2]
+    assert taken == [len(frame256s._caches) - 1]
+    assert made == [i for i, block in enumerate(coeffs.blocks) if np.any(block)]
 
 
 def test_two_threads_taking_from_both_ends_get_each_tile_once():

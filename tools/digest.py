@@ -1,7 +1,7 @@
-"""Print one SHA-256 digest per set of layouts, renders and error curves.
+"""Print one SHA-256 digest per set of layouts, renders, error curves and transforms.
 
 Run it at two commits and compare the lines to show that a change leaves
-every layout, render and curve bit-identical.  Each line reads
+every layout, render, curve and transform bit-identical.  Each line reads
 ``<set> (<count> <items>): <sha256>``, in this order:
 
 * layouts: each digest covers, tile by tile in layout order, ``P1``,
@@ -30,7 +30,13 @@ every layout, render and curve bit-identical.  Each line reads
   default ladder) and taken over ``geometric_schedule(32, total // 4)``
   with three verified N: the schedule's first, middle and last.  The digest
   covers, curve by curve, the schedule, ``err2``, the metadata, and at each
-  verified N the synthesis error and the values of ``threshold(coeffs, N)``.
+  verified N the synthesis error and the values of ``threshold(coeffs, N)``;
+
+* ``transforms``: the seed-1 image pool of the benchmark's
+  ``nterm-roundtrip`` workload on its own frame (grid 512, alpha 1/2
+  snapped), built as that workload builds them.  The digest covers, image
+  by image, the dtype and bytes of ``analyze(img).values`` and of
+  ``synthesize(threshold(coeffs, N))`` at N = 64, 4096 and ``total // 4``.
 
 Usage, from the repository root: ``python tools/digest.py``
 """
@@ -52,7 +58,7 @@ from alphacurvelets import cli  # noqa: E402
 from alphacurvelets.approximation import error_curve, geometric_schedule, threshold  # noqa: E402
 from alphacurvelets.cartoons import CartoonSpec, render  # noqa: E402
 from alphacurvelets.tiling import FrameParams, build_layout  # noqa: E402
-from alphacurvelets.transform import DigitalCurveletFrame, analyze  # noqa: E402
+from alphacurvelets.transform import DigitalCurveletFrame, analyze, synthesize  # noqa: E402
 
 ALPHAS = (-0.5, 0.0, 0.25, 0.5, 0.9)
 CURVE_GRID = 256
@@ -108,6 +114,13 @@ def curve_inputs() -> list[tuple[DigitalCurveletFrame, np.ndarray]]:
     return [(frame, img) for frame in frames for img in images]
 
 
+def transform_inputs() -> list[tuple[DigitalCurveletFrame, np.ndarray]]:
+    """The frame and images of the seed-1 ``nterm-roundtrip`` workload, from its own setup."""
+    bench = workloads.NTermRoundtrip(seed=1)
+    bench.setup()
+    return [(bench.frame, img) for img in bench.images]
+
+
 def update_array(h, arr: np.ndarray) -> None:
     h.update(arr.dtype.str.encode())
     h.update(np.ascontiguousarray(arr).tobytes())
@@ -142,6 +155,14 @@ def update_curve(h, curve_input: tuple[DigitalCurveletFrame, np.ndarray]) -> Non
         h.update(threshold(coeffs, n).values.tobytes())
 
 
+def update_transform(h, transform_input: tuple[DigitalCurveletFrame, np.ndarray]) -> None:
+    frame, img = transform_input
+    coeffs = analyze(img, frame)
+    update_array(h, coeffs.values)
+    for n in (64, 4096, coeffs.total_count // 4):
+        update_array(h, synthesize(threshold(coeffs, n), frame))
+
+
 # (set, what it counts, its inputs, what hashes one input), in print order
 SETS = (
     ("frame-sweep", "layouts", frame_sweep_frames, update_layout),
@@ -150,6 +171,7 @@ SETS = (
     ("nterm-roundtrip", "renders", pool_renders, update_render),
     ("oracle", "renders", oracle_renders, update_render),
     ("curves", "curves", curve_inputs, update_curve),
+    ("transforms", "images", transform_inputs, update_transform),
 )
 
 
