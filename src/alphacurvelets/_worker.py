@@ -6,25 +6,19 @@ replaced in a forked child) serves:
 * ``analyze``: the image's real FFT, the tile FFTs;
 * ``synthesize``: the tile FFTs and their live-block tests, the image's
   inverse real FFT (``curvelet_atom`` shares that one too);
-* ``threshold``: the passes after its partial selection, which restore
-  the magnitudes, mark and count those at the boundary or above, and
-  write the kept set;
 * ``error_curve``: the squares of the coefficients and their dropped tails;
 * ``render`` and ``consistency_sum``: row blocks.
 
 Each splits its work into units whose results do not depend on which
 thread ran them, so its output is the same bit for bit whether the
 worker takes every unit, some or none.  An image FFT goes as two passes,
-each split into two halves of its lines; ``threshold`` splits its passes
-into two halves of the flat array (:func:`_in_halves`).
+each split into two halves of its lines (:func:`_in_halves`).
 
 A task on the worker never waits for the calling thread: a caller that
-finds the worker busy, or slow to start, does every unit itself.  So
-while the worker sums the tails of ``error_curve``, the selection on the
-calling thread does both halves of each of its passes, and cancels the
-task that was to share them, which has not started (:func:`_shared`).
-The worker runs no traced entry point either, so a tracer that keeps its
-span stack on the calling thread sees every call.
+finds the worker busy, or slow to start, does every unit itself, and
+cancels the task that was to share them if it has not started
+(:func:`_shared`).  The worker runs no traced entry point either, so a
+tracer that keeps its span stack on the calling thread sees every call.
 """
 
 from __future__ import annotations

@@ -37,14 +37,6 @@ into an array of its own, frees it before the synthesis and grows the
 work array after it; so even that curve holds no more than two
 coefficient-size arrays at once.
 
-``threshold`` shares the passes after its partial selection with the
-worker, each in two halves of the flat array: restore the magnitudes,
-mark and count those at the boundary magnitude or above, then zero the
-kept set and copy the kept values into it.  A tie at the boundary is
-broken in one step on the calling thread.  While the worker sums the
-tails, the first selection finds it busy and does both halves of each
-pass itself.
-
 A caller's coefficients are never written.  When ``error_curve`` makes
 the coefficients itself and verifies no point, nothing reads them after
 the tails, so it squares them in place: the curve holds one coefficient
@@ -152,14 +144,9 @@ def threshold(coeffs: CoefficientSet, n_keep: int, out: np.ndarray | None = None
         raise ValueError(f"n_keep must be in [1, {total}], got {n_keep}")
     buf = np.empty_like(coeffs.values) if out is None else _check_out(out, coeffs)
     keep = _largest_mask(coeffs.values, n_keep, buf)
-    _worker._in_halves(total, _kept_set, coeffs.values, keep, buf)
+    buf.fill(0.0)
+    np.copyto(buf, coeffs.values, where=keep)
     return replace(coeffs, values=buf)
-
-
-def _kept_set(values, keep, buf, part: slice) -> None:
-    """Write ``part`` of the kept set into ``buf``: ``values`` where ``keep`` holds, else 0."""
-    buf[part].fill(0.0)
-    np.copyto(buf[part], values[part], where=keep[part])
 
 
 def _check_out(out, coeffs: CoefficientSet) -> np.ndarray:
@@ -191,21 +178,12 @@ def _largest_mask(values: np.ndarray, n: int, mags: np.ndarray | None = None) ->
     # their min, v without one, is NaN
     if not mags[mags.size - n :].min() >= v:
         raise ValueError("magnitudes must not be NaN")
-    keep, counts = np.empty(values.size, dtype=bool), []
-    _worker._in_halves(values.size, _at_least, values, v, mags, keep, counts)
-    if sum(counts) > n:  # a tie at the boundary: its lowest indices go first
+    np.abs(values, out=mags)  # back in flat order: one array serves both steps
+    keep = mags >= v
+    if np.count_nonzero(keep) > n:  # a tie at the boundary: its lowest indices go first
         np.greater(mags, v, out=keep)
         keep[np.flatnonzero(mags == v)[: n - np.count_nonzero(keep)]] = True
     return keep
-
-
-def _at_least(values, v, mags, keep, counts: list, part: slice) -> None:
-    """Put ``part`` of ``abs(values)`` back in flat order in ``mags`` (one
-    array serves the selection and the mask), mark in ``keep`` where it is
-    at least ``v``, and append the count of those to ``counts``."""
-    np.abs(values[part], out=mags[part])
-    np.greater_equal(mags[part], v, out=keep[part])
-    counts.append(np.count_nonzero(keep[part]))
 
 
 def _smallest_first_tails(values: np.ndarray, n_max: int) -> np.ndarray:
@@ -393,10 +371,11 @@ def level_window(curve: ErrorCurve, rel_hi: float, rel_lo: float) -> tuple[int, 
     anchoring the window between fixed error levels selects the power-law
     regime between the two in a grid- and redundancy-independent way.
     A window whose ends meet, or a curve of an image with no energy,
-    raises :class:`FitWindowError`.
+    raises :class:`FitWindowError`; levels not in order, a NaN among
+    them, ``ValueError``.
     """
-    if rel_lo >= rel_hi:
-        raise ValueError("need rel_lo < rel_hi")
+    if not rel_lo < rel_hi:
+        raise ValueError(f"need rel_lo < rel_hi, got rel_lo={rel_lo!r}, rel_hi={rel_hi!r}")
     energy = curve.metadata.get("signal_energy")
     if energy is None:
         raise ValueError("curve lacks signal_energy metadata")

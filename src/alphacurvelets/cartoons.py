@@ -24,7 +24,6 @@ which thread rendered a block.
 
 from __future__ import annotations
 
-import collections
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -295,8 +294,9 @@ def render(spec: CartoonSpec, grid_n: int) -> np.ndarray:
     ``_evaluate`` at each sub-sample in the same ``(o1, o2)`` order; so
     the image equals the per-sample accumulation of ``_evaluate`` bit for
     bit.  The row blocks, all of one size, are shared with the package's
-    worker thread: this thread takes them from the back, the worker from
-    the front, and each block writes only its rows.  A render of more than
+    worker thread (:func:`alphacurvelets._worker._shared`): this thread
+    takes them from the back, the worker from the front, never the last,
+    and each block writes only its rows.  A render of more than
     :data:`SAMPLE_LIMIT` samples raises ``ValueError``
     (:func:`check_render`) before any work.
     """
@@ -314,10 +314,9 @@ def render(spec: CartoonSpec, grid_n: int) -> np.ndarray:
     g = _smooth(spec)
     cols = [base + o2 for o2 in offsets]
     profiles = [None if g is None else g.profile(x2) for x2 in cols]
-    starts = collections.deque(range(0, n, block))
     args = (spec, g, base, offsets, cols, profiles, out, block)
-    with _worker._beside(_render_rows, *args, _worker._taking(starts.popleft)):
-        _render_rows(*args, _worker._taking(starts.pop))
+    with _worker._shared(range(0, n, block), _render_rows, *args) as mine:
+        _render_rows(*args, mine)
     return out
 
 

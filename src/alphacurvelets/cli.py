@@ -128,8 +128,13 @@ def _frames(cfg: dict, snapped: bool = False) -> list[FrameParams]:
 
 
 def _kind(value) -> str | None:
-    """What a config value is: a number, a list of numbers, or number lists keyed by alpha; else None."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """What a config value is: a finite number, a list of them, or lists of them keyed by alpha; else None.
+
+    ``json`` reads ``NaN`` and ``Infinity``, which JSON lacks; no config
+    value may be one, as a NaN passes every order check and an infinite
+    tolerance passes any verdict.  Nor may an integer too large for a float.
+    """
+    if _is_number(value) and abs(value) <= sys.float_info.max:  # false for NaN
         return "a number"
     if isinstance(value, list) and all(_kind(v) == "a number" for v in value):
         return "a list of numbers"
@@ -138,6 +143,10 @@ def _kind(value) -> str | None:
     ):
         return "an object of number lists keyed by alpha"
     return None
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_defaults() -> dict:
@@ -782,7 +791,7 @@ def _verdict(experiment: str, cfg: dict, outcome: tuple[bool, dict, list[dict]],
     measured = [
         f"{key}.slope={val['slope']}" if isinstance(val, dict) else f"{key}={val}"
         for key, val in results.items()
-        if val is None or _kind(val) == "a number" or (isinstance(val, dict) and "slope" in val)
+        if val is None or _is_number(val) or (isinstance(val, dict) and "slope" in val)
     ]
     if measured:
         _say("  " + ", ".join(measured))

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from alphacurvelets import _worker
 from alphacurvelets import approximation as appr
 from alphacurvelets.cartoons import CartoonSpec, render
 from alphacurvelets.cli import load_defaults
@@ -78,6 +79,49 @@ def test_threshold_refuses_a_nan_in_either_half(at, each_sharing_worker):
         return True
 
     assert each_sharing_worker(refused) == [True] * 4
+
+
+class SubmitRecorder:
+    """The worker thread, recording the function of each task submitted to it."""
+
+    def __init__(self, worker):
+        self.worker, self.tasks = worker, []
+
+    def submit(self, fn, *args):
+        self.tasks.append(fn)
+        return self.worker.submit(fn, *args)
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """The functions of the tasks submitted to the worker thread, which still runs each."""
+    recorder = SubmitRecorder(_worker._WORKER)
+    monkeypatch.setattr(_worker, "_WORKER", recorder)
+    return recorder.tasks
+
+
+def test_threshold_offers_the_worker_no_task(frame64, submitted):
+    coeffs = analyze(render(CartoonSpec(kind="disc", antialias=2), 64), frame64)
+    tie = np.random.default_rng(30).uniform(-1.0, 1.0, 101)
+    tie[44:57:2] = 2.0  # the boundary magnitude at N = 3 to 9
+    submitted.clear()
+    for c, n in ((coeffs, 64), (coeffs, coeffs.total_count // 4), (toy_coeffs(tie), 5)):
+        appr.threshold(c, n)
+        assert submitted == [], n
+
+
+def test_the_verified_selection_offers_the_worker_only_the_tails(frame64, submitted):
+    disc = render(CartoonSpec(kind="disc", antialias=2), 64)
+    coeffs = analyze(disc, frame64)
+    n = coeffs.total_count // 4
+    submitted.clear()
+    appr.error_curve(disc, frame64, [n], coeffs=coeffs, verify_at=(n,))
+    curve_tasks = submitted[:]
+    kept = appr.threshold(coeffs, n)
+    submitted.clear()
+    synthesize(kept, frame64)
+    # the tails beside the selection, then what the synthesis shares
+    assert curve_tasks == [appr._tails, *submitted]
 
 
 def test_threshold_stable_tie_break():
@@ -680,6 +724,15 @@ def test_level_window():
     dark = appr.ErrorCurve(n_terms=curve.n_terms, err2=[0.0] * len(n), metadata={"signal_energy": 0.0})
     with pytest.raises(appr.FitWindowError, match="the image has no energy"):
         appr.level_window(dark, rel_hi=1e-3, rel_lo=1e-7)
+
+
+@pytest.mark.parametrize("rel_hi, rel_lo", [(math.nan, 1e-3), (0.1, math.nan)])
+def test_level_window_refuses_a_nan_level(rel_hi, rel_lo):
+    # rel_lo >= rel_hi is false for a NaN: these gave the windows (1, 31) and (3, 199)
+    n = list(range(1, 200))
+    curve = appr.ErrorCurve(n_terms=n, err2=[float(v) ** -2 for v in n], metadata={"signal_energy": 1.0})
+    with pytest.raises(ValueError, match=rf"need rel_lo < rel_hi, got rel_lo={rel_lo!r}, rel_hi={rel_hi!r}"):
+        appr.level_window(curve, rel_hi, rel_lo)
 
 
 def test_error_curve_json_carries_metadata_and_verified_points(frame64):

@@ -185,13 +185,14 @@ ORACLE_SPECS = [
 
 @pytest.mark.parametrize("kw", ORACLE_SPECS, ids=lambda kw: kw["kind"] + str(kw.get("beta", "")))
 @pytest.mark.parametrize("n, antialias", [(37, 1), (37, 2), (37, 3), (64, 8), (300, 8), (400, 8)])
-def test_render_matches_per_sample_oracle(kw, n, antialias, each_worker):
+def test_render_matches_per_sample_oracle(kw, n, antialias, each_sharing_worker):
     # n=300 spans two row blocks of 218 rows and n=400 three of 163, the
     # last partial
     spec = CartoonSpec(antialias=antialias, **kw)
     want = per_sample_render(spec, n).tobytes()
-    # the worker takes every block it can, none, and as many as it gets to
-    assert [img.tobytes() == want for img in each_worker(lambda: render(spec, n))] == [True] * 3
+    # the worker takes every block it can, none, as many as it gets to, and
+    # none when it starts late, its task cancelled
+    assert [img.tobytes() == want for img in each_sharing_worker(lambda: render(spec, n))] == [True] * 4
 
 
 def record_evaluate(monkeypatch):

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -457,6 +458,14 @@ def test_the_verdict_names_the_applied_bands(monkeypatch, tmp_path, capsys):
     assert measured == "  alpha=0.5, slope=-1.515, fit.slope=-1.515"  # the slope that failed
 
 
+def test_the_verdict_prints_a_result_that_is_not_finite(monkeypatch, tmp_path, capsys):
+    # a config value must be finite, a result need not be: an infinite remainder fails bessel-check
+    results = {"remainder_sup": math.inf, "remainder_stability": math.nan}
+    monkeypatch.setitem(cli.RUNNERS, "bessel-check", lambda cfg: lambda: (False, results, []))
+    assert cli.main(["run", "bessel-check", "--out", os.fspath(tmp_path / "r")]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == "  remainder_sup=inf, remainder_stability=nan"
+
+
 # what the package's work starts from; a plan reaches none of them
 WORK = {
     cli.DigitalCurveletFrame: ("build",),
@@ -640,6 +649,13 @@ def _refused_with_either_out(args, message, tmp_path, capsys, pgm=None) -> str:
             {"edge_c": -5.0, "grid": 64},
             "edge_c=-5.0 misses the grid: |edge_c| must be below |cos edge_phi| + |sin edge_phi| = 1.4",
         ),
+        # json reads NaN and Infinity: a NaN level_hi passed the lo >= hi check and fitted a
+        # window level_window made up, and an infinite growth_tol passed any growth
+        (["disc-rate", "--grid", "128"], {"level_hi": float("nan")}, "level_hi must be a number, got nan"),
+        (["molecule-distance"], {"growth_tol": float("inf")}, "growth_tol must be a number, got inf"),
+        (["disc-rate", "--s", "inf"], None, "s must be a number, got inf"),
+        # an integer too large for a float ended in an OverflowError traceback
+        (["disc-rate"], {"s": 10**400}, "s must be a number, got 1000"),
     ],
 )
 def test_an_out_of_range_value_is_a_usage_error(args, config, message, no_work, tmp_path, capsys):
